@@ -64,13 +64,17 @@ def af_paper(n: int) -> bool:
 
 @dataclass(eq=False)
 class Realization:
-    """A concrete block realization: the block list, its integer matrix, and
-    the matrix order.  The invariant-form witness is computed on first access
-    (solving the invariant space can dwarf the rest of a verdict)."""
+    """A concrete block realization: the block list and the matrix order.
+    The integer matrix and the invariant-form witness are computed on first
+    access (verdicts never read them, and solving the invariant space can
+    dwarf the rest of a verdict)."""
 
     blocks: BlockSpec
-    matrix: Matrix
     order: int
+
+    @functools.cached_property
+    def matrix(self) -> Matrix:
+        return realize(self.blocks)
 
     @functools.cached_property
     def _theta_result(self) -> tuple[bool, SymbolicSkew | None]:
@@ -103,26 +107,22 @@ class Verdict:
     divergence_flag: bool
 
 
-def _failure_verdict(d, label, w, reason, realization=None) -> Verdict:
+def _verdict(d, label, w, reason, realization=None, k=None, af_computed=False, paper_flag=False) -> Verdict:
+    exists = reason == EXISTS
     return Verdict(
         d=d,
         input_label=label,
         realizable_in_gl_d=reason != W_TOO_BIG,
-        simple_action_exists=False,
+        simple_action_exists=exists,
         reason=reason,
         w=w,
         realization=realization,
-        k=None,
-        is_at=False,
-        is_af_computed=False,
-        is_af_paper_predicate=False,
-        divergence_flag=False,
+        k=k,
+        is_at=exists,
+        is_af_computed=af_computed,
+        is_af_paper_predicate=paper_flag,
+        divergence_flag=af_computed != paper_flag,
     )
-
-
-@functools.lru_cache(maxsize=None)
-def _standalone_s1(block: Block) -> int:
-    return s1((block,))
 
 
 def _candidate_blocks(n: int) -> list[tuple[Block, ...]]:
@@ -149,72 +149,11 @@ def _best_blocks(n: int) -> tuple[Block, ...]:
     invariant ranks; ties go to negating the largest prime power."""
 
     def sort_key(blocks):
-        total = sum(_standalone_s1(b) for b in blocks)
+        total = sum(s1((b,)) for b in blocks)
         negated = max((b.n for b in blocks if isinstance(b, NegCyclotomic)), default=0)
         return (total, -negated)
 
     return min(_candidate_blocks(n), key=sort_key)
-
-
-def _make_realization(blocks: BlockSpec, group_order: int) -> Realization:
-    return Realization(blocks=tuple(blocks), matrix=realize(blocks), order=group_order)
-
-
-def _finish_verdict(d, label, w, realization, factors, paper_flag) -> Verdict:
-    k = kunneth_all(factors)
-    af_computed = k.k1 == exact(0)
-    return Verdict(
-        d=d,
-        input_label=label,
-        realizable_in_gl_d=True,
-        simple_action_exists=True,
-        reason=EXISTS,
-        w=w,
-        realization=realization,
-        k=k,
-        is_at=True,
-        is_af_computed=af_computed,
-        is_af_paper_predicate=paper_flag,
-        divergence_flag=af_computed != paper_flag,
-    )
-
-
-def classify_cyclic(d: int, n: int) -> Verdict:
-    """Classify the order-n cyclic action on a simple d-torus.
-
-    Outcomes: the order does not fit in GL_d(Z) (w_order(n) > d); it fits
-    but d - w_order(n) = 1, where every invariant form is degenerate; or a
-    simple action exists, built from cyclotomic companion blocks padded by
-    an identity block, with the K-ranks of the crossed product.
-    """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    if n < 2:
-        raise ValueError(f"classify_cyclic expects an order n >= 2, got {n}")
-    w = w_order(n)
-    label = f"Z{n}"
-    if w > d:
-        return _failure_verdict(d, label, w, W_TOO_BIG)
-    gap = d - w
-
-    if n == 2:
-        # The full flip -I_d: every coordinate is negated, no residual torus
-        # factor acts trivially, and the whole action is free of even order.
-        blocks = (Cyclotomic(2),) * d
-        realization = _make_realization(blocks, 2)
-        if gap == 1:
-            return _failure_verdict(d, label, w, GAP_ONE, realization)
-        flip_k = GradedRank(at_least(1), exact(s1(blocks)))
-        return _finish_verdict(d, label, w, realization, [flip_k], af_paper(2) and gap == 0)
-
-    cyclo_blocks = _best_blocks(n)
-    if gap == 1:
-        blocks = cyclo_blocks + (Identity(1),)
-        return _failure_verdict(d, label, w, GAP_ONE, _make_realization(blocks, n))
-    blocks = cyclo_blocks + ((Identity(gap),) if gap else ())
-    realization = _make_realization(blocks, n)
-    factors = [factor_k(b) for b in cyclo_blocks] + [torus_k(gap)]
-    return _finish_verdict(d, label, w, realization, factors, af_paper(n) and gap == 0)
 
 
 def _part_blocks(n_l: int) -> tuple[Block, ...]:
@@ -229,6 +168,54 @@ def _part_k(n_l: int) -> GradedRank:
     return kunneth_all(factor_k(b) for b in _best_blocks(n_l))
 
 
+def _classify(d: int, label: str, w: int, parts: tuple[int, ...], free_rank: int) -> Verdict:
+    """The one classification path: the torsion is realized part by part
+    (cyclic orders ``parts`` costing ``w`` dimensions in total) and padded
+    by an identity block, while the free part acts by adding dimensions, so
+    the crossed product is modeled as the torsion factors tensored with a
+    torus of dimension d + r - W.  Existence holds whenever the torsion
+    fits and either the gap differs from one or the free rank is positive
+    (the gap-one case lands on a form that is zero in one coordinate, with
+    the free part restoring simplicity one dimension up)."""
+    if w > d:
+        return _verdict(d, label, w, W_TOO_BIG)
+    gap = d - w
+    blocks = tuple(itertools.chain.from_iterable(_part_blocks(n_l) for n_l in parts))
+    realization = Realization(blocks + ((Identity(gap),) if gap else ()), lcm(*parts, 1))
+    if gap == 1 and not free_rank:
+        return _verdict(d, label, w, GAP_ONE, realization)
+    k = kunneth_all([_part_k(n_l) for n_l in parts] + [torus_k(gap + free_rank)])
+    af_computed = not free_rank and k.k1 == exact(0)
+    paper_flag = not free_rank and gap == 0 and all(af_paper(n_l) for n_l in parts)
+    return _verdict(d, label, w, EXISTS, realization, k, af_computed, paper_flag)
+
+
+def classify_cyclic(d: int, n: int) -> Verdict:
+    """Classify the order-n cyclic action on a simple d-torus.
+
+    Outcomes: the order does not fit in GL_d(Z) (w_order(n) > d); it fits
+    but d - w_order(n) = 1, where every invariant form is degenerate; or a
+    simple action exists, built from cyclotomic companion blocks padded by
+    an identity block, with the K-ranks of the crossed product.
+    """
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
+    if n < 2:
+        raise ValueError(f"classify_cyclic expects an order n >= 2, got {n}")
+    label, w = f"Z{n}", w_order(n)
+    if n == 2:
+        # The full flip -I_d: every coordinate is negated, no residual torus
+        # factor acts trivially, and the whole action is free of even order.
+        # Its gap is measured against w_order(2) = 0, so it is never zero and
+        # the closed-form predicate never holds, in any dimension.
+        flip = Realization((Cyclotomic(2),) * d, 2)
+        if d == 1:
+            return _verdict(d, label, w, GAP_ONE, flip)
+        k = GradedRank(at_least(1), exact(s1(flip.blocks)))
+        return _verdict(d, label, w, EXISTS, flip, k, k.k1 == exact(0))
+    return _classify(d, label, w, (n,), 0)
+
+
 def classify_group(d: int, g: AbelianGroup) -> Verdict:
     """Classify the action of a finite abelian group, realized part by part
     along a cost-minimizing cyclic decomposition of its torsion."""
@@ -239,65 +226,17 @@ def classify_group(d: int, g: AbelianGroup) -> Verdict:
     if g.is_trivial:
         raise ValueError("classify_group expects a nontrivial group")
     w, decomp = w_group(g)
-    label = str(g)
-    if w > d:
-        return _failure_verdict(d, label, w, W_TOO_BIG)
-    gap = d - w
-    group_order = lcm(*decomp.parts)
-    cyclo_blocks = tuple(itertools.chain.from_iterable(_part_blocks(n_l) for n_l in decomp.parts))
-    if gap == 1:
-        blocks = cyclo_blocks + (Identity(1),)
-        return _failure_verdict(d, label, w, GAP_ONE, _make_realization(blocks, group_order))
-    blocks = cyclo_blocks + ((Identity(gap),) if gap else ())
-    realization = _make_realization(blocks, group_order)
-    factors = [_part_k(n_l) for n_l in decomp.parts] + [torus_k(gap)]
-    paper_flag = gap == 0 and all(af_paper(n_l) for n_l in decomp.parts)
-    return _finish_verdict(d, label, w, realization, factors, paper_flag)
+    return _classify(d, str(g), w, decomp.parts, 0)
 
 
 def classify_fg(d: int, g: AbelianGroup) -> Verdict:
-    """Classify the action of a finitely generated abelian group.
-
-    The free part acts by adding dimensions: the crossed product is modeled
-    as the torsion factors tensored with a torus of dimension d + r - W.
-    Existence holds whenever the torsion fits and either the gap differs
-    from one or the free rank is positive (the gap-one case lands on a
-    form that is zero in one coordinate, with the free part restoring
-    simplicity one dimension up).
-    """
+    """Classify the action of a finitely generated abelian group: the
+    torsion along a cost-minimizing cyclic decomposition, the free rank as
+    extra torus dimensions."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     w, decomp = w_group(g)
-    r = g.free_rank
-    label = str(g)
-    if w > d:
-        return _failure_verdict(d, label, w, W_TOO_BIG)
-    gap = d - w
-    group_order = lcm(*decomp.parts, 1)
-    cyclo_blocks = tuple(itertools.chain.from_iterable(_part_blocks(n_l) for n_l in decomp.parts))
-    if gap == 1 and r == 0:
-        blocks = cyclo_blocks + (Identity(1),)
-        return _failure_verdict(d, label, w, GAP_ONE, _make_realization(blocks, group_order))
-    blocks = cyclo_blocks + ((Identity(gap),) if gap else ())
-    realization = _make_realization(blocks if blocks else (Identity(d),), group_order)
-    factors = [_part_k(n_l) for n_l in decomp.parts] + [torus_k(d + r - w)]
-    k = kunneth_all(factors)
-    af_computed = r == 0 and k.k1 == exact(0)
-    paper_flag = r == 0 and gap == 0 and all(af_paper(n_l) for n_l in decomp.parts)
-    return Verdict(
-        d=d,
-        input_label=label,
-        realizable_in_gl_d=True,
-        simple_action_exists=True,
-        reason=EXISTS,
-        w=w,
-        realization=realization,
-        k=k,
-        is_at=True,
-        is_af_computed=af_computed,
-        is_af_paper_predicate=paper_flag,
-        divergence_flag=af_computed != paper_flag,
-    )
+    return _classify(d, str(g), w, decomp.parts, g.free_rank)
 
 
 # -- analysis of arbitrary user matrices ------------------------------------

@@ -280,6 +280,31 @@ def _echelon_int(rows: list[list[int]]) -> list[tuple[int, int]]:
     return pivots
 
 
+def _components(m: Matrix) -> list[list[int]]:
+    """Connected components of the support graph of a square matrix (i and j
+    joined when entry (i, j) or (j, i) is nonzero), each in ascending order,
+    listed by least index.  One union-find pass over the entries."""
+    n = m.nrows
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, row in enumerate(m.rows):
+        for j, v in enumerate(row):
+            if v and i != j:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return sorted(groups.values(), key=lambda g: g[0])
+
+
 def rank(m: Matrix) -> int:
     """Exact rank over the rationals."""
     rows, _ = _scaled_int_rows(m)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import comb, gcd, isqrt, lcm
 
 from .arith import cyclotomic, totient
-from .exactlin import Matrix, _echelon_int, block_diag, companion, det, order
+from .exactlin import Matrix, _components, _echelon_int, block_diag, companion, det, order
 from .wfun import max_finite_order
 
 
@@ -270,28 +270,6 @@ def free_outside_origin(a: Matrix) -> bool:
 
 _CERT_PRIME = (1 << 61) - 1
 _SMALL_COMPONENT = 64
-
-
-def _components(m: Matrix) -> list[list[int]]:
-    n = m.nrows
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, row in enumerate(m.rows):
-        for j, v in enumerate(row):
-            if v and i != j:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values(), key=lambda g: g[0])
 
 
 def _rank_by_components(m: Matrix) -> int:

@@ -15,7 +15,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlin import Matrix, kernel_basis, rank
+from .exactlin import Matrix, _components, kernel_basis, rank
 
 
 def _is_skew(m: Matrix) -> bool:
@@ -140,28 +140,6 @@ def is_invariant(theta: SymbolicSkew, a: Matrix) -> bool:
     return all(at @ mat @ a == mat for _, mat in theta.symbol_parts)
 
 
-def _support_components(a: Matrix) -> list[list[int]]:
-    n = a.nrows
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(n):
-        for j in range(n):
-            if i != j and (a.rows[i][j] or a.rows[j][i]):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values(), key=lambda g: g[0])
-
-
 def _diagonal_block_solutions(a: Matrix, p: list[int]) -> list[list[tuple[int, int, Fraction]]]:
     """Skew solutions of a^t S a = S supported on indices p (upper triangle)."""
     positions = [(p[i], p[j]) for i in range(len(p)) for j in range(i + 1, len(p))]
@@ -208,7 +186,7 @@ def invariant_space(a: Matrix) -> tuple[Matrix, ...]:
     if not a.is_square:
         raise ValueError("invariant_space requires a square matrix")
     d = a.nrows
-    comps = _support_components(a)
+    comps = _components(a)
     basis = []
     for ci in range(len(comps)):
         for cj in range(ci, len(comps)):

@@ -143,6 +143,9 @@ def _coprime_partitions(torsion: tuple[int, ...]):
     return sorted(results)
 
 
+_MAX_PRIMES = 10
+
+
 @functools.lru_cache(maxsize=None)
 def _w_group_cached(torsion: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     if not torsion:
@@ -163,9 +166,18 @@ def w_group(g: AbelianGroup) -> tuple[int, CyclicDecomposition]:
     Minimizers are tie-broken toward fewer parts, then the lexicographically
     smallest sorted part list, so the output is deterministic.
 
+    The search enumerates every coprime partition of the torsion, whose
+    count grows like the Bell numbers in the number of distinct primes, so
+    more than 10 distinct primes is rejected with ValueError.
+
     >>> w_group(AbelianGroup.from_factors([2, 3]))
     (2, CyclicDecomposition(parts=(6,)))
     """
+    primes = {factorize(q)[0][0] for q in g.torsion}
+    if len(primes) > _MAX_PRIMES:
+        raise ValueError(
+            f"w_group supports at most {_MAX_PRIMES} distinct primes in the torsion, got {len(primes)}"
+        )
     cost, parts = _w_group_cached(g.torsion)
     return cost, CyclicDecomposition(parts)
 

@@ -98,6 +98,25 @@ def test_flip_and_gap_one_for_order_two():
     assert v.realizable_in_gl_d and v.reason == GAP_ONE
 
 
+def test_flip_and_group_route_disagree_on_af_paper_in_dimension_two():
+    # The same -I_2, two gaps: the flip measures against w_order(2) = 0, the
+    # group route against w_cyclic(2) = 2, and only gap zero passes AF_paper.
+    flip = verdict_json(classify_cyclic(2, 2))
+    group = verdict_json(classify_group(2, AbelianGroup.from_factors([2])))
+    assert flip["blocks"] == group["blocks"] == ["C2", "C2"]
+    assert flip["AF_computed"] and group["AF_computed"]
+    assert (flip["AF_paper"], flip["divergence"]) == (False, True)
+    assert (group["AF_paper"], group["divergence"]) == (True, False)
+
+
+def test_verdict_leaves_realization_matrix_unbuilt():
+    v = classify_cyclic(300, 7)
+    verdict_json(v)
+    assert "matrix" not in v.realization.__dict__
+    assert v.realization.matrix.nrows == 300
+    assert "matrix" in v.realization.__dict__
+
+
 def test_realizations_verify():
     for d, n in [(2, 6), (6, 9), (6, 7), (4, 12), (2, 2), (8, 42), (10, 9), (7, 9)]:
         v = classify_cyclic(d, n)

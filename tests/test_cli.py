@@ -161,6 +161,15 @@ def test_exit_codes(capsys):
     assert code == 2 and "error" in json.loads(out)
 
 
+def test_too_many_distinct_primes_is_domain_error(capsys):
+    expr = "Z2xZ3xZ5xZ7xZ11xZ13xZ17xZ19xZ23xZ29xZ31"
+    code, out, _ = run(capsys, "classify-group", "1", expr, "--json")
+    assert code == 2
+    assert json.loads(out) == {"error": "w_group supports at most 10 distinct primes in the torsion, got 11"}
+    code, _, err = run(capsys, "wgroup", expr)
+    assert code == 2 and "at most 10 distinct primes" in err
+
+
 def test_infinite_order_matrix_is_domain_error(tmp_path, capsys):
     shear = tmp_path / "shear.txt"
     shear.write_text("2\n1 1\n0 1\n")

@@ -1,0 +1,97 @@
+"""Pins of the classification engine's output.
+
+The equivalence test checks that the three public classifiers agree where
+their domains overlap.  The golden test hashes the JSON of three verdict grids
+and of the analysis report of every nonempty block spec through dimension 6;
+the digests were taken before the three classifiers were folded into one
+engine, so any change to a verdict or report shows up here.
+"""
+
+import hashlib
+import json
+from itertools import product
+
+from nctori.arith import factorize
+from nctori.classify import (
+    analyze_action,
+    classify_cyclic,
+    classify_fg,
+    classify_group,
+    report_json,
+    verdict_json,
+)
+from nctori.invariants import enumerate_specs, realize
+from nctori.wfun import AbelianGroup
+
+DIMS = range(1, 13)
+
+
+def _partitions(e: int, cap: int | None = None):
+    """Partitions of e into positive parts, largest first."""
+    if e == 0:
+        yield ()
+        return
+    for first in range(min(e, cap or e), 0, -1):
+        for rest in _partitions(e - first, first):
+            yield (first,) + rest
+
+
+def abelian_groups(max_order: int) -> list[AbelianGroup]:
+    """Every nontrivial finite abelian group of order at most max_order, once."""
+    groups = []
+    for n in range(2, max_order + 1):
+        fac = factorize(n)
+        for shape in product(*(list(_partitions(e)) for _, e in fac)):
+            torsion = tuple(p**k for (p, _), part in zip(fac, shape) for k in part)
+            groups.append(AbelianGroup(torsion))
+    return groups
+
+
+def test_classifiers_agree_where_domains_overlap():
+    for d in DIMS:
+        for n in range(3, 201):
+            cyc = classify_cyclic(d, n)
+            grp = classify_group(d, AbelianGroup.from_factors([n]))
+            a, b = verdict_json(cyc), verdict_json(grp)
+            del a["input"], b["input"]
+            assert (a, cyc.w) == (b, grp.w), (d, n)
+    for g in abelian_groups(64):
+        for d in DIMS:
+            grp, fg = classify_group(d, g), classify_fg(d, g)
+            assert (verdict_json(grp), grp.w) == (verdict_json(fg), fg.w), (d, str(g))
+
+
+def _digest(payload) -> str:
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+
+
+GOLDEN = {
+    "classify_cyclic": "6b7e015b855fa3ab2260519ad5eb7c932c444ea1144b1cf065c6c9f7ca3a28a9",
+    "classify_group": "e964e179047a7dc2cf175dad9d2d498a3c792f0d1aafe2b253f0c47e920db834",
+    "classify_fg": "591d6bee05d30a16eb537cd7e40300a1e19a7e507f156f6efcb9b2af9b0c24a6",
+    "analyze_action": "1904eff78a785e87661479dd0a83140a24fb016c5f064b800a969904b8cb1e27",
+}
+
+
+def test_golden_digests():
+    groups = abelian_groups(64)
+    assert len({g.torsion for g in groups}) == 116
+    fg_groups = [AbelianGroup()] + groups
+    got = {
+        "classify_cyclic": _digest(
+            [verdict_json(classify_cyclic(d, n)) for d in DIMS for n in range(2, 201)]
+        ),
+        "classify_group": _digest([verdict_json(classify_group(d, g)) for g in groups for d in DIMS]),
+        "classify_fg": _digest(
+            [
+                verdict_json(classify_fg(d, AbelianGroup(g.torsion, r)))
+                for g in fg_groups
+                for r in (1, 2)
+                for d in DIMS
+            ]
+        ),
+        "analyze_action": _digest(
+            [report_json(analyze_action(realize(s))) for s in enumerate_specs(6) if s]
+        ),
+    }
+    assert got == GOLDEN

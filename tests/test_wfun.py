@@ -69,6 +69,13 @@ def test_w_group_ignores_free_rank():
     assert w_group(a)[0] == w_group(b)[0]
 
 
+def test_w_group_prime_limit():
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert w_group(AbelianGroup.from_factors(primes))[0] == 118
+    with pytest.raises(ValueError, match="at most 10 distinct primes"):
+        w_group(AbelianGroup.from_factors(primes + [31], free_rank=1))
+
+
 def test_abelian_group_canonicalization():
     g = AbelianGroup.from_factors([6, 4])
     assert g.torsion == (2, 3, 4)
