@@ -19,8 +19,8 @@ import itertools
 from dataclasses import dataclass
 from math import lcm
 
-from .arith import cyclotomic, factorize, totient
-from .exactlin import Matrix, order
+from .arith import factorize
+from .exactlin import Matrix, cyclotomic_type
 from .invariants import (
     Block,
     BlockSpec,
@@ -29,7 +29,7 @@ from .invariants import (
     NegCyclotomic,
     ORACLE_MAX_DIM,
     block_label,
-    free_outside_origin,
+    block_order,
     invariant_rank_oracle,
     invariant_ranks,
     realize,
@@ -37,7 +37,7 @@ from .invariants import (
 )
 from .ktheory import GradedRank, RankInfo, at_least, exact, factor_k, kunneth_all, torus_k
 from .theta import SymbolicSkew, invariant_space, is_invariant, nondegenerate_invariant_exists
-from .wfun import AbelianGroup, max_finite_order, w_group, w_order
+from .wfun import AbelianGroup, w_group, w_order
 
 W_TOO_BIG = "w_too_big"
 GAP_ONE = "gap_one"
@@ -242,65 +242,17 @@ def classify_fg(d: int, g: AbelianGroup) -> Verdict:
 # -- analysis of arbitrary user matrices ------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _totient_preimages(k: int) -> tuple[int, ...]:
-    # phi(n) >= sqrt(n/2), so phi(n) = k forces n <= 2k^2 + 2
-    return tuple(n for n in range(1, 2 * k * k + 3) if totient(n) == k)
-
-
-def _is_companion_shape(m: Matrix) -> bool:
-    size = m.nrows
-    for i in range(size):
-        for j in range(size - 1):
-            expected = 1 if j == i - 1 else 0
-            if m.rows[i][j] != expected:
-                return False
-    return True
-
-
-def _match_block(sub: Matrix) -> Block | None:
-    size = sub.nrows
-    if sub == Matrix.identity(size):
-        return Identity(size)
-    for ctor, cand in ((Cyclotomic, sub), (NegCyclotomic, -sub)):
-        if _is_companion_shape(cand):
-            poly = tuple(-cand.rows[i][size - 1] for i in range(size)) + (1,)
-            for n in _totient_preimages(size):
-                if cyclotomic(n) == poly:
-                    return ctor(n)
-    return None
-
-
 def recognize_blocks(a: Matrix) -> BlockSpec | None:
-    """Decompose a matrix into contiguous diagonal blocks that are identity,
-    cyclotomic companion, or negated cyclotomic companion; None otherwise."""
-    d = a.nrows
-    blocks: list[Block] = []
-    start = 0
-    while start < d:
-        matched = None
-        for size in range(1, d - start + 1):
-            end = start + size
-            if any(a.rows[i][j] for i in range(start, end) for j in range(end, d)):
-                continue
-            if any(a.rows[i][j] for i in range(end, d) for j in range(start, end)):
-                continue
-            sub = Matrix(tuple(row[start:end] for row in a.rows[start:end]))
-            b = _match_block(sub)
-            if b is not None:
-                matched = (b, size)
-                break
-        if matched is None:
-            return None
-        blocks.append(matched[0])
-        start += matched[1]
-    merged: list[Block] = []
-    for b in blocks:
-        if isinstance(b, Identity) and merged and isinstance(merged[-1], Identity):
-            merged[-1] = Identity(merged[-1].m + b.m)
-        else:
-            merged.append(b)
-    return tuple(merged)
+    """The cyclotomic type of ``a`` as blocks: Cyclotomic(n) for each factor
+    Phi_n with n >= 2 in ascending order, then one Identity for the Phi_1
+    factors; None when ``a`` has infinite order.  This is a rational
+    invariant, not an integral normal form: the swap [[0, 1], [1, 0]] gives
+    C2+I1 though it is not GL_2(Z)-conjugate to diag(-1, 1)."""
+    ns = cyclotomic_type(a)
+    if ns is None:
+        return None
+    fixed = ns.count(1)
+    return tuple(Cyclotomic(n) for n in ns if n > 1) + ((Identity(fixed),) if fixed else ())
 
 
 @dataclass(eq=False)
@@ -310,9 +262,9 @@ class ActionReport:
     dim: int
     order: int
     free: bool
-    blocks: BlockSpec | None
+    blocks: BlockSpec
     oracle_ranks: tuple[int, ...] | None
-    spectrum_ranks: tuple[int, ...] | None
+    spectrum_ranks: tuple[int, ...]
     s1: int | None
     s1_note: str | None
     k1: RankInfo | None
@@ -322,44 +274,45 @@ class ActionReport:
 
 
 def analyze_action(a: Matrix, theta: SymbolicSkew | None = None) -> ActionReport:
-    """Full report on the canonical action of a finite-order integer matrix:
-    order, freeness, per-degree invariant ranks (brute force up to dimension
-    12, and by the spectrum method when the block structure is recognized),
-    the K_1 rank when the freeness hypothesis holds, and whether a
-    nondegenerate invariant form exists.
+    """Full report on the canonical action of a finite-order integer matrix.
+
+    The characteristic polynomial is factored once (``recognize_blocks``);
+    the order, freeness, blocks and per-degree invariant ranks (spectrum
+    method) all follow from that cyclotomic type, so none of them depends on
+    the basis the matrix is written in.  Up to dimension 12 the brute-force
+    compound-matrix ranks are reported alongside as an independent check.
+    The K_1 rank is given when the freeness hypothesis holds, and the report
+    says whether a nondegenerate invariant form exists.
     """
     if not a.is_square or a.nrows == 0:
         raise ValueError("analyze_action requires a nonempty square matrix")
     d = a.nrows
-    k = order(a, max_finite_order(d))
-    if k is None:
+    blocks = recognize_blocks(a)
+    if blocks is None:
         raise ValueError(f"matrix has no finite order at dimension {d}")
     if theta is not None:
         if theta.dim != d:
             raise ValueError("theta dimension mismatch")
         if not is_invariant(theta, a):
             raise ValueError("theta is not invariant under the matrix")
-    free = free_outside_origin(a)
-    blocks = recognize_blocks(a)
+    orders = {block_order(b) for b in blocks}
+    free = len(orders) == 1
     oracle_ranks = (
         tuple(invariant_rank_oracle(a, m) for m in range(d + 1)) if d <= ORACLE_MAX_DIM else None
     )
-    spectrum_ranks = invariant_ranks(blocks) if blocks is not None else None
-    ranks = spectrum_ranks if spectrum_ranks is not None else oracle_ranks
+    spectrum_ranks = invariant_ranks(blocks)
     s1_value = None
     s1_note = None
     k1 = None
-    if not free:
-        s1_note = "s1 unavailable: action is not free outside the origin"
-    elif ranks is None:
-        s1_note = "s1 unavailable: dimension exceeds the brute-force limit and no block structure recognized"
-    else:
-        s1_value = sum(ranks[m] for m in range(1, d + 1, 2))
+    if free:
+        s1_value = sum(spectrum_ranks[m] for m in range(1, d + 1, 2))
         k1 = exact(s1_value)
+    else:
+        s1_note = "s1 unavailable: action is not free outside the origin"
     exists, witness = nondegenerate_invariant_exists(a)
     return ActionReport(
         dim=d,
-        order=k,
+        order=lcm(*orders),
         free=free,
         blocks=blocks,
         oracle_ranks=oracle_ranks,
@@ -403,9 +356,9 @@ def report_json(r: ActionReport) -> dict:
         "d": r.dim,
         "order": r.order,
         "free_outside_origin": r.free,
-        "blocks": [block_label(b) for b in r.blocks] if r.blocks is not None else None,
+        "blocks": [block_label(b) for b in r.blocks],
         "oracle_ranks": list(r.oracle_ranks) if r.oracle_ranks is not None else None,
-        "spectrum_ranks": list(r.spectrum_ranks) if r.spectrum_ranks is not None else None,
+        "spectrum_ranks": list(r.spectrum_ranks),
         "s1": r.s1,
         "s1_note": r.s1_note,
         "k1": rankinfo_json(r.k1),

@@ -156,12 +156,10 @@ def _print_report_text(r: ActionReport):
     print(f"dimension: {r.dim}")
     print(f"order: {r.order}")
     print(f"free outside origin: {_yesno(r.free)}")
-    if r.blocks is not None:
-        print(f"recognized blocks: {'+'.join(block_label(b) for b in r.blocks)}")
+    print(f"cyclotomic type: {'+'.join(block_label(b) for b in r.blocks)}")
     if r.oracle_ranks is not None:
         print(f"invariant ranks (brute force): {list(r.oracle_ranks)}")
-    if r.spectrum_ranks is not None:
-        print(f"invariant ranks (spectrum):    {list(r.spectrum_ranks)}")
+    print(f"invariant ranks (spectrum):    {list(r.spectrum_ranks)}")
     if r.s1 is not None:
         print(f"s1 = {r.s1}   K1 rank = {r.k1}")
     else:

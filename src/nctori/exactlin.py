@@ -14,10 +14,12 @@ import operator
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .arith import IntPolynomial
+from .arith import IntPolynomial, cyclotomic, poly_divmod, totient
 
 
 def _norm_entry(x):
+    if type(x) is int:  # the common case; skips the ABC check in isinstance(x, Fraction)
+        return x
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
@@ -155,25 +157,72 @@ def companion(p: IntPolynomial) -> Matrix:
     return Matrix(rows)
 
 
-def order(a: Matrix, bound: int) -> int | None:
-    """Least k >= 1 with a^k = I, if k <= bound; otherwise None.
+def charpoly(a: Matrix) -> IntPolynomial:
+    """Characteristic polynomial det(x I - a), ascending coefficients.
 
-    Callers typically pass the maximal finite order possible at this
-    dimension (see ``wfun.max_finite_order``) so that None certifies
-    infinite order.
+    Faddeev-LeVerrier: M_1 = I, then for k = 1..d the coefficient of
+    x^(d-k) is c = -tr(a M_k) / k and M_{k+1} = a M_k + c I.  For integer
+    input every division is exact, since every c is an integer.
+
+    >>> charpoly(companion(cyclotomic(9))) == cyclotomic(9)
+    True
     """
     if not a.is_square:
-        raise ValueError("order requires a square matrix")
+        raise ValueError("charpoly requires a square matrix")
+    d = a.nrows
+    ident = Matrix.identity(d)
+    coeffs = [0] * d + [1]
+    am = a
+    for k in range(1, d + 1):
+        c = _norm_entry(Fraction(-sum(am.rows[i][i] for i in range(d)), k))
+        coeffs[d - k] = c
+        if k < d:
+            am = a @ (am + c * ident)
+    return tuple(coeffs)
+
+
+def cyclotomic_type(a: Matrix) -> tuple[int, ...] | None:
+    """The sorted n with charpoly(a) = prod Phi_n, when ``a`` has finite order;
+    None when it has infinite order.
+
+    A finite-order matrix is diagonalizable with root-of-unity eigenvalues,
+    so its characteristic polynomial is such a product and a^L = I for
+    L = lcm(n); conversely both together give order exactly L.  The power
+    check is what rejects a unipotent [[1, 1], [0, 1]], whose polynomial is
+    Phi_1^2.  Only n with phi(n) <= the remaining degree r are tried, and
+    phi(n) >= sqrt(n / 2) ends the search at n > 2 r^2 + 2.
+
+    >>> cyclotomic_type(-Matrix.identity(3))
+    (2, 2, 2)
+    >>> cyclotomic_type(Matrix([[1, 1], [0, 1]])) is None
+    True
+    """
+    poly = charpoly(a)
+    ns: list[int] = []
+    n = 1
+    while len(poly) > 1 and n <= 2 * (len(poly) - 1) ** 2 + 2:
+        if totient(n) < len(poly):
+            quot, rem = poly_divmod(poly, cyclotomic(n))
+            while not rem:
+                ns.append(n)
+                poly = quot
+                quot, rem = poly_divmod(poly, cyclotomic(n))
+        n += 1
+    if len(poly) > 1 or a.pow(lcm(*ns, 1)) != Matrix.identity(a.nrows):
+        return None
+    return tuple(ns)
+
+
+def order(a: Matrix, bound: int) -> int | None:
+    """Multiplicative order of ``a`` if it is finite and at most ``bound``;
+    otherwise None.  The order is lcm(n) over the cyclotomic type."""
     if bound < 1:
         raise ValueError("bound must be positive")
-    ident = Matrix.identity(a.nrows)
-    power = a
-    for k in range(1, bound + 1):
-        if power == ident:
-            return k
-        if k < bound:
-            power = power @ a
-    return None
+    ns = cyclotomic_type(a)
+    if ns is None:
+        return None
+    k = lcm(*ns, 1)
+    return k if k <= bound else None
 
 
 def block_diag(blocks) -> Matrix:

@@ -23,8 +23,7 @@ from fractions import Fraction
 from math import comb, gcd, isqrt, lcm
 
 from .arith import cyclotomic, totient
-from .exactlin import Matrix, _components, _echelon_int, block_diag, companion, det, order
-from .wfun import max_finite_order
+from .exactlin import Matrix, _components, _echelon_int, block_diag, companion, cyclotomic_type
 
 
 @dataclass(frozen=True)
@@ -241,22 +240,13 @@ def invariant_rank_oracle(a: Matrix, m: int) -> int:
 
 
 def free_outside_origin(a: Matrix) -> bool:
-    """True when every nontrivial power of ``a`` fixes only the origin,
-    i.e. det(a^j - I) != 0 for 1 <= j < order(a)."""
-    if not a.is_square:
-        raise ValueError("free_outside_origin requires a square matrix")
-    if a.nrows == 0:
-        return True
-    k = order(a, max_finite_order(a.nrows))
-    if k is None:
-        raise ValueError("matrix does not have finite order at this dimension")
-    ident = Matrix.identity(a.nrows)
-    power = a
-    for _ in range(1, k):
-        if det(power - ident) == 0:
-            return False
-        power = power @ a
-    return True
+    """True when every nontrivial power of ``a`` fixes only the origin, i.e.
+    every eigenvalue is a primitive root of unity of the full order: all n
+    of the cyclotomic type are equal.  Raises ValueError on infinite order."""
+    ns = cyclotomic_type(a)
+    if ns is None:
+        raise ValueError("matrix does not have finite order")
+    return len(set(ns)) <= 1
 
 
 # -- exact rank machinery for the oracle ------------------------------------

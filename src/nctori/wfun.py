@@ -186,7 +186,7 @@ def w_group(g: AbelianGroup) -> tuple[int, CyclicDecomposition]:
 def max_finite_order(d: int) -> int:
     """Largest order of a finite-order element of GL_d(Z): max{n : w_order(n) <= d}.
 
-    Used as the search bound for ``exactlin.order``."""
+    The default order range of the ``table`` command."""
     if d < 1:
         raise ValueError("dimension must be positive")
     primes = [p for p in range(2, d + 2) if all(p % q for q in range(2, p))]

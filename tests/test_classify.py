@@ -1,10 +1,20 @@
 import json
+import random
 
 import pytest
 
 from nctori.arith import cyclotomic
 from nctori.exactlin import Matrix, block_diag, companion, order
-from nctori.invariants import Cyclotomic, Identity, NegCyclotomic, block_label, realize
+from nctori.invariants import (
+    Cyclotomic,
+    Identity,
+    NegCyclotomic,
+    block_label,
+    enumerate_specs,
+    parse_block_spec,
+    realize,
+    spec_dim,
+)
 from nctori.ktheory import GradedRank, at_least, exact, torus_k
 from nctori.classify import (
     GAP_ONE,
@@ -241,8 +251,43 @@ def test_recognize_blocks():
     assert recognize_blocks(companion(cyclotomic(9))) == (Cyclotomic(9),)
     a = block_diag([companion(cyclotomic(3)), Matrix.identity(2)])
     assert recognize_blocks(a) == (Cyclotomic(3), Identity(2))
-    assert recognize_blocks(realize((NegCyclotomic(5),))) == (NegCyclotomic(5),)
-    assert recognize_blocks(Matrix([[0, 1], [1, 0]])) is None
+    # the cyclotomic type, not the layout: the negated Phi_5 companion has polynomial Phi_10
+    assert recognize_blocks(realize((NegCyclotomic(5),))) == (Cyclotomic(10),)
+    assert recognize_blocks(Matrix([[0, 1], [1, 0]])) == (Cyclotomic(2), Identity(1))
+    assert recognize_blocks(Matrix([[1, 1], [0, 1]])) is None
+
+
+def _unimodular_pair(rng, d, steps):
+    """A random P in GL_d(Z) and its inverse, as products of elementary matrices."""
+    p = q = Matrix.identity(d)
+    for _ in range(steps):
+        i, j = rng.sample(range(d), 2)
+        c = rng.choice((-1, 1))
+        e = [[int(r == s) for s in range(d)] for r in range(d)]
+        e[i][j] = c
+        p = p @ Matrix(e)
+        e[i][j] = -c
+        q = Matrix(e) @ q
+    return p, q
+
+
+def test_analyze_action_is_conjugation_invariant():
+    rng = random.Random(2015)
+    small = [s for s in enumerate_specs(8) if spec_dim(s) >= 4]
+    specs = rng.sample(small, 8) + [
+        parse_block_spec(t)
+        for t in ("C5+C5", "negC5+C10", "C16", "C12+C12", "C16+C5+I1", "negC9+C7+I2", "C8+C8+C8+C8")
+    ]
+    for spec in specs:
+        a = realize(spec)
+        d = a.nrows
+        p, q = _unimodular_pair(rng, d, 2 * d)
+        assert p @ q == Matrix.identity(d)
+        conj = analyze_action(p @ a @ q)
+        assert report_json(conj) == report_json(analyze_action(a)), spec
+        if d <= 12:
+            assert conj.oracle_ranks == conj.spectrum_ranks, spec
+    assert conj.dim == 16 and conj.free and conj.s1 == 0
 
 
 def test_af_implies_at_and_k_presence():

@@ -175,3 +175,9 @@ def test_infinite_order_matrix_is_domain_error(tmp_path, capsys):
     shear.write_text("2\n1 1\n0 1\n")
     code, _, err = run(capsys, "analyze", str(shear))
     assert code == 2 and "finite order" in err
+    # a 30-dim Jordan shear: cyclotomic polynomial Phi_1^30, yet not the identity
+    d = 30
+    rows = [" ".join("1" if j in (i, i + 1) else "0" for j in range(d)) for i in range(d)]
+    shear.write_text(f"{d}\n" + "\n".join(rows) + "\n")
+    code, _, err = run(capsys, "analyze", str(shear))
+    assert code == 2 and "finite order" in err

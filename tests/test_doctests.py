@@ -3,12 +3,14 @@ import doctest
 import nctori.arith
 import nctori.classify
 import nctori.cli
+import nctori.exactlin
 import nctori.invariants
 import nctori.wfun
 
 
 def test_module_doctests():
-    for module in (nctori.arith, nctori.wfun, nctori.invariants, nctori.classify, nctori.cli):
+    modules = (nctori.arith, nctori.exactlin, nctori.wfun, nctori.invariants, nctori.classify, nctori.cli)
+    for module in modules:
         result = doctest.testmod(module)
         assert result.failed == 0, module.__name__
         assert result.attempted > 0, module.__name__

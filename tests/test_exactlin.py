@@ -51,6 +51,9 @@ def test_order_examples():
 
 def test_order_not_finite():
     assert order(Matrix([[1, 1], [0, 1]]), 50) is None
+    d = 30
+    shear = Matrix([[int(j in (i, i + 1)) for j in range(d)] for i in range(d)])
+    assert order(shear, 10**9) is None
 
 
 def test_order_rejects_non_square():
