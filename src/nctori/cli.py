@@ -133,6 +133,26 @@ def _print_verdict_text(v: Verdict):
           f"  AF_paper={_yesno(v.is_af_paper_predicate)}  divergence={_yesno(v.divergence_flag)}")
 
 
+TABLE_MAX_VERDICTS = 200_000
+
+
+def _default_nmax(dmax: int) -> int:
+    """max_finite_order(dmax), the default order range of ``table``; a
+    ValueError once dmax * max_finite_order(dmax) passes TABLE_MAX_VERDICTS.
+
+    The product grows with d, so it is checked from d = 1 upwards and the
+    first d past the limit stops the search; max_finite_order is never asked
+    for a large d, where its own search is slow."""
+    for d in range(1, dmax + 1):
+        nmax = max_finite_order(d)
+        if d * nmax > TABLE_MAX_VERDICTS:
+            raise ValueError(
+                f"table --dmax {dmax} without --nmax would run more than {TABLE_MAX_VERDICTS} "
+                f"verdicts ({d} x max order {nmax} already at d = {d}); pass --nmax to bound the orders"
+            )
+    return nmax
+
+
 def _table_rows(dmax: int, nmax: int):
     for d in range(1, dmax + 1):
         for n in range(2, nmax + 1):
@@ -307,7 +327,7 @@ def _dispatch(args) -> int:
     elif args.command == "table":
         if args.dmax < 1:
             raise ValueError("--dmax must be at least 1")
-        nmax = args.nmax if args.nmax is not None else max_finite_order(args.dmax)
+        nmax = args.nmax if args.nmax is not None else _default_nmax(args.dmax)
         if args.json:
             print(json.dumps([verdict_json(v) for v in _table_rows(args.dmax, nmax)]))
         else:

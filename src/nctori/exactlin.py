@@ -27,6 +27,9 @@ def _norm_entry(x):
     raise TypeError(f"matrix entries must be int or Fraction, got {type(x).__name__}")
 
 
+_INT_ONLY = frozenset({int})
+
+
 class Matrix:
     """Immutable dense matrix. Entries are exact (int, or Fraction in lowest terms)."""
 
@@ -52,7 +55,8 @@ class Matrix:
 
     @classmethod
     def _from_rows(cls, rows: tuple, ncols: int) -> "Matrix":
-        # trusted fast path: rows already a rectangular tuple of int tuples
+        # trusted fast path: rows already a rectangular tuple of tuples of
+        # normalized entries (int, or Fraction not equal to an integer)
         self = object.__new__(cls)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "nrows", len(rows))
@@ -60,12 +64,20 @@ class Matrix:
         return self
 
     @classmethod
+    def _from_result(cls, rows: tuple, ncols: int) -> "Matrix":
+        # freshly computed rows: trusted when every entry is an int, else
+        # normalized (a Fraction with denominator 1 becomes an int)
+        if set(map(type, itertools.chain.from_iterable(rows))) <= _INT_ONLY:
+            return cls._from_rows(rows, ncols)
+        return cls(rows, ncols=ncols)
+
+    @classmethod
     def identity(cls, d: int) -> "Matrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d)))
+        return cls._from_rows(tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d)), d)
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls(tuple((0,) * ncols for _ in range(nrows)), ncols=ncols)
+        return cls._from_rows(tuple((0,) * ncols for _ in range(nrows)), ncols)
 
     @property
     def is_square(self) -> bool:
@@ -87,36 +99,34 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
         bt = list(zip(*other.rows)) if other.rows else [()] * other.ncols
-        return Matrix(
-            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in bt) for row in self.rows),
-            ncols=other.ncols,
+        mul = operator.mul
+        return Matrix._from_result(
+            tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in self.rows), other.ncols
         )
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
-        return Matrix(
-            tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows)),
-            ncols=self.ncols,
+        return Matrix._from_result(
+            tuple(tuple(map(operator.add, r, s)) for r, s in zip(self.rows, other.rows)), self.ncols
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
-        return Matrix(
-            tuple(tuple(a - b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows)),
-            ncols=self.ncols,
+        return Matrix._from_result(
+            tuple(tuple(map(operator.sub, r, s)) for r, s in zip(self.rows, other.rows)), self.ncols
         )
 
     def __neg__(self) -> "Matrix":
-        return Matrix(tuple(tuple(-x for x in r) for r in self.rows), ncols=self.ncols)
+        return Matrix._from_rows(tuple(tuple(map(operator.neg, r)) for r in self.rows), self.ncols)
 
     def __rmul__(self, scalar) -> "Matrix":
         scalar = _norm_entry(scalar)
-        return Matrix(tuple(tuple(scalar * x for x in r) for r in self.rows), ncols=self.ncols)
+        return Matrix._from_result(tuple(tuple(scalar * x for x in r) for r in self.rows), self.ncols)
 
     def transpose(self) -> "Matrix":
-        return Matrix(tuple(zip(*self.rows)) if self.rows else (), ncols=self.nrows)
+        return Matrix._from_rows(tuple(zip(*self.rows)), self.nrows)
 
     def pow(self, k: int) -> "Matrix":
         if not self.is_square:
@@ -181,22 +191,11 @@ def charpoly(a: Matrix) -> IntPolynomial:
     return tuple(coeffs)
 
 
-def cyclotomic_type(a: Matrix) -> tuple[int, ...] | None:
-    """The sorted n with charpoly(a) = prod Phi_n, when ``a`` has finite order;
-    None when it has infinite order.
-
-    A finite-order matrix is diagonalizable with root-of-unity eigenvalues,
-    so its characteristic polynomial is such a product and a^L = I for
-    L = lcm(n); conversely both together give order exactly L.  The power
-    check is what rejects a unipotent [[1, 1], [0, 1]], whose polynomial is
-    Phi_1^2.  Only n with phi(n) <= the remaining degree r are tried, and
-    phi(n) >= sqrt(n / 2) ends the search at n > 2 r^2 + 2.
-
-    >>> cyclotomic_type(-Matrix.identity(3))
-    (2, 2, 2)
-    >>> cyclotomic_type(Matrix([[1, 1], [0, 1]])) is None
-    True
-    """
+def _cyclotomic_factors(a: Matrix) -> tuple[int, ...] | None:
+    """The sorted n with charpoly(a) = prod Phi_n; None when the
+    characteristic polynomial is not such a product.  Only n with phi(n) <=
+    the remaining degree r are tried, and phi(n) >= sqrt(n / 2) ends the
+    search at n > 2 r^2 + 2."""
     poly = charpoly(a)
     ns: list[int] = []
     n = 1
@@ -208,9 +207,28 @@ def cyclotomic_type(a: Matrix) -> tuple[int, ...] | None:
                 poly = quot
                 quot, rem = poly_divmod(poly, cyclotomic(n))
         n += 1
-    if len(poly) > 1 or a.pow(lcm(*ns, 1)) != Matrix.identity(a.nrows):
+    return None if len(poly) > 1 else tuple(ns)
+
+
+def cyclotomic_type(a: Matrix) -> tuple[int, ...] | None:
+    """The sorted n with charpoly(a) = prod Phi_n, when ``a`` has finite order;
+    None when it has infinite order.
+
+    A finite-order matrix is diagonalizable with root-of-unity eigenvalues,
+    so its characteristic polynomial is such a product and a^L = I for
+    L = lcm(n); conversely both together give order exactly L.  The power
+    check is what rejects a unipotent [[1, 1], [0, 1]], whose polynomial is
+    Phi_1^2.
+
+    >>> cyclotomic_type(-Matrix.identity(3))
+    (2, 2, 2)
+    >>> cyclotomic_type(Matrix([[1, 1], [0, 1]])) is None
+    True
+    """
+    ns = _cyclotomic_factors(a)
+    if ns is None or a.pow(lcm(*ns, 1)) != Matrix.identity(a.nrows):
         return None
-    return tuple(ns)
+    return ns
 
 
 def order(a: Matrix, bound: int) -> int | None:
@@ -241,12 +259,66 @@ def block_diag(blocks) -> Matrix:
     return Matrix(rows, ncols=total)
 
 
+def rational_block_form(a: Matrix) -> tuple[Matrix, Matrix] | None:
+    """P, integer when ``a`` is, and B = block_diag(companion(Phi_n) for n
+    in cyclotomic_type(a)) with a @ P == P @ B and P invertible over Q; None
+    when ``a`` has infinite order.
+
+    A finite-order matrix is semisimple, so Q^d splits into cyclic subspaces
+    v, a v, ..., a^(phi(n) - 1) v with v in the kernel of Phi_n(a), and ``a``
+    acts on each as companion(Phi_n).  Phi_n is irreducible, so a chain
+    started at a kernel vector outside the chains already taken is
+    independent of them; P lists the chains, blocks in the order of B.  The
+    chains fill Q^d exactly when ``a`` has finite order (a unipotent part
+    leaves some kernel too small), so no power of ``a`` is taken.
+
+    >>> c3, c5 = companion(cyclotomic(3)), companion(cyclotomic(5))
+    >>> swap = Matrix([[int(j == (i + 2) % 6) for j in range(6)] for i in range(6)])
+    >>> a = swap @ block_diag([c5, c3]) @ swap.transpose()
+    >>> p, b = rational_block_form(a)
+    >>> b == block_diag([c3, c5]) and a @ p == p @ b
+    True
+    >>> rational_block_form(Matrix([[2, 1], [1, 1]])) is None
+    True
+    >>> rational_block_form(Matrix([[1, 1], [0, 1]])) is None
+    True
+    """
+    ns = _cyclotomic_factors(a)
+    if ns is None:
+        return None
+    d = a.nrows
+    rows = a.rows
+    ident = Matrix.identity(d)
+    cols: list[tuple[int, ...]] = []
+    for n in sorted(set(ns)):
+        poly = cyclotomic(n)
+        phi_a = ident
+        for c in reversed(poly[:-1]):
+            phi_a = phi_a @ a + c * ident
+        start = len(cols)
+        need = start + ns.count(n) * (len(poly) - 1)
+        for v in kernel_basis(phi_a):
+            if len(cols) == need:
+                break
+            if rank(Matrix(cols[start:] + [v], ncols=d)) > len(cols) - start:
+                for _ in range(len(poly) - 1):
+                    cols.append(v)
+                    v = tuple(sum(map(operator.mul, row, v)) for row in rows)
+        if len(cols) < need:
+            return None
+    p = Matrix(cols, ncols=d).transpose()
+    b = block_diag(companion(cyclotomic(n)) for n in ns)
+    if a @ p != p @ b:
+        raise ArithmeticError("rational block form failed its exact check")
+    return p, b
+
+
 def _scaled_int_rows(m: Matrix) -> tuple[list[list[int]], Fraction]:
     """Integer row copies of ``m``; returns (rows, product of the row scalings)."""
     rows = []
     scale = Fraction(1)
     for row in m.rows:
-        mult = lcm(*(x.denominator for x in row if isinstance(x, Fraction)), 1)
+        mult = lcm(*(x.denominator for x in row if type(x) is not int), 1)
         if mult == 1:
             rows.append(list(row))
         else:
@@ -291,6 +363,16 @@ def det(m: Matrix):
     return value if scale == 1 else Fraction(value) / scale
 
 
+def _content_free(row: list[int]) -> list[int]:
+    """``row`` divided by the gcd of its entries (unchanged when that is 0 or 1)."""
+    g = 0
+    for x in row:
+        g = gcd(g, x)
+        if g == 1:
+            return row
+    return row if g == 0 else [x // g for x in row]
+
+
 def _echelon_int(rows: list[list[int]]) -> list[tuple[int, int]]:
     """Fraction-free row echelon via cross-multiplication with gcd reduction.
 
@@ -314,14 +396,7 @@ def _echelon_int(rows: list[list[int]]) -> list[tuple[int, int]]:
         for i in range(r + 1, m):
             f = rows[i][c]
             if f:
-                ri = rows[i]
-                new = [x * pv - f * y for x, y in zip(ri, rr)]
-                g = 0
-                for x in new:
-                    g = gcd(g, x)
-                    if g == 1:
-                        break
-                rows[i] = new if g <= 1 else [x // g for x in new]
+                rows[i] = _content_free([x * pv - f * y for x, y in zip(rows[i], rr)])
         pivots.append((r, c))
         r += 1
         if r == m:
@@ -375,19 +450,58 @@ def kernel_basis(m: Matrix) -> list[tuple[int, ...]]:
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
     basis = []
     for fc in free_cols:
-        x: list[Fraction | int] = [0] * ncols
+        # back substitution on an integer multiple of the solution: scale the
+        # whole vector by a positive factor whenever a pivot does not divide
+        x = [0] * ncols
         x[fc] = 1
         for r, c in reversed(pivots):
             if c > fc:
                 continue
-            s = sum(rows[r][j] * x[j] for j in range(c + 1, ncols) if x[j])
-            x[c] = Fraction(-s, rows[r][c])
-        mult = lcm(*(v.denominator for v in x if isinstance(v, Fraction)), 1)
-        ints = [int(v * mult) for v in x]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        basis.append(tuple(v // g for v in ints))
+            row = rows[r]
+            s = sum(row[j] * x[j] for j in range(c + 1, fc + 1) if x[j])
+            pv = row[c]
+            scale = abs(pv) // gcd(s, pv)
+            if scale != 1:
+                x = [v * scale for v in x]
+                s *= scale
+            x[c] = -s // pv
+        basis.append(tuple(_content_free(x)))
+    return basis
+
+
+def reduced_basis(vectors) -> list[tuple[int, ...]]:
+    """The basis ``kernel_basis`` returns for any matrix whose null space is
+    spanned by the given independent rational vectors.
+
+    That basis has one vector per free column fc: the vector of the space
+    with a 1 at fc and 0 at the other free columns, made primitive with that
+    coordinate positive.  Its last nonzero coordinate is fc, so the free
+    columns are the pivots of an echelon form taken from the last column
+    backwards, and reducing each pivot column to zero in the other rows
+    leaves exactly those vectors, up to scale.
+    """
+    rows, _ = _scaled_int_rows(Matrix(vectors))
+    ncols = len(rows[0]) if rows else 0
+    pivots: list[tuple[int, int]] = []
+    unpivoted = list(range(len(rows)))
+    for c in range(ncols - 1, -1, -1):
+        r = next((i for i in unpivoted if rows[i][c]), None)
+        if r is None:
+            continue
+        unpivoted.remove(r)
+        pv = rows[r][c]
+        rr = rows[r]
+        for i, ri in enumerate(rows):
+            f = ri[c]
+            if f and i != r:
+                rows[i] = _content_free([x * pv - f * y for x, y in zip(ri, rr)])
+        pivots.append((c, r))
+    if unpivoted:
+        raise ValueError("reduced_basis requires independent vectors")
+    basis = []
+    for c, r in sorted(pivots):
+        row = _content_free(rows[r])
+        basis.append(tuple(row) if row[c] > 0 else tuple(-x for x in row))
     return basis
 
 

@@ -235,8 +235,8 @@ def invariant_rank_oracle(a: Matrix, m: int) -> int:
     if not 0 <= m <= d:
         raise ValueError(f"degree {m} out of range for dimension {d}")
     c = compound(a, m)
-    diff = c - Matrix.identity(c.nrows)
-    return c.nrows - _rank_by_components(diff)
+    diff = tuple(row[:i] + (row[i] - 1,) + row[i + 1 :] for i, row in enumerate(c.rows))
+    return c.nrows - _rank_by_components(Matrix._from_rows(diff, c.ncols))
 
 
 def free_outside_origin(a: Matrix) -> bool:

@@ -12,10 +12,11 @@ on the invariant space.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlin import Matrix, _components, kernel_basis, rank
+from .exactlin import Matrix, _components, kernel_basis, rank, rational_block_form, reduced_basis
 
 
 def _is_skew(m: Matrix) -> bool:
@@ -140,7 +141,7 @@ def is_invariant(theta: SymbolicSkew, a: Matrix) -> bool:
     return all(at @ mat @ a == mat for _, mat in theta.symbol_parts)
 
 
-def _diagonal_block_solutions(a: Matrix, p: list[int]) -> list[list[tuple[int, int, Fraction]]]:
+def _diagonal_block_solutions(a: Matrix, p: list[int]) -> list[list[tuple[int, int, int]]]:
     """Skew solutions of a^t S a = S supported on indices p (upper triangle)."""
     positions = [(p[i], p[j]) for i in range(len(p)) for j in range(i + 1, len(p))]
     if not positions:
@@ -153,12 +154,12 @@ def _diagonal_block_solutions(a: Matrix, p: list[int]) -> list[list[tuple[int, i
             row.append(coeff - (1 if (k, l) == (i, j) else 0))
         rows.append(row)
     return [
-        [(pos[0], pos[1], Fraction(v)) for pos, v in zip(positions, vec) if v]
-        for vec in kernel_basis(Matrix(rows, ncols=len(positions)))
+        [(pos[0], pos[1], v) for pos, v in zip(positions, vec) if v]
+        for vec in kernel_basis(Matrix._from_result(tuple(map(tuple, rows)), len(positions)))
     ]
 
 
-def _cross_block_solutions(a: Matrix, p: list[int], q: list[int]) -> list[list[tuple[int, int, Fraction]]]:
+def _cross_block_solutions(a: Matrix, p: list[int], q: list[int]) -> list[list[tuple[int, int, int]]]:
     """Solutions of a^t S a = S supported on the (p, q) off-diagonal block."""
     positions = [(i, j) for i in p for j in q]
     rows = []
@@ -169,9 +170,53 @@ def _cross_block_solutions(a: Matrix, p: list[int], q: list[int]) -> list[list[t
             row.append(coeff - (1 if (k, l) == (i, j) else 0))
         rows.append(row)
     return [
-        [(pos[0], pos[1], Fraction(v)) for pos, v in zip(positions, vec) if v]
-        for vec in kernel_basis(Matrix(rows, ncols=len(positions)))
+        [(pos[0], pos[1], v) for pos, v in zip(positions, vec) if v]
+        for vec in kernel_basis(Matrix._from_result(tuple(map(tuple, rows)), len(positions)))
     ]
+
+
+def _component_solutions(a: Matrix, comps: list[list[int]]):
+    """Solutions of a^t S a = S, one subsystem per pair of support components."""
+    for ci in range(len(comps)):
+        for cj in range(ci, len(comps)):
+            if ci == cj:
+                yield from _diagonal_block_solutions(a, comps[ci])
+            else:
+                yield from _cross_block_solutions(a, comps[ci], comps[cj])
+
+
+def _skew_matrix(d: int, entries) -> Matrix:
+    """The skew matrix with the given (i, j, value) upper-triangle entries."""
+    rows = [[0] * d for _ in range(d)]
+    for i, j, v in entries:
+        rows[i][j] = v
+        rows[j][i] = -v
+    return Matrix(rows, ncols=d)
+
+
+def _transported_space(p: Matrix, b: Matrix) -> tuple[Matrix, ...]:
+    """invariant_space(a) from a^t @ p == p @ b: with R = p^t, R a = b^t R,
+    so S = R^t S' R = p S' p^t is invariant under ``a`` exactly when S' is
+    invariant under b^t.  The block form decouples S' into small subsystems;
+    the transported vectors span the solution space of the direct system, and
+    ``reduced_basis`` turns them into the basis its kernel would give."""
+    d = p.nrows
+    bt = b.transpose()
+    positions = [(k, l) for k in range(d) for l in range(k + 1, d)]
+    pcols = list(zip(*p.rows))
+    vectors = []
+    for sol in _component_solutions(bt, _components(bt)):
+        # columns of p S' from the sparse S', then (p S' p^t)[k][l] as a dot product
+        tcols = [(0,) * d] * d
+        for i, j, v in sol:
+            tcols[j] = [x + v * y for x, y in zip(tcols[j], pcols[i])]
+            tcols[i] = [x - v * y for x, y in zip(tcols[i], pcols[j])]
+        trows = list(zip(*tcols))
+        vectors.append(tuple(sum(map(operator.mul, trows[k], p.rows[l])) for k, l in positions))
+    return tuple(
+        _skew_matrix(d, ((*pos, v) for pos, v in zip(positions, vec) if v))
+        for vec in reduced_basis(vectors)
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -180,27 +225,25 @@ def invariant_space(a: Matrix) -> tuple[Matrix, ...]:
 
     Solved as a linear system in the upper-triangle entries.  When ``a`` is
     block diagonal the system decouples into one subsystem per pair of
-    support components, which keeps the elimination small; the returned
-    basis matrices are primitive integer and deterministic in order.
+    support components, which keeps the elimination small.  A finite-order
+    ``a`` with one support component that is not its own rational block form
+    is solved in that block form and the basis carried back; infinite order
+    and several components take the direct solve.  Either way the basis is
+    the one the direct system's kernel gives: primitive integer matrices,
+    deterministic in order.
+
+    >>> invariant_space(Matrix([[0, -1], [1, -1]]))
+    (Matrix(2x2: 0 1; -1 0),)
     """
     if not a.is_square:
         raise ValueError("invariant_space requires a square matrix")
     d = a.nrows
     comps = _components(a)
-    basis = []
-    for ci in range(len(comps)):
-        for cj in range(ci, len(comps)):
-            if ci == cj:
-                solutions = _diagonal_block_solutions(a, comps[ci])
-            else:
-                solutions = _cross_block_solutions(a, comps[ci], comps[cj])
-            for sol in solutions:
-                rows = [[0] * d for _ in range(d)]
-                for i, j, v in sol:
-                    rows[i][j] = v
-                    rows[j][i] = -v
-                basis.append(Matrix(rows, ncols=d))
-    return tuple(basis)
+    if len(comps) == 1:
+        form = rational_block_form(a.transpose())
+        if form is not None and form[1] != a:
+            return _transported_space(*form)
+    return tuple(_skew_matrix(d, sol) for sol in _component_solutions(a, comps))
 
 
 def is_nondegenerate(theta: SymbolicSkew) -> bool:

@@ -120,27 +120,23 @@ class CyclicDecomposition:
 
 def _coprime_partitions(torsion: tuple[int, ...]):
     """All partitions of the prime-power multiset into parts with pairwise
-    distinct primes, as tuples of part orders.  Duplicates (from equal
-    multiset entries) are collapsed."""
-    entries = [(q, factorize(q)[0][0]) for q in sorted(torsion)]
+    distinct primes, as sorted tuples of part orders.
 
-    def extend(idx: int, parts: list[tuple[int, frozenset[int]]]):
-        if idx == len(entries):
-            yield tuple(sorted(q for q, _ in parts))
-            return
-        q, p = entries[idx]
-        seen = set()
-        for i, (order_i, primes_i) in enumerate(parts):
-            if p not in primes_i and order_i not in seen:
-                seen.add(order_i)
-                updated = parts[:i] + [(order_i * q, primes_i | {p})] + parts[i + 1 :]
-                yield from extend(idx + 1, updated)
-        yield from extend(idx + 1, parts + [(q, frozenset({p}))])
-
-    results = set()
-    for partition in extend(0, []):
-        results.add(partition)
-    return sorted(results)
+    The entries are placed one at a time, each into any part that lacks its
+    prime or into a new part.  The states of one level are a set of sorted
+    part tuples, so partial partitions that coincide are extended once
+    instead of once per path that reaches them."""
+    states = {()}
+    for q in sorted(torsion):
+        p = factorize(q)[0][0]
+        nxt = set()
+        for parts in states:
+            nxt.add(tuple(sorted(parts + (q,))))
+            for i, order in enumerate(parts):
+                if order % p:
+                    nxt.add(tuple(sorted(parts[:i] + (order * q,) + parts[i + 1 :])))
+        states = nxt
+    return sorted(states)
 
 
 _MAX_PRIMES = 10

@@ -257,21 +257,7 @@ def test_recognize_blocks():
     assert recognize_blocks(Matrix([[1, 1], [0, 1]])) is None
 
 
-def _unimodular_pair(rng, d, steps):
-    """A random P in GL_d(Z) and its inverse, as products of elementary matrices."""
-    p = q = Matrix.identity(d)
-    for _ in range(steps):
-        i, j = rng.sample(range(d), 2)
-        c = rng.choice((-1, 1))
-        e = [[int(r == s) for s in range(d)] for r in range(d)]
-        e[i][j] = c
-        p = p @ Matrix(e)
-        e[i][j] = -c
-        q = Matrix(e) @ q
-    return p, q
-
-
-def test_analyze_action_is_conjugation_invariant():
+def test_analyze_action_is_conjugation_invariant(unimodular_pair):
     rng = random.Random(2015)
     small = [s for s in enumerate_specs(8) if spec_dim(s) >= 4]
     specs = rng.sample(small, 8) + [
@@ -281,7 +267,7 @@ def test_analyze_action_is_conjugation_invariant():
     for spec in specs:
         a = realize(spec)
         d = a.nrows
-        p, q = _unimodular_pair(rng, d, 2 * d)
+        p, q = unimodular_pair(rng, d, 2 * d)
         assert p @ q == Matrix.identity(d)
         conj = analyze_action(p @ a @ q)
         assert report_json(conj) == report_json(analyze_action(a)), spec

@@ -1,10 +1,14 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from nctori.cli import CliParseError, main, parse_group
-from nctori.wfun import AbelianGroup
+from nctori import theta
+from nctori.cli import TABLE_MAX_VERDICTS, CliParseError, main, parse_group
+from nctori.exactlin import _components
+from nctori.invariants import parse_block_spec, realize
+from nctori.wfun import AbelianGroup, max_finite_order
 
 
 def run(capsys, *argv):
@@ -139,6 +143,40 @@ def test_table_command_json(capsys):
     assert len(rows) == 2 * 9
     exists = {row["input"] for row in rows if row["d"] == 2 and row["simple_action"]}
     assert exists == {"Z2", "Z3", "Z4", "Z6"}
+
+
+def test_table_default_order_range_is_bounded(capsys):
+    assert 25 * max_finite_order(25) <= TABLE_MAX_VERDICTS < 26 * max_finite_order(26)
+    code, _, err = run(capsys, "table", "--dmax", "26")
+    assert code == 2 and "--nmax" in err
+    # a huge --dmax is refused without searching for its maximal order
+    code, out, _ = run(capsys, "table", "--dmax", "100000", "--json")
+    assert code == 2 and "--nmax" in json.loads(out)["error"]
+    code, out, _ = run(capsys, "table", "--dmax", "26", "--nmax", "3", "--json")
+    assert code == 0 and len(json.loads(out)) == 26 * 2
+
+
+def test_theta_json_on_dense_conjugate_matches_direct_solve(
+    tmp_path, capsys, monkeypatch, unimodular_pair
+):
+    block = realize(parse_block_spec("C9+C7+I2"))
+    d = block.nrows
+    p, q = unimodular_pair(random.Random(14), d, 3 * d)
+    a = p @ block @ q
+    assert d == 14 and len(_components(a)) == 1
+    path = tmp_path / "conj.txt"
+    path.write_text(f"{d}\n" + "\n".join(" ".join(map(str, row)) for row in a.rows) + "\n")
+    theta.invariant_space.cache_clear()
+    try:
+        code, routed, _ = run(capsys, "theta", str(path), "--json")
+        assert code == 0 and json.loads(routed)["nondegenerate_exists"]
+        # without a block form, invariant_space takes the direct solve
+        theta.invariant_space.cache_clear()
+        monkeypatch.setattr(theta, "rational_block_form", lambda m: None)
+        code, direct, _ = run(capsys, "theta", str(path), "--json")
+        assert code == 0 and routed == direct
+    finally:
+        theta.invariant_space.cache_clear()
 
 
 def test_matrix_file_errors(tmp_path, capsys):

@@ -5,11 +5,20 @@ import nctori.classify
 import nctori.cli
 import nctori.exactlin
 import nctori.invariants
+import nctori.theta
 import nctori.wfun
 
 
 def test_module_doctests():
-    modules = (nctori.arith, nctori.exactlin, nctori.wfun, nctori.invariants, nctori.classify, nctori.cli)
+    modules = (
+        nctori.arith,
+        nctori.exactlin,
+        nctori.wfun,
+        nctori.invariants,
+        nctori.theta,
+        nctori.classify,
+        nctori.cli,
+    )
     for module in modules:
         result = doctest.testmod(module)
         assert result.failed == 0, module.__name__

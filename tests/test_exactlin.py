@@ -10,11 +10,15 @@ from nctori.exactlin import (
     block_diag,
     companion,
     compound,
+    cyclotomic_type,
     det,
     kernel_basis,
     order,
     rank,
+    rational_block_form,
+    reduced_basis,
 )
+from nctori.invariants import parse_block_spec, realize
 
 
 def test_companion_one_by_one():
@@ -156,6 +160,65 @@ def test_matrix_arithmetic_and_pow():
     assert (-a) + a == Matrix.zero(2, 2)
     assert 2 * a == Matrix([[2, 2], [0, 2]])
     assert a.transpose() == Matrix([[1, 0], [1, 1]])
+
+
+def test_mixed_int_fraction_results_are_normalized():
+    half = Matrix([[Fraction(1, 2), 1], [0, Fraction(3, 2)]])
+    results = [
+        half @ Matrix([[2, 0], [0, 2]]),
+        half + half,
+        half - Matrix([[Fraction(-1, 2), 1], [0, Fraction(-1, 2)]]),
+        2 * half,
+    ]
+    for m in results:
+        assert all(type(x) is int for row in m.rows for x in row), m
+    assert results[0] == Matrix([[1, 2], [0, 3]])
+    assert results[2] == Matrix([[1, 0], [0, 2]])
+    assert (-half).rows[0] == (Fraction(-1, 2), -1)
+    assert (half @ Matrix.identity(2)).rows[1] == (0, Fraction(3, 2))
+    assert half.transpose().rows == ((Fraction(1, 2), 0), (1, Fraction(3, 2)))
+
+
+def test_rational_block_form_conjugates_to_companions(unimodular_pair):
+    rng = random.Random(2016)
+    for text in ("C5+C3", "C7+C7", "C3+I3", "negC9+C4+I1", "C8+C8+C8", "C12+C2+C2+I2"):
+        block = realize(parse_block_spec(text))
+        p, q = unimodular_pair(rng, block.nrows, 3 * block.nrows)
+        a = p @ block @ q
+        p, b = rational_block_form(a)
+        ns = cyclotomic_type(a)
+        assert b == block_diag([companion(cyclotomic(n)) for n in ns]), text
+        assert a @ p == p @ b and rank(p) == a.nrows, text
+        assert all(type(x) is int for row in p.rows for x in row), text
+
+
+def test_rational_block_form_rejects_infinite_order():
+    hyperbolic = Matrix([[2, 1], [1, 1]])
+    assert rational_block_form(hyperbolic) is None
+    assert rational_block_form(block_diag([hyperbolic, companion(cyclotomic(5))])) is None
+    # characteristic polynomials Phi_1^4 and Phi_3^2, but not semisimple
+    shear = Matrix([[int(j in (i, i + 1)) for j in range(4)] for i in range(4)])
+    c3 = companion(cyclotomic(3))
+    jordan = block_diag([c3, c3]) + Matrix([[0, 0, 1, 0], [0] * 4, [0] * 4, [0] * 4])
+    for m in (shear, jordan):
+        assert cyclotomic_type(m) is None and rational_block_form(m) is None
+
+
+def test_reduced_basis_is_kernel_basis_of_any_spanning_set():
+    rng = random.Random(43)
+    for _ in range(40):
+        ncols = rng.randint(2, 8)
+        m = Matrix([[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(rng.randint(1, ncols))])
+        basis = kernel_basis(m)
+        if not basis:
+            continue
+        k = len(basis)
+        # an invertible recombination: unit upper triangular, then a row shuffle
+        mix = [[rng.randint(-3, 3) if j > i else int(i == j) for j in range(k)] for i in range(k)]
+        rng.shuffle(mix)
+        spanning = [tuple(sum(c * v[t] for c, v in zip(row, basis)) for t in range(ncols)) for row in mix]
+        assert reduced_basis(spanning) == basis
+        assert reduced_basis([tuple(Fraction(x, 3) for x in v) for v in spanning]) == basis
 
 
 def test_matrix_validation():

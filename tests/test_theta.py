@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 
 from nctori.arith import cyclotomic
-from nctori.exactlin import Matrix, block_diag, companion
-from nctori.invariants import Cyclotomic, Identity, realize
+from nctori.exactlin import Matrix, _components, block_diag, companion, rational_block_form
+from nctori.invariants import Cyclotomic, Identity, parse_block_spec, realize
 from nctori.theta import (
     PairingValue,
     SymbolicSkew,
+    _component_solutions,
+    _skew_matrix,
     invariant_space,
     is_invariant,
     is_nondegenerate,
@@ -154,3 +156,29 @@ def test_witness_on_classification_blocks():
         assert exists, spec
         assert is_invariant(witness, a)
         assert is_nondegenerate(witness)
+
+
+def _direct_space(a: Matrix) -> tuple[Matrix, ...]:
+    """The direct solve: one linear system per pair of support components."""
+    return tuple(_skew_matrix(a.nrows, sol) for sol in _component_solutions(a, _components(a)))
+
+
+def test_block_form_route_matches_direct_solve(unimodular_pair):
+    # one irreducible block, repeated blocks, Phi_1 or Phi_2 of multiplicity
+    # one (no witness), an identity part: each conjugate is one support
+    # component, solved in its rational block form; the infinite-order pad
+    # has no block form and takes the direct solve
+    rng = random.Random(2017)
+    texts = ("C27", "C54", "C7+C7", "C8+C8+C8+C8", "negC17+I1", "C5+C2", "C3+I3")
+    cases = [(text, realize(parse_block_spec(text))) for text in texts]
+    cases.append(("pad", block_diag([Matrix([[2, 1], [1, 1]]), companion(cyclotomic(5))])))
+    for text, a in cases:
+        p, q = unimodular_pair(rng, a.nrows, 2 * a.nrows)
+        conj = p @ a @ q
+        assert len(_components(conj)) == 1, text
+        assert (rational_block_form(conj.transpose()) is None) == (text == "pad"), text
+        basis = invariant_space(conj)
+        assert basis == _direct_space(conj), text
+        assert all(type(x) is int for s in basis for row in s.rows for x in row), text
+        assert all(s.transpose() == -s and conj.transpose() @ s @ conj == s for s in basis), text
+        assert len(basis) == len(invariant_space(a)), text

@@ -76,6 +76,12 @@ def test_w_group_prime_limit():
         w_group(AbelianGroup.from_factors(primes + [31], free_rank=1))
 
 
+def test_w_group_with_repeated_primes():
+    # few primes, each repeated: many paths reach the same partial partition
+    assert w_group(AbelianGroup.from_factors([210] * 4)) == (48, CyclicDecomposition((210,) * 4))
+    assert w_group(AbelianGroup.from_factors([2310] * 3)) == (66, CyclicDecomposition((2310,) * 3))
+
+
 def test_abelian_group_canonicalization():
     g = AbelianGroup.from_factors([6, 4])
     assert g.torsion == (2, 3, 4)
