@@ -11,7 +11,7 @@ from .classify import (
     classify_fg,
     classify_group,
 )
-from .exactlin import Matrix, block_diag, companion, compound, det, kernel_basis, order, rank
+from .exactlin import Matrix, block_diag, companion, compound, compounds, det, kernel_basis, order, rank
 from .invariants import (
     Cyclotomic,
     Identity,
@@ -19,6 +19,7 @@ from .invariants import (
     free_outside_origin,
     invariant_rank,
     invariant_rank_oracle,
+    invariant_ranks_oracle,
     realize,
     rotation_spectrum,
     s1,

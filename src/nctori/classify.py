@@ -30,8 +30,8 @@ from .invariants import (
     ORACLE_MAX_DIM,
     block_label,
     block_order,
-    invariant_rank_oracle,
     invariant_ranks,
+    invariant_ranks_oracle,
     realize,
     s1,
 )
@@ -297,9 +297,7 @@ def analyze_action(a: Matrix, theta: SymbolicSkew | None = None) -> ActionReport
             raise ValueError("theta is not invariant under the matrix")
     orders = {block_order(b) for b in blocks}
     free = len(orders) == 1
-    oracle_ranks = (
-        tuple(invariant_rank_oracle(a, m) for m in range(d + 1)) if d <= ORACLE_MAX_DIM else None
-    )
+    oracle_ranks = invariant_ranks_oracle(a) if d <= ORACLE_MAX_DIM else None
     spectrum_ranks = invariant_ranks(blocks)
     s1_value = None
     s1_note = None

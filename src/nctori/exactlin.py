@@ -3,7 +3,8 @@
 Matrices are immutable with ``int`` or ``fractions.Fraction`` entries; all
 computations are exact.  Determinants use fraction-free Bareiss elimination,
 rank and kernels use fraction-free integer echelon reduction with gcd
-normalization (rational input rows are scaled to integers first).  Everything
+normalization (rational input rows are scaled to integers first), and
+compound matrices come from one Laplace sweep over all degrees.  Everything
 is pure and safe to share across threads.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 from .arith import IntPolynomial, cyclotomic, poly_divmod, totient
 
@@ -505,27 +506,54 @@ def reduced_basis(vectors) -> list[tuple[int, ...]]:
     return basis
 
 
-def _small_det(sub) -> int:
-    """Determinant of a small integer matrix given as a list of row tuples."""
-    n = len(sub)
-    if n == 0:
-        return 1
-    if n == 1:
-        return sub[0][0]
-    if n == 2:
-        (a, b), (c, d) = sub
-        return a * d - b * c
-    if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = sub
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    for row in sub:
-        if not any(row):
-            return 0
-    return _det_int([list(row) for row in sub])
+def compounds(a: Matrix):
+    """Yield compound(a, 0), compound(a, 1), ..., compound(a, d) in one sweep.
+
+    Degree m is built from degree m - 1 by Laplace expansion along the first
+    row s of each row subset S = (s,) + S':
+
+        det a[S, T] = sum over t in T of (-1)^k a[s, t] det a[S', T - {t}],
+
+    k the position of t in T.  Only the nonzero entries a[s, t] are visited,
+    each against the column subsets T that contain t.  Exact on int and
+    Fraction entries alike.
+
+    >>> [c.rows for c in compounds(Matrix([[1, 2], [3, 4]]))]
+    [((1,),), ((1, 2), (3, 4)), ((-2,),)]
+    """
+    if not a.is_square:
+        raise ValueError("compound requires a square matrix")
+    d = a.nrows
+    nonzero = [[(t, v) for t, v in enumerate(row) if v] for row in a.rows]
+    prev = Matrix._from_rows(((1,),), 1)
+    prev_index = {(): 0}
+    yield prev
+    for m in range(1, d + 1):
+        subsets = list(itertools.combinations(range(d), m))
+        # containing[t]: (column of T, column of T - {t} one degree down, k odd)
+        containing: list[list[tuple[int, int, int]]] = [[] for _ in range(d)]
+        for j, cols in enumerate(subsets):
+            for k, t in enumerate(cols):
+                containing[t].append((j, prev_index[cols[:k] + cols[k + 1 :]], k & 1))
+        out = []
+        for rows_s in subsets:
+            minors = prev.rows[prev_index[rows_s[1:]]]
+            row = [0] * len(subsets)
+            for t, v in nonzero[rows_s[0]]:
+                nv = -v
+                for j, jm, odd in containing[t]:
+                    x = minors[jm]
+                    if x:
+                        row[j] += (nv if odd else v) * x
+            out.append(tuple(row))
+        prev = Matrix._from_result(tuple(out), len(subsets))
+        prev_index = {cols: j for j, cols in enumerate(subsets)}
+        yield prev
 
 
 def compound(a: Matrix, m: int) -> Matrix:
-    """Compound matrix of the m-th exterior power of ``a``.
+    """Compound matrix of the m-th exterior power of ``a``: degree m of
+    ``compounds(a)``.
 
     Indexed by the sorted m-element subsets of the row/column indices in
     lexicographic order; entry (S, T) is the minor det(a[S, T]).  Intended
@@ -536,16 +564,4 @@ def compound(a: Matrix, m: int) -> Matrix:
         raise ValueError("compound requires a square matrix")
     if not 0 <= m <= a.nrows:
         raise ValueError(f"compound degree {m} out of range for dimension {a.nrows}")
-    subsets = list(itertools.combinations(range(a.nrows), m))
-    if m == 0:
-        return Matrix(((1,),))
-    getters = [operator.itemgetter(*t) for t in subsets]
-    if m == 1:
-        picked = [[(g(row),) for g in getters] for row in a.rows]
-    else:
-        picked = [[g(row) for g in getters] for row in a.rows]
-    out = []
-    for s in subsets:
-        chosen = [picked[i] for i in s]
-        out.append(tuple(_small_det([c[tj] for c in chosen]) for tj in range(len(subsets))))
-    return Matrix._from_rows(tuple(out), comb(a.nrows, m))
+    return next(itertools.islice(compounds(a), m, None))

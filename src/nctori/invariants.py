@@ -6,8 +6,11 @@ exterior power of a block realization:
 * ``invariant_rank`` counts size-m sub-multisets of the rotation spectrum
   with integer sum (a subset-sum dynamic program over residues), which
   scales well past dimension 12;
-* ``invariant_rank_oracle`` is the brute-force check: build the compound
-  matrix, subtract the identity, and take the exact rank over the rationals.
+* ``invariant_ranks_oracle`` is the brute-force check: build the compound
+  matrices of every degree in one Laplace sweep (``exactlin.compounds``),
+  subtract the identity, and take the exact rank over the rationals by
+  fraction-free echelon, one support component at a time;
+  ``invariant_rank_oracle`` does the same for one degree.
 
 ``s1`` sums the odd-degree invariant ranks; under a free-outside-the-origin
 cyclic action this is the rank of K_1 of the crossed product.  ``s1`` itself
@@ -20,10 +23,19 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, lcm
 
 from .arith import cyclotomic, totient
-from .exactlin import Matrix, _components, _echelon_int, block_diag, companion, cyclotomic_type
+from .exactlin import (
+    Matrix,
+    _components,
+    _echelon_int,
+    block_diag,
+    companion,
+    compound,
+    compounds,
+    cyclotomic_type,
+)
 
 
 @dataclass(frozen=True)
@@ -219,24 +231,39 @@ def even_invariant_sum(spec) -> int:
 ORACLE_MAX_DIM = 12
 
 
+def _oracle_dim(a: Matrix) -> int:
+    if not a.is_square:
+        raise ValueError("oracle requires a square matrix")
+    if a.nrows > ORACLE_MAX_DIM:
+        raise ValueError(f"oracle limited to dimension {ORACLE_MAX_DIM}, got {a.nrows}")
+    return a.nrows
+
+
+def invariant_ranks_oracle(a: Matrix) -> tuple[int, ...]:
+    """Brute-force invariant ranks of every degree 0..d from one sweep of
+    compound matrices (``compounds``); the oracle counterpart of
+    ``invariant_ranks``.
+
+    Requires a finite-order matrix (caller's contract) of dimension at most
+    12; use ``invariant_ranks`` beyond that.
+
+    >>> invariant_ranks_oracle(realize((Cyclotomic(5),)))
+    (1, 0, 2, 0, 1)
+    """
+    _oracle_dim(a)
+    return tuple(_fixed_rank(c) for c in compounds(a))
+
+
 def invariant_rank_oracle(a: Matrix, m: int) -> int:
     """Brute-force invariant rank: C(d, m) - rank(compound(a, m) - I) over Q.
 
     Requires a finite-order matrix (caller's contract) of dimension at most
     12; use ``invariant_rank`` beyond that.
     """
-    from .exactlin import compound
-
-    if not a.is_square:
-        raise ValueError("oracle requires a square matrix")
-    d = a.nrows
-    if d > ORACLE_MAX_DIM:
-        raise ValueError(f"oracle limited to dimension {ORACLE_MAX_DIM}, got {d}")
+    d = _oracle_dim(a)
     if not 0 <= m <= d:
         raise ValueError(f"degree {m} out of range for dimension {d}")
-    c = compound(a, m)
-    diff = tuple(row[:i] + (row[i] - 1,) + row[i + 1 :] for i, row in enumerate(c.rows))
-    return c.nrows - _rank_by_components(Matrix._from_rows(diff, c.ncols))
+    return _fixed_rank(compound(a, m))
 
 
 def free_outside_origin(a: Matrix) -> bool:
@@ -253,13 +280,15 @@ def free_outside_origin(a: Matrix) -> bool:
 #
 # compound(a, m) - I for a block realization is permutation-similar to a block
 # diagonal matrix, so splitting the support graph into connected components
-# before eliminating keeps the elimination blocks small.  Large components use
-# a certified modular rank: pivots found mod p stay nonzero over Z (a lower
-# bound), and reconstructed kernel vectors verified exactly over Z supply the
-# matching upper bound.  Reconstruction failures fall back to exact echelon.
+# before eliminating keeps the elimination blocks small.  Each component is
+# ranked by fraction-free integer echelon (``_echelon_int``).
 
-_CERT_PRIME = (1 << 61) - 1
-_SMALL_COMPONENT = 64
+
+def _fixed_rank(c: Matrix) -> int:
+    """Dimension of the fixed space of the compound ``c``: its size minus the
+    rank of c - I, formed in place on the compound's rows."""
+    diff = tuple(row[:i] + (row[i] - 1,) + row[i + 1 :] for i, row in enumerate(c.rows))
+    return c.nrows - _rank_by_components(Matrix._from_rows(diff, c.ncols))
 
 
 def _rank_by_components(m: Matrix) -> int:
@@ -267,88 +296,8 @@ def _rank_by_components(m: Matrix) -> int:
     for idx in _components(m):
         rows = [[m.rows[i][j] for j in idx] for i in idx]
         if any(any(row) for row in rows):
-            total += _rank_int_rows(rows)
+            total += len(_echelon_int(rows))
     return total
-
-
-def _rank_int_rows(rows: list[list[int]]) -> int:
-    if len(rows) <= _SMALL_COMPONENT:
-        return len(_echelon_int([row[:] for row in rows]))
-    certified = _rank_certified(rows)
-    if certified is not None:
-        return certified
-    return len(_echelon_int([row[:] for row in rows]))
-
-
-def _rational_reconstruct(value: int, p: int) -> tuple[int, int] | None:
-    """Unique a/b with value = a/b mod p and |a|, b <= sqrt(p/2), if any."""
-    bound = isqrt(p // 2)
-    r0, r1 = p, value % p
-    s0, s1_ = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1_ = s1_, s0 - q * s1_
-    if s1_ == 0 or abs(s1_) > bound or gcd(r1, abs(s1_)) != 1:
-        return None
-    return (r1, s1_) if s1_ > 0 else (-r1, -s1_)
-
-
-def _rank_certified(rows: list[list[int]]) -> int | None:
-    p = _CERT_PRIME
-    n = len(rows)
-    ncols = len(rows[0])
-    work = [[x % p for x in row] for row in rows]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, n):
-            if work[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = pow(work[r][c], p - 2, p)
-        work[r] = [x * inv % p for x in work[r]]
-        rr = work[r]
-        for i in range(n):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [(x - f * y) % p for x, y in zip(work[i], rr)]
-        pivots.append((r, c))
-        r += 1
-        if r == n:
-            break
-    rank_mod = len(pivots)
-    pivot_cols = {c for _, c in pivots}
-    # Verified kernel vectors certify rank <= rank_mod; pivots already give >=.
-    for fc in range(ncols):
-        if fc in pivot_cols:
-            continue
-        entries: list[tuple[int, int]] = []  # (numerator, denominator) per coord
-        ok = True
-        for c in range(ncols):
-            if c == fc:
-                entries.append((1, 1))
-            elif c in pivot_cols:
-                row = next(rr for rr, cc in pivots if cc == c)
-                rec = _rational_reconstruct((-work[row][fc]) % p, p)
-                if rec is None:
-                    ok = False
-                    break
-                entries.append(rec)
-            else:
-                entries.append((0, 1))
-        if not ok:
-            return None
-        denom = lcm(*(b for _, b in entries))
-        vec = [a * (denom // b) for a, b in entries]
-        for row in rows:
-            if sum(rv * xv for rv, xv in zip(row, vec) if xv):
-                return None
-    return rank_mod
 
 
 # -- exhaustive spec family helpers (used by the verification suite) ---------

@@ -185,21 +185,18 @@ def max_finite_order(d: int) -> int:
     The default order range of the ``table`` command."""
     if d < 1:
         raise ValueError("dimension must be positive")
-    primes = [p for p in range(2, d + 2) if all(p % q for q in range(2, p))]
-
-    def best(idx: int, budget: int) -> int:
-        if idx == len(primes):
-            return 1
-        p = primes[idx]
-        result = best(idx + 1, budget)  # skip this prime
-        e = 1
-        while True:
-            # a lone factor of 2 costs nothing (the -1 deduction in w_order)
-            cost = 0 if (p == 2 and e == 1) else (p - 1) * p ** (e - 1)
-            if cost > budget:
-                break
-            result = max(result, p**e * best(idx + 1, budget - cost))
-            e += 1
-        return result
-
-    return best(0, d)
+    # best[b]: the largest product of powers of distinct primes, among those
+    # taken so far, whose costs sum to at most b (a knapsack, prime by prime)
+    best = [1] * (d + 1)
+    for p in range(2, d + 2):
+        if any(p % q == 0 for q in range(2, p)):
+            continue
+        new = best[:]
+        q, cost = p, 0 if p == 2 else p - 1  # a lone factor of 2 costs nothing
+        while cost <= d:
+            for b in range(cost, d + 1):
+                new[b] = max(new[b], q * best[b - cost])
+            cost = (p - 1) * q
+            q *= p
+        best = new
+    return best[d]

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+import itertools
 from math import comb, lcm
 
 import pytest
@@ -10,6 +11,7 @@ from nctori.exactlin import (
     block_diag,
     companion,
     compound,
+    compounds,
     cyclotomic_type,
     det,
     kernel_basis,
@@ -108,6 +110,25 @@ def test_compound_multiplicative():
         m = rng.randint(0, d)
         a, b = _random_matrix(rng, d), _random_matrix(rng, d)
         assert compound(a @ b, m) == compound(a, m) @ compound(b, m)
+
+
+def test_compound_entries_are_minors():
+    # every entry against Bareiss on the submatrix a[S, T], an independent route
+    rng = random.Random(6)
+    dense = Matrix([[rng.randint(-9, 9) for _ in range(6)] for _ in range(6)])
+    rational = Matrix([[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(5)] for _ in range(5)])
+    for a in (dense, rational):
+        d = a.nrows
+        sweep = list(compounds(a))
+        assert len(sweep) == d + 1
+        for m in range(d + 1):
+            c = compound(a, m)
+            assert c == sweep[m]
+            subsets = list(itertools.combinations(range(d), m))
+            for i, rows in enumerate(subsets):
+                for j, cols in enumerate(subsets):
+                    minor = Matrix([[a[r, t] for t in cols] for r in rows], ncols=m)
+                    assert c[i, j] == det(minor), (m, rows, cols)
 
 
 def test_compound_determinant_power():

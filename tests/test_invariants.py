@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from nctori.exactlin import Matrix, det, order
+from nctori.exactlin import Matrix, det, order, rank
 from nctori.invariants import (
     Cyclotomic,
     Identity,
@@ -18,6 +18,7 @@ from nctori.invariants import (
     invariant_rank,
     invariant_rank_oracle,
     invariant_ranks,
+    invariant_ranks_oracle,
     parse_block_spec,
     realize,
     rotation_spectrum,
@@ -75,6 +76,23 @@ def test_oracle_examples():
 def test_oracle_rejects_large_dimension():
     with pytest.raises(ValueError):
         invariant_rank_oracle(Matrix.identity(13), 1)
+    with pytest.raises(ValueError, match="dimension 12"):
+        invariant_ranks_oracle(Matrix.identity(13))
+    with pytest.raises(ValueError, match="square"):
+        invariant_ranks_oracle(Matrix([[1, 0, 0], [0, 1, 0]]))
+
+
+def test_all_degree_oracle_matches_single_degree(unimodular_pair):
+    rng = random.Random(4096)
+    pool = [s for s in enumerate_specs(8) if spec_dim(s) >= 4]
+    for spec in rng.sample(pool, 8) + [parse_block_spec(t) for t in ("C5+C2", "negC7+I1", "C8+C3")]:
+        b = realize(spec)
+        d = b.nrows
+        p, q = unimodular_pair(rng, d, 3 * d)
+        for a in (b, p @ b @ q):
+            ranks = invariant_ranks_oracle(a)
+            assert ranks == tuple(invariant_rank_oracle(a, m) for m in range(d + 1)), spec
+            assert ranks == invariant_ranks(spec), spec
 
 
 def test_s1_examples():
@@ -172,9 +190,8 @@ def test_nonfree_even_order_spec_can_have_positive_s1():
     assert s1(spec) > 0
 
 
-def test_certified_rank_matches_exact_echelon():
-    from nctori.exactlin import _echelon_int
-    from nctori.invariants import _rank_certified
+def test_rank_by_components_matches_exact_echelon():
+    from nctori.invariants import _rank_by_components
 
     rng = random.Random(64128)
     for trial in range(12):
@@ -186,9 +203,7 @@ def test_certified_rank_matches_exact_echelon():
         rows.append([a + b for a, b in zip(rows[0], rows[1])])
         rows.append([-3 * a for a in rows[2]])
         rows.append([0] * n)
-        cert = _rank_certified([row[:] for row in rows])
-        exact_rank = len(_echelon_int([row[:] for row in rows]))
-        assert cert is None or cert == exact_rank, trial
+        assert _rank_by_components(Matrix(rows)) == rank(Matrix(rows)), trial
 
 
 def test_rank_sums_and_unit_term():

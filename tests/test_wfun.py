@@ -111,3 +111,15 @@ def test_max_finite_order_is_w_extremal():
         assert w_order(n_star) <= d
         # nothing bigger fits in a generous search window
         assert all(w_order(n) > d for n in range(n_star + 1, 4 * n_star))
+
+
+def test_max_finite_order_matches_brute_force():
+    window = 10**5  # past every n with w_order(n) <= 30 (the largest is 27720)
+    costs = {n: w_order(n) for n in range(2, window)}
+    for d in range(1, 31):
+        assert max_finite_order(d) == max(n for n, w in costs.items() if w <= d), d
+
+
+def test_max_finite_order_large_dimension():
+    n = max_finite_order(300)
+    assert w_order(n) <= 300 and n >= max_finite_order(299)
