@@ -1,6 +1,6 @@
+import itertools
 import random
 from fractions import Fraction
-import itertools
 from math import comb, lcm
 
 import pytest
