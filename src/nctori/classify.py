@@ -29,14 +29,15 @@ from .invariants import (
     NegCyclotomic,
     ORACLE_MAX_DIM,
     block_label,
-    block_order,
     invariant_ranks,
     invariant_ranks_oracle,
     realize,
     s1,
+    spec_free,
+    spec_order,
 )
 from .ktheory import GradedRank, RankInfo, at_least, exact, factor_k, kunneth_all, torus_k
-from .theta import SymbolicSkew, invariant_space, is_invariant, nondegenerate_invariant_exists
+from .theta import SymbolicSkew, invariant_space, is_invariant, nondegenerate_invariant_exists, nondegenerate_witness
 from .wfun import AbelianGroup, w_group, w_order
 
 W_TOO_BIG = "w_too_big"
@@ -276,13 +277,13 @@ class ActionReport:
 def analyze_action(a: Matrix, theta: SymbolicSkew | None = None) -> ActionReport:
     """Full report on the canonical action of a finite-order integer matrix.
 
-    The characteristic polynomial is factored once (``recognize_blocks``);
-    the order, freeness, blocks and per-degree invariant ranks (spectrum
-    method) all follow from that cyclotomic type, so none of them depends on
-    the basis the matrix is written in.  Up to dimension 12 the brute-force
+    The order, freeness, blocks and per-degree invariant ranks (spectrum
+    method) follow from the cyclotomic type (``recognize_blocks``), so none
+    of them depends on the basis.  Up to dimension 12 the brute-force
     compound-matrix ranks are reported alongside as an independent check.
-    The K_1 rank is given when the freeness hypothesis holds, and the report
-    says whether a nondegenerate invariant form exists.
+    The K_1 rank is given when the freeness hypothesis holds.  One solve of
+    the invariant space gives its dimension and the witness, if any (with
+    one support component it factors the characteristic polynomial again).
     """
     if not a.is_square or a.nrows == 0:
         raise ValueError("analyze_action requires a nonempty square matrix")
@@ -295,30 +296,29 @@ def analyze_action(a: Matrix, theta: SymbolicSkew | None = None) -> ActionReport
             raise ValueError("theta dimension mismatch")
         if not is_invariant(theta, a):
             raise ValueError("theta is not invariant under the matrix")
-    orders = {block_order(b) for b in blocks}
-    free = len(orders) == 1
+    free = spec_free(blocks)
     oracle_ranks = invariant_ranks_oracle(a) if d <= ORACLE_MAX_DIM else None
-    spectrum_ranks = invariant_ranks(blocks)
     s1_value = None
     s1_note = None
     k1 = None
     if free:
-        s1_value = sum(spectrum_ranks[m] for m in range(1, d + 1, 2))
+        s1_value = s1(blocks)
         k1 = exact(s1_value)
     else:
         s1_note = "s1 unavailable: action is not free outside the origin"
-    exists, witness = nondegenerate_invariant_exists(a)
+    basis = invariant_space(a)
+    exists, witness = nondegenerate_witness(basis, d)
     return ActionReport(
         dim=d,
-        order=lcm(*orders),
+        order=spec_order(blocks),
         free=free,
         blocks=blocks,
         oracle_ranks=oracle_ranks,
-        spectrum_ranks=spectrum_ranks,
+        spectrum_ranks=invariant_ranks(blocks),
         s1=s1_value,
         s1_note=s1_note,
         k1=k1,
-        invariant_space_dim=len(invariant_space(a)),
+        invariant_space_dim=len(basis),
         theta_exists=exists,
         theta=witness,
     )

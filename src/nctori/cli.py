@@ -29,15 +29,15 @@ from .classify import (
 from .exactlin import Matrix
 from .invariants import (
     block_label,
-    free_outside_origin,
     even_invariant_sum,
     invariant_ranks,
     parse_block_spec,
-    realize,
+    s1,
     spec_dim,
+    spec_free,
     spec_order,
 )
-from .theta import nondegenerate_invariant_exists, invariant_space
+from .theta import invariant_space, nondegenerate_witness
 from .wfun import AbelianGroup, max_finite_order, w_group, w_order
 
 
@@ -188,23 +188,20 @@ def _print_report_text(r: ActionReport):
     print(f"nondegenerate invariant theta exists: {_yesno(r.theta_exists)}")
 
 
-def _print_theta_text(a: Matrix):
-    basis = invariant_space(a)
-    exists, witness = nondegenerate_invariant_exists(a)
-    print(f"invariant space dimension: {len(basis)}")
-    print(f"nondegenerate invariant theta exists: {_yesno(exists)}")
-    if witness is not None:
+def _print_theta_text(payload: dict):
+    print(f"invariant space dimension: {payload['invariant_space_dim']}")
+    print(f"nondegenerate invariant theta exists: {_yesno(payload['nondegenerate_exists'])}")
+    if payload["witness"] is not None:
         print("witness (upper triangle):")
-        for i in range(witness.dim):
-            for j in range(i + 1, witness.dim):
-                entry = witness.entry(i, j)
-                if entry != "0":
-                    print(f"  theta[{i + 1},{j + 1}] = {entry}")
+        for i, row in enumerate(payload["witness"]["entries"]):
+            for j in range(i + 1, len(row)):
+                if row[j] != "0":
+                    print(f"  theta[{i + 1},{j + 1}] = {row[j]}")
 
 
 def _theta_json(a: Matrix) -> dict:
     basis = invariant_space(a)
-    exists, witness = nondegenerate_invariant_exists(a)
+    exists, witness = nondegenerate_witness(basis, a.nrows)
     payload = {
         "d": a.nrows,
         "invariant_space_dim": len(basis),
@@ -292,8 +289,8 @@ def _dispatch(args) -> int:
         except ValueError as exc:
             raise CliParseError(str(exc)) from exc
         ranks = invariant_ranks(spec)
-        odd = sum(ranks[m] for m in range(1, len(ranks), 2))
-        free = free_outside_origin(realize(spec)) if spec_dim(spec) else True
+        odd = s1(spec)
+        free = spec_free(spec)
         if args.json:
             print(json.dumps({
                 "blocks": [block_label(b) for b in spec],
@@ -318,8 +315,8 @@ def _dispatch(args) -> int:
         v = classify_fg(args.d, group) if group.free_rank else classify_group(args.d, group)
         print(json.dumps(verdict_json(v))) if args.json else _print_verdict_text(v)
     elif args.command == "theta":
-        a = read_matrix_file(args.matrix_file)
-        print(json.dumps(_theta_json(a))) if args.json else _print_theta_text(a)
+        payload = _theta_json(read_matrix_file(args.matrix_file))
+        print(json.dumps(payload)) if args.json else _print_theta_text(payload)
     elif args.command == "analyze":
         a = read_matrix_file(args.matrix_file)
         report = analyze_action(a)

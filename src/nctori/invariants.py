@@ -14,8 +14,8 @@ exterior power of a block realization:
 
 ``s1`` sums the odd-degree invariant ranks; under a free-outside-the-origin
 cyclic action this is the rank of K_1 of the crossed product.  ``s1`` itself
-does not verify freeness (callers gate on ``free_outside_origin``), which
-keeps it usable on tensor factors whose freeness was established separately.
+does not verify freeness (callers gate on ``spec_free``), which keeps it
+usable on tensor factors whose freeness was established separately.
 """
 
 from __future__ import annotations
@@ -134,7 +134,13 @@ def spec_order(spec) -> int:
     return lcm(*(block_order(b) for b in spec), 1)
 
 
-@functools.lru_cache(maxsize=None)
+def spec_free(spec) -> bool:
+    """``free_outside_origin(realize(spec))`` read off the blocks: every block
+    has the same order, so each eigenvalue is a primitive root of unity of
+    the full order."""
+    return len({block_order(b) for b in spec}) <= 1
+
+
 def _realize_block(block: Block) -> Matrix:
     if isinstance(block, Identity):
         return Matrix.identity(block.m)

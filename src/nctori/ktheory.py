@@ -10,10 +10,9 @@ the Tor terms of the general sequence never contribute.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
-from .invariants import Block, Cyclotomic, Identity, NegCyclotomic, block_dim, free_outside_origin, realize, s1
+from .invariants import Block, Cyclotomic, Identity, NegCyclotomic, s1
 
 EXACT = "exact"
 AT_LEAST = "at_least"
@@ -91,7 +90,11 @@ def kunneth_all(factors) -> GradedRank:
 
 
 def torus_k(m: int) -> GradedRank:
-    """K-ranks of an m-torus: (2^{m-1}, 2^{m-1}) for m >= 1, (1, 0) for m = 0."""
+    """K-ranks of an m-torus: (2^{m-1}, 2^{m-1}) for m >= 1, (1, 0) for m = 0.
+
+    >>> print(torus_k(3), torus_k(0))
+    (k0=4, k1=4) (k0=1, k1=0)
+    """
     if m < 0:
         raise ValueError("torus dimension must be nonnegative")
     if m == 0:
@@ -99,22 +102,20 @@ def torus_k(m: int) -> GradedRank:
     return GradedRank(exact(2 ** (m - 1)), exact(2 ** (m - 1)))
 
 
-@functools.lru_cache(maxsize=None)
 def factor_k(block: Block) -> GradedRank:
     """K-ranks of one crossed-product factor: a single cyclotomic or negated
     cyclotomic block acting on its own coordinates.
 
     k1 is exact (the odd invariant-rank sum for the block's free cyclic
     action); k0 is only known to be positive, since the algebra is unital
-    and no closed form for the K_0 rank is in scope here.
+    and no closed form for the K_0 rank is in scope here.  One block has one
+    cyclotomic factor, so it is free outside the origin by construction.
+
+    >>> print(factor_k(Cyclotomic(7)))
+    (k0=>=1, k1=2)
     """
     if isinstance(block, Identity):
         raise ValueError("factor_k applies to cyclotomic blocks, not identity blocks")
     if not isinstance(block, (Cyclotomic, NegCyclotomic)):
         raise TypeError(f"not a block: {block!r}")
-    if block_dim(block) <= 6:
-        # Cheap spot check of the freeness hypothesis; larger blocks are free
-        # for the same structural reason (primitive root-of-unity spectrum).
-        if not free_outside_origin(realize((block,))):
-            raise ValueError(f"block {block!r} does not act freely outside the origin")
     return GradedRank(at_least(1), exact(s1((block,))))

@@ -11,7 +11,7 @@ on the invariant space.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -141,9 +141,9 @@ def is_invariant(theta: SymbolicSkew, a: Matrix) -> bool:
     return all(at @ mat @ a == mat for _, mat in theta.symbol_parts)
 
 
-def _diagonal_block_solutions(a: Matrix, p: list[int]) -> list[list[tuple[int, int, int]]]:
-    """Skew solutions of a^t S a = S supported on indices p (upper triangle)."""
-    positions = [(p[i], p[j]) for i in range(len(p)) for j in range(i + 1, len(p))]
+def _block_solutions(a: Matrix, positions: list[tuple[int, int]]) -> list[list[tuple[int, int, int]]]:
+    """Skew solutions of a^t S a = S supported on ``positions``, each (i, j)
+    standing for the pair of entries S[i][j] = -S[j][i]."""
     if not positions:
         return []
     rows = []
@@ -159,30 +159,13 @@ def _diagonal_block_solutions(a: Matrix, p: list[int]) -> list[list[tuple[int, i
     ]
 
 
-def _cross_block_solutions(a: Matrix, p: list[int], q: list[int]) -> list[list[tuple[int, int, int]]]:
-    """Solutions of a^t S a = S supported on the (p, q) off-diagonal block."""
-    positions = [(i, j) for i in p for j in q]
-    rows = []
-    for i, j in positions:
-        row = []
-        for k, l in positions:
-            coeff = a.rows[k][i] * a.rows[l][j]
-            row.append(coeff - (1 if (k, l) == (i, j) else 0))
-        rows.append(row)
-    return [
-        [(pos[0], pos[1], v) for pos, v in zip(positions, vec) if v]
-        for vec in kernel_basis(Matrix._from_result(tuple(map(tuple, rows)), len(positions)))
-    ]
-
-
 def _component_solutions(a: Matrix, comps: list[list[int]]):
-    """Solutions of a^t S a = S, one subsystem per pair of support components."""
-    for ci in range(len(comps)):
-        for cj in range(ci, len(comps)):
-            if ci == cj:
-                yield from _diagonal_block_solutions(a, comps[ci])
-            else:
-                yield from _cross_block_solutions(a, comps[ci], comps[cj])
+    """Solutions of a^t S a = S, one subsystem per pair of support components:
+    the upper triangle of a diagonal block, or a whole off-diagonal block."""
+    for ci, p in enumerate(comps):
+        yield from _block_solutions(a, list(itertools.combinations(p, 2)))
+        for q in comps[ci + 1 :]:
+            yield from _block_solutions(a, list(itertools.product(p, q)))
 
 
 def _skew_matrix(d: int, entries) -> Matrix:
@@ -219,7 +202,6 @@ def _transported_space(p: Matrix, b: Matrix) -> tuple[Matrix, ...]:
     )
 
 
-@functools.lru_cache(maxsize=None)
 def invariant_space(a: Matrix) -> tuple[Matrix, ...]:
     """Basis of the rational vector space {S skew : a^t S a = S}.
 
@@ -261,18 +243,24 @@ def is_nondegenerate(theta: SymbolicSkew) -> bool:
     return rank(stacked) == theta.dim
 
 
-def nondegenerate_invariant_exists(a: Matrix) -> tuple[bool, SymbolicSkew | None]:
-    """Decide whether a finite-order integer matrix admits a nondegenerate
-    invariant skew form, returning a symbolic witness when it does.
+def nondegenerate_witness(basis, d: int) -> tuple[bool, SymbolicSkew | None]:
+    """Decide from a basis of the invariant space of a d x d matrix whether
+    a nondegenerate invariant skew form exists, returning a symbolic witness
+    when it does.
 
-    The witness puts one fresh symbol on each basis matrix of the invariant
-    space (maximal genericity), so existence is exactly the condition that
-    the basis matrices have trivial common kernel.
+    The witness puts one fresh symbol on each basis matrix (maximal
+    genericity), so existence is exactly the condition that the basis
+    matrices have trivial common kernel.
     """
-    basis = invariant_space(a)
     if not basis:
-        return (a.nrows == 0, None)
+        return (d == 0, None)
     theta = SymbolicSkew.from_symbol_matrices(basis)
     if is_nondegenerate(theta):
         return True, theta
     return False, None
+
+
+def nondegenerate_invariant_exists(a: Matrix) -> tuple[bool, SymbolicSkew | None]:
+    """``nondegenerate_witness`` on the invariant space of a finite-order
+    integer matrix."""
+    return nondegenerate_witness(invariant_space(a), a.nrows)

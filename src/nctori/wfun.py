@@ -178,7 +178,6 @@ def w_group(g: AbelianGroup) -> tuple[int, CyclicDecomposition]:
     return cost, CyclicDecomposition(parts)
 
 
-@functools.lru_cache(maxsize=None)
 def max_finite_order(d: int) -> int:
     """Largest order of a finite-order element of GL_d(Z): max{n : w_order(n) <= d}.
 

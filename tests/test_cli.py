@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from nctori import theta
+from nctori import invariants, theta
 from nctori.cli import TABLE_MAX_VERDICTS, CliParseError, main, parse_group
 from nctori.exactlin import _components
 from nctori.invariants import parse_block_spec, realize
@@ -79,6 +79,19 @@ def test_s1_command(capsys):
     assert payload["s1"] == 0 and payload["order"] == 54 and payload["dimension"] == 18
     code, out, _ = run(capsys, "s1", "--blocks", "C3+I2", "--json")
     assert json.loads(out)["free_outside_origin"] is False
+
+
+def test_s1_command_reads_freeness_off_the_blocks(capsys, monkeypatch):
+    def no_matrix(a):
+        raise AssertionError("s1 must not factor a realized matrix")
+
+    monkeypatch.setattr(invariants, "cyclotomic_type", no_matrix)
+    code, out, _ = run(capsys, "s1", "--blocks", "C101", "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["free_outside_origin"] is True
+    assert payload["s1"] == (2**100 - 100**2) // 202
+    code, out, _ = run(capsys, "s1", "--blocks", "C3+I2", "--json")
+    assert code == 0 and json.loads(out)["free_outside_origin"] is False
 
 
 def test_classify_command(capsys):
@@ -166,17 +179,12 @@ def test_theta_json_on_dense_conjugate_matches_direct_solve(
     assert d == 14 and len(_components(a)) == 1
     path = tmp_path / "conj.txt"
     path.write_text(f"{d}\n" + "\n".join(" ".join(map(str, row)) for row in a.rows) + "\n")
-    theta.invariant_space.cache_clear()
-    try:
-        code, routed, _ = run(capsys, "theta", str(path), "--json")
-        assert code == 0 and json.loads(routed)["nondegenerate_exists"]
-        # without a block form, invariant_space takes the direct solve
-        theta.invariant_space.cache_clear()
-        monkeypatch.setattr(theta, "rational_block_form", lambda m: None)
-        code, direct, _ = run(capsys, "theta", str(path), "--json")
-        assert code == 0 and routed == direct
-    finally:
-        theta.invariant_space.cache_clear()
+    code, routed, _ = run(capsys, "theta", str(path), "--json")
+    assert code == 0 and json.loads(routed)["nondegenerate_exists"]
+    # without a block form, invariant_space takes the direct solve
+    monkeypatch.setattr(theta, "rational_block_form", lambda m: None)
+    code, direct, _ = run(capsys, "theta", str(path), "--json")
+    assert code == 0 and routed == direct
 
 
 def test_matrix_file_errors(tmp_path, capsys):

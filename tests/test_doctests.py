@@ -5,6 +5,7 @@ import nctori.classify
 import nctori.cli
 import nctori.exactlin
 import nctori.invariants
+import nctori.ktheory
 import nctori.theta
 import nctori.wfun
 
@@ -15,6 +16,7 @@ def test_module_doctests():
         nctori.exactlin,
         nctori.wfun,
         nctori.invariants,
+        nctori.ktheory,
         nctori.theta,
         nctori.classify,
         nctori.cli,

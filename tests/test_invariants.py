@@ -24,6 +24,7 @@ from nctori.invariants import (
     rotation_spectrum,
     s1,
     spec_dim,
+    spec_free,
     spec_order,
 )
 
@@ -141,6 +142,11 @@ def test_spec_order_matches_realized_order():
     for text in ("C9", "negC27", "C3+I2", "negC5+C4", "C2+C2", "negC1"):
         spec = parse_block_spec(text)
         assert spec_order(spec) == order(realize(spec), 200), text
+        assert spec_free(spec) == free_outside_origin(realize(spec)), text
+    specs = enumerate_specs(6)[1:]
+    assert len(specs) == 984 and all(specs)
+    for spec in specs:
+        assert spec_free(spec) == free_outside_origin(realize(spec)), spec
 
 
 def test_oracle_equivalence_small_exhaustive():
