@@ -19,6 +19,7 @@ from .invariants import (
     free_outside_origin,
     invariant_rank,
     invariant_rank_oracle,
+    invariant_ranks_molien,
     invariant_ranks_oracle,
     realize,
     rotation_spectrum,

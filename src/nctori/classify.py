@@ -30,7 +30,7 @@ from .invariants import (
     ORACLE_MAX_DIM,
     block_label,
     invariant_ranks,
-    invariant_ranks_oracle,
+    invariant_ranks_molien,
     realize,
     s1,
     spec_free,
@@ -279,8 +279,10 @@ def analyze_action(a: Matrix, theta: SymbolicSkew | None = None) -> ActionReport
 
     The order, freeness, blocks and per-degree invariant ranks (spectrum
     method) follow from the cyclotomic type (``recognize_blocks``), so none
-    of them depends on the basis.  Up to dimension 12 the brute-force
-    compound-matrix ranks are reported alongside as an independent check.
+    of them depends on the basis.  Up to dimension 12 ``oracle_ranks``
+    reports the same ranks by Molien's formula on the matrix itself
+    (``invariant_ranks_molien``, from the traces of its powers), an
+    independent check that shares no code with the spectrum route.
     The K_1 rank is given when the freeness hypothesis holds.  One solve of
     the invariant space gives its dimension and the witness, if any (with
     one support component it factors the characteristic polynomial again).
@@ -297,7 +299,8 @@ def analyze_action(a: Matrix, theta: SymbolicSkew | None = None) -> ActionReport
         if not is_invariant(theta, a):
             raise ValueError("theta is not invariant under the matrix")
     free = spec_free(blocks)
-    oracle_ranks = invariant_ranks_oracle(a) if d <= ORACLE_MAX_DIM else None
+    order = spec_order(blocks)
+    oracle_ranks = invariant_ranks_molien(a, order) if d <= ORACLE_MAX_DIM else None
     s1_value = None
     s1_note = None
     k1 = None
@@ -310,7 +313,7 @@ def analyze_action(a: Matrix, theta: SymbolicSkew | None = None) -> ActionReport
     exists, witness = nondegenerate_witness(basis, d)
     return ActionReport(
         dim=d,
-        order=spec_order(blocks),
+        order=order,
         free=free,
         blocks=blocks,
         oracle_ranks=oracle_ranks,

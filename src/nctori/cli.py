@@ -178,7 +178,7 @@ def _print_report_text(r: ActionReport):
     print(f"free outside origin: {_yesno(r.free)}")
     print(f"cyclotomic type: {'+'.join(block_label(b) for b in r.blocks)}")
     if r.oracle_ranks is not None:
-        print(f"invariant ranks (brute force): {list(r.oracle_ranks)}")
+        print(f"invariant ranks (Molien):      {list(r.oracle_ranks)}")
     print(f"invariant ranks (spectrum):    {list(r.spectrum_ranks)}")
     if r.s1 is not None:
         print(f"s1 = {r.s1}   K1 rank = {r.k1}")
@@ -332,10 +332,15 @@ def _dispatch(args) -> int:
     return 0
 
 
+_parser: _ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    global _parser
+    if _parser is None:  # built on the first call, not at import
+        _parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         return _dispatch(args)
     except CliParseError as exc:
         _emit_error(argv, str(exc))

@@ -1,16 +1,22 @@
 """Exterior-power invariant ranks of finite-order integer matrices.
 
-Two independent routes compute the rank of the fixed lattice of the m-th
-exterior power of a block realization:
+Three independent routes compute the rank of the fixed lattice of the m-th
+exterior power of a finite-order matrix:
 
 * ``invariant_rank`` counts size-m sub-multisets of the rotation spectrum
-  with integer sum (a subset-sum dynamic program over residues), which
-  scales well past dimension 12;
+  of a block spec with integer sum (a subset-sum dynamic program over
+  residues), which scales well past dimension 12;
+* ``invariant_ranks_molien`` reads every degree off the matrix itself by
+  Molien's formula: the average of det(I + t a^k) over the cyclic group,
+  from the traces of the powers a^g for the divisors g of the order and
+  Newton's identities.  It shares no code with the spectrum route and is
+  what ``analyze`` reports as its cross-check;
 * ``invariant_ranks_oracle`` is the brute-force check: build the compound
   matrices of every degree in one Laplace sweep (``exactlin.compounds``),
   subtract the identity, and take the exact rank over the rationals by
   fraction-free echelon, one support component at a time;
-  ``invariant_rank_oracle`` does the same for one degree.
+  ``invariant_rank_oracle`` does the same for one degree.  Its cost grows
+  with C(d, m)^2, so it serves the test suite up to dimension 12.
 
 ``s1`` sums the odd-degree invariant ranks; under a free-outside-the-origin
 cyclic action this is the rank of K_1 of the crossed product.  ``s1`` itself
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .arith import cyclotomic, totient
+from .arith import cyclotomic, divisors, totient
 from .exactlin import (
     Matrix,
     _components,
@@ -232,6 +238,60 @@ def even_invariant_sum(spec) -> int:
     asserted to be the K_0 rank, which has no closed form here)."""
     ranks = invariant_ranks(tuple(spec))
     return sum(ranks[m] for m in range(0, len(ranks), 2))
+
+
+def invariant_ranks_molien(a: Matrix, n: int) -> tuple[int, ...]:
+    """Invariant ranks of every degree 0..d of a square matrix with a^n = I,
+    by Molien's formula: sum_m r_m t^m = (1/n) sum_{k<n} det(I + t a^k).
+
+    The powers a^k with gcd(k, n) = e have the eigenvalues of a^e up to a
+    Galois automorphism, so they share its characteristic polynomial and
+    sum_m r_m t^m = (1/n) sum_{e | n} phi(n/e) det(I + t a^e).  The power
+    sums of the eigenvalues of a^e are p_k = tr(a^(ek)) = tr(a^gcd(ek, n)),
+    so only the traces of a^g for the divisors g of n are needed, and
+    Newton's identities turn them into the coefficients of det(I + t a^e).
+
+    Raises ValueError when the matrix is not square or a^n != I, and
+    ArithmeticError when an exact division leaves a remainder (which a^n = I
+    rules out).
+
+    >>> invariant_ranks_molien(realize((Cyclotomic(5),)), 5)
+    (1, 0, 2, 0, 1)
+    """
+    if not a.is_square:
+        raise ValueError("Molien's formula requires a square matrix")
+    if n < 1:
+        raise ValueError(f"order must be positive, got {n}")
+    d = a.nrows
+    divs = divisors(n)
+    powers = {1: a}
+    for g in divs[1:]:
+        h = max(h for h in powers if g % h == 0)
+        powers[g] = powers[h].pow(g // h)
+    if powers[n] != Matrix.identity(d):
+        raise ValueError(f"matrix does not satisfy a^{n} = I")
+    # traces of finite-order matrices are integers (sums of roots of unity)
+    trace = {g: int(sum(powers[g].rows[i][i] for i in range(d))) for g in divs}
+    totals = [0] * (d + 1)
+    for e in divs:
+        p = [0] + [trace[gcd(e * k, n)] for k in range(1, d + 1)]
+        coeffs = [1]
+        for m in range(1, d + 1):
+            acc = sum((-1) ** (i - 1) * coeffs[m - i] * p[i] for i in range(1, m + 1))
+            q, r = divmod(acc, m)
+            if r:
+                raise ArithmeticError(f"Newton's identity at degree {m} is not integral")
+            coeffs.append(q)
+        weight = totient(n // e)
+        for m in range(d + 1):
+            totals[m] += weight * coeffs[m]
+    ranks = []
+    for total in totals:
+        q, r = divmod(total, n)
+        if r:
+            raise ArithmeticError(f"Molien sum {total} is not divisible by the order {n}")
+        ranks.append(q)
+    return tuple(ranks)
 
 
 ORACLE_MAX_DIM = 12

@@ -1,13 +1,14 @@
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
-from nctori import invariants, theta
+from nctori import cli, invariants, theta
 from nctori.cli import TABLE_MAX_VERDICTS, CliParseError, main, parse_group
 from nctori.exactlin import _components
-from nctori.invariants import parse_block_spec, realize
+from nctori.invariants import invariant_ranks, parse_block_spec, realize
 from nctori.wfun import AbelianGroup, max_finite_order
 
 
@@ -227,3 +228,64 @@ def test_infinite_order_matrix_is_domain_error(tmp_path, capsys):
     shear.write_text(f"{d}\n" + "\n".join(rows) + "\n")
     code, _, err = run(capsys, "analyze", str(shear))
     assert code == 2 and "finite order" in err
+
+
+def _write_conjugate(tmp_path, text, seed, unimodular_pair):
+    spec = parse_block_spec(text)
+    block = realize(spec)
+    d = block.nrows
+    p, q = unimodular_pair(random.Random(seed), d, 3 * d)
+    a = p @ block @ q
+    path = tmp_path / f"{text.replace('+', '_')}.txt"
+    path.write_text(f"{d}\n" + "\n".join(" ".join(map(str, row)) for row in a.rows) + "\n")
+    return spec, d, str(path)
+
+
+def test_parser_is_built_once_and_reused(capsys, monkeypatch):
+    calls = [
+        ("nonsense",),
+        ("classify", "24", "35", "--json"),
+        ("table", "--dmax", "3", "--json"),
+    ]
+    first = {}
+    for argv in calls:
+        monkeypatch.setattr(cli, "_parser", None)
+        first[argv] = run(capsys, *argv)
+    assert first[calls[0]][0] == 1 and first[calls[1]][0] == 0 and first[calls[2]][0] == 0
+
+    built = []
+    build = cli._build_parser
+
+    def counting_build():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_build_parser", counting_build)
+    monkeypatch.setattr(cli, "_parser", None)
+    for argv in calls:
+        assert run(capsys, *argv) == first[argv], argv
+    assert len(built) == 1
+
+
+def test_analyze_does_not_run_the_compound_oracle(tmp_path, capsys, monkeypatch, unimodular_pair):
+    def no_compounds(a):
+        raise AssertionError("analyze must not build compound matrices")
+
+    monkeypatch.setattr(invariants, "compounds", no_compounds)
+    spec, d, path = _write_conjugate(tmp_path, "C5+C3+I2", 8, unimodular_pair)
+    assert d == 8
+    code, out, _ = run(capsys, "analyze", path, "--json")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["oracle_ranks"] == payload["spectrum_ranks"] == list(invariant_ranks(spec))
+
+
+def test_analyze_dense_conjugates_up_to_dimension_twelve(tmp_path, capsys, unimodular_pair):
+    start = time.perf_counter()
+    for seed, text in enumerate(("C7+C7", "C5+C5+I2", "C11")):
+        spec, d, path = _write_conjugate(tmp_path, text, 100 + seed, unimodular_pair)
+        code, out, _ = run(capsys, "analyze", path, "--json")
+        payload = json.loads(out)
+        assert code == 0, text
+        assert payload["oracle_ranks"] == payload["spectrum_ranks"] == list(invariant_ranks(spec)), text
+    assert time.perf_counter() - start < 5

@@ -18,6 +18,7 @@ from nctori.invariants import (
     invariant_rank,
     invariant_rank_oracle,
     invariant_ranks,
+    invariant_ranks_molien,
     invariant_ranks_oracle,
     parse_block_spec,
     realize,
@@ -94,6 +95,36 @@ def test_all_degree_oracle_matches_single_degree(unimodular_pair):
             ranks = invariant_ranks_oracle(a)
             assert ranks == tuple(invariant_rank_oracle(a, m) for m in range(d + 1)), spec
             assert ranks == invariant_ranks(spec), spec
+
+
+def test_molien_matches_spectrum_dp_exhaustive():
+    specs = enumerate_specs(8)[1:]
+    assert len(specs) == 4505 and all(specs)
+    for spec in specs:
+        assert invariant_ranks_molien(realize(spec), spec_order(spec)) == invariant_ranks(spec), spec
+
+
+def test_molien_matches_dp_and_oracle_on_conjugates(unimodular_pair):
+    rng = random.Random(1897)
+    pool = [s for s in enumerate_specs(8) if spec_dim(s) >= 2]
+    for spec in rng.sample(pool, 20):
+        b = realize(spec)
+        d = b.nrows
+        p, q = unimodular_pair(rng, d, 3 * d)
+        a = p @ b @ q
+        ranks = invariant_ranks(spec)
+        assert invariant_ranks_molien(a, spec_order(spec)) == ranks, spec
+        assert invariant_ranks_oracle(a) == ranks, spec
+
+
+def test_molien_contract():
+    c5 = realize((Cyclotomic(5),))
+    with pytest.raises(ValueError):
+        invariant_ranks_molien(c5, 3)
+    with pytest.raises(ValueError):
+        invariant_ranks_molien(Matrix([[1, 0, 0], [0, 1, 0]]), 1)
+    # any multiple of the order averages over the same group
+    assert invariant_ranks_molien(c5, 10) == invariant_ranks_molien(c5, 5) == (1, 0, 2, 0, 1)
 
 
 def test_s1_examples():
