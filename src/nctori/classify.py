@@ -284,8 +284,9 @@ def analyze_action(a: Matrix, theta: SymbolicSkew | None = None) -> ActionReport
     (``invariant_ranks_molien``, from the traces of its powers), an
     independent check that shares no code with the spectrum route.
     The K_1 rank is given when the freeness hypothesis holds.  One solve of
-    the invariant space gives its dimension and the witness, if any (with
-    one support component it factors the characteristic polynomial again).
+    the invariant space gives its dimension and the witness, if any; it
+    takes the cyclotomic type from the blocks, so the characteristic
+    polynomial is factored once.
     """
     if not a.is_square or a.nrows == 0:
         raise ValueError("analyze_action requires a nonempty square matrix")
@@ -309,7 +310,9 @@ def analyze_action(a: Matrix, theta: SymbolicSkew | None = None) -> ActionReport
         k1 = exact(s1_value)
     else:
         s1_note = "s1 unavailable: action is not free outside the origin"
-    basis = invariant_space(a)
+    fixed = sum(b.m for b in blocks if isinstance(b, Identity))
+    ns = (1,) * fixed + tuple(b.n for b in blocks if isinstance(b, Cyclotomic))
+    basis = invariant_space(a, ns)
     exists, witness = nondegenerate_witness(basis, d)
     return ActionReport(
         dim=d,

@@ -181,15 +181,23 @@ def charpoly(a: Matrix) -> IntPolynomial:
     if not a.is_square:
         raise ValueError("charpoly requires a square matrix")
     d = a.nrows
-    ident = Matrix.identity(d)
     coeffs = [0] * d + [1]
     am = a
     for k in range(1, d + 1):
         c = _norm_entry(Fraction(-sum(am.rows[i][i] for i in range(d)), k))
         coeffs[d - k] = c
         if k < d:
-            am = a @ (am + c * ident)
+            am = a @ _shift_diag(am, c)
     return tuple(coeffs)
+
+
+def _shift_diag(m: Matrix, c) -> Matrix:
+    """m + c I for a square ``m``, without forming c I."""
+    if not c:
+        return m
+    return Matrix._from_result(
+        tuple(row[:i] + (row[i] + c,) + row[i + 1 :] for i, row in enumerate(m.rows)), m.ncols
+    )
 
 
 def _cyclotomic_factors(a: Matrix) -> tuple[int, ...] | None:
@@ -260,10 +268,16 @@ def block_diag(blocks) -> Matrix:
     return Matrix(rows, ncols=total)
 
 
-def rational_block_form(a: Matrix) -> tuple[Matrix, Matrix] | None:
+def rational_block_form(a: Matrix, ns: tuple[int, ...] | None = None) -> tuple[Matrix, Matrix] | None:
     """P, integer when ``a`` is, and B = block_diag(companion(Phi_n) for n
     in cyclotomic_type(a)) with a @ P == P @ B and P invertible over Q; None
     when ``a`` has infinite order.
+
+    ``ns`` is the sorted cyclotomic type of ``a`` when the caller already
+    has it (``cyclotomic_type`` of ``a`` or of its transpose); it saves
+    factoring the characteristic polynomial again.  Any other tuple gives
+    None, since its chains cannot fill Q^d, or, when it is the type out of
+    order, fails the exact check with ArithmeticError.
 
     A finite-order matrix is semisimple, so Q^d splits into cyclic subspaces
     v, a v, ..., a^(phi(n) - 1) v with v in the kernel of Phi_n(a), and ``a``
@@ -284,18 +298,20 @@ def rational_block_form(a: Matrix) -> tuple[Matrix, Matrix] | None:
     >>> rational_block_form(Matrix([[1, 1], [0, 1]])) is None
     True
     """
-    ns = _cyclotomic_factors(a)
     if ns is None:
-        return None
+        ns = _cyclotomic_factors(a)
+        if ns is None:
+            return None
     d = a.nrows
+    if sum(map(totient, ns)) != d:
+        return None
     rows = a.rows
-    ident = Matrix.identity(d)
     cols: list[tuple[int, ...]] = []
     for n in sorted(set(ns)):
         poly = cyclotomic(n)
-        phi_a = ident
-        for c in reversed(poly[:-1]):
-            phi_a = phi_a @ a + c * ident
+        phi_a = _shift_diag(a, poly[-2])
+        for c in reversed(poly[:-2]):
+            phi_a = _shift_diag(phi_a @ a, c)
         start = len(cols)
         need = start + ns.count(n) * (len(poly) - 1)
         for v in kernel_basis(phi_a):
@@ -366,12 +382,8 @@ def det(m: Matrix):
 
 def _content_free(row: list[int]) -> list[int]:
     """``row`` divided by the gcd of its entries (unchanged when that is 0 or 1)."""
-    g = 0
-    for x in row:
-        g = gcd(g, x)
-        if g == 1:
-            return row
-    return row if g == 0 else [x // g for x in row]
+    g = gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
 
 
 def _echelon_int(rows: list[list[int]]) -> list[tuple[int, int]]:
@@ -393,11 +405,14 @@ def _echelon_int(rows: list[list[int]]) -> list[tuple[int, int]]:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         pv = rows[r][c]
-        rr = rows[r]
+        # rows r.. vanish left of column c, so only the entries from c on change
+        tail = rows[r][c:]
+        zeros = [0] * c
         for i in range(r + 1, m):
-            f = rows[i][c]
+            ri = rows[i]
+            f = ri[c]
             if f:
-                rows[i] = _content_free([x * pv - f * y for x, y in zip(rows[i], rr)])
+                rows[i] = zeros + _content_free([x * pv - f * y for x, y in zip(ri[c:], tail)])
         pivots.append((r, c))
         r += 1
         if r == m:
@@ -458,9 +473,8 @@ def kernel_basis(m: Matrix) -> list[tuple[int, ...]]:
         for r, c in reversed(pivots):
             if c > fc:
                 continue
-            row = rows[r]
-            s = sum(row[j] * x[j] for j in range(c + 1, fc + 1) if x[j])
-            pv = row[c]
+            s = sum(map(operator.mul, rows[r][c + 1 : fc + 1], x[c + 1 : fc + 1]))
+            pv = rows[r][c]
             scale = abs(pv) // gcd(s, pv)
             if scale != 1:
                 x = [v * scale for v in x]

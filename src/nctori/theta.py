@@ -16,7 +16,15 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlin import Matrix, _components, kernel_basis, rank, rational_block_form, reduced_basis
+from .exactlin import (
+    Matrix,
+    _components,
+    _echelon_int,
+    _scaled_int_rows,
+    kernel_basis,
+    rational_block_form,
+    reduced_basis,
+)
 
 
 def _is_skew(m: Matrix) -> bool:
@@ -143,15 +151,32 @@ def is_invariant(theta: SymbolicSkew, a: Matrix) -> bool:
 
 def _block_solutions(a: Matrix, positions: list[tuple[int, int]]) -> list[list[tuple[int, int, int]]]:
     """Skew solutions of a^t S a = S supported on ``positions``, each (i, j)
-    standing for the pair of entries S[i][j] = -S[j][i]."""
+    standing for the pair of entries S[i][j] = -S[j][i].
+
+    Row (i, j) is sum over k, l of a[k][i] a[l][j] S[k][l] - S[i][j]: the
+    coefficient of (k, l) is a[k][i] a[l][j] - a[l][i] a[k][j].  It is built
+    from the nonzero entries of columns i and j only; a product with (k, l)
+    not a position lands on (l, k) with the opposite sign.  The positions
+    cover one or two whole support components, so every such (l, k) is one.
+    """
     if not positions:
         return []
+    index = {pos: t for t, pos in enumerate(positions)}
+    support = {
+        c: [(k, row[c]) for k, row in enumerate(a.rows) if row[c]] for c in set(itertools.chain(*positions))
+    }
     rows = []
-    for i, j in positions:
-        row = []
-        for k, l in positions:
-            coeff = a.rows[k][i] * a.rows[l][j] - a.rows[l][i] * a.rows[k][j]
-            row.append(coeff - (1 if (k, l) == (i, j) else 0))
+    for t, (i, j) in enumerate(positions):
+        row = [0] * len(positions)
+        row[t] = -1
+        for k, x in support[i]:
+            for l, y in support[j]:
+                if k != l:
+                    u = index.get((k, l))
+                    if u is None:
+                        row[index[l, k]] -= x * y
+                    else:
+                        row[u] += x * y
         rows.append(row)
     return [
         [(pos[0], pos[1], v) for pos, v in zip(positions, vec) if v]
@@ -202,7 +227,7 @@ def _transported_space(p: Matrix, b: Matrix) -> tuple[Matrix, ...]:
     )
 
 
-def invariant_space(a: Matrix) -> tuple[Matrix, ...]:
+def invariant_space(a: Matrix, ns: tuple[int, ...] | None = None) -> tuple[Matrix, ...]:
     """Basis of the rational vector space {S skew : a^t S a = S}.
 
     Solved as a linear system in the upper-triangle entries.  When ``a`` is
@@ -214,6 +239,10 @@ def invariant_space(a: Matrix) -> tuple[Matrix, ...]:
     the one the direct system's kernel gives: primitive integer matrices,
     deterministic in order.
 
+    ``ns`` is the sorted cyclotomic type of ``a`` (``cyclotomic_type(a)``)
+    when the caller already has it; the block form then takes it instead of
+    factoring the characteristic polynomial again.  The basis is the same.
+
     >>> invariant_space(Matrix([[0, -1], [1, -1]]))
     (Matrix(2x2: 0 1; -1 0),)
     """
@@ -222,7 +251,8 @@ def invariant_space(a: Matrix) -> tuple[Matrix, ...]:
     d = a.nrows
     comps = _components(a)
     if len(comps) == 1:
-        form = rational_block_form(a.transpose())
+        at = a.transpose()
+        form = rational_block_form(at) if ns is None else rational_block_form(at, ns)
         if form is not None and form[1] != a:
             return _transported_space(*form)
     return tuple(_skew_matrix(d, sol) for sol in _component_solutions(a, comps))
@@ -239,8 +269,15 @@ def is_nondegenerate(theta: SymbolicSkew) -> bool:
     mats = theta.coefficient_matrices()
     if not mats:
         return theta.dim == 0
-    stacked = Matrix([row for m in mats for row in m.rows], ncols=theta.dim)
-    return rank(stacked) == theta.dim
+    # echelon the stack one matrix at a time, carrying only the pivot rows
+    # (they span the rows so far), and stop once they reach full rank
+    rows: list[list[int]] = []
+    for m in mats:
+        rows += _scaled_int_rows(m)[0]
+        del rows[len(_echelon_int(rows)) :]
+        if len(rows) == theta.dim:
+            return True
+    return False
 
 
 def nondegenerate_witness(basis, d: int) -> tuple[bool, SymbolicSkew | None]:

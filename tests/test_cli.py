@@ -5,7 +5,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from nctori import cli, invariants, theta
+from nctori import cli, exactlin, invariants, theta
 from nctori.cli import TABLE_MAX_VERDICTS, CliParseError, main, parse_group
 from nctori.exactlin import _components
 from nctori.invariants import invariant_ranks, parse_block_spec, realize
@@ -186,6 +186,25 @@ def test_theta_json_on_dense_conjugate_matches_direct_solve(
     monkeypatch.setattr(theta, "rational_block_form", lambda m: None)
     code, direct, _ = run(capsys, "theta", str(path), "--json")
     assert code == 0 and routed == direct
+
+
+def test_analyze_factors_the_characteristic_polynomial_once(tmp_path, capsys, monkeypatch, unimodular_pair):
+    # one support component at d = 14: the invariant space is solved in the
+    # block form, which takes the cyclotomic type analyze already has
+    block = realize(parse_block_spec("C9+C7+I2"))
+    d = block.nrows
+    p, q = unimodular_pair(random.Random(14), d, 3 * d)
+    a = p @ block @ q
+    assert d == 14 and len(_components(a)) == 1
+    path = tmp_path / "conj.txt"
+    path.write_text(f"{d}\n" + "\n".join(" ".join(map(str, row)) for row in a.rows) + "\n")
+    calls = []
+    charpoly = exactlin.charpoly
+    monkeypatch.setattr(exactlin, "charpoly", lambda m: calls.append(m) or charpoly(m))
+    code, out, _ = run(capsys, "analyze", str(path), "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["blocks"] == ["C7", "C9", "I2"] and payload["nondegenerate_theta_exists"]
+    assert calls == [a]
 
 
 def test_matrix_file_errors(tmp_path, capsys):

@@ -1,10 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from nctori.arith import cyclotomic
-from nctori.exactlin import Matrix, _components, block_diag, companion, rational_block_form
+from nctori.exactlin import Matrix, _components, block_diag, companion, kernel_basis, rank, rational_block_form
 from nctori.invariants import Cyclotomic, Identity, parse_block_spec, realize
 from nctori.theta import (
     PairingValue,
@@ -15,6 +16,7 @@ from nctori.theta import (
     is_invariant,
     is_nondegenerate,
     nondegenerate_invariant_exists,
+    nondegenerate_witness,
     pairing,
 )
 
@@ -182,3 +184,93 @@ def test_block_form_route_matches_direct_solve(unimodular_pair):
         assert all(type(x) is int for s in basis for row in s.rows for x in row), text
         assert all(s.transpose() == -s and conj.transpose() @ s @ conj == s for s in basis), text
         assert len(basis) == len(invariant_space(a)), text
+
+
+def _dense_space(a: Matrix) -> tuple[Matrix, ...]:
+    """Reference for the sparse assembly: the same subsystems as the direct
+    solve, every coefficient a[k][i] a[l][j] - a[l][i] a[k][j] evaluated."""
+    sols = []
+    comps = _components(a)
+    for ci, p in enumerate(comps):
+        blocks = [list(itertools.combinations(p, 2))] + [list(itertools.product(p, q)) for q in comps[ci + 1 :]]
+        for positions in blocks:
+            if not positions:
+                continue
+            rows = [
+                [
+                    a[k, i] * a[l, j] - a[l, i] * a[k, j] - ((k, l) == (i, j))
+                    for k, l in positions
+                ]
+                for i, j in positions
+            ]
+            for vec in kernel_basis(Matrix(rows)):
+                sols.append(_skew_matrix(a.nrows, ((*pos, v) for pos, v in zip(positions, vec) if v)))
+    return tuple(sols)
+
+
+def _shuffled(a: Matrix, rng: random.Random) -> Matrix:
+    perm = list(range(a.nrows))
+    rng.shuffle(perm)
+    return Matrix([[a[i, j] for j in perm] for i in perm])
+
+
+def test_sparse_assembly_matches_dense_formula(unimodular_pair):
+    # each block conjugated dense, then the indices shuffled, so the support
+    # components interleave and positions (i, j) with i > j occur; the
+    # hyperbolic blocks make the last cases infinite order
+    rng = random.Random(2019)
+    hyperbolic = Matrix([[2, 1], [1, 1]])
+    finite = ("C3+C4+I2", "negC5+C3+I2", "C7+C7+I1", "C8+negC3+C2")
+    cases = [[realize((b,)) for b in parse_block_spec(text)] for text in finite]
+    cases += [
+        [hyperbolic, companion(cyclotomic(5))],
+        [hyperbolic, hyperbolic, Matrix.identity(1)],
+        [hyperbolic, companion(cyclotomic(3)), -companion(cyclotomic(5))],
+    ]
+    for blocks in cases:
+        interleaved = 0
+        for _ in range(4):
+            dense = []
+            for b in blocks:
+                if b.nrows > 1:
+                    p, q = unimodular_pair(rng, b.nrows, 2 * b.nrows)
+                    b = p @ b @ q
+                dense.append(b)
+            a = _shuffled(block_diag(dense), rng)
+            comps = _components(a)
+            assert len(comps) >= 2, a
+            interleaved += any(max(p) > min(q) for p, q in itertools.combinations(comps, 2))
+            basis = invariant_space(a)
+            assert basis == _dense_space(a), a
+            assert is_invariant(SymbolicSkew.from_symbol_matrices(basis), a), a
+        assert interleaved, blocks
+
+
+def test_early_exit_nondegeneracy_matches_stacked_rank(unimodular_pair):
+    # the degenerate cases: Phi_1 or Phi_2 of multiplicity one, and I3
+    rng = random.Random(2020)
+    texts = ["C3+I1", "C2+C5", "I3", "C9", "C4+I3", "C3+C3", "negC5+C2+C2", "C5+C3+I2", "C8+C8"]
+    mats = []
+    for text in texts:
+        a = realize(parse_block_spec(text))
+        p, q = unimodular_pair(rng, a.nrows, 2 * a.nrows)
+        mats += [a, p @ a @ q, _shuffled(a, rng)]
+    for a in mats:
+        d = a.nrows
+        basis = invariant_space(a)
+        stacked = Matrix([row for m in basis for row in m.rows], ncols=d)
+        full = rank(stacked) == d
+        exists, witness = nondegenerate_witness(basis, d)
+        assert exists == full == is_nondegenerate(SymbolicSkew.from_symbol_matrices(basis)), a
+        assert witness == (SymbolicSkew.from_symbol_matrices(basis) if full else None)
+    # random skew families: several low-rank matrices, rational entries too
+    for _ in range(60):
+        d = rng.randint(2, 7)
+        parts = []
+        for k in range(rng.randint(1, 4)):
+            u = [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2))) for _ in range(d)]
+            v = [rng.randint(-3, 3) for _ in range(d)]
+            parts.append((f"t{k}", Matrix([[u[i] * v[j] - u[j] * v[i] for j in range(d)] for i in range(d)])))
+        theta = SymbolicSkew(d, Matrix.zero(d, d), tuple(parts))
+        stacked = Matrix([row for _, m in parts for row in m.rows], ncols=d)
+        assert is_nondegenerate(theta) == (rank(stacked) == d)
