@@ -34,15 +34,29 @@ from .invariants import (
     realize,
     s1,
     spec_free,
+    spec_nondegenerate,
     spec_order,
 )
 from .ktheory import GradedRank, RankInfo, at_least, exact, factor_k, kunneth_all, torus_k
-from .theta import SymbolicSkew, invariant_space, is_invariant, nondegenerate_invariant_exists, nondegenerate_witness
+from .theta import SymbolicSkew, nondegenerate_invariant_exists
 from .wfun import AbelianGroup, w_group, w_order
 
 W_TOO_BIG = "w_too_big"
 GAP_ONE = "gap_one"
 EXISTS = "exists"
+
+# Largest d + free rank r the classifiers (and ``s1 --blocks``) accept: every
+# rank they report is at most 2^(d + r), and 2^14281 has 4,300 digits, the most
+# that Python's default limit lets ``str`` and ``json.dumps`` print.
+MAX_RANK_DIM = 14_281
+
+
+def check_rank_dim(d: int, free_rank: int = 0) -> None:
+    """Raise ValueError unless 1 <= d and d + free_rank <= MAX_RANK_DIM."""
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
+    if d + free_rank > MAX_RANK_DIM:
+        raise ValueError(f"dimension plus free rank {d + free_rank} exceeds the limit {MAX_RANK_DIM}")
 
 
 def af_paper(n: int) -> bool:
@@ -199,8 +213,7 @@ def classify_cyclic(d: int, n: int) -> Verdict:
     simple action exists, built from cyclotomic companion blocks padded by
     an identity block, with the K-ranks of the crossed product.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    check_rank_dim(d)
     if n < 2:
         raise ValueError(f"classify_cyclic expects an order n >= 2, got {n}")
     label, w = f"Z{n}", w_order(n)
@@ -220,8 +233,7 @@ def classify_cyclic(d: int, n: int) -> Verdict:
 def classify_group(d: int, g: AbelianGroup) -> Verdict:
     """Classify the action of a finite abelian group, realized part by part
     along a cost-minimizing cyclic decomposition of its torsion."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    check_rank_dim(d)
     if g.free_rank:
         raise ValueError("classify_group expects free rank 0; use classify_fg")
     if g.is_trivial:
@@ -234,8 +246,7 @@ def classify_fg(d: int, g: AbelianGroup) -> Verdict:
     """Classify the action of a finitely generated abelian group: the
     torsion along a cost-minimizing cyclic decomposition, the free rank as
     extra torus dimensions."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    check_rank_dim(d, g.free_rank)
     w, decomp = w_group(g)
     return _classify(d, str(g), w, decomp.parts, g.free_rank)
 
@@ -258,7 +269,8 @@ def recognize_blocks(a: Matrix) -> BlockSpec | None:
 
 @dataclass(eq=False)
 class ActionReport:
-    """What ``analyze_action`` can determine about one finite-order matrix."""
+    """What ``analyze_action`` can determine about one finite-order matrix;
+    every field but ``oracle_ranks`` is read off its cyclotomic type."""
 
     dim: int
     order: int
@@ -271,22 +283,20 @@ class ActionReport:
     k1: RankInfo | None
     invariant_space_dim: int
     theta_exists: bool
-    theta: SymbolicSkew | None
 
 
-def analyze_action(a: Matrix, theta: SymbolicSkew | None = None) -> ActionReport:
+def analyze_action(a: Matrix) -> ActionReport:
     """Full report on the canonical action of a finite-order integer matrix.
 
-    The order, freeness, blocks and per-degree invariant ranks (spectrum
-    method) follow from the cyclotomic type (``recognize_blocks``), so none
-    of them depends on the basis.  Up to dimension 12 ``oracle_ranks``
-    reports the same ranks by Molien's formula on the matrix itself
+    The order, freeness, blocks, per-degree invariant ranks (spectrum
+    method) and invariant skew forms follow from the cyclotomic type
+    (``recognize_blocks``), so none of them depends on the basis: the forms
+    span the degree-2 rank, and ``spec_nondegenerate`` tells whether a
+    nondegenerate Theta exists.  Up to dimension 12 ``oracle_ranks`` reports
+    the same ranks by Molien's formula on the matrix itself
     (``invariant_ranks_molien``, from the traces of its powers), an
-    independent check that shares no code with the spectrum route.
-    The K_1 rank is given when the freeness hypothesis holds.  One solve of
-    the invariant space gives its dimension and the witness, if any; it
-    takes the cyclotomic type from the blocks, so the characteristic
-    polynomial is factored once.
+    independent check that shares no code with the spectrum route.  The K_1
+    rank is given when the freeness hypothesis holds.
     """
     if not a.is_square or a.nrows == 0:
         raise ValueError("analyze_action requires a nonempty square matrix")
@@ -294,39 +304,22 @@ def analyze_action(a: Matrix, theta: SymbolicSkew | None = None) -> ActionReport
     blocks = recognize_blocks(a)
     if blocks is None:
         raise ValueError(f"matrix has no finite order at dimension {d}")
-    if theta is not None:
-        if theta.dim != d:
-            raise ValueError("theta dimension mismatch")
-        if not is_invariant(theta, a):
-            raise ValueError("theta is not invariant under the matrix")
     free = spec_free(blocks)
     order = spec_order(blocks)
-    oracle_ranks = invariant_ranks_molien(a, order) if d <= ORACLE_MAX_DIM else None
-    s1_value = None
-    s1_note = None
-    k1 = None
-    if free:
-        s1_value = s1(blocks)
-        k1 = exact(s1_value)
-    else:
-        s1_note = "s1 unavailable: action is not free outside the origin"
-    fixed = sum(b.m for b in blocks if isinstance(b, Identity))
-    ns = (1,) * fixed + tuple(b.n for b in blocks if isinstance(b, Cyclotomic))
-    basis = invariant_space(a, ns)
-    exists, witness = nondegenerate_witness(basis, d)
+    spectrum_ranks = invariant_ranks(blocks)
+    s1_value = s1(blocks) if free else None
     return ActionReport(
         dim=d,
         order=order,
         free=free,
         blocks=blocks,
-        oracle_ranks=oracle_ranks,
-        spectrum_ranks=invariant_ranks(blocks),
+        oracle_ranks=invariant_ranks_molien(a, order) if d <= ORACLE_MAX_DIM else None,
+        spectrum_ranks=spectrum_ranks,
         s1=s1_value,
-        s1_note=s1_note,
-        k1=k1,
-        invariant_space_dim=len(basis),
-        theta_exists=exists,
-        theta=witness,
+        s1_note=None if free else "s1 unavailable: action is not free outside the origin",
+        k1=None if s1_value is None else exact(s1_value),
+        invariant_space_dim=spectrum_ranks[2] if d > 1 else 0,
+        theta_exists=spec_nondegenerate(blocks),
     )
 
 

@@ -20,6 +20,7 @@ from .classify import (
     ActionReport,
     Verdict,
     analyze_action,
+    check_rank_dim,
     classify_cyclic,
     classify_group,
     classify_fg,
@@ -288,6 +289,7 @@ def _dispatch(args) -> int:
             spec = parse_block_spec(args.blocks)
         except ValueError as exc:
             raise CliParseError(str(exc)) from exc
+        check_rank_dim(spec_dim(spec))
         ranks = invariant_ranks(spec)
         odd = s1(spec)
         free = spec_free(spec)

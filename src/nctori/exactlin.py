@@ -268,16 +268,10 @@ def block_diag(blocks) -> Matrix:
     return Matrix(rows, ncols=total)
 
 
-def rational_block_form(a: Matrix, ns: tuple[int, ...] | None = None) -> tuple[Matrix, Matrix] | None:
+def rational_block_form(a: Matrix) -> tuple[Matrix, Matrix] | None:
     """P, integer when ``a`` is, and B = block_diag(companion(Phi_n) for n
     in cyclotomic_type(a)) with a @ P == P @ B and P invertible over Q; None
     when ``a`` has infinite order.
-
-    ``ns`` is the sorted cyclotomic type of ``a`` when the caller already
-    has it (``cyclotomic_type`` of ``a`` or of its transpose); it saves
-    factoring the characteristic polynomial again.  Any other tuple gives
-    None, since its chains cannot fill Q^d, or, when it is the type out of
-    order, fails the exact check with ArithmeticError.
 
     A finite-order matrix is semisimple, so Q^d splits into cyclic subspaces
     v, a v, ..., a^(phi(n) - 1) v with v in the kernel of Phi_n(a), and ``a``
@@ -298,13 +292,10 @@ def rational_block_form(a: Matrix, ns: tuple[int, ...] | None = None) -> tuple[M
     >>> rational_block_form(Matrix([[1, 1], [0, 1]])) is None
     True
     """
+    ns = _cyclotomic_factors(a)
     if ns is None:
-        ns = _cyclotomic_factors(a)
-        if ns is None:
-            return None
-    d = a.nrows
-    if sum(map(totient, ns)) != d:
         return None
+    d = a.nrows
     rows = a.rows
     cols: list[tuple[int, ...]] = []
     for n in sorted(set(ns)):

@@ -147,6 +147,24 @@ def spec_free(spec) -> bool:
     return len({block_order(b) for b in spec}) <= 1
 
 
+def spec_nondegenerate(spec) -> bool:
+    """``nondegenerate_invariant_exists(realize(spec))[0]`` off the rotation
+    spectrum: angles 0 and 1/2 each occur a number of times other than one.
+
+    A nondegenerate Theta exists exactly when the invariant skew forms have
+    no common kernel vector.  Over C they pair the lambda eigenspace with the
+    1/lambda one only; for lambda != +-1 every such pairing is invariant, so
+    no vector is in all their kernels.  On the eigenspaces of 1 and -1 they
+    are all the skew forms there, whose common kernel is nonzero exactly
+    when that eigenspace is a line.
+
+    >>> spec_nondegenerate(parse_block_spec("C3+I1")), spec_nondegenerate(parse_block_spec("C3+I2"))
+    (False, True)
+    """
+    angles = rotation_spectrum(spec)
+    return 1 not in (angles.count(0), angles.count(Fraction(1, 2)))
+
+
 def _realize_block(block: Block) -> Matrix:
     if isinstance(block, Identity):
         return Matrix.identity(block.m)

@@ -227,7 +227,7 @@ def _transported_space(p: Matrix, b: Matrix) -> tuple[Matrix, ...]:
     )
 
 
-def invariant_space(a: Matrix, ns: tuple[int, ...] | None = None) -> tuple[Matrix, ...]:
+def invariant_space(a: Matrix) -> tuple[Matrix, ...]:
     """Basis of the rational vector space {S skew : a^t S a = S}.
 
     Solved as a linear system in the upper-triangle entries.  When ``a`` is
@@ -239,10 +239,6 @@ def invariant_space(a: Matrix, ns: tuple[int, ...] | None = None) -> tuple[Matri
     the one the direct system's kernel gives: primitive integer matrices,
     deterministic in order.
 
-    ``ns`` is the sorted cyclotomic type of ``a`` (``cyclotomic_type(a)``)
-    when the caller already has it; the block form then takes it instead of
-    factoring the characteristic polynomial again.  The basis is the same.
-
     >>> invariant_space(Matrix([[0, -1], [1, -1]]))
     (Matrix(2x2: 0 1; -1 0),)
     """
@@ -251,8 +247,7 @@ def invariant_space(a: Matrix, ns: tuple[int, ...] | None = None) -> tuple[Matri
     d = a.nrows
     comps = _components(a)
     if len(comps) == 1:
-        at = a.transpose()
-        form = rational_block_form(at) if ns is None else rational_block_form(at, ns)
+        form = rational_block_form(a.transpose())
         if form is not None and form[1] != a:
             return _transported_space(*form)
     return tuple(_skew_matrix(d, sol) for sol in _component_solutions(a, comps))

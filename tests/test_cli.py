@@ -5,7 +5,8 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from nctori import cli, exactlin, invariants, theta
+from nctori import classify, cli, exactlin, invariants, theta
+from nctori.classify import MAX_RANK_DIM
 from nctori.cli import TABLE_MAX_VERDICTS, CliParseError, main, parse_group
 from nctori.exactlin import _components
 from nctori.invariants import invariant_ranks, parse_block_spec, realize
@@ -189,8 +190,8 @@ def test_theta_json_on_dense_conjugate_matches_direct_solve(
 
 
 def test_analyze_factors_the_characteristic_polynomial_once(tmp_path, capsys, monkeypatch, unimodular_pair):
-    # one support component at d = 14: the invariant space is solved in the
-    # block form, which takes the cyclotomic type analyze already has
+    # one support component at d = 14: recognize_blocks factors the
+    # characteristic polynomial, and every other answer is read off its type
     block = realize(parse_block_spec("C9+C7+I2"))
     d = block.nrows
     p, q = unimodular_pair(random.Random(14), d, 3 * d)
@@ -205,6 +206,46 @@ def test_analyze_factors_the_characteristic_polynomial_once(tmp_path, capsys, mo
     payload = json.loads(out)
     assert code == 0 and payload["blocks"] == ["C7", "C9", "I2"] and payload["nondegenerate_theta_exists"]
     assert calls == [a]
+
+
+def test_analyze_solves_no_invariant_form_system(tmp_path, capsys, monkeypatch, unimodular_pair):
+    def no_solve(*args):
+        raise AssertionError("analyze must read the invariant forms off the cyclotomic type")
+
+    for name in ("invariant_space", "_block_solutions", "is_nondegenerate"):
+        monkeypatch.setattr(theta, name, no_solve)
+    spec, d, path = _write_conjugate(tmp_path, "C9+C7+I2", 14, unimodular_pair)
+    assert d == 14
+    code, out, _ = run(capsys, "analyze", path, "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["invariant_space_dim"] == invariant_ranks(spec)[2]
+    assert payload["nondegenerate_theta_exists"]
+
+
+def test_rank_dimension_limit(capsys, monkeypatch):
+    limit = MAX_RANK_DIM
+    over = [
+        ("classify", str(limit + 1), "7"),
+        ("classify-group", str(limit + 1), "Z3"),
+        ("classify-group", "3", f"Z3xZ^{limit - 2}"),
+        ("s1", "--blocks", f"C3+I{limit - 1}"),
+    ]
+    for argv in over:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and f"limit {limit}" in err, argv
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 2 and f"limit {limit}" in json.loads(out)["error"], argv
+    for argv in (("classify", str(limit), "7"), ("classify-group", "3", f"Z3xZ^{limit - 3}")):
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0 and json.loads(out)["simple_action"], argv
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "k1=" in out, argv
+    # s1 at its limit, with the limit lowered so that the ranks stay small
+    monkeypatch.setattr(classify, "MAX_RANK_DIM", 12)
+    code, out, _ = run(capsys, "s1", "--blocks", "C5+I8", "--json")
+    assert code == 0 and json.loads(out)["dimension"] == 12
+    code, out, err = run(capsys, "s1", "--blocks", "C5+I9")
+    assert code == 2 and out == "" and "limit 12" in err
 
 
 def test_matrix_file_errors(tmp_path, capsys):

@@ -225,30 +225,6 @@ def test_rational_block_form_rejects_infinite_order():
         assert cyclotomic_type(m) is None and rational_block_form(m) is None
 
 
-def test_rational_block_form_rejects_a_wrong_type(unimodular_pair):
-    # a type handed in from another matrix gives None or fails the exact
-    # check; it never yields a block form
-    rng = random.Random(2021)
-    texts = ("C5+C3", "C7", "C9", "C3+C3+C3", "C4+C4+I2", "C3+I4", "C2+C2+C3+I2", "negC3+C6+C4", "I6")
-    mats = []
-    for text in texts:
-        block = realize(parse_block_spec(text))
-        p, q = unimodular_pair(rng, block.nrows, 3 * block.nrows)
-        mats.append(p @ block @ q)
-    types = [cyclotomic_type(a) for a in mats] + [(3,), (5, 3), (1,) * 7, (2, 2, 2, 2, 2)]
-    for a in mats:
-        own = cyclotomic_type(a)
-        assert rational_block_form(a, own) == rational_block_form(a)
-        for ns in types:
-            if ns == own:
-                continue
-            try:
-                form = rational_block_form(a, ns)
-            except ArithmeticError:
-                continue
-            assert form is None, (own, ns)
-
-
 def test_reduced_basis_is_kernel_basis_of_any_spanning_set():
     rng = random.Random(43)
     for _ in range(40):

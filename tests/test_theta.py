@@ -6,7 +6,17 @@ import pytest
 
 from nctori.arith import cyclotomic
 from nctori.exactlin import Matrix, _components, block_diag, companion, kernel_basis, rank, rational_block_form
-from nctori.invariants import Cyclotomic, Identity, parse_block_spec, realize
+from nctori.classify import analyze_action
+from nctori.invariants import (
+    Cyclotomic,
+    Identity,
+    enumerate_specs,
+    invariant_ranks,
+    parse_block_spec,
+    realize,
+    spec_dim,
+    spec_nondegenerate,
+)
 from nctori.theta import (
     PairingValue,
     SymbolicSkew,
@@ -274,3 +284,33 @@ def test_early_exit_nondegeneracy_matches_stacked_rank(unimodular_pair):
         theta = SymbolicSkew(d, Matrix.zero(d, d), tuple(parts))
         stacked = Matrix([row for _, m in parts for row in m.rows], ncols=d)
         assert is_nondegenerate(theta) == (rank(stacked) == d)
+
+
+def test_spec_reads_the_invariant_forms_off_the_spectrum():
+    # every block spec up to dimension 6, with its 1 x 1 cases (no skew form)
+    specs = enumerate_specs(6)[1:]
+    assert len(specs) == 984
+    for spec in specs:
+        a = realize(spec)
+        ranks = invariant_ranks(spec)
+        assert spec_nondegenerate(spec) == nondegenerate_invariant_exists(a)[0], spec
+        assert (ranks[2] if len(ranks) > 2 else 0) == len(invariant_space(a)), spec
+
+
+def test_analyze_action_matches_the_direct_solve_on_conjugates(unimodular_pair):
+    # the edge cases put Phi_1 or Phi_2 at multiplicity one, or have d = 1
+    rng = random.Random(2025)
+    pool = [s for s in enumerate_specs(9) if s]
+    edges = ("C2+I1", "C3+I1", "C2+C3", "C2+C2+I1", "negC1+I2", "C2", "I1")
+    specs = rng.sample(pool, 40) + [parse_block_spec(t) for t in edges]
+    assert max(map(spec_dim, specs)) == 9
+    for spec in specs:
+        a = realize(spec)
+        d = a.nrows
+        if d > 1:
+            p, q = unimodular_pair(rng, d, 2 * d)
+            a = p @ a @ q
+        report = analyze_action(a)
+        basis = _direct_space(a)
+        assert report.invariant_space_dim == len(basis), spec
+        assert report.theta_exists == nondegenerate_witness(basis, d)[0], spec
