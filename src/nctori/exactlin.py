@@ -4,8 +4,11 @@ Matrices are immutable with ``int`` or ``fractions.Fraction`` entries; all
 computations are exact.  Determinants use fraction-free Bareiss elimination,
 rank and kernels use fraction-free integer echelon reduction with gcd
 normalization (rational input rows are scaled to integers first), and
-compound matrices come from one Laplace sweep over all degrees.  Everything
-is pure and safe to share across threads.
+compound matrices come from one Laplace sweep over all degrees.  The
+characteristic polynomial comes from Hessenberg reduction modulo a Mersenne
+prime above twice a Hadamard bound on its coefficients, so the symmetric
+residues are the coefficients themselves.  Everything is pure and safe to
+share across threads.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .arith import IntPolynomial, cyclotomic, poly_divmod, totient
 
@@ -168,27 +171,103 @@ def companion(p: IntPolynomial) -> Matrix:
     return Matrix(rows)
 
 
+# Exponents e of the Mersenne primes 2^e - 1 from 2^61 - 1 on, each proved
+# prime; charpoly works modulo the first one above twice its coefficient bound.
+_MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941, 11213, 19937)
+
+
 def charpoly(a: Matrix) -> IntPolynomial:
     """Characteristic polynomial det(x I - a), ascending coefficients.
 
-    Faddeev-LeVerrier: M_1 = I, then for k = 1..d the coefficient of
-    x^(d-k) is c = -tr(a M_k) / k and M_{k+1} = a M_k + c I.  For integer
-    input every division is exact, since every c is an integer.
+    Computed modulo one prime p and lifted exactly.  The coefficient of
+    x^(d-k) is (-1)^k times the sum of the principal k x k minors, and by
+    Hadamard's inequality each minor is at most the product of its rows'
+    norms, each below r_i = isqrt(sum_j a_ij^2) + 1.  So every coefficient
+    lies in [-B, B] with B = prod(1 + r_i).  p is the smallest Mersenne prime
+    2^e - 1 with e in ``_MERSENNE_EXPONENTS`` and p > 2B, so each
+    coefficient is the one integer in (-p/2, p/2] congruent to its residue;
+    a bound past the last prime raises ValueError.
+
+    Modulo p, ``a`` is brought to upper Hessenberg form H by similarities (a
+    row swap with the matching column swap to a nonzero pivot, then row
+    eliminations below the subdiagonal, each undone on the columns), and the
+    polynomials p_m of the leading m x m blocks of H follow from
+
+        p_(m+1) = (x - h_mm) p_m - sum_(i<m) h_im h_(i+1,i) ... h_(m,m-1) p_i,
+
+    O(d^3) operations in all (Cohen, A Course in Computational Algebraic
+    Number Theory, Alg. 2.2.9).  Rational input is scaled to integers by the
+    lcm D of its denominators first: c_k(a) = c_k(D a) / D^(d-k).
 
     >>> charpoly(companion(cyclotomic(9))) == cyclotomic(9)
     True
+    >>> charpoly(Matrix([[2, 1], [1, 1]]))
+    (1, -3, 1)
+    >>> charpoly(Matrix([[Fraction(1, 2), 1], [0, Fraction(1, 3)]]))
+    (Fraction(1, 6), Fraction(-5, 6), 1)
     """
     if not a.is_square:
         raise ValueError("charpoly requires a square matrix")
     d = a.nrows
-    coeffs = [0] * d + [1]
-    am = a
-    for k in range(1, d + 1):
-        c = _norm_entry(Fraction(-sum(am.rows[i][i] for i in range(d)), k))
-        coeffs[d - k] = c
-        if k < d:
-            am = a @ _shift_diag(am, c)
-    return tuple(coeffs)
+    scale = lcm(*(x.denominator for row in a.rows for x in row if type(x) is not int), 1)
+    rows = a.rows if scale == 1 else [[int(x * scale) for x in row] for row in a.rows]
+    bound = 1
+    for row in rows:
+        bound *= isqrt(sum(x * x for x in row)) + 2
+    p = next(((1 << e) - 1 for e in _MERSENNE_EXPONENTS if (1 << e) - 1 > 2 * bound), None)
+    if p is None:
+        top = _MERSENNE_EXPONENTS[-1]
+        raise ValueError(
+            f"matrix entries too large: the coefficient bound of the characteristic polynomial "
+            f"must be below 2^{top - 1} (charpoly works modulo at most 2^{top} - 1)"
+        )
+    half = p // 2
+    coeffs = _hessenberg_charpoly([[x % p for x in row] for row in rows], p)
+    coeffs = [c - p if c > half else c for c in coeffs]
+    if scale == 1:
+        return tuple(coeffs)
+    return tuple(_norm_entry(Fraction(c, scale ** (d - k))) for k, c in enumerate(coeffs))
+
+
+def _hessenberg_charpoly(h: list[list[int]], p: int) -> list[int]:
+    """det(x I - h) modulo the prime p, ascending residues; ``h`` (entries
+    already reduced) is brought to upper Hessenberg form in place."""
+    d = len(h)
+    for m in range(1, d - 1):
+        piv = next((i for i in range(m, d) if h[i][m - 1]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            h[m], h[piv] = h[piv], h[m]
+            for row in h:
+                row[m], row[piv] = row[piv], row[m]
+        hm = h[m]
+        inv = pow(hm[m - 1], -1, p)
+        for i in range(m + 1, d):
+            hi = h[i]
+            u = hi[m - 1] * inv % p
+            if u:
+                # row i -= u row m, then column m += u column i
+                hi[m - 1 :] = [(x - u * y) % p for x, y in zip(hi[m - 1 :], hm[m - 1 :])]
+                for row in h:
+                    if row[i]:
+                        row[m] = (row[m] + u * row[i]) % p
+    polys = [[1]]
+    for m in range(d):
+        prev = polys[m]
+        hmm = h[m][m]
+        new = [(x - hmm * y) % p for x, y in zip([0] + prev, prev + [0])]
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * h[i + 1][i] % p
+            if not t:
+                break
+            f = h[i][m] * t % p
+            if f:
+                for k, c in enumerate(polys[i]):
+                    new[k] = (new[k] - f * c) % p
+        polys.append(new)
+    return polys[d]
 
 
 def _shift_diag(m: Matrix, c) -> Matrix:

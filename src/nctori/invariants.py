@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 from .arith import cyclotomic, divisors, totient
 from .exactlin import (
@@ -195,6 +195,14 @@ def rotation_spectrum(spec) -> tuple[Fraction, ...]:
     return tuple(sorted(angles))
 
 
+def _binomial_row(n: int) -> list[int]:
+    """[C(n, 0), ..., C(n, n)] in one pass: C(n, j + 1) = C(n, j) (n - j) / (j + 1)."""
+    row = [1]
+    for j in range(n):
+        row.append(row[-1] * (n - j) // (j + 1))
+    return row
+
+
 @functools.lru_cache(maxsize=None)
 def invariant_ranks(spec: BlockSpec) -> tuple[int, ...]:
     """All invariant ranks (degree 0 through the dimension) in one pass.
@@ -215,7 +223,7 @@ def invariant_ranks(spec: BlockSpec) -> tuple[int, ...]:
     for q in sorted(counts):
         mult = counts[q]
         step = q.numerator * (modulus // q.denominator) % modulus
-        binom = [comb(mult, j) for j in range(mult + 1)]
+        binom = _binomial_row(mult)
         new = [[0] * modulus for _ in range(d + 1)]
         for c in range(placed + 1):
             row = table[c]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import time
@@ -222,6 +223,17 @@ def test_analyze_solves_no_invariant_form_system(tmp_path, capsys, monkeypatch, 
     assert payload["nondegenerate_theta_exists"]
 
 
+def test_classify_flip_at_dimension_5000(capsys):
+    # one angle of multiplicity 5000: the DP's binomial row is built in one pass
+    invariant_ranks.cache_clear()
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "classify", "5000", "2", "--json")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == "4b86c37a18ba8e2f14c14e08b824779dd0ecb477101fe7f242562d30228794f8"
+    assert elapsed < 1
+
+
 def test_rank_dimension_limit(capsys, monkeypatch):
     limit = MAX_RANK_DIM
     over = [
@@ -246,6 +258,16 @@ def test_rank_dimension_limit(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["dimension"] == 12
     code, out, err = run(capsys, "s1", "--blocks", "C5+I9")
     assert code == 2 and out == "" and "limit 12" in err
+
+
+def test_analyze_refuses_entries_past_the_charpoly_prime(tmp_path, capsys):
+    # 4,001-digit entries: the coefficient bound is about 10^8000 > 2^19936
+    path = tmp_path / "huge.txt"
+    path.write_text(f"2\n{10**4000} 1\n0 {10**4000}\n")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2 and out == "" and "2^19936" in err
+    code, out, _ = run(capsys, "analyze", str(path), "--json")
+    assert code == 2 and "2^19936" in json.loads(out)["error"]
 
 
 def test_matrix_file_errors(tmp_path, capsys):

@@ -5,10 +5,12 @@ from math import comb, lcm
 
 import pytest
 
-from nctori.arith import cyclotomic
+from nctori.arith import cyclotomic, poly_mul
 from nctori.exactlin import (
+    _MERSENNE_EXPONENTS,
     Matrix,
     block_diag,
+    charpoly,
     companion,
     compound,
     compounds,
@@ -247,3 +249,71 @@ def test_matrix_validation():
         Matrix([[1, 2], [3]])
     with pytest.raises(TypeError):
         Matrix([[1.5]])
+
+
+def _faddeev_leverrier(a):
+    """det(x I - a) by Faddeev-LeVerrier, a reference independent of charpoly:
+    M_1 = I, c_(d-k) = -tr(a M_k) / k, M_(k+1) = a M_k + c_(d-k) I."""
+    d = a.nrows
+    coeffs = [0] * d + [1]
+    m = Matrix.identity(d)
+    for k in range(1, d + 1):
+        am = a @ m
+        c = Fraction(-sum(am[i, i] for i in range(d)), k)
+        coeffs[d - k] = c.numerator if c.denominator == 1 else c
+        m = am + c * Matrix.identity(d)
+    return tuple(coeffs)
+
+
+def test_charpoly_matches_independent_references():
+    rng = random.Random(2022)
+    hyperbolic = Matrix([[2, 1], [1, 1]])
+    cases = []
+    for d in range(1, 15):
+        perm = rng.sample(range(d), d)
+        cases += [
+            Matrix([[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)]),
+            Matrix([[rng.randint(-5, 5) if rng.random() < 0.2 else 0 for _ in range(d)] for _ in range(d)]),
+            # zero columns below the diagonal force the pivot swap
+            Matrix([[rng.choice((-1, 1)) * int(j == perm[i]) for j in range(d)] for i in range(d)]),
+            Matrix.zero(d, d),
+            Matrix([[rng.randint(-10**20, 10**20) for _ in range(d)] for _ in range(d)]),
+            Matrix([[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(d)] for _ in range(d)]),
+        ]
+        if d >= 3:
+            rest = Matrix([[rng.randint(-2, 2) for _ in range(d - 2)] for _ in range(d - 2)])
+            cases.append(block_diag([hyperbolic, rest]))
+    for a in cases:
+        d = a.nrows
+        poly = charpoly(a)
+        assert poly == _faddeev_leverrier(a), a
+        for t in range(d + 1):
+            value = sum(c * t**k for k, c in enumerate(poly))
+            assert value == det(t * Matrix.identity(d) - a), (a, t)
+    # the 10^20 entries at d = 14 need a prime far above 2^61 - 1
+    big = cases[-3]
+    assert big.nrows == 14 and max(abs(x) for row in big.rows for x in row) > 10**19
+    top = _MERSENNE_EXPONENTS[-1]
+    assert charpoly(Matrix([[2 ** (top - 2)]])) == (-(2 ** (top - 2)), 1)
+    with pytest.raises(ValueError, match=f"2\\^{top - 1}"):
+        charpoly(Matrix([[2 ** (top - 1)]]))
+    with pytest.raises(ValueError):
+        charpoly(Matrix([[1, 2]]))
+
+
+def test_charpoly_takes_no_matrix_products(monkeypatch, unimodular_pair):
+    # Hessenberg reduction works on rows in place; Faddeev-LeVerrier would
+    # need d - 1 products
+    block = realize(parse_block_spec("C9+C7+C5+I2"))
+    p, q = unimodular_pair(random.Random(18), block.nrows, 3 * block.nrows)
+    a = p @ block @ q
+    assert a.nrows == 18
+    expected = (1,)
+    for n in (9, 7, 5, 1, 1):
+        expected = poly_mul(expected, cyclotomic(n))
+
+    def no_products(self, other):
+        raise AssertionError("charpoly must not multiply matrices")
+
+    monkeypatch.setattr(Matrix, "__matmul__", no_products)
+    assert charpoly(a) == expected

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
 from nctori.exactlin import Matrix, det, order, rank
 from nctori.invariants import (
+    _binomial_row,
     Cyclotomic,
     Identity,
     NegCyclotomic,
@@ -252,3 +253,8 @@ def test_rank_sums_and_unit_term():
         if spec and det(realize(spec)) == 1:
             assert sum(ranks) >= 2, spec
         assert even_invariant_sum(spec) + s1(spec) == sum(ranks)
+
+
+def test_binomial_row_matches_comb():
+    for n in (0, 1, 2, 7, 30, 257, 1000):
+        assert _binomial_row(n) == [comb(n, j) for j in range(n + 1)], n
