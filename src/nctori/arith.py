@@ -8,6 +8,7 @@ floating point is used anywhere.  All functions are pure and thread-safe.
 from __future__ import annotations
 
 import functools
+import itertools
 
 IntPolynomial = tuple[int, ...]
 
@@ -99,12 +100,22 @@ def poly_divmod(num: IntPolynomial, den: IntPolynomial) -> tuple[IntPolynomial, 
     return tuple(quot), tuple(rem)
 
 
+# Largest n that ``cyclotomic`` accepts: Phi_n has phi(n) + 1 <= n coefficients.
+CYCLOTOMIC_MAX_N = 1_000_000
+
+
 @functools.lru_cache(maxsize=None)
 def cyclotomic(n: int) -> IntPolynomial:
     """Coefficients of the n-th cyclotomic polynomial, ascending degree.
 
-    Computed by exact polynomial division: x^n - 1 divided by the cyclotomic
-    polynomials of the proper divisors of n.  Monic of degree totient(n).
+    With r the product of the distinct primes of n, Phi_n(x) = Phi_r(x^(n/r)),
+    and for r > 1 Moebius inversion of x^r - 1 = prod_{d | r} Phi_d gives
+    Phi_r = prod_{d | r} (1 - x^d)^mu(r/d).  Each factor is one pass over the
+    phi(r) + 1 coefficients of a power series truncated at degree phi(r)
+    (multiply by 1 - x^d, or divide by it as a running sum with stride d), so
+    the cost is 2^omega(n) passes; the truncation is exact because the
+    product is a polynomial of that degree.  n above ``CYCLOTOMIC_MAX_N``
+    raises ValueError.
 
     >>> cyclotomic(1)
     (-1, 1)
@@ -115,10 +126,31 @@ def cyclotomic(n: int) -> IntPolynomial:
     """
     if n < 1:
         raise ValueError(f"cyclotomic expects a positive integer, got {n}")
-    poly: IntPolynomial = (-1,) + (0,) * (n - 1) + (1,)  # x^n - 1
-    for d in divisors(n):
-        if d < n:
-            poly, rem = poly_divmod(poly, cyclotomic(d))
-            if rem:
-                raise AssertionError(f"inexact cyclotomic division at n={n}, d={d}")
-    return poly
+    if n > CYCLOTOMIC_MAX_N:
+        raise ValueError(f"cyclotomic n = {n} exceeds the limit CYCLOTOMIC_MAX_N = {CYCLOTOMIC_MAX_N}")
+    if n == 1:
+        return (-1, 1)
+    primes = [p for p, _ in factorize(n)]
+    r = 1
+    for p in primes:
+        r *= p
+    deg = totient(r)
+    coeffs = [1] + [0] * deg
+    # the divisors d of r with the sign of mu(r/d), as subsets of its primes
+    divs = [(1, len(primes) % 2 == 0)]
+    for p in primes:
+        divs += [(d * p, not even) for d, even in divs]
+    for d, even in divs:
+        if d > deg:
+            continue  # 1 - x^d is 1 modulo x^(deg + 1)
+        if even:
+            coeffs[d:] = [a - b for a, b in zip(coeffs[d:], coeffs)]
+        else:
+            for i in range(d):
+                coeffs[i::d] = itertools.accumulate(coeffs[i::d])
+    stride = n // r
+    if stride == 1:
+        return tuple(coeffs)
+    out = [0] * (deg * stride + 1)
+    out[::stride] = coeffs
+    return tuple(out)

@@ -135,6 +135,9 @@ def _print_verdict_text(v: Verdict):
 
 
 TABLE_MAX_VERDICTS = 200_000
+# Largest --dmax of ``table``: every row pays for ranks at its own d, and a
+# full TABLE_MAX_VERDICTS grid at d <= 100 takes about 10 s.
+TABLE_MAX_DIM = 100
 
 
 def _default_nmax(dmax: int) -> int:
@@ -152,6 +155,18 @@ def _default_nmax(dmax: int) -> int:
                 f"verdicts ({d} x max order {nmax} already at d = {d}); pass --nmax to bound the orders"
             )
     return nmax
+
+
+def _check_table_size(dmax: int, nmax: int) -> None:
+    """ValueError when the grid passes TABLE_MAX_DIM or TABLE_MAX_VERDICTS."""
+    if dmax > TABLE_MAX_DIM:
+        raise ValueError(f"table --dmax {dmax} exceeds the limit TABLE_MAX_DIM = {TABLE_MAX_DIM}")
+    verdicts = dmax * max(nmax - 1, 0)
+    if verdicts > TABLE_MAX_VERDICTS:
+        raise ValueError(
+            f"table --dmax {dmax} --nmax {nmax} would run {verdicts} verdicts, "
+            f"past the limit TABLE_MAX_VERDICTS = {TABLE_MAX_VERDICTS}"
+        )
 
 
 def _table_rows(dmax: int, nmax: int):
@@ -327,6 +342,7 @@ def _dispatch(args) -> int:
         if args.dmax < 1:
             raise ValueError("--dmax must be at least 1")
         nmax = args.nmax if args.nmax is not None else _default_nmax(args.dmax)
+        _check_table_size(args.dmax, nmax)
         if args.json:
             print(json.dumps([verdict_json(v) for v in _table_rows(args.dmax, nmax)]))
         else:

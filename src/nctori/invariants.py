@@ -1,16 +1,18 @@
 """Exterior-power invariant ranks of finite-order integer matrices.
 
 Three independent routes compute the rank of the fixed lattice of the m-th
-exterior power of a finite-order matrix:
+exterior power of a finite-order matrix, for every m at once:
 
-* ``invariant_rank`` counts size-m sub-multisets of the rotation spectrum
-  of a block spec with integer sum (a subset-sum dynamic program over
-  residues), which scales well past dimension 12;
+* ``invariant_ranks`` applies Molien's formula to the cyclotomic type of a
+  block spec: the average of det(I + t a^e) over the cyclic group is a sum
+  over the divisors e of the order of products of powers of F_k(t) =
+  Phi_k(-t), formed by one linear recurrence each, with no matrix, no
+  traces and no Newton's identities.  Its work is estimated first and
+  capped (``MAX_RANK_WORK``);
 * ``invariant_ranks_molien`` reads every degree off the matrix itself by
-  Molien's formula: the average of det(I + t a^k) over the cyclic group,
-  from the traces of the powers a^g for the divisors g of the order and
-  Newton's identities.  It shares no code with the spectrum route and is
-  what ``analyze`` reports as its cross-check;
+  the same formula: from the traces of the powers a^g for the divisors g of
+  the order and Newton's identities.  It shares no code with the spectral
+  route and is what ``analyze`` reports as its cross-check;
 * ``invariant_ranks_oracle`` is the brute-force check: build the compound
   matrices of every degree in one Laplace sweep (``exactlin.compounds``),
   subtract the identity, and take the exact rank over the rationals by
@@ -29,9 +31,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
-from .arith import cyclotomic, divisors, totient
+from .arith import cyclotomic, divisors, factorize, totient
 from .exactlin import (
     Matrix,
     _components,
@@ -203,38 +205,156 @@ def _binomial_row(n: int) -> list[int]:
     return row
 
 
+# Largest estimated work (coefficient steps, see ``invariant_ranks``) that the
+# spectral route takes on; past it ``invariant_ranks`` raises ValueError.  On
+# a 2-core Xeon VM a step costs 0.2-0.35 us at large work: C9240 (d = 1920)
+# is 6.7 million steps and 1.2 s, thirty-five C401 blocks (d = 14,000) 5.8
+# million and 2.0 s; C30030 (d = 5760) would be 86 million.
+MAX_RANK_WORK = 10_000_000
+
+
+def _neg_cyclotomic(k: int) -> list[tuple[int, int]]:
+    """F_k(t) = prod (1 + t zeta) over the primitive k-th roots zeta, as its
+    nonzero (degree, coefficient) pairs: 1 + t for k = 1, Phi_k(-t) else."""
+    if k == 1:
+        return [(0, 1), (1, 1)]
+    return [(i, -c if i % 2 else c) for i, c in enumerate(cyclotomic(k)) if c]
+
+
+def _mul_sparse(a: list[int], f: list[tuple[int, int]]) -> list[int]:
+    out = [0] * (len(a) + f[-1][0])
+    for i, c in f:
+        out[i : i + len(a)] = [u + c * v for u, v in zip(out[i : i + len(a)], a)]
+    return out
+
+
+def _power_product(factors, d: int) -> list[int]:
+    """Coefficients of prod F_k^x over (k, x) in ``factors``, of degree d.
+
+    The factors with x = 1 are multiplied in last.  A lone (1 + t)^x or
+    (1 - t)^x is a signed ``_binomial_row``.  Otherwise Q = prod F^x over
+    the rest, each with F(0) = 1, has R Q' = S Q for R = prod F and
+    S = R sum x F'/F (built factor by factor), and comparing the
+    coefficients of t^(j-1) gives
+
+        j q_j = sum_(o >= 1) q_(j-o) (s_(o-1) + o r_o - j r_o),
+
+    one pass over the degrees j with the few nonzero terms of R and S
+    (J. C. P. Miller's power recurrence, Knuth TAOCP 4.7, for a product).
+    """
+    plain = [_neg_cyclotomic(k) for k, x in factors if x == 1]
+    powered = [(k, x) for k, x in factors if x > 1]
+    if len(powered) == 1 and powered[0][0] <= 2:
+        (k, x), = powered
+        row = _binomial_row(x)
+        q = row if k == 1 else [-c if i % 2 else c for i, c in enumerate(row)]
+    else:
+        r, s = [1], []
+        for k, x in powered:
+            f = _neg_cyclotomic(k)
+            s = [u + v for u, v in zip(_mul_sparse(s, f), _mul_sparse(r, [(i - 1, x * i * c) for i, c in f if i]))]
+            r = _mul_sparse(r, f)
+        terms = [(o, s[o - 1] + o * r[o], r[o]) for o in range(1, len(r)) if s[o - 1] or r[o]]
+        q = [1] + [0] * (d - sum(f[-1][0] for f in plain))
+        for j in range(1, len(q)):
+            q[j] = sum(q[j - o] * (a - b * j) for o, a, b in terms if o <= j) // j
+    for f in plain:
+        q = _mul_sparse(q, f)
+    return q
+
+
+def _product_work(factors) -> int:
+    """Coefficient steps of ``_power_product(factors, d)``, read off the
+    degrees and nonzero counts of the bases: forming R and S, the
+    recurrence (at most min(deg R, prod of the nonzero counts) terms per
+    degree), then each x = 1 factor against the coefficients so far."""
+    powered = [(_neg_cyclotomic(k), x) for k, x in factors if x > 1]
+    deg_r = sum(f[-1][0] for f, _ in powered)
+    size = sum(x * f[-1][0] for f, x in powered) + 1
+    work = (deg_r + 1) * sum(len(f) for f, _ in powered) + size * min(deg_r, prod(len(f) for f, _ in powered))
+    for k, x in factors:
+        if x == 1:
+            f = _neg_cyclotomic(k)
+            work += size * len(f)
+            size += f[-1][0]
+    return work
+
+
 @functools.lru_cache(maxsize=None)
 def invariant_ranks(spec: BlockSpec) -> tuple[int, ...]:
-    """All invariant ranks (degree 0 through the dimension) in one pass.
+    """All invariant ranks (degree 0 through the dimension), by Molien's
+    formula applied to the cyclotomic type.
 
-    Dynamic program over (number of angles chosen, residue of the partial sum
-    modulo the lcm of the angle denominators); multiplicities enter through
-    binomial convolution.
+    With N = spec_order(spec) and m = block_order(b) for each block b,
+
+        sum_k r_k t^k = (1/N) sum_(e | N) phi(N/e) prod_b F_m'(t)^(phi(m)/phi(m')),
+        m' = m / gcd(m, e),
+
+    where F_1 = 1 + t and F_k(t) = Phi_k(-t) for k >= 2, the product of
+    1 + t zeta over the primitive k-th roots zeta: the e-th power of a
+    primitive m-th root is a primitive m'-th root, each hit phi(m)/phi(m')
+    times (Molien 1897; Stanley, Bull. AMS 1 (1979), section 3).  An
+    identity block of size j gives (1 + t)^j.  No matrix is built.
+
+    Blocks are grouped by m' for each e, and the divisors that give the
+    same exponents share one product (``_power_product``).  The work is
+    estimated before anything is multiplied: len(orders) + d + 1 steps per
+    divisor for the exponent table and the weighted sum, plus
+    ``_product_work`` for each distinct product.  Past ``MAX_RANK_WORK``
+    ValueError is raised.  ArithmeticError is raised if a coefficient of the
+    sum is not divisible by N, which the formula rules out.
+
+    >>> invariant_ranks((Cyclotomic(5),))
+    (1, 0, 2, 0, 1)
     """
     spec = tuple(spec)
-    d = spec_dim(spec)
-    counts: dict[Fraction, int] = {}
-    for q in rotation_spectrum(spec):
-        counts[q] = counts.get(q, 0) + 1
-    modulus = lcm(*(q.denominator for q in counts), 1)
-    table = [[0] * modulus for _ in range(d + 1)]
-    table[0][0] = 1
-    placed = 0
-    for q in sorted(counts):
-        mult = counts[q]
-        step = q.numerator * (modulus // q.denominator) % modulus
-        binom = _binomial_row(mult)
-        new = [[0] * modulus for _ in range(d + 1)]
-        for c in range(placed + 1):
-            row = table[c]
-            for r in range(modulus):
-                v = row[r]
-                if v:
-                    for j in range(mult + 1):
-                        new[c + j][(r + j * step) % modulus] += v * binom[j]
-        table = new
-        placed += mult
-    return tuple(table[m][0] for m in range(d + 1))
+    n = spec_order(spec)
+    dims: dict[int, int] = {}
+    for b in spec:
+        m = block_order(b)
+        dims[m] = dims.get(m, 0) + block_dim(b)
+    d = sum(dims.values())
+    fac = factorize(n)
+    # the exponent table and the weighted sum cost len(dims) + d + 1 per divisor
+    work = len(dims) + d + 1
+    for _, a in fac:
+        work *= a + 1
+    _check_rank_work(work, spec)
+    # (e, phi(N/e)) over the divisors e of N
+    pairs = [(1, 1)]
+    for p, a in fac:
+        pairs = [(e * p**i, w * (p ** (a - i - 1) * (p - 1) if i < a else 1)) for e, w in pairs for i in range(a + 1)]
+    phi = functools.cache(totient)
+    weights: dict[tuple[tuple[int, int], ...], int] = {}
+    for e, w in pairs:
+        exps: dict[int, int] = {}
+        for m, dm in dims.items():
+            k = m // gcd(m, e)
+            exps[k] = exps.get(k, 0) + dm // phi(k)
+        key = tuple(sorted(exps.items()))
+        weights[key] = weights.get(key, 0) + w
+    work += sum(_product_work(key) for key in weights)
+    _check_rank_work(work, spec)
+    totals = [0] * (d + 1)
+    for key, w in weights.items():
+        for i, c in enumerate(_power_product(key, d)):
+            totals[i] += w * c
+    ranks = []
+    for m, total in enumerate(totals):
+        q, rem = divmod(total, n)
+        if rem:
+            raise ArithmeticError(f"Molien sum at degree {m} is not divisible by the order {n}")
+        ranks.append(q)
+    return tuple(ranks)
+
+
+def _check_rank_work(work: int, spec: BlockSpec) -> None:
+    if work > MAX_RANK_WORK:
+        label = "+".join(block_label(b) for b in spec[:4]) + ("+..." if len(spec) > 4 else "")
+        raise ValueError(
+            f"invariant ranks of {label} need about {work} coefficient steps, "
+            f"past the limit MAX_RANK_WORK = {MAX_RANK_WORK}"
+        )
 
 
 def invariant_rank(spec, m: int) -> int:

@@ -1,6 +1,6 @@
 import pytest
 
-from nctori.arith import cyclotomic, divisors, factorize, poly_divmod, poly_mul, totient
+from nctori.arith import CYCLOTOMIC_MAX_N, cyclotomic, divisors, factorize, poly_divmod, poly_mul, totient
 
 
 def test_factorize_examples():
@@ -118,3 +118,20 @@ def test_poly_divmod_remainder():
     for i, c in enumerate(r):
         recombined[i] += c
     assert tuple(recombined) == (1, 2, 3)
+
+
+def test_cyclotomic_limit():
+    assert len(cyclotomic(CYCLOTOMIC_MAX_N)) - 1 == totient(CYCLOTOMIC_MAX_N)
+    for n in (CYCLOTOMIC_MAX_N + 1, 10**48 + 1):
+        with pytest.raises(ValueError, match=f"CYCLOTOMIC_MAX_N = {CYCLOTOMIC_MAX_N}"):
+            cyclotomic(n)
+
+
+def test_cyclotomic_composite_orders_by_division():
+    # Phi_n = (x^n - 1) / prod_{d | n, d < n} Phi_d for orders with many divisors
+    for n in (210, 360, 420, 1155, 2310, 2520):
+        lower = (1,)
+        for d in divisors(n):
+            if d < n:
+                lower = poly_mul(lower, cyclotomic(d))
+        assert cyclotomic(n) == tuple(_local_exact_div([-1] + [0] * (n - 1) + [1], list(lower))), n

@@ -2,13 +2,15 @@ import hashlib
 import json
 import random
 import time
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
 from nctori import classify, cli, exactlin, invariants, theta
 from nctori.classify import MAX_RANK_DIM
-from nctori.cli import TABLE_MAX_VERDICTS, CliParseError, main, parse_group
+from nctori.arith import CYCLOTOMIC_MAX_N
+from nctori.cli import TABLE_MAX_DIM, TABLE_MAX_VERDICTS, CliParseError, main, parse_group
 from nctori.exactlin import _components
 from nctori.invariants import invariant_ranks, parse_block_spec, realize
 from nctori.wfun import AbelianGroup, max_finite_order
@@ -371,3 +373,41 @@ def test_analyze_dense_conjugates_up_to_dimension_twelve(tmp_path, capsys, unimo
         assert code == 0, text
         assert payload["oracle_ranks"] == payload["spectrum_ranks"] == list(invariant_ranks(spec)), text
     assert time.perf_counter() - start < 5
+
+
+def test_s1_blocks_c1009_in_process(capsys):
+    # the order-1009 block: d = 1008, one divisor besides 1 and the order itself
+    invariant_ranks.cache_clear()
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "s1", "--blocks", "C1009", "--json")
+    elapsed = time.perf_counter() - start
+    payload = json.loads(out)
+    assert code == 0 and payload["dimension"] == 1008 and payload["free_outside_origin"]
+    # (1/p) ((1 + t)^(p-1) + (p - 1) Phi_p(-t)) at p = 1009
+    ranks = payload["invariant_ranks"]
+    assert ranks == [(comb(1008, k) + 1008 * (-1) ** k) // 1009 for k in range(1009)]
+    assert payload["s1"] == sum(ranks[1::2]) and payload["even_invariant_sum"] == sum(ranks[::2])
+    assert elapsed < 1
+
+
+def test_new_limits_exit_2_naming_the_limit(capsys):
+    cases = [
+        (("s1", "--blocks", "C30030"), f"MAX_RANK_WORK = {invariants.MAX_RANK_WORK}"),
+        (("cyclotomic", "1000000007"), f"CYCLOTOMIC_MAX_N = {CYCLOTOMIC_MAX_N}"),
+        (("cyclotomic", str(10**48 + 1)), f"CYCLOTOMIC_MAX_N = {CYCLOTOMIC_MAX_N}"),
+        (("table", "--dmax", "3", "--nmax", "10000000"), f"TABLE_MAX_VERDICTS = {TABLE_MAX_VERDICTS}"),
+        (("table", "--dmax", "14281", "--nmax", "3"), f"TABLE_MAX_DIM = {TABLE_MAX_DIM}"),
+    ]
+    for argv, limit in cases:
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and limit in err, argv
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 2 and limit in json.loads(out)["error"], argv
+        assert time.perf_counter() - start < 1, argv
+    # the largest grids still allowed
+    code, out, _ = run(capsys, "table", "--dmax", str(TABLE_MAX_DIM), "--nmax", "2", "--json")
+    assert code == 0 and len(json.loads(out)) == TABLE_MAX_DIM
+    cli._check_table_size(2, TABLE_MAX_VERDICTS // 2 + 1)
+    with pytest.raises(ValueError, match="TABLE_MAX_VERDICTS"):
+        cli._check_table_size(2, TABLE_MAX_VERDICTS // 2 + 2)

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import random
+import time
 from fractions import Fraction
 from math import comb, lcm
 
@@ -8,6 +10,8 @@ import pytest
 from nctori.arith import cyclotomic, poly_mul
 from nctori.exactlin import (
     _MERSENNE_EXPONENTS,
+    _axpy,
+    _fold,
     Matrix,
     block_diag,
     charpoly,
@@ -317,3 +321,30 @@ def test_charpoly_takes_no_matrix_products(monkeypatch, unimodular_pair):
 
     monkeypatch.setattr(Matrix, "__matmul__", no_products)
     assert charpoly(a) == expected
+
+
+def test_fold_matches_modulo():
+    rng = random.Random(19937)
+    for e in (61, 127, 521, 4423):
+        p = (1 << e) - 1
+        values = [0, 1, -1, p - 1, p, p + 1, 2 * p, -p, (1 << (2 * e)) - 1, -(1 << (3 * e))]
+        values += [rng.randrange(-(1 << (3 * e)), 1 << (3 * e)) for _ in range(50)]
+        for x in values:
+            assert _fold(x, p, e) == x % p, (e, x)
+        xs = [rng.randrange(p) for _ in range(30)] + [p - 1, 0]
+        ys = [rng.randrange(p) for _ in range(30)] + [p - 1, p - 1]
+        for c in (0, 1, -1, p - 1, rng.randrange(-p, p)):
+            assert _axpy(xs, c, ys, p, e) == [(x + c * y) % p for x, y in zip(xs, ys)], (e, c)
+
+
+def test_charpoly_on_huge_entries_folds():
+    # 300-digit entries need the last prime, 2^19937 - 1, where a % p is a
+    # quadratic long division; folding keeps this 18 x 18 case inside the bound
+    rng = random.Random(300)
+    a = Matrix([[rng.randrange(-10**300, 10**300) for _ in range(18)] for _ in range(18)])
+    start = time.perf_counter()
+    poly = charpoly(a)
+    elapsed = time.perf_counter() - start
+    digest = hashlib.sha256(",".join(map(hex, poly)).encode()).hexdigest()
+    assert digest == "a618ff093a2f922c290a7ef6a2b671e1ad3625dc4d1225bb57f4c9f7ea9ebd06"
+    assert elapsed < 4.5

@@ -1,12 +1,14 @@
 import random
+import time
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 import pytest
 
 from nctori.exactlin import Matrix, det, order, rank
 from nctori.invariants import (
     _binomial_row,
+    MAX_RANK_WORK,
     Cyclotomic,
     Identity,
     NegCyclotomic,
@@ -258,3 +260,68 @@ def test_rank_sums_and_unit_term():
 def test_binomial_row_matches_comb():
     for n in (0, 1, 2, 7, 30, 257, 1000):
         assert _binomial_row(n) == [comb(n, j) for j in range(n + 1)], n
+
+
+def _counting_ranks(spec):
+    """Invariant ranks by counting: the number of size-m sub-multisets of the
+    rotation spectrum with integer sum, by a dynamic program over (number of
+    angles chosen, residue of the partial sum modulo the lcm of the angle
+    denominators), multiplicities entering through binomial convolution.
+    O(d^2 N) for order N; the reference for the spectral Molien route."""
+    d = spec_dim(spec)
+    counts = {}
+    for q in rotation_spectrum(spec):
+        counts[q] = counts.get(q, 0) + 1
+    modulus = lcm(*(q.denominator for q in counts), 1)
+    table = [[0] * modulus for _ in range(d + 1)]
+    table[0][0] = 1
+    placed = 0
+    for q in sorted(counts):
+        mult = counts[q]
+        step = q.numerator * (modulus // q.denominator) % modulus
+        binom = [comb(mult, j) for j in range(mult + 1)]
+        new = [[0] * modulus for _ in range(d + 1)]
+        for c in range(placed + 1):
+            for r, v in enumerate(table[c]):
+                if v:
+                    for j in range(mult + 1):
+                        new[c + j][(r + j * step) % modulus] += v * binom[j]
+        table = new
+        placed += mult
+    return tuple(table[m][0] for m in range(d + 1))
+
+
+def test_spectral_molien_matches_counting_exhaustive():
+    specs = enumerate_specs(9)
+    assert len(specs) == 9010
+    for spec in specs:
+        assert invariant_ranks(spec) == _counting_ranks(spec), spec
+
+
+def test_spectral_molien_matches_counting_on_flips():
+    for d in (1, 2, 3, 17, 256, 1024):
+        flip = (Cyclotomic(2),) * d
+        assert invariant_ranks(flip) == _counting_ranks(flip), d
+    # a flip next to fixed directions mixes (1 + t)^a and (1 - t)^b in one product
+    for a, b in ((1, 1), (5, 8), (40, 25)):
+        spec = (Cyclotomic(2),) * b + (Identity(a),)
+        assert invariant_ranks(spec) == _counting_ranks(spec), (a, b)
+
+
+def test_spectral_molien_prime_order_closed_form():
+    # (1/p) ((1 + t)^(p-1) + (p - 1) Phi_p(-t)): r_k = (C(p-1, k) + (p-1)(-1)^k) / p
+    for p in (3, 5, 127, 1009):
+        ranks = invariant_ranks((Cyclotomic(p),))
+        assert ranks == tuple((comb(p - 1, k) + (p - 1) * (-1) ** k) // p for k in range(p)), p
+
+
+def test_invariant_ranks_refuses_past_work_limit():
+    spec = (Cyclotomic(30030),)  # d = 5760 with 64 divisors of the order
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"limit MAX_RANK_WORK = {MAX_RANK_WORK}"):
+        invariant_ranks(spec)
+    # many coprime block orders are refused before their divisors are listed
+    primes = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73)
+    with pytest.raises(ValueError, match="MAX_RANK_WORK"):
+        invariant_ranks(tuple(Cyclotomic(p) for p in primes))
+    assert time.perf_counter() - start < 1
