@@ -13,8 +13,16 @@ import itertools
 IntPolynomial = tuple[int, ...]
 
 
+# Largest trial divisor of ``factorize``.  A cofactor left with no divisor up
+# to it is prime when below its square; every n below 10^12 factors.
+FACTORIZE_MAX_TRIAL = 1_000_000
+
+
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of ``n`` as (prime, exponent) pairs, primes ascending.
+
+    By trial division up to ``FACTORIZE_MAX_TRIAL``; a cofactor left over
+    that is at least (FACTORIZE_MAX_TRIAL + 1)^2 raises ValueError.
 
     >>> factorize(12)
     [(2, 2), (3, 1)]
@@ -26,7 +34,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
     out = []
     m = n
     p = 2
-    while p * p <= m:
+    while p * p <= m and p <= FACTORIZE_MAX_TRIAL:
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -34,6 +42,11 @@ def factorize(n: int) -> list[tuple[int, int]]:
                 e += 1
             out.append((p, e))
         p += 1 if p == 2 else 2
+    if p * p <= m:
+        raise ValueError(
+            f"cannot factor {n}: a cofactor of {len(str(m))} digits has no divisor up to "
+            f"the trial-division limit FACTORIZE_MAX_TRIAL = {FACTORIZE_MAX_TRIAL}"
+        )
     if m > 1:
         out.append((m, 1))
     return out

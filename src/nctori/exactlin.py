@@ -7,8 +7,10 @@ normalization (rational input rows are scaled to integers first), and
 compound matrices come from one Laplace sweep over all degrees.  The
 characteristic polynomial comes from Hessenberg reduction modulo a Mersenne
 prime above twice a Hadamard bound on its coefficients, so the symmetric
-residues are the coefficients themselves.  Everything is pure and safe to
-share across threads.
+residues are the coefficients themselves.  Finite order is certified by
+matrix-vector products alone: one Krylov chain and one probe vector that
+packs unit vectors into wide digits (``cyclotomic_type``).  Everything is
+pure and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import operator
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .arith import IntPolynomial, cyclotomic, poly_divmod, totient
+from .arith import IntPolynomial, cyclotomic, poly_divmod, poly_mul, totient
 
 
 def _norm_entry(x):
@@ -137,14 +139,21 @@ class Matrix:
             raise ValueError("pow requires a square matrix")
         if k < 0:
             raise ValueError("negative powers not supported")
-        result = Matrix.identity(self.nrows)
+        if k == 0:
+            return Matrix.identity(self.nrows)
+        # start from the lowest set bit, so no product is by the identity:
+        # bit_length - 1 squarings and popcount - 1 multiplications
         base = self
+        while not k & 1:
+            base = base @ base
+            k >>= 1
+        result = base
+        k >>= 1
         while k:
+            base = base @ base
             if k & 1:
                 result = result @ base
             k >>= 1
-            if k:
-                base = base @ base
         return result
 
     def __repr__(self):
@@ -342,25 +351,116 @@ def _cyclotomic_factors(a: Matrix) -> tuple[int, ...] | None:
     return None if len(poly) > 1 else tuple(ns)
 
 
+def _horner(rows, coeffs, x):
+    """Yield the Horner iterates of q(a) x: h = x, then h <- a h + c x for
+    each c in ``coeffs``, the coefficients of the monic q below its leading
+    one, highest first.  ``rows`` holds a's rows as (columns, values) of
+    their nonzero entries; the last iterate is q(a) x."""
+    mul = operator.mul
+    h = x
+    yield h
+    for c in coeffs:
+        h = [sum(map(mul, vals, map(h.__getitem__, cols))) + c * xi for (cols, vals), xi in zip(rows, x)]
+        yield h
+
+
+def _annihilates(a: Matrix, q: IntPolynomial) -> bool:
+    """Whether q(a) = 0, for a square ``a`` and a monic integer ``q``; exact,
+    without forming a power of ``a``.  The certificate and its proof are in
+    ``cyclotomic_type``."""
+    d = a.nrows
+    deg = len(q) - 1
+    scale = lcm(*(x.denominator for row in a.rows for x in row if type(x) is not int), 1)
+    rows = a.rows if scale == 1 else [[int(x * scale) for x in row] for row in a.rows]
+    coeffs = [q[k] * scale ** (deg - k) for k in range(deg - 1, -1, -1)]
+    sparse = [([j for j, v in enumerate(row) if v], [v for v in row if v]) for row in rows]
+    e = _MERSENNE_EXPONENTS[0]
+    p = (1 << e) - 1
+    # (pivot column, row scaled to 1 there) in the order added; each row is
+    # zero at the pivots added before it
+    echelon: list[tuple[int, list[int]]] = []
+    growing = True
+    for h in _horner(sparse, coeffs, [1] * d):
+        if growing and len(echelon) < d:
+            v = [x % p for x in h]
+            for col, row in echelon:
+                if v[col]:
+                    v = _axpy(v, -v[col], row, p, e)
+            piv = next((j for j, x in enumerate(v) if x), None)
+            if piv is None:
+                growing = False
+            else:
+                inv = pow(v[piv], -1, p)
+                echelon.append((piv, [x * inv % p for x in v]))
+    if any(h):
+        return False
+    pivots = {col for col, _ in echelon}
+    probe = [j for j in range(d) if j not in pivots]
+    if not probe:
+        return True
+    rho = max(sum(map(abs, row)) for row in rows)
+    bound = sum(abs(c) * rho**k for k, c in enumerate(reversed(coeffs))) + rho**deg
+    width = bound.bit_length() + 1
+    x = [0] * d
+    for t, j in enumerate(probe):
+        x[j] = 1 << (width * t)
+    for h in _horner(sparse, coeffs, x):
+        pass
+    return not any(h)
+
+
 def cyclotomic_type(a: Matrix) -> tuple[int, ...] | None:
     """The sorted n with charpoly(a) = prod Phi_n, when ``a`` has finite order;
     None when it has infinite order.
 
-    A finite-order matrix is diagonalizable with root-of-unity eigenvalues,
-    so its characteristic polynomial is such a product and a^L = I for
-    L = lcm(n); conversely both together give order exactly L.  The power
-    check is what rejects a unipotent [[1, 1], [0, 1]], whose polynomial is
-    Phi_1^2.
+    The characteristic polynomial of a finite-order matrix is such a product.
+    Given one, ``a`` has finite order exactly when it is diagonalizable, that
+    is when its minimal polynomial is squarefree, that is when q(a) = 0 for
+    q = prod Phi_n over the distinct n; the order is then L = lcm(n).  This
+    test is what rejects a unipotent [[1, 1], [0, 1]], whose polynomial is
+    Phi_1^2, and any [[C, I], [0, C]] with C = companion(Phi_n).
+
+    When the n are distinct, q is the characteristic polynomial and
+    q(a) = 0 by Cayley-Hamilton.  Otherwise q(a) = 0 is certified without a
+    power of ``a`` (``_annihilates``).
+    Rational ``a`` is scaled to D a, D the lcm of its denominators, with q
+    replaced by q~, q~_k = D^(deg q - k) q_k, so q~(D a) = D^(deg q) q(a).
+
+    1. One chain: from v0 = (1, ..., 1), Horner's rule h <- (D a) h + q~_k v0
+       takes deg q matrix-vector products over Z and ends at q(a) v0 up to
+       the factor, which must be exactly 0.  The intermediate h span the
+       Krylov space K(v0) step by step; they enter an echelon modulo the
+       prime p = 2^61 - 1 until the first one that is dependent there.
+    2. Completion: the unit vectors e_j, j in S, at the columns that are not
+       pivots of that echelon complete it to a basis modulo p (on the pivot
+       columns the echelon rows form a unit triangular matrix).
+    3. Probe: with rho = max_i sum_j |(D a)_ij|, every entry of q~(D a) is
+       at most B = sum_k |q~_k| rho^k in absolute value.  For X = 2^w with
+       2^(w-1) > B, Horner's rule on x = sum_t X^t e_S[t] must end at exactly 0.
+
+    Proof: ker q(a) is a-invariant, so step 1 puts all of K(v0) in it.  The
+    i-th entry of q~(D a) x has the base-X digits q~(D a)[i, S[t]], each
+    below X/2 in absolute value, so it is zero only when every digit is:
+    each e_j with j in S is in the kernel too.  The kept vectors have rank d
+    modulo p, hence rank d over Q, so q(a) vanishes on Q^d.  The prime
+    decides only the size of S, never the answer.
 
     >>> cyclotomic_type(-Matrix.identity(3))
     (2, 2, 2)
     >>> cyclotomic_type(Matrix([[1, 1], [0, 1]])) is None
     True
+    >>> companion(cyclotomic(3))
+    Matrix(2x2: 0 -1; 1 -1)
+    >>> cyclotomic_type(Matrix([[0, -1, 1, 0], [1, -1, 0, 1], [0, 0, 0, -1], [0, 0, 1, -1]])) is None
+    True
     """
     ns = _cyclotomic_factors(a)
-    if ns is None or a.pow(lcm(*ns, 1)) != Matrix.identity(a.nrows):
-        return None
-    return ns
+    if ns is None or len(set(ns)) == len(ns):  # q(a) = charpoly(a) = 0
+        return ns
+    q: IntPolynomial = (1,)
+    for n in sorted(set(ns)):
+        q = poly_mul(q, cyclotomic(n))
+    return ns if _annihilates(a, q) else None
 
 
 def order(a: Matrix, bound: int) -> int | None:

@@ -1,6 +1,15 @@
 import pytest
 
-from nctori.arith import CYCLOTOMIC_MAX_N, cyclotomic, divisors, factorize, poly_divmod, poly_mul, totient
+from nctori.arith import (
+    CYCLOTOMIC_MAX_N,
+    FACTORIZE_MAX_TRIAL,
+    cyclotomic,
+    divisors,
+    factorize,
+    poly_divmod,
+    poly_mul,
+    totient,
+)
 
 
 def test_factorize_examples():
@@ -135,3 +144,18 @@ def test_cyclotomic_composite_orders_by_division():
             if d < n:
                 lower = poly_mul(lower, cyclotomic(d))
         assert cyclotomic(n) == tuple(_local_exact_div([-1] + [0] * (n - 1) + [1], list(lower))), n
+
+
+def test_factorize_caps_trial_division():
+    # a cofactor below FACTORIZE_MAX_TRIAL^2 with no smaller divisor is prime
+    cases = {
+        999_999_999_989: [(999_999_999_989, 1)],  # the largest prime below 10^12
+        999_983 * 999_979: [(999_979, 1), (999_983, 1)],
+        2**39: [(2, 39)],
+        10**12 + 39: [(10**12 + 39, 1)],  # prime, below (FACTORIZE_MAX_TRIAL + 1)^2
+    }
+    for n, expected in cases.items():
+        assert factorize(n) == expected, n
+    for n in (10**48 + 1, (FACTORIZE_MAX_TRIAL + 3) ** 2, (FACTORIZE_MAX_TRIAL + 3) * (FACTORIZE_MAX_TRIAL + 33)):
+        with pytest.raises(ValueError, match=f"FACTORIZE_MAX_TRIAL = {FACTORIZE_MAX_TRIAL}"):
+            factorize(n)

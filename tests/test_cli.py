@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from nctori import classify, cli, exactlin, invariants, theta
 from nctori.classify import MAX_RANK_DIM
-from nctori.arith import CYCLOTOMIC_MAX_N
+from nctori.arith import CYCLOTOMIC_MAX_N, FACTORIZE_MAX_TRIAL
 from nctori.cli import TABLE_MAX_DIM, TABLE_MAX_VERDICTS, CliParseError, main, parse_group
 from nctori.exactlin import _components
 from nctori.invariants import invariant_ranks, parse_block_spec, realize
@@ -411,3 +411,15 @@ def test_new_limits_exit_2_naming_the_limit(capsys):
     cli._check_table_size(2, TABLE_MAX_VERDICTS // 2 + 1)
     with pytest.raises(ValueError, match="TABLE_MAX_VERDICTS"):
         cli._check_table_size(2, TABLE_MAX_VERDICTS // 2 + 2)
+
+
+def test_unfactorable_orders_exit_2_naming_the_limit(capsys):
+    n = str(10**48 + 1)
+    limit = f"FACTORIZE_MAX_TRIAL = {FACTORIZE_MAX_TRIAL}"
+    for argv in (("wfun", n), ("wgroup", f"Z{n}"), ("classify", "3", n)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and limit in err, argv
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 2 and limit in json.loads(out)["error"], argv
+        assert time.perf_counter() - start < 1, argv

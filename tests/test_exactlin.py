@@ -11,6 +11,7 @@ from nctori.arith import cyclotomic, poly_mul
 from nctori.exactlin import (
     _MERSENNE_EXPONENTS,
     _axpy,
+    _cyclotomic_factors,
     _fold,
     Matrix,
     block_diag,
@@ -26,7 +27,7 @@ from nctori.exactlin import (
     rational_block_form,
     reduced_basis,
 )
-from nctori.invariants import parse_block_spec, realize
+from nctori.invariants import enumerate_specs, parse_block_spec, realize
 
 
 def test_companion_one_by_one():
@@ -348,3 +349,125 @@ def test_charpoly_on_huge_entries_folds():
     digest = hashlib.sha256(",".join(map(hex, poly)).encode()).hexdigest()
     assert digest == "a618ff093a2f922c290a7ef6a2b671e1ad3625dc4d1225bb57f4c9f7ea9ebd06"
     assert elapsed < 4.5
+
+
+def test_pow_starts_from_lowest_set_bit(monkeypatch):
+    products = []
+    matmul = Matrix.__matmul__
+
+    def counting(self, other):
+        products.append(1)
+        return matmul(self, other)
+
+    for a in (Matrix([[1, 1], [0, 1]]), Matrix([[Fraction(1, 2), 1], [Fraction(-1, 3), 2]])):
+        expected = Matrix.identity(2)
+        for k in range(41):
+            products.clear()
+            monkeypatch.setattr(Matrix, "__matmul__", counting)
+            result = a.pow(k)
+            monkeypatch.setattr(Matrix, "__matmul__", matmul)
+            assert result == expected, k
+            assert len(products) == (k.bit_length() + bin(k).count("1") - 2 if k else 0), k
+            expected = expected @ a
+
+
+def _power_type(a):
+    """The cyclotomic type by the power check a^L = I, L = lcm(n): the
+    reference for ``cyclotomic_type``'s certificate."""
+    ns = _cyclotomic_factors(a)
+    if ns is None or a.pow(lcm(*ns, 1)) != Matrix.identity(a.nrows):
+        return None
+    return ns
+
+
+def _diag(values):
+    return Matrix([[x if i == j else 0 for j in range(len(values))] for i, x in enumerate(values)])
+
+
+def _nilpotent_extension(c):
+    """[[c, I], [0, c]]: characteristic polynomial charpoly(c)^2, not semisimple."""
+    k = c.nrows
+    top = [row + tuple(int(i == j) for j in range(k)) for i, row in enumerate(c.rows)]
+    return Matrix(top + [(0,) * k + row for row in c.rows])
+
+
+def test_cyclotomic_type_certificate_matches_power_check(unimodular_pair):
+    rng = random.Random(105)
+    specs = enumerate_specs(8)
+    for spec in specs[::3]:
+        block = realize(spec)
+        assert cyclotomic_type(block) == _power_type(block), spec
+    hyperbolic = Matrix([[2, 1], [1, 1]])
+    for t, spec in enumerate(specs[::20]):
+        block = realize(spec)
+        d = block.nrows
+        if d == 0:
+            continue
+        p, q = unimodular_pair(rng, d, 3 * d)
+        a = p @ block @ q
+        ns = cyclotomic_type(a)
+        assert ns == _power_type(a) == cyclotomic_type(block) is not None, spec
+        if t % 3:
+            continue
+        # conjugate by a rational, non-integral P
+        diag = [Fraction(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(d)]
+        f = p @ _diag(diag) @ block @ _diag([1 / x for x in diag]) @ q
+        assert cyclotomic_type(f) == _power_type(f) == ns, spec
+        if d <= 6:
+            g = block_diag([hyperbolic, block])
+            p, q = unimodular_pair(rng, d + 2, 3 * d + 6)
+            assert cyclotomic_type(p @ g @ q) is None and _power_type(p @ g @ q) is None, spec
+
+
+def test_cyclotomic_type_rejects_non_semisimple(unimodular_pair):
+    rng = random.Random(9)
+    for n in range(1, 10):
+        m = _nilpotent_extension(companion(cyclotomic(n)))
+        p, q = unimodular_pair(rng, m.nrows, 3 * m.nrows)
+        diag = [Fraction(i + 1, 2) for i in range(m.nrows)]
+        for a in (m, p @ m @ q, p @ _diag(diag) @ m @ _diag([1 / x for x in diag]) @ q):
+            assert _cyclotomic_factors(a) == (n, n), n
+            assert cyclotomic_type(a) is None and _power_type(a) is None, n
+
+
+def test_cyclotomic_type_probe_sees_defect_off_the_chain():
+    # (U - I) kills (1, 1, 1), so q(a) v0 = 0 for v0 = (1, ..., 1): the chain
+    # from v0 passes and only the probe finds the unipotent part
+    u = Matrix([[1, 1, -1], [0, 1, 0], [0, 0, 1]])
+    a = block_diag([companion(cyclotomic(105)), u, Matrix.identity(44)])
+    q = poly_mul(cyclotomic(1), cyclotomic(105))
+    h = [1] * a.nrows
+    for c in reversed(q[:-1]):
+        h = [sum(x * y for x, y in zip(row, h)) + c for row in a.rows]
+    assert h == [0] * a.nrows
+    assert _cyclotomic_factors(a) == (1,) * 47 + (105,)
+    assert cyclotomic_type(a) is None and _power_type(a) is None
+
+
+def test_cyclotomic_type_takes_no_matrix_products(monkeypatch, unimodular_pair):
+    rng = random.Random(18)
+    block = realize(parse_block_spec("C9+C7+C5+I2"))
+    p, q = unimodular_pair(rng, block.nrows, 3 * block.nrows)
+    a = p @ block @ q
+    jordan = block_diag([_nilpotent_extension(companion(cyclotomic(9))), Matrix.identity(6)])
+    p, q = unimodular_pair(rng, 18, 54)
+    b = p @ jordan @ q
+    assert a.nrows == b.nrows == 18
+
+    def no_products(*args):
+        raise AssertionError("cyclotomic_type must not multiply matrices")
+
+    monkeypatch.setattr(Matrix, "__matmul__", no_products)
+    monkeypatch.setattr(Matrix, "pow", no_products)
+    assert cyclotomic_type(a) == (1, 1, 5, 7, 9)
+    assert cyclotomic_type(b) is None
+
+
+def test_cyclotomic_type_large_block_form_is_fast():
+    # d = 100, order 516,600: about 1 s by repeated squaring
+    a = realize(parse_block_spec("C41+C25+C9+C8+C7+I24"))
+    start = time.perf_counter()
+    ns = cyclotomic_type(a)
+    elapsed = time.perf_counter() - start
+    assert ns == (1,) * 24 + (7, 8, 9, 25, 41) and lcm(*ns) == 516_600
+    assert elapsed < 1
