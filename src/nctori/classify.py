@@ -14,7 +14,6 @@ than hiding the discrepancy.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from math import lcm
@@ -31,14 +30,12 @@ from .invariants import (
     block_label,
     invariant_ranks,
     invariant_ranks_molien,
-    realize,
     s1,
     spec_free,
     spec_nondegenerate,
     spec_order,
 )
 from .ktheory import GradedRank, RankInfo, at_least, exact, factor_k, kunneth_all, torus_k
-from .theta import SymbolicSkew, nondegenerate_invariant_exists
 from .wfun import AbelianGroup, w_group, w_order
 
 W_TOO_BIG = "w_too_big"
@@ -80,28 +77,11 @@ def af_paper(n: int) -> bool:
 @dataclass(eq=False)
 class Realization:
     """A concrete block realization: the block list and the matrix order.
-    The integer matrix and the invariant-form witness are computed on first
-    access (verdicts never read them, and solving the invariant space can
-    dwarf the rest of a verdict)."""
+    ``invariants.realize(blocks)`` builds the integer matrix (verdicts never
+    need it)."""
 
     blocks: BlockSpec
     order: int
-
-    @functools.cached_property
-    def matrix(self) -> Matrix:
-        return realize(self.blocks)
-
-    @functools.cached_property
-    def _theta_result(self) -> tuple[bool, SymbolicSkew | None]:
-        return nondegenerate_invariant_exists(self.matrix)
-
-    @property
-    def theta_exists(self) -> bool:
-        return self._theta_result[0]
-
-    @property
-    def theta(self) -> SymbolicSkew | None:
-        return self._theta_result[1]
 
 
 @dataclass(eq=False)

@@ -2,13 +2,14 @@
 
 ``w_order(n)`` is the least d such that GL_d(Z) contains an element of order
 n.  ``w_cyclic`` adjusts the n = 2 case (a sign block alone cannot carry a
-group factor, so Z_2 costs two dimensions), and ``w_group`` minimizes over
-all cyclic decompositions of the torsion part.  Pure functions throughout.
+group factor, so Z_2 costs two dimensions), and ``w_group`` gives the least
+total over the cyclic decompositions of the torsion part, with a canonical
+minimizer built directly instead of searched for.  Pure functions throughout.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass, field
 
 from .arith import factorize
@@ -118,64 +119,58 @@ class CyclicDecomposition:
         object.__setattr__(self, "parts", tuple(sorted(self.parts)))
 
 
-def _coprime_partitions(torsion: tuple[int, ...]):
-    """All partitions of the prime-power multiset into parts with pairwise
-    distinct primes, as sorted tuples of part orders.
-
-    The entries are placed one at a time, each into any part that lacks its
-    prime or into a new part.  The states of one level are a set of sorted
-    part tuples, so partial partitions that coincide are extended once
-    instead of once per path that reaches them."""
-    states = {()}
-    for q in sorted(torsion):
-        p = factorize(q)[0][0]
-        nxt = set()
-        for parts in states:
-            nxt.add(tuple(sorted(parts + (q,))))
-            for i, order in enumerate(parts):
-                if order % p:
-                    nxt.add(tuple(sorted(parts[:i] + (order * q,) + parts[i + 1 :])))
-        states = nxt
-    return sorted(states)
-
-
-_MAX_PRIMES = 10
-
-
-@functools.lru_cache(maxsize=None)
-def _w_group_cached(torsion: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    if not torsion:
-        return 0, ()
-    best = None
-    for parts in _coprime_partitions(torsion):
-        cost = sum(w_cyclic(n) for n in parts)
-        key = (cost, len(parts), parts)
-        if best is None or key < best:
-            best = key
-    return best[0], best[2]
-
-
 def w_group(g: AbelianGroup) -> tuple[int, CyclicDecomposition]:
     """Minimum of sum(w_cyclic(n_l)) over cyclic decompositions of the torsion
     part, with one minimizing decomposition.  The free rank plays no role.
 
-    Minimizers are tie-broken toward fewer parts, then the lexicographically
-    smallest sorted part list, so the output is deterministic.
-
-    The search enumerates every coprime partition of the torsion, whose
-    count grows like the Bell numbers in the number of distinct primes, so
-    more than 10 distinct primes is rejected with ValueError.
+    Each prime power q costs phi(q), a Z_2 alone in its part one more and a
+    Z_2 merged into a part with odd entries one less: with z copies of Z_2
+    and o odd entries the minimum is sum(phi(q)) + z - 2 min(z, o).
+    Minimizers are tie-broken toward fewer parts (the largest multiplicity
+    of a prime), then the lexicographically smallest sorted part list.  That
+    one is built smallest part first: each part is the least product that
+    takes one entry of every prime of the largest remaining multiplicity, at
+    most one of any other prime, and keeps min(z, o) merges attainable.  It
+    takes no power of 2, the smallest Z_2 or the smallest higher power of 2,
+    and the smallest entry of each odd prime it must take, plus at most the
+    smallest entry of one other odd prime.
 
     >>> w_group(AbelianGroup.from_factors([2, 3]))
     (2, CyclicDecomposition(parts=(6,)))
+    >>> w_group(AbelianGroup.from_factors([2, 3, 4]))
+    (4, CyclicDecomposition(parts=(4, 6)))
     """
-    primes = {factorize(q)[0][0] for q in g.torsion}
-    if len(primes) > _MAX_PRIMES:
-        raise ValueError(
-            f"w_group supports at most {_MAX_PRIMES} distinct primes in the torsion, got {len(primes)}"
-        )
-    cost, parts = _w_group_cached(g.torsion)
-    return cost, CyclicDecomposition(parts)
+    z = g.torsion.count(2)
+    higher = [q for q in reversed(g.torsion) if q > 2 and q % 2 == 0]  # largest first
+    odd: dict[int, list[int]] = {}  # odd prime -> its entries, largest first
+    for q in reversed(g.torsion):
+        if q % 2:
+            odd.setdefault(factorize(q)[0][0], []).append(q)
+    o = sum(map(len, odd.values()))
+    parts = []
+    while z or higher or odd:
+        size = max([z + len(higher)] + [len(e) for e in odd.values()])
+        taken = [p for p, e in odd.items() if len(e) == size]
+        base = math.prod(odd[p][-1] for p in taken)
+        spare = min(((e[-1], p) for p, e in odd.items() if len(e) < size), default=None)
+        options = []
+        for two in ([1] if z + len(higher) < size else []) + ([2] if z else []) + higher[-1:]:
+            for extra, p_extra in [(1, None)] + ([spare] if spare else []):
+                k = len(taken) + (extra > 1)  # odd entries in the part
+                if (two == 2 and k > 0) + min(z - (two == 2), o - k) == min(z, o):
+                    options.append((two * base * extra, two, p_extra))
+        part, two, p_extra = min(options)
+        parts.append(part)
+        if two == 2:
+            z -= 1
+        elif two > 2:
+            higher.pop()
+        for p in taken + ([p_extra] if p_extra else []):
+            odd[p].pop()
+            o -= 1
+            if not odd[p]:
+                del odd[p]
+    return sum(w_cyclic(n) for n in parts), CyclicDecomposition(tuple(parts))
 
 
 def max_finite_order(d: int) -> int:

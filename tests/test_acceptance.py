@@ -38,6 +38,7 @@ from nctori.invariants import (
     spec_dim,
 )
 from nctori.ktheory import GradedRank, KUNNETH_UNIT, RankInfo, at_least, exact, kunneth, kunneth_all, torus_k
+from nctori.theta import nondegenerate_invariant_exists
 from nctori.wfun import AbelianGroup, w_group, w_order
 
 
@@ -122,7 +123,7 @@ def test_criterion_05_gap_one_obstruction():
     for d, n in gap_one_pairs:
         v = classify_cyclic(d, n)
         assert v.reason == GAP_ONE, (d, n)
-        assert not v.realization.theta_exists, (d, n)
+        assert not nondegenerate_invariant_exists(realize(v.realization.blocks))[0], (d, n)
     for d in range(1, 11):
         for n in range(2, 101):
             expected = w_order(n) <= d and d - w_order(n) == 1
@@ -210,7 +211,7 @@ def test_criterion_08_oracle_equivalence():
     assert elapsed < 120
     _report(
         8,
-        f"subset DP matches the compound-matrix oracle on {len(family)} specs "
+        f"spectral Molien ranks match the compound-matrix oracle on {len(family)} specs "
         f"({len(oracle_cache)} distinct matrices, exhaustive through dim 8) ({elapsed:.1f}s < 120s)",
     )
 

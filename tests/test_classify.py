@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -28,7 +29,7 @@ from nctori.classify import (
     report_json,
     verdict_json,
 )
-from nctori.theta import is_invariant, is_nondegenerate
+from nctori.theta import is_invariant, is_nondegenerate, nondegenerate_invariant_exists
 from nctori.wfun import AbelianGroup, w_order
 
 
@@ -99,7 +100,7 @@ def test_sign_absorption_picks_low_k1_choice():
 def test_flip_and_gap_one_for_order_two():
     v = classify_cyclic(4, 2)
     assert v.simple_action_exists
-    assert v.realization.matrix == -Matrix.identity(4)
+    assert realize(v.realization.blocks) == -Matrix.identity(4)
     assert v.is_af_computed
     # the closed-form predicate needs gap zero, so the full flip diverges
     assert not v.is_af_paper_predicate and v.divergence_flag
@@ -122,9 +123,9 @@ def test_flip_and_group_route_disagree_on_af_paper_in_dimension_two():
 def test_verdict_leaves_realization_matrix_unbuilt():
     v = classify_cyclic(300, 7)
     verdict_json(v)
-    assert "matrix" not in v.realization.__dict__
-    assert v.realization.matrix.nrows == 300
-    assert "matrix" in v.realization.__dict__
+    assert [f.name for f in dataclasses.fields(v.realization)] == ["blocks", "order"]
+    assert vars(v.realization).keys() == {"blocks", "order"}
+    assert realize(v.realization.blocks).nrows == 300
 
 
 def test_realizations_verify():
@@ -132,20 +133,23 @@ def test_realizations_verify():
         v = classify_cyclic(d, n)
         if v.realization is None:
             continue
-        assert v.realization.matrix.nrows == d
-        assert order(v.realization.matrix, 200) == v.realization.order == n
+        a = realize(v.realization.blocks)
+        assert a.nrows == d
+        assert order(a, 200) == v.realization.order == n
         if v.simple_action_exists:
-            assert v.realization.theta_exists
-            assert is_invariant(v.realization.theta, v.realization.matrix)
-            assert is_nondegenerate(v.realization.theta)
+            exists, witness = nondegenerate_invariant_exists(a)
+            assert exists
+            assert is_invariant(witness, a)
+            assert is_nondegenerate(witness)
 
 
 def test_gap_one_realization_has_no_witness():
     for d, n in [(3, 3), (3, 4), (5, 8), (1, 2)]:
         v = classify_cyclic(d, n)
         assert v.reason == GAP_ONE
-        assert not v.realization.theta_exists
-        assert v.realization.theta is None
+        exists, witness = nondegenerate_invariant_exists(realize(v.realization.blocks))
+        assert not exists
+        assert witness is None
 
 
 def test_classify_group_examples():
@@ -154,7 +158,7 @@ def test_classify_group_examples():
 
     v = classify_group(4, AbelianGroup.from_factors([2, 2]))
     assert v.simple_action_exists and v.is_af_computed and v.is_af_paper_predicate
-    assert v.realization.matrix == -Matrix.identity(4)
+    assert realize(v.realization.blocks) == -Matrix.identity(4)
 
     v = classify_group(3, AbelianGroup.from_factors([2, 2]))
     assert not v.realizable_in_gl_d and v.reason == W_TOO_BIG
@@ -168,7 +172,7 @@ def test_classify_group_examples():
 def test_classify_group_gap_one():
     v = classify_group(5, AbelianGroup.from_factors([2, 2]))
     assert v.realizable_in_gl_d and not v.simple_action_exists and v.reason == GAP_ONE
-    assert not v.realization.theta_exists
+    assert not nondegenerate_invariant_exists(realize(v.realization.blocks))[0]
 
 
 def test_classify_group_rejects_bad_input():

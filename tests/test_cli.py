@@ -292,13 +292,26 @@ def test_exit_codes(capsys):
     assert code == 2 and "error" in json.loads(out)
 
 
-def test_too_many_distinct_primes_is_domain_error(capsys):
+def test_eleven_distinct_primes_answer(capsys):
     expr = "Z2xZ3xZ5xZ7xZ11xZ13xZ17xZ19xZ23xZ29xZ31"
     code, out, _ = run(capsys, "classify-group", "1", expr, "--json")
-    assert code == 2
-    assert json.loads(out) == {"error": "w_group supports at most 10 distinct primes in the torsion, got 11"}
-    code, _, err = run(capsys, "wgroup", expr)
-    assert code == 2 and "at most 10 distinct primes" in err
+    assert code == 0 and json.loads(out)["reason"] == "w_too_big"
+    code, out, _ = run(capsys, "wgroup", expr, "--json")
+    assert code == 0
+    assert json.loads(out) == {"group": expr, "w": 148, "decomposition": [200560490130]}
+
+
+def test_wgroup_answers_many_entries_fast(capsys):
+    cases = [
+        ("Z30030xZ30030xZ30030", 102, [30030] * 3),
+        ("x".join(["Z2"] * 1000 + ["Z3"] * 1000 + ["Z4"] * 500), 3000, [4] * 500 + [6] * 1000),
+    ]
+    for expr, w, parts in cases:
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "wgroup", expr, "--json")
+        assert time.perf_counter() - start < 1
+        answer = json.loads(out)
+        assert code == 0 and (answer["w"], answer["decomposition"]) == (w, parts)
 
 
 def test_infinite_order_matrix_is_domain_error(tmp_path, capsys):

@@ -1,8 +1,52 @@
+import itertools
+import random
+from collections import Counter
 from math import gcd
 
 import pytest
 
+from nctori.arith import factorize, totient
 from nctori.wfun import AbelianGroup, CyclicDecomposition, max_finite_order, w_cyclic, w_group, w_order
+
+
+def _coprime_partitions(torsion):
+    """All partitions of the prime-power multiset into parts with pairwise
+    distinct primes, as sorted tuples of part orders.
+
+    The entries are placed one at a time, each into any part that lacks its
+    prime or into a new part; the states of one level are a set, so partial
+    partitions that coincide are extended once."""
+    states = {()}
+    for q in sorted(torsion):
+        p = factorize(q)[0][0]
+        nxt = set()
+        for parts in states:
+            nxt.add(tuple(sorted(parts + (q,))))
+            for i, order in enumerate(parts):
+                if order % p:
+                    nxt.add(tuple(sorted(parts[:i] + (order * q,) + parts[i + 1 :])))
+        states = nxt
+    return states
+
+
+def _reference_w_group(torsion):
+    """The search that ``w_group`` replaces: the least (cost, part count,
+    sorted parts) over every coprime partition of the torsion."""
+    cost, _, parts = min(
+        (sum(w_cyclic(n) for n in parts), len(parts), parts) for parts in _coprime_partitions(torsion)
+    )
+    return cost, parts
+
+
+def _check_against_reference(torsion):
+    g = AbelianGroup(tuple(torsion))
+    w, decomp = w_group(g)
+    assert (w, decomp.parts) == _reference_w_group(g.torsion), torsion
+    z = g.torsion.count(2)
+    o = sum(q % 2 for q in g.torsion)
+    assert w == sum(totient(q) for q in g.torsion) + z - 2 * min(z, o), torsion
+    multiplicity = Counter(factorize(q)[0][0] for q in g.torsion)
+    assert len(decomp.parts) == max(multiplicity.values()), torsion
 
 
 def test_w_order_table():
@@ -69,11 +113,28 @@ def test_w_group_ignores_free_rank():
     assert w_group(a)[0] == w_group(b)[0]
 
 
-def test_w_group_prime_limit():
+def test_w_group_eleven_primes():
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert w_group(AbelianGroup.from_factors(primes))[0] == 118
-    with pytest.raises(ValueError, match="at most 10 distinct primes"):
-        w_group(AbelianGroup.from_factors(primes + [31], free_rank=1))
+    cost, decomp = w_group(AbelianGroup.from_factors(primes + [31], free_rank=1))
+    assert cost == 148 and decomp == CyclicDecomposition((200560490130,))
+
+
+def test_w_group_matches_partition_search_exhaustively():
+    # every torsion of 1 to 6 entries from these prime powers: 5,004 groups
+    count = 0
+    for size in range(1, 7):
+        for torsion in itertools.combinations_with_replacement([2, 4, 8, 3, 9, 5, 25, 7, 11], size):
+            _check_against_reference(torsion)
+            count += 1
+    assert count == 5004
+
+
+def test_w_group_matches_partition_search_on_random_torsions():
+    rng = random.Random(13)
+    pool = [2, 4, 8, 16, 3, 9, 27, 5, 25, 7, 49, 11, 13, 17, 19]
+    for _ in range(1000):
+        _check_against_reference(rng.choices(pool, k=rng.randint(1, 8)))
 
 
 def test_w_group_with_repeated_primes():
