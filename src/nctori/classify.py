@@ -14,7 +14,7 @@ than hiding the discrepancy.
 
 from __future__ import annotations
 
-import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 from math import lcm
 
@@ -120,47 +120,32 @@ def _verdict(d, label, w, reason, realization=None, k=None, af_computed=False, p
     )
 
 
-def _candidate_blocks(n: int) -> list[tuple[Block, ...]]:
-    """Cyclotomic block lists realizing Z_n in dimension w_order(n), n >= 3.
+def _best_blocks(n: int) -> tuple[Block, ...]:
+    """Cyclotomic blocks realizing Z_n in dimension w_order(n), n >= 3: one
+    Cyclotomic(q) per prime power q of n.
 
     For n = 2m with odd m > 1 the factor 2 costs no dimension: it is absorbed
-    by negating one odd prime-power block, and every choice of the negated
-    block is a distinct candidate."""
+    by negating one odd block.  The choice minimizes the summed standalone
+    odd-degree invariant ranks; the choices share every other block, so that
+    is the q of least s1(negC q) - s1(C q), ties going to the largest q."""
     fac = factorize(n)
-    if n % 4 == 2:
-        odd = [(p, e) for p, e in fac if p != 2]
-        return [
-            tuple(
-                NegCyclotomic(p**e) if idx == pick else Cyclotomic(p**e)
-                for idx, (p, e) in enumerate(odd)
-            )
-            for pick in range(len(odd))
-        ]
-    return [tuple(Cyclotomic(p**e) for p, e in fac)]
+    if n % 4 != 2:
+        return tuple(Cyclotomic(p**e) for p, e in fac)
+    odd = [p**e for p, e in fac if p != 2]
+    neg = min(odd, key=lambda q: (s1((NegCyclotomic(q),)) - s1((Cyclotomic(q),)), -q))
+    return tuple(NegCyclotomic(q) if q == neg else Cyclotomic(q) for q in odd)
 
 
-def _best_blocks(n: int) -> tuple[Block, ...]:
-    """The K_1-optimal candidate: minimize the summed standalone odd-degree
-    invariant ranks; ties go to negating the largest prime power."""
-
-    def sort_key(blocks):
-        total = sum(s1((b,)) for b in blocks)
-        negated = max((b.n for b in blocks if isinstance(b, NegCyclotomic)), default=0)
-        return (total, -negated)
-
-    return min(_candidate_blocks(n), key=sort_key)
-
-
-def _part_blocks(n_l: int) -> tuple[Block, ...]:
+def _part(n_l: int) -> tuple[tuple[Block, ...], Iterable[GradedRank]]:
+    """The blocks of one cyclic part of order n_l and the K-ranks of its
+    Kunneth factors, the latter computed when read, once (a gap-one verdict
+    never reads them).  Z_2 spends a full -I_2, since a lone sign block
+    cannot carry it; both sign blocks carry the same Z_2, so the part is one
+    factor, the flip on a 2-torus, not the product of two."""
     if n_l == 2:
-        return (Cyclotomic(2), Cyclotomic(2))  # -I_2; a lone sign block cannot carry Z_2
-    return _best_blocks(n_l)
-
-
-def _part_k(n_l: int) -> GradedRank:
-    if n_l == 2:
-        return GradedRank(at_least(1), exact(0))  # flip on a 2-torus, even order
-    return kunneth_all(factor_k(b) for b in _best_blocks(n_l))
+        return (Cyclotomic(2), Cyclotomic(2)), [GradedRank(at_least(1), exact(0))]
+    blocks = _best_blocks(n_l)
+    return blocks, map(factor_k, blocks)
 
 
 def _classify(d: int, label: str, w: int, parts: tuple[int, ...], free_rank: int) -> Verdict:
@@ -175,11 +160,12 @@ def _classify(d: int, label: str, w: int, parts: tuple[int, ...], free_rank: int
     if w > d:
         return _verdict(d, label, w, W_TOO_BIG)
     gap = d - w
-    blocks = tuple(itertools.chain.from_iterable(_part_blocks(n_l) for n_l in parts))
+    resolved = [_part(n_l) for n_l in parts]
+    blocks = tuple(b for part_blocks, _ in resolved for b in part_blocks)
     realization = Realization(blocks + ((Identity(gap),) if gap else ()), lcm(*parts, 1))
     if gap == 1 and not free_rank:
         return _verdict(d, label, w, GAP_ONE, realization)
-    k = kunneth_all([_part_k(n_l) for n_l in parts] + [torus_k(gap + free_rank)])
+    k = kunneth_all([kunneth_all(factors) for _, factors in resolved] + [torus_k(gap + free_rank)])
     af_computed = not free_rank and k.k1 == exact(0)
     paper_flag = not free_rank and gap == 0 and all(af_paper(n_l) for n_l in parts)
     return _verdict(d, label, w, EXISTS, realization, k, af_computed, paper_flag)

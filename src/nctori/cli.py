@@ -112,10 +112,6 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _rank_str(r) -> str:
-    return "-" if r is None else str(r)
-
-
 def _print_verdict_text(v: Verdict):
     print(f"d={v.d}  input={v.input_label}  W={v.w}")
     if not v.realizable_in_gl_d:

@@ -501,8 +501,9 @@ def rational_block_form(a: Matrix) -> tuple[Matrix, Matrix] | None:
     acts on each as companion(Phi_n).  Phi_n is irreducible, so a chain
     started at a kernel vector outside the chains already taken is
     independent of them; P lists the chains, blocks in the order of B.  The
-    chains fill Q^d exactly when ``a`` has finite order (a unipotent part
-    leaves some kernel too small), so no power of ``a`` is taken.
+    type and the None come from ``cyclotomic_type``, whose certificate makes
+    ``a`` semisimple, so the chains always fill Q^d; ArithmeticError is
+    raised if they do not, or if the final exact check fails.
 
     >>> c3, c5 = companion(cyclotomic(3)), companion(cyclotomic(5))
     >>> swap = Matrix([[int(j == (i + 2) % 6) for j in range(6)] for i in range(6)])
@@ -515,7 +516,7 @@ def rational_block_form(a: Matrix) -> tuple[Matrix, Matrix] | None:
     >>> rational_block_form(Matrix([[1, 1], [0, 1]])) is None
     True
     """
-    ns = _cyclotomic_factors(a)
+    ns = cyclotomic_type(a)
     if ns is None:
         return None
     d = a.nrows
@@ -536,7 +537,7 @@ def rational_block_form(a: Matrix) -> tuple[Matrix, Matrix] | None:
                     cols.append(v)
                     v = tuple(sum(map(operator.mul, row, v)) for row in rows)
         if len(cols) < need:
-            return None
+            raise ArithmeticError("rational block form: the chains do not fill Q^d")
     p = Matrix(cols, ncols=d).transpose()
     b = block_diag(companion(cyclotomic(n)) for n in ns)
     if a @ p != p @ b:

@@ -138,20 +138,31 @@ def spec_dim(spec) -> int:
     return sum(block_dim(b) for b in spec)
 
 
+def _order_dims(spec) -> dict[int, int]:
+    """Block order m -> summed dimension of the blocks of order m, the number
+    of eigenvalues of the realized matrix that are primitive m-th roots of 1."""
+    dims: dict[int, int] = {}
+    for b in spec:
+        m = block_order(b)
+        dims[m] = dims.get(m, 0) + block_dim(b)
+    return dims
+
+
 def spec_order(spec) -> int:
-    return lcm(*(block_order(b) for b in spec), 1)
+    return lcm(*_order_dims(spec), 1)
 
 
 def spec_free(spec) -> bool:
     """``free_outside_origin(realize(spec))`` read off the blocks: every block
     has the same order, so each eigenvalue is a primitive root of unity of
     the full order."""
-    return len({block_order(b) for b in spec}) <= 1
+    return len(_order_dims(spec)) <= 1
 
 
 def spec_nondegenerate(spec) -> bool:
-    """``nondegenerate_invariant_exists(realize(spec))[0]`` off the rotation
-    spectrum: angles 0 and 1/2 each occur a number of times other than one.
+    """``nondegenerate_invariant_exists(realize(spec))[0]`` off the block
+    orders: the eigenvalues 1 and -1 (the blocks of order 1 and 2) each have
+    a multiplicity other than one.
 
     A nondegenerate Theta exists exactly when the invariant skew forms have
     no common kernel vector.  Over C they pair the lambda eigenspace with the
@@ -163,8 +174,8 @@ def spec_nondegenerate(spec) -> bool:
     >>> spec_nondegenerate(parse_block_spec("C3+I1")), spec_nondegenerate(parse_block_spec("C3+I2"))
     (False, True)
     """
-    angles = rotation_spectrum(spec)
-    return 1 not in (angles.count(0), angles.count(Fraction(1, 2)))
+    dims = _order_dims(spec)
+    return 1 not in (dims.get(1, 0), dims.get(2, 0))
 
 
 def _realize_block(block: Block) -> Matrix:
@@ -308,11 +319,8 @@ def invariant_ranks(spec: BlockSpec) -> tuple[int, ...]:
     (1, 0, 2, 0, 1)
     """
     spec = tuple(spec)
-    n = spec_order(spec)
-    dims: dict[int, int] = {}
-    for b in spec:
-        m = block_order(b)
-        dims[m] = dims.get(m, 0) + block_dim(b)
+    dims = _order_dims(spec)
+    n = lcm(*dims, 1)
     d = sum(dims.values())
     fac = factorize(n)
     # the exponent table and the weighted sum cost len(dims) + d + 1 per divisor

@@ -125,7 +125,9 @@ def w_group(g: AbelianGroup) -> tuple[int, CyclicDecomposition]:
 
     Each prime power q costs phi(q), a Z_2 alone in its part one more and a
     Z_2 merged into a part with odd entries one less: with z copies of Z_2
-    and o odd entries the minimum is sum(phi(q)) + z - 2 min(z, o).
+    and o odd entries the minimum is sum(phi(q)) + z - 2 min(z, o).  W is
+    read off the entries by that formula in the same scan that sorts them,
+    so no merged part is factored again.
     Minimizers are tie-broken toward fewer parts (the largest multiplicity
     of a prime), then the lexicographically smallest sorted part list.  That
     one is built smallest part first: each part is the least product that
@@ -143,10 +145,14 @@ def w_group(g: AbelianGroup) -> tuple[int, CyclicDecomposition]:
     z = g.torsion.count(2)
     higher = [q for q in reversed(g.torsion) if q > 2 and q % 2 == 0]  # largest first
     odd: dict[int, list[int]] = {}  # odd prime -> its entries, largest first
+    phi_sum = 0
     for q in reversed(g.torsion):
-        if q % 2:
-            odd.setdefault(factorize(q)[0][0], []).append(q)
+        p = factorize(q)[0][0] if q % 2 else 2
+        phi_sum += q - q // p
+        if p > 2:
+            odd.setdefault(p, []).append(q)
     o = sum(map(len, odd.values()))
+    w = phi_sum + z - 2 * min(z, o)
     parts = []
     while z or higher or odd:
         size = max([z + len(higher)] + [len(e) for e in odd.values()])
@@ -170,7 +176,7 @@ def w_group(g: AbelianGroup) -> tuple[int, CyclicDecomposition]:
             o -= 1
             if not odd[p]:
                 del odd[p]
-    return sum(w_cyclic(n) for n in parts), CyclicDecomposition(tuple(parts))
+    return w, CyclicDecomposition(tuple(parts))
 
 
 def max_finite_order(d: int) -> int:

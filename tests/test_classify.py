@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from nctori.arith import cyclotomic
+from nctori.arith import cyclotomic, factorize
 from nctori.exactlin import Matrix, block_diag, companion, order
 from nctori.invariants import (
     Cyclotomic,
@@ -14,12 +14,14 @@ from nctori.invariants import (
     enumerate_specs,
     parse_block_spec,
     realize,
+    s1,
     spec_dim,
 )
 from nctori.ktheory import GradedRank, at_least, exact, torus_k
 from nctori.classify import (
     GAP_ONE,
     W_TOO_BIG,
+    _best_blocks,
     af_paper,
     analyze_action,
     classify_cyclic,
@@ -95,6 +97,38 @@ def test_sign_absorption_picks_low_k1_choice():
     labels = sorted(block_label(b) for b in v.realization.blocks)
     assert labels == ["C3", "negC7"]
     assert v.is_af_computed and v.is_af_paper_predicate
+
+
+def _reference_candidate_blocks(n):
+    # every choice of the negated odd block, each a candidate block list
+    fac = factorize(n)
+    if n % 4 == 2:
+        odd = [(p, e) for p, e in fac if p != 2]
+        return [
+            tuple(
+                NegCyclotomic(p**e) if idx == pick else Cyclotomic(p**e)
+                for idx, (p, e) in enumerate(odd)
+            )
+            for pick in range(len(odd))
+        ]
+    return [tuple(Cyclotomic(p**e) for p, e in fac)]
+
+
+def _reference_best_blocks(n):
+    # least summed standalone s1 over the candidates; ties to the largest negated block
+    def sort_key(blocks):
+        total = sum(s1((b,)) for b in blocks)
+        negated = max((b.n for b in blocks if isinstance(b, NegCyclotomic)), default=0)
+        return (total, -negated)
+
+    return min(_reference_candidate_blocks(n), key=sort_key)
+
+
+def test_block_choice_matches_the_candidate_search():
+    # the direct argmin over the odd prime powers picks what a search over
+    # every candidate block list picks, ties included
+    for n in range(3, 4000):
+        assert _best_blocks(n) == _reference_best_blocks(n), n
 
 
 def test_flip_and_gap_one_for_order_two():

@@ -301,6 +301,20 @@ def test_eleven_distinct_primes_answer(capsys):
     assert json.loads(out) == {"group": expr, "w": 148, "decomposition": [200560490130]}
 
 
+def test_w_is_read_off_the_entries_past_the_factoring_limit(capsys):
+    # each entry factors, their product 1000036000099 does not: W and the
+    # verdict must not need it
+    expr = "Z1000003xZ1000033"
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "wgroup", expr, "--json")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and json.loads(out) == {"group": expr, "w": 2000034, "decomposition": [1000036000099]}
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "classify-group", "100", expr, "--json")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and json.loads(out)["reason"] == "w_too_big"
+
+
 def test_wgroup_answers_many_entries_fast(capsys):
     cases = [
         ("Z30030xZ30030xZ30030", 102, [30030] * 3),
