@@ -11,7 +11,7 @@ from .classify import (
     classify_fg,
     classify_group,
 )
-from .exactlin import Matrix, block_diag, companion, compound, compounds, det, kernel_basis, order, rank
+from .exactlin import Matrix, block_diag, companion, compound, det, kernel_basis, order, rank
 from .invariants import (
     Cyclotomic,
     Identity,
@@ -20,7 +20,6 @@ from .invariants import (
     invariant_rank,
     invariant_rank_oracle,
     invariant_ranks_molien,
-    invariant_ranks_oracle,
     realize,
     rotation_spectrum,
     s1,

@@ -14,6 +14,7 @@ than hiding the discrepancy.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass
 from math import lcm
@@ -165,7 +166,7 @@ def _classify(d: int, label: str, w: int, parts: tuple[int, ...], free_rank: int
     realization = Realization(blocks + ((Identity(gap),) if gap else ()), lcm(*parts, 1))
     if gap == 1 and not free_rank:
         return _verdict(d, label, w, GAP_ONE, realization)
-    k = kunneth_all([kunneth_all(factors) for _, factors in resolved] + [torus_k(gap + free_rank)])
+    k = kunneth_all(itertools.chain(*(factors for _, factors in resolved), [torus_k(gap + free_rank)]))
     af_computed = not free_rank and k.k1 == exact(0)
     paper_flag = not free_rank and gap == 0 and all(af_paper(n_l) for n_l in parts)
     return _verdict(d, label, w, EXISTS, realization, k, af_computed, paper_flag)

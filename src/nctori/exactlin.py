@@ -3,14 +3,15 @@
 Matrices are immutable with ``int`` or ``fractions.Fraction`` entries; all
 computations are exact.  Determinants use fraction-free Bareiss elimination,
 rank and kernels use fraction-free integer echelon reduction with gcd
-normalization (rational input rows are scaled to integers first), and
-compound matrices come from one Laplace sweep over all degrees.  The
-characteristic polynomial comes from Hessenberg reduction modulo a Mersenne
-prime above twice a Hadamard bound on its coefficients, so the symmetric
-residues are the coefficients themselves.  Finite order is certified by
-matrix-vector products alone: one Krylov chain and one probe vector that
-packs unit vectors into wide digits (``cyclotomic_type``).  Everything is
-pure and safe to share across threads.
+normalization (rational input rows are scaled to integers first), and a
+compound matrix comes from a Laplace sweep over only the rows its degree
+reaches.  The characteristic polynomial comes from Hessenberg reduction
+modulo a Mersenne prime above twice a Hadamard bound on its coefficients,
+so the symmetric residues are the coefficients themselves.  Finite order
+is certified by matrix-vector products alone: one Krylov chain and one
+probe vector that packs unit vectors into wide digits
+(``cyclotomic_type``).  Everything is pure and safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -735,62 +736,54 @@ def reduced_basis(vectors) -> list[tuple[int, ...]]:
     return basis
 
 
-def compounds(a: Matrix):
-    """Yield compound(a, 0), compound(a, 1), ..., compound(a, d) in one sweep.
+def compound(a: Matrix, m: int) -> Matrix:
+    """Compound matrix of the m-th exterior power of ``a``.
 
-    Degree m is built from degree m - 1 by Laplace expansion along the first
-    row s of each row subset S = (s,) + S':
+    Indexed by the sorted m-element subsets of the row/column indices in
+    lexicographic order; entry (S, T) is the minor det(a[S, T]).  Degree j
+    is built from degree j - 1 by Laplace expansion along the first row s
+    of each row subset S = (s,) + S':
 
         det a[S, T] = sum over t in T of (-1)^k a[s, t] det a[S', T - {t}],
 
     k the position of t in T.  Only the nonzero entries a[s, t] are visited,
-    each against the column subsets T that contain t.  Exact on int and
-    Fraction entries alike.
+    each against the column subsets T that contain t.  A row subset of
+    degree m reaches, j degrees down, only subsets of {m - j, ..., d - 1},
+    so degree j < m builds just those rows (and every column subset).
+    Exact on int and Fraction entries alike; intended for d <= 12
+    (binomial growth).
 
-    >>> [c.rows for c in compounds(Matrix([[1, 2], [3, 4]]))]
+    >>> [compound(Matrix([[1, 2], [3, 4]]), m).rows for m in range(3)]
     [((1,),), ((1, 2), (3, 4)), ((-2,),)]
     """
     if not a.is_square:
         raise ValueError("compound requires a square matrix")
     d = a.nrows
+    if not 0 <= m <= d:
+        raise ValueError(f"compound degree {m} out of range for dimension {d}")
     nonzero = [[(t, v) for t, v in enumerate(row) if v] for row in a.rows]
-    prev = Matrix._from_rows(((1,),), 1)
-    prev_index = {(): 0}
-    yield prev
-    for m in range(1, d + 1):
-        subsets = list(itertools.combinations(range(d), m))
+    prev = [(1,)]
+    row_index = col_index = {(): 0}
+    for j in range(1, m + 1):
+        col_subsets = list(itertools.combinations(range(d), j))
         # containing[t]: (column of T, column of T - {t} one degree down, k odd)
         containing: list[list[tuple[int, int, int]]] = [[] for _ in range(d)]
-        for j, cols in enumerate(subsets):
+        for c, cols in enumerate(col_subsets):
             for k, t in enumerate(cols):
-                containing[t].append((j, prev_index[cols[:k] + cols[k + 1 :]], k & 1))
+                containing[t].append((c, col_index[cols[:k] + cols[k + 1 :]], k & 1))
+        row_subsets = list(itertools.combinations(range(m - j, d), j))
         out = []
-        for rows_s in subsets:
-            minors = prev.rows[prev_index[rows_s[1:]]]
-            row = [0] * len(subsets)
+        for rows_s in row_subsets:
+            minors = prev[row_index[rows_s[1:]]]
+            row = [0] * len(col_subsets)
             for t, v in nonzero[rows_s[0]]:
                 nv = -v
-                for j, jm, odd in containing[t]:
-                    x = minors[jm]
+                for c, cm, odd in containing[t]:
+                    x = minors[cm]
                     if x:
-                        row[j] += (nv if odd else v) * x
+                        row[c] += (nv if odd else v) * x
             out.append(tuple(row))
-        prev = Matrix._from_result(tuple(out), len(subsets))
-        prev_index = {cols: j for j, cols in enumerate(subsets)}
-        yield prev
-
-
-def compound(a: Matrix, m: int) -> Matrix:
-    """Compound matrix of the m-th exterior power of ``a``: degree m of
-    ``compounds(a)``.
-
-    Indexed by the sorted m-element subsets of the row/column indices in
-    lexicographic order; entry (S, T) is the minor det(a[S, T]).  Intended
-    for d <= 12 (binomial growth); larger matrices should go through the
-    rotation-spectrum route instead.
-    """
-    if not a.is_square:
-        raise ValueError("compound requires a square matrix")
-    if not 0 <= m <= a.nrows:
-        raise ValueError(f"compound degree {m} out of range for dimension {a.nrows}")
-    return next(itertools.islice(compounds(a), m, None))
+        prev = out
+        row_index = {rows_s: i for i, rows_s in enumerate(row_subsets)}
+        col_index = {cols: c for c, cols in enumerate(col_subsets)}
+    return Matrix._from_result(tuple(prev), len(prev[0]))

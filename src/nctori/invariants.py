@@ -1,7 +1,7 @@
 """Exterior-power invariant ranks of finite-order integer matrices.
 
 Three independent routes compute the rank of the fixed lattice of the m-th
-exterior power of a finite-order matrix, for every m at once:
+exterior power of a finite-order matrix:
 
 * ``invariant_ranks`` applies Molien's formula to the cyclotomic type of a
   block spec: the average of det(I + t a^e) over the cyclic group is a sum
@@ -13,12 +13,11 @@ exterior power of a finite-order matrix, for every m at once:
   the same formula: from the traces of the powers a^g for the divisors g of
   the order and Newton's identities.  It shares no code with the spectral
   route and is what ``analyze`` reports as its cross-check;
-* ``invariant_ranks_oracle`` is the brute-force check: build the compound
-  matrices of every degree in one Laplace sweep (``exactlin.compounds``),
-  subtract the identity, and take the exact rank over the rationals by
-  fraction-free echelon, one support component at a time;
-  ``invariant_rank_oracle`` does the same for one degree.  Its cost grows
-  with C(d, m)^2, so it serves the test suite up to dimension 12.
+* ``invariant_rank_oracle`` is the brute-force check of one degree m:
+  build the compound matrix (``exactlin.compound``), subtract the
+  identity, and take the exact rank over the rationals (``exactlin.rank``)
+  one support component at a time.  Its cost grows with C(d, m)^2, so it
+  serves the test suite up to dimension 12.
 
 ``s1`` sums the odd-degree invariant ranks; under a free-outside-the-origin
 cyclic action this is the rank of K_1 of the crossed product.  ``s1`` itself
@@ -37,12 +36,12 @@ from .arith import cyclotomic, divisors, factorize, totient
 from .exactlin import (
     Matrix,
     _components,
-    _echelon_int,
+    _shift_diag,
     block_diag,
     companion,
     compound,
-    compounds,
     cyclotomic_type,
+    rank,
 )
 
 
@@ -451,36 +450,20 @@ def invariant_ranks_molien(a: Matrix, n: int) -> tuple[int, ...]:
 ORACLE_MAX_DIM = 12
 
 
-def _oracle_dim(a: Matrix) -> int:
-    if not a.is_square:
-        raise ValueError("oracle requires a square matrix")
-    if a.nrows > ORACLE_MAX_DIM:
-        raise ValueError(f"oracle limited to dimension {ORACLE_MAX_DIM}, got {a.nrows}")
-    return a.nrows
-
-
-def invariant_ranks_oracle(a: Matrix) -> tuple[int, ...]:
-    """Brute-force invariant ranks of every degree 0..d from one sweep of
-    compound matrices (``compounds``); the oracle counterpart of
-    ``invariant_ranks``.
-
-    Requires a finite-order matrix (caller's contract) of dimension at most
-    12; use ``invariant_ranks`` beyond that.
-
-    >>> invariant_ranks_oracle(realize((Cyclotomic(5),)))
-    (1, 0, 2, 0, 1)
-    """
-    _oracle_dim(a)
-    return tuple(_fixed_rank(c) for c in compounds(a))
-
-
 def invariant_rank_oracle(a: Matrix, m: int) -> int:
     """Brute-force invariant rank: C(d, m) - rank(compound(a, m) - I) over Q.
 
     Requires a finite-order matrix (caller's contract) of dimension at most
-    12; use ``invariant_rank`` beyond that.
+    12; use ``invariant_rank`` beyond that.  Integer or rational entries.
+
+    >>> [invariant_rank_oracle(realize((Cyclotomic(5),)), m) for m in range(5)]
+    [1, 0, 2, 0, 1]
     """
-    d = _oracle_dim(a)
+    if not a.is_square:
+        raise ValueError("oracle requires a square matrix")
+    d = a.nrows
+    if d > ORACLE_MAX_DIM:
+        raise ValueError(f"oracle limited to dimension {ORACLE_MAX_DIM}, got {d}")
     if not 0 <= m <= d:
         raise ValueError(f"degree {m} out of range for dimension {d}")
     return _fixed_rank(compound(a, m))
@@ -500,24 +483,21 @@ def free_outside_origin(a: Matrix) -> bool:
 #
 # compound(a, m) - I for a block realization is permutation-similar to a block
 # diagonal matrix, so splitting the support graph into connected components
-# before eliminating keeps the elimination blocks small.  Each component is
-# ranked by fraction-free integer echelon (``_echelon_int``).
+# before eliminating keeps the elimination blocks small.
 
 
 def _fixed_rank(c: Matrix) -> int:
     """Dimension of the fixed space of the compound ``c``: its size minus the
-    rank of c - I, formed in place on the compound's rows."""
-    diff = tuple(row[:i] + (row[i] - 1,) + row[i + 1 :] for i, row in enumerate(c.rows))
-    return c.nrows - _rank_by_components(Matrix._from_rows(diff, c.ncols))
+    rank of c - I."""
+    return c.nrows - _rank_by_components(_shift_diag(c, -1))
 
 
 def _rank_by_components(m: Matrix) -> int:
-    total = 0
-    for idx in _components(m):
-        rows = [[m.rows[i][j] for j in idx] for i in idx]
-        if any(any(row) for row in rows):
-            total += len(_echelon_int(rows))
-    return total
+    rows = m.rows
+    return sum(
+        rank(Matrix._from_rows(tuple(tuple(rows[i][j] for j in idx) for i in idx), len(idx)))
+        for idx in _components(m)
+    )
 
 
 # -- exhaustive spec family helpers (used by the verification suite) ---------

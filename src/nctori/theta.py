@@ -71,25 +71,10 @@ class SymbolicSkew:
         return tuple(m for _, m in self.symbol_parts)
 
     def entry(self, i: int, j: int) -> str:
-        """Human-readable entry: rational constant plus symbol terms."""
-        terms = []
-        c = self.rational_part.rows[i][j]
-        if c:
-            terms.append(str(c))
-        for name, mat in self.symbol_parts:
-            v = mat.rows[i][j]
-            if v == 0:
-                continue
-            if v == 1:
-                term = name
-            elif v == -1:
-                term = f"-{name}"
-            else:
-                term = f"{v}*{name}"
-            if terms and not term.startswith("-"):
-                term = "+" + term
-            terms.append(term)
-        return "".join(terms) if terms else "0"
+        """Human-readable entry: rational constant plus symbol terms, written
+        as the ``PairingValue`` of that entry."""
+        terms = tuple((name, Fraction(mat.rows[i][j])) for name, mat in self.symbol_parts if mat.rows[i][j])
+        return str(PairingValue(Fraction(self.rational_part.rows[i][j]), terms))
 
 
 @dataclass(frozen=True)

@@ -379,10 +379,10 @@ def test_parser_is_built_once_and_reused(capsys, monkeypatch):
 
 
 def test_analyze_does_not_run_the_compound_oracle(tmp_path, capsys, monkeypatch, unimodular_pair):
-    def no_compounds(a):
+    def no_compound(a, m):
         raise AssertionError("analyze must not build compound matrices")
 
-    monkeypatch.setattr(invariants, "compounds", no_compounds)
+    monkeypatch.setattr(invariants, "compound", no_compound)
     spec, d, path = _write_conjugate(tmp_path, "C5+C3+I2", 8, unimodular_pair)
     assert d == 8
     code, out, _ = run(capsys, "analyze", path, "--json")

@@ -18,7 +18,6 @@ from nctori.exactlin import (
     charpoly,
     companion,
     compound,
-    compounds,
     cyclotomic_type,
     det,
     kernel_basis,
@@ -126,11 +125,8 @@ def test_compound_entries_are_minors():
     rational = Matrix([[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(5)] for _ in range(5)])
     for a in (dense, rational):
         d = a.nrows
-        sweep = list(compounds(a))
-        assert len(sweep) == d + 1
         for m in range(d + 1):
             c = compound(a, m)
-            assert c == sweep[m]
             subsets = list(itertools.combinations(range(d), m))
             for i, rows in enumerate(subsets):
                 for j, cols in enumerate(subsets):

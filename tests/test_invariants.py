@@ -22,7 +22,6 @@ from nctori.invariants import (
     invariant_rank_oracle,
     invariant_ranks,
     invariant_ranks_molien,
-    invariant_ranks_oracle,
     parse_block_spec,
     realize,
     rotation_spectrum,
@@ -82,12 +81,12 @@ def test_oracle_rejects_large_dimension():
     with pytest.raises(ValueError):
         invariant_rank_oracle(Matrix.identity(13), 1)
     with pytest.raises(ValueError, match="dimension 12"):
-        invariant_ranks_oracle(Matrix.identity(13))
+        invariant_rank_oracle(Matrix.identity(13), 0)
     with pytest.raises(ValueError, match="square"):
-        invariant_ranks_oracle(Matrix([[1, 0, 0], [0, 1, 0]]))
+        invariant_rank_oracle(Matrix([[1, 0, 0], [0, 1, 0]]), 0)
 
 
-def test_all_degree_oracle_matches_single_degree(unimodular_pair):
+def test_single_degree_oracle_matches_invariant_ranks(unimodular_pair):
     rng = random.Random(4096)
     pool = [s for s in enumerate_specs(8) if spec_dim(s) >= 4]
     for spec in rng.sample(pool, 8) + [parse_block_spec(t) for t in ("C5+C2", "negC7+I1", "C8+C3")]:
@@ -95,9 +94,27 @@ def test_all_degree_oracle_matches_single_degree(unimodular_pair):
         d = b.nrows
         p, q = unimodular_pair(rng, d, 3 * d)
         for a in (b, p @ b @ q):
-            ranks = invariant_ranks_oracle(a)
-            assert ranks == tuple(invariant_rank_oracle(a, m) for m in range(d + 1)), spec
+            ranks = tuple(invariant_rank_oracle(a, m) for m in range(d + 1))
             assert ranks == invariant_ranks(spec), spec
+
+
+def test_single_degree_oracle_on_rational_conjugates(unimodular_pair):
+    # P = U T with U unimodular and T = I + E_00 + E_01 of determinant 2, so
+    # P^-1 = T^-1 U^-1 is exact but not integral, and so are the conjugates
+    rng = random.Random(2718)
+    for text in ("C3", "C5", "C5+C3", "negC7", "C4+I2", "C8", "C3+C3"):
+        spec = parse_block_spec(text)
+        b = realize(spec)
+        d = b.nrows
+        u, u_inv = unimodular_pair(rng, d, 3 * d)
+        eye = [[int(i == j) for j in range(d)] for i in range(d)]
+        t = Matrix([[2, 1] + [0] * (d - 2)] + eye[1:])
+        t_inv = Matrix([[frac(1, 2), frac(-1, 2)] + [0] * (d - 2)] + eye[1:])
+        p, p_inv = u @ t, t_inv @ u_inv
+        assert p @ p_inv == Matrix.identity(d)
+        a = p @ b @ p_inv
+        assert any(isinstance(x, Fraction) for row in a.rows for x in row), text
+        assert tuple(invariant_rank_oracle(a, m) for m in range(d + 1)) == invariant_ranks(spec), text
 
 
 def test_molien_matches_spectrum_dp_exhaustive():
@@ -117,7 +134,7 @@ def test_molien_matches_dp_and_oracle_on_conjugates(unimodular_pair):
         a = p @ b @ q
         ranks = invariant_ranks(spec)
         assert invariant_ranks_molien(a, spec_order(spec)) == ranks, spec
-        assert invariant_ranks_oracle(a) == ranks, spec
+        assert tuple(invariant_rank_oracle(a, m) for m in range(d + 1)) == ranks, spec
 
 
 def test_molien_contract():
