@@ -271,6 +271,7 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--nmax", type=int, default=None)
     p.add_argument("--json", action="store_true")
 
+    parser.commands = sub.choices  # subcommand name -> its parser, for main
     return parser
 
 
@@ -350,23 +351,31 @@ _parser: _ArgumentParser | None = None
 
 
 def main(argv=None) -> int:
+    """Run one command.  When the first word names a subcommand, only that
+    subcommand's parser reads the rest; the top-level parser reads everything
+    else (no words, help, unknown commands), with argparse's own messages."""
     global _parser
     if _parser is None:  # built on the first call, not at import
         _parser = _build_parser()
+    words = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser.parse_args(argv)
+        command = _parser.commands.get(words[0]) if words else None
+        if command is None:
+            args = _parser.parse_args(words)
+        else:
+            args = command.parse_args(words[1:])
+            args.command = words[0]
         return _dispatch(args)
     except CliParseError as exc:
-        _emit_error(argv, str(exc))
+        _emit_error(words, str(exc))
         return 1
     except ValueError as exc:
-        _emit_error(argv, str(exc))
+        _emit_error(words, str(exc))
         return 2
 
 
-def _emit_error(argv, message: str):
-    args = sys.argv[1:] if argv is None else list(argv)
-    if "--json" in args:
+def _emit_error(words, message: str):
+    if "--json" in words:
         print(json.dumps({"error": message}))
     else:
         print(f"error: {message}", file=sys.stderr)

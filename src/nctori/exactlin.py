@@ -497,14 +497,14 @@ def rational_block_form(a: Matrix) -> tuple[Matrix, Matrix] | None:
     in cyclotomic_type(a)) with a @ P == P @ B and P invertible over Q; None
     when ``a`` has infinite order.
 
-    A finite-order matrix is semisimple, so Q^d splits into cyclic subspaces
-    v, a v, ..., a^(phi(n) - 1) v with v in the kernel of Phi_n(a), and ``a``
-    acts on each as companion(Phi_n).  Phi_n is irreducible, so a chain
-    started at a kernel vector outside the chains already taken is
-    independent of them; P lists the chains, blocks in the order of B.  The
-    type and the None come from ``cyclotomic_type``, whose certificate makes
-    ``a`` semisimple, so the chains always fill Q^d; ArithmeticError is
-    raised if they do not, or if the final exact check fails.
+    The n are the factors of the characteristic polynomial (None when it is
+    not a product of Phi_n).  P lists chains v, a v, ..., a^(phi(n) - 1) v,
+    v in ker Phi_n(a), on which ``a`` acts as companion(Phi_n); Phi_n is
+    irreducible, so a chain from a kernel vector outside those taken is
+    independent of them.  Chains lie in the kernels, so if they fill Q^d the
+    distinct Phi_n annihilate ``a``: it is semisimple, of finite order.  A
+    semisimple ``a`` fills them, so if they fall short the answer is None.
+    ArithmeticError is raised only if the final exact check fails.
 
     >>> c3, c5 = companion(cyclotomic(3)), companion(cyclotomic(5))
     >>> swap = Matrix([[int(j == (i + 2) % 6) for j in range(6)] for i in range(6)])
@@ -517,7 +517,7 @@ def rational_block_form(a: Matrix) -> tuple[Matrix, Matrix] | None:
     >>> rational_block_form(Matrix([[1, 1], [0, 1]])) is None
     True
     """
-    ns = cyclotomic_type(a)
+    ns = _cyclotomic_factors(a)
     if ns is None:
         return None
     d = a.nrows
@@ -538,7 +538,7 @@ def rational_block_form(a: Matrix) -> tuple[Matrix, Matrix] | None:
                     cols.append(v)
                     v = tuple(sum(map(operator.mul, row, v)) for row in rows)
         if len(cols) < need:
-            raise ArithmeticError("rational block form: the chains do not fill Q^d")
+            return None
     p = Matrix(cols, ncols=d).transpose()
     b = block_diag(companion(cyclotomic(n)) for n in ns)
     if a @ p != p @ b:

@@ -382,15 +382,13 @@ def s1(spec) -> int:
     For a free-outside-the-origin cyclic action this is the K_1 rank of the
     crossed product; the freeness hypothesis is the caller's responsibility.
     """
-    ranks = invariant_ranks(tuple(spec))
-    return sum(ranks[m] for m in range(1, len(ranks), 2))
+    return sum(invariant_ranks(tuple(spec))[1::2])
 
 
 def even_invariant_sum(spec) -> int:
     """Sum of the even-degree invariant ranks (diagnostic only; this is not
     asserted to be the K_0 rank, which has no closed form here)."""
-    ranks = invariant_ranks(tuple(spec))
-    return sum(ranks[m] for m in range(0, len(ranks), 2))
+    return sum(invariant_ranks(tuple(spec))[0::2])
 
 
 def invariant_ranks_molien(a: Matrix, n: int) -> tuple[int, ...]:

@@ -47,16 +47,17 @@ def at_least(v: int) -> RankInfo:
     return RankInfo(AT_LEAST, v)
 
 
-def _add(a: RankInfo, b: RankInfo) -> RankInfo:
-    kind = EXACT if a.is_exact and b.is_exact else AT_LEAST
-    return RankInfo(kind, a.value + b.value)
-
-
-def _mul(a: RankInfo, b: RankInfo) -> RankInfo:
-    if (a.is_exact and a.value == 0) or (b.is_exact and b.value == 0):
-        return exact(0)
-    kind = EXACT if a.is_exact and b.is_exact else AT_LEAST
-    return RankInfo(kind, a.value * b.value)
+def _entry(x: RankInfo, y: RankInfo, u: RankInfo, v: RankInfo) -> RankInfo:
+    """x*y + u*v: a product with an Exact(0) factor drops out, and the sum is
+    exact only when every product left is exact."""
+    kind, total = EXACT, 0
+    for a, b in ((x, y), (u, v)):
+        if (a.kind == EXACT and a.value == 0) or (b.kind == EXACT and b.value == 0):
+            continue
+        total += a.value * b.value
+        if a.kind != EXACT or b.kind != EXACT:
+            kind = AT_LEAST
+    return RankInfo(kind, total)
 
 
 @dataclass(frozen=True)
@@ -76,10 +77,7 @@ KUNNETH_UNIT = GradedRank(exact(1), exact(0))
 def kunneth(a: GradedRank, b: GradedRank) -> GradedRank:
     """Graded tensor product of torsion-free K-ranks:
     k0 = a0*b0 + a1*b1 and k1 = a0*b1 + a1*b0."""
-    return GradedRank(
-        k0=_add(_mul(a.k0, b.k0), _mul(a.k1, b.k1)),
-        k1=_add(_mul(a.k0, b.k1), _mul(a.k1, b.k0)),
-    )
+    return GradedRank(_entry(a.k0, b.k0, a.k1, b.k1), _entry(a.k0, b.k1, a.k1, b.k0))
 
 
 def kunneth_all(factors) -> GradedRank:

@@ -1,5 +1,7 @@
+import argparse
 import hashlib
 import json
+import sys
 import random
 import time
 from math import comb
@@ -450,3 +452,122 @@ def test_unfactorable_orders_exit_2_naming_the_limit(capsys):
         code, out, _ = run(capsys, *argv, "--json")
         assert code == 2 and limit in json.loads(out)["error"], argv
         assert time.perf_counter() - start < 1, argv
+
+
+def _reference_main(argv):
+    """``main`` as it was when every request went through the top-level
+    parser: one parse_args over all the words, then _dispatch."""
+    words = list(argv)
+    try:
+        return cli._dispatch(cli._build_parser().parse_args(words))
+    except CliParseError as exc:
+        code, message = 1, str(exc)
+    except ValueError as exc:
+        code, message = 2, str(exc)
+    if "--json" in words:
+        print(json.dumps({"error": message}))
+    else:
+        print(f"error: {message}", file=sys.stderr)
+    return code
+
+
+def _outcome(capsys, entry, argv):
+    try:
+        result = ("returned", entry(list(argv)))
+    except SystemExit as exc:
+        result = ("exited", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+def test_main_matches_the_top_level_parse_on_every_path(tmp_path, capsys):
+    flip = tmp_path / "flip.txt"
+    flip.write_text("2\n-1 0\n0 -1\n")
+    valid = [
+        ("wfun", "54"),
+        ("wgroup", "Z2xZ3"),
+        ("cyclotomic", "9"),
+        ("s1", "--blocks", "C3+I2"),
+        ("classify", "5", "3"),
+        ("classify-group", "2", "Z2xZ3"),
+        ("theta", str(flip)),
+        ("analyze", str(flip)),
+        ("table", "--dmax", "2", "--nmax", "4"),
+    ]
+    table = valid + [argv + ("--json",) for argv in valid] + [
+        (),
+        ("-h",),
+        ("--help",),
+        ("classify", "-h"),
+        ("classify", "5", "3", "--h"),
+        ("classify", "5", "3", "--js"),
+        ("--json", "classify", "5", "3"),
+        ("clasify", "5", "3"),
+        ("classify", "x", "3"),
+        ("classify", "5", "3", "7"),
+        ("classify", "5", "-3"),
+        ("classify", "5", "3", "--", "--json"),
+        ("table", "--dmax"),
+        ("s1",),
+        ("analyze", str(tmp_path / "missing.txt")),
+        ("analyze", str(tmp_path / "missing.txt"), "--json"),
+    ]
+    for argv in table:
+        assert _outcome(capsys, main, argv) == _outcome(capsys, _reference_main, argv), argv
+
+
+def test_one_parse_per_well_formed_request(tmp_path, capsys, monkeypatch):
+    flip = tmp_path / "flip.txt"
+    flip.write_text("2\n-1 0\n0 -1\n")
+    parsed = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, args=None, namespace=None):
+        parsed.append(self.prog)
+        return parse_known_args(self, args, namespace)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    for argv in (
+        ("classify", "5", "3"),
+        ("classify", "24", "35", "--json"),
+        ("classify-group", "2", "Z2xZ3"),
+        ("classify-group", "3", "Z3xZ^1", "--json"),
+        ("analyze", str(flip)),
+        ("analyze", str(flip), "--json"),
+    ):
+        parsed.clear()
+        code, _, _ = run(capsys, *argv)
+        assert code == 0 and parsed == [f"nctori {argv[0]}"], argv
+    # anything else goes through the top-level parser first
+    parsed.clear()
+    code, _, _ = run(capsys, "clasify", "5", "3")
+    assert code == 1 and parsed == ["nctori"]
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["nctori", "classify", "2", "6", "--json"])
+    code = main()
+    assert code == 0 and json.loads(capsys.readouterr().out)["simple_action"] is True
+    for words, expected in ((["classify", "2", "1", "--json"], 2), (["classify", "x", "3", "--json"], 1), (["--json"], 1)):
+        monkeypatch.setattr(sys, "argv", ["nctori"] + words)
+        code = main()
+        captured = capsys.readouterr()
+        assert code == expected and captured.err == "" and "error" in json.loads(captured.out), words
+    monkeypatch.setattr(sys, "argv", ["nctori", "classify", "x", "3"])
+    code = main()
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_theta_json_on_repeated_blocks_is_unchanged(tmp_path, capsys, unimodular_pair):
+    # the block-form route without the finite-order certificate: stdout as
+    # before it was dropped
+    digests = {
+        "C11+C11+C11": "a6cea56248254f08e1fa47e0816c70f6bc4a976eb498ab22c057741e0f563439",
+        "C5+C5+C5+C5+C3+C3": "6e1bfc47e5e6f0ffb9933a0ee9dec8067faf3e712cbb9323e752560fdfaba665",
+    }
+    for seed, (text, digest) in enumerate(digests.items(), start=11):
+        _, d, path = _write_conjugate(tmp_path, text, seed, unimodular_pair)
+        code, out, _ = run(capsys, "theta", path, "--json")
+        assert code == 0 and json.loads(out)["d"] == d, text
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, text

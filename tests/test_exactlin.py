@@ -7,6 +7,7 @@ from math import comb, lcm
 
 import pytest
 
+from nctori import exactlin
 from nctori.arith import cyclotomic, poly_mul
 from nctori.exactlin import (
     _MERSENNE_EXPONENTS,
@@ -220,12 +221,30 @@ def test_rational_block_form_rejects_infinite_order():
     hyperbolic = Matrix([[2, 1], [1, 1]])
     assert rational_block_form(hyperbolic) is None
     assert rational_block_form(block_diag([hyperbolic, companion(cyclotomic(5))])) is None
-    # characteristic polynomials Phi_1^4 and Phi_3^2, but not semisimple
+    # characteristic polynomials Phi_1^4, Phi_3^2, Phi_3^2 ([[C, I], [0, C]])
+    # and Phi_1^2, but not semisimple: the chains fall short of Q^d, and the
+    # answer is None, not an error
     shear = Matrix([[int(j in (i, i + 1)) for j in range(4)] for i in range(4)])
     c3 = companion(cyclotomic(3))
     jordan = block_diag([c3, c3]) + Matrix([[0, 0, 1, 0], [0] * 4, [0] * 4, [0] * 4])
-    for m in (shear, jordan):
-        assert cyclotomic_type(m) is None and rational_block_form(m) is None
+    upper_identity = Matrix([[int(j == i + 2) for j in range(4)] for i in range(4)])
+    for m in (shear, jordan, block_diag([c3, c3]) + upper_identity, Matrix([[1, 1], [0, 1]])):
+        assert _cyclotomic_factors(m) is not None, m
+        assert cyclotomic_type(m) is None and rational_block_form(m) is None, m
+
+
+def test_rational_block_form_runs_no_finite_order_certificate(monkeypatch, unimodular_pair):
+    # repeated factors: cyclotomic_type would certify q(a) = 0; the chains
+    # filling Q^d already prove it
+    def no_certificate(a, q):
+        raise AssertionError("rational_block_form must not run _annihilates")
+
+    monkeypatch.setattr(exactlin, "_annihilates", no_certificate)
+    block = realize(parse_block_spec("C7+C7+C3"))
+    p, q = unimodular_pair(random.Random(7), block.nrows, 3 * block.nrows)
+    a = p @ block @ q
+    p, b = rational_block_form(a)
+    assert b == block_diag([companion(cyclotomic(n)) for n in (3, 7, 7)]) and a @ p == p @ b
 
 
 def test_reduced_basis_is_kernel_basis_of_any_spanning_set():

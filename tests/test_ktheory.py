@@ -24,6 +24,29 @@ rank_infos = st.builds(
 graded = st.builds(GradedRank, rank_infos, rank_infos)
 
 
+def _mul(a: RankInfo, b: RankInfo) -> RankInfo:
+    """The product rule before the Kunneth entries were fused: Exact(0)
+    annihilates, otherwise exact only when both factors are."""
+    if (a.is_exact and a.value == 0) or (b.is_exact and b.value == 0):
+        return exact(0)
+    return RankInfo("exact" if a.is_exact and b.is_exact else "at_least", a.value * b.value)
+
+
+def _add(a: RankInfo, b: RankInfo) -> RankInfo:
+    return RankInfo("exact" if a.is_exact and b.is_exact else "at_least", a.value + b.value)
+
+
+def test_kunneth_matches_the_product_and_sum_rule():
+    infos = [RankInfo(kind, v) for kind in ("exact", "at_least") for v in (0, 1, 2, 5)]
+    gradeds = [GradedRank(k0, k1) for k0 in infos for k1 in infos]
+    for a, b in itertools.product(gradeds, repeat=2):
+        expected = GradedRank(
+            _add(_mul(a.k0, b.k0), _mul(a.k1, b.k1)),
+            _add(_mul(a.k0, b.k1), _mul(a.k1, b.k0)),
+        )
+        assert kunneth(a, b) == expected, (a, b)
+
+
 def test_unit_is_two_sided():
     samples = [
         GradedRank(exact(2), exact(2)),
