@@ -92,14 +92,14 @@ def read_matrix_file(path: str) -> Matrix:
     if not tokens:
         raise CliParseError(f"{path}: empty matrix file")
     try:
-        values = [int(t) for t in tokens]
+        values = list(map(int, tokens))
     except ValueError as exc:
         raise CliParseError(f"{path}: non-integer token ({exc})") from exc
     d = values[0]
     if d < 1 or len(values) != 1 + d * d:
         raise CliParseError(f"{path}: expected {d} x {d} entries after the dimension line")
-    body = values[1:]
-    return Matrix(tuple(tuple(body[i * d : (i + 1) * d]) for i in range(d)))
+    # d rows of d ints: already what Matrix would normalize them to
+    return Matrix._from_rows(tuple(tuple(values[i * d + 1 : (i + 1) * d + 1]) for i in range(d)), d)
 
 
 def _styled(text: str, code: str) -> str:

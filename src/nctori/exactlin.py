@@ -337,7 +337,14 @@ def _cyclotomic_factors(a: Matrix) -> tuple[int, ...] | None:
     """The sorted n with charpoly(a) = prod Phi_n; None when the
     characteristic polynomial is not such a product.  Only n with phi(n) <=
     the remaining degree r are tried, and phi(n) >= sqrt(n / 2) ends the
-    search at n > 2 r^2 + 2."""
+    search at n > 2 r^2 + 2.  Such a product has only roots of unity as
+    eigenvalues, so |tr a| <= d and |tr a^2| <= d are checked first."""
+    rows = a.rows
+    flat = itertools.chain.from_iterable
+    if a.is_square and max(
+        abs(sum(row[i] for i, row in enumerate(rows))), abs(sum(map(operator.mul, flat(rows), flat(zip(*rows)))))
+    ) > a.nrows:
+        return None
     poly = charpoly(a)
     ns: list[int] = []
     n = 1

@@ -28,9 +28,12 @@ usable on tensor factors whose freeness was established separately.
 from __future__ import annotations
 
 import functools
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm, prod
+from operator import mul
 
 from .arith import cyclotomic, divisors, factorize, totient
 from .exactlin import (
@@ -400,7 +403,16 @@ def invariant_ranks_molien(a: Matrix, n: int) -> tuple[int, ...]:
     sum_m r_m t^m = (1/n) sum_{e | n} phi(n/e) det(I + t a^e).  The power
     sums of the eigenvalues of a^e are p_k = tr(a^(ek)) = tr(a^gcd(ek, n)),
     so only the traces of a^g for the divisors g of n are needed, and
-    Newton's identities turn them into the coefficients of det(I + t a^e).
+    Newton's identities turn them into the coefficients of det(I + t a^e),
+    once for each distinct sequence p_1..p_d.
+
+    The work is on integer rows b = D a, D the lcm of the denominators.
+    Powers are formed along the left-to-right binary chain of n (which ends
+    in the check b^n = D^n I), each product by Kronecker substitution
+    (``_int_product``).  The trace of b^g for a divisor g off the chain is
+    sum_ij (b^x)_ij (b^(g-x))_ji for the largest exponent x < g formed so
+    far, with b^(g-x) formed the same way when it is missing, and tr(a^g)
+    is that trace divided by D^g.
 
     Raises ValueError when the matrix is not square or a^n != I, and
     ArithmeticError when an exact division leaves a remainder (which a^n = I
@@ -414,28 +426,59 @@ def invariant_ranks_molien(a: Matrix, n: int) -> tuple[int, ...]:
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
     d = a.nrows
-    divs = divisors(n)
-    powers = {1: a}
-    for g in divs[1:]:
-        h = max(h for h in powers if g % h == 0)
-        powers[g] = powers[h].pow(g // h)
-    if powers[n] != Matrix.identity(d):
+    if not d:
+        return (1,)
+    entries = list(chain.from_iterable(a.rows))
+    scale = lcm(*(x.denominator for x in entries if type(x) is not int), 1)
+    # b^g as one flat row-major list per exponent g
+    powers = {1: entries if scale == 1 else [int(x * scale) for x in entries]}
+
+    def power(g: int) -> list[int]:
+        if g not in powers:
+            h = max(h for h in powers if h < g)
+            powers[g] = _int_product(powers[h], power(g - h), d)
+        return powers[g]
+
+    e = 1
+    for bit in bin(n)[3:]:
+        powers[2 * e] = _int_product(powers[e], powers[e], d)
+        e *= 2
+        if bit == "1":
+            powers[e + 1] = _int_product(powers[e], powers[1], d)
+            e += 1
+    identity = [0] * (d * d)
+    identity[:: d + 1] = [scale**n] * d
+    if powers[n] != identity:
         raise ValueError(f"matrix does not satisfy a^{n} = I")
-    # traces of finite-order matrices are integers (sums of roots of unity)
-    trace = {g: int(sum(powers[g].rows[i][i] for i in range(d))) for g in divs}
-    totals = [0] * (d + 1)
+    divs = divisors(n)
+    trace = {}
+    for g in divs:
+        if g in powers:
+            t = sum(powers[g][:: d + 1])
+        else:
+            x = max(h for h in powers if h < g)
+            y = power(g - x)
+            t = sum(map(mul, powers[x], chain.from_iterable(y[j::d] for j in range(d))))
+        q, r = divmod(t, scale**g)
+        if r:
+            raise ArithmeticError(f"trace of a^{g} is not an integer")
+        trace[g] = q
+    weights: dict[tuple[int, ...], int] = {}
     for e in divs:
-        p = [0] + [trace[gcd(e * k, n)] for k in range(1, d + 1)]
+        # (-1)^(k-1) p_k for k = 1..d: Newton's identities for the
+        # coefficients of det(I + t a^e) with their signs folded in
+        key = tuple(-trace[gcd(e * k, n)] if k % 2 == 0 else trace[gcd(e * k, n)] for k in range(1, d + 1))
+        weights[key] = weights.get(key, 0) + totient(n // e)
+    totals = [0] * (d + 1)
+    for signed, weight in weights.items():
         coeffs = [1]
         for m in range(1, d + 1):
-            acc = sum((-1) ** (i - 1) * coeffs[m - i] * p[i] for i in range(1, m + 1))
-            q, r = divmod(acc, m)
+            q, r = divmod(sum(map(mul, reversed(coeffs), signed)), m)
             if r:
                 raise ArithmeticError(f"Newton's identity at degree {m} is not integral")
             coeffs.append(q)
-        weight = totient(n // e)
-        for m in range(d + 1):
-            totals[m] += weight * coeffs[m]
+        for m, c in enumerate(coeffs):
+            totals[m] += weight * c
     ranks = []
     for total in totals:
         q, r = divmod(total, n)
@@ -443,6 +486,34 @@ def invariant_ranks_molien(a: Matrix, n: int) -> tuple[int, ...]:
             raise ArithmeticError(f"Molien sum {total} is not divisible by the order {n}")
         ranks.append(q)
     return tuple(ranks)
+
+
+def _int_product(x: list[int], y: list[int], d: int) -> list[int]:
+    """x y for d x d integer matrices given as flat row-major lists (d >= 1),
+    by Kronecker substitution: row k of y is packed into one integer Y_k
+    with w-bit digits, so row i of the product is the one integer
+    sum_k x_ik Y_k, whose digits are its entries.  With one sign bit above
+    the bound d max|x| max|y| on an entry (and on y's own entries), no digit
+    carries into the next.  Signed digits pass through two's complement
+    bytes: xor with the mask of every digit's top bit turns them into
+    offset digits, entry + 2^(w-1), and back.  Words of 64 bits convert
+    through ``array('q')``, wider ones through byte slices."""
+    mx = max(map(abs, x))
+    my = max(map(abs, y))
+    size = max(8, (max(d * mx * my, my).bit_length() + 8) // 8)
+    row_bytes = size * d
+    mask = int.from_bytes((bytes(size - 1) + b"\x80") * d, "little")
+    if size == 8:
+        raw = array("q", y).tobytes()
+    else:
+        raw = b"".join([v.to_bytes(size, "little", signed=True) for v in y])
+    packed = [(int.from_bytes(raw[k : k + row_bytes], "little") ^ mask) - mask for k in range(0, len(raw), row_bytes)]
+    raw = b"".join(
+        [((sum(map(mul, x[k : k + d], packed)) + mask) ^ mask).to_bytes(row_bytes, "little") for k in range(0, len(x), d)]
+    )
+    if size == 8:
+        return array("q", raw).tolist()
+    return [int.from_bytes(raw[k : k + size], "little", signed=True) for k in range(0, len(raw), size)]
 
 
 ORACLE_MAX_DIM = 12

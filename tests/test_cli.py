@@ -265,13 +265,47 @@ def test_rank_dimension_limit(capsys, monkeypatch):
 
 
 def test_analyze_refuses_entries_past_the_charpoly_prime(tmp_path, capsys):
-    # 4,001-digit entries: the coefficient bound is about 10^8000 > 2^19936
+    # 4,001-digit entries: the coefficient bound is about 10^8000 > 2^19936.
+    # Traces 0 and 0 pass the finite-order trace test, so charpoly is reached
     path = tmp_path / "huge.txt"
-    path.write_text(f"2\n{10**4000} 1\n0 {10**4000}\n")
+    path.write_text(f"2\n{10**4000} {10**4000}\n{-(10**4000)} {-(10**4000)}\n")
     code, out, err = run(capsys, "analyze", str(path))
     assert code == 2 and out == "" and "2^19936" in err
     code, out, _ = run(capsys, "analyze", str(path), "--json")
     assert code == 2 and "2^19936" in json.loads(out)["error"]
+    # trace 2 * 10^4000 > 2: infinite order, known before any charpoly
+    path.write_text(f"2\n{10**4000} 1\n0 {10**4000}\n")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2 and out == "" and err == "error: matrix has no finite order at dimension 2\n"
+
+
+def test_analyze_rejects_dense_infinite_order_files_by_their_traces(tmp_path, capsys):
+    # entries in [-9, 9]: tr a^2 = sum a_ij a_ji is in the thousands, past d
+    rng = random.Random(250)
+    for d in (120, 250):
+        path = tmp_path / f"dense{d}.txt"
+        rows = (" ".join(str(rng.randint(-9, 9)) for _ in range(d)) for _ in range(d))
+        path.write_text(f"{d}\n" + "\n".join(rows) + "\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "analyze", str(path))
+        assert time.perf_counter() - start < 1, d
+        assert code == 2 and out == "" and err == f"error: matrix has no finite order at dimension {d}\n"
+
+
+def test_analyze_past_the_trace_test_still_finds_infinite_order(tmp_path, capsys, monkeypatch):
+    # the companion of x^12 - x - 1 has tr a = tr a^2 = 0, so only the
+    # factored characteristic polynomial shows that it has infinite order
+    a = exactlin.companion((-1, -1) + (0,) * 10 + (1,))
+    d = a.nrows
+    assert sum(a[i, i] for i in range(d)) == sum(a[i, j] * a[j, i] for i in range(d) for j in range(d)) == 0
+    calls = []
+    charpoly = exactlin.charpoly
+    monkeypatch.setattr(exactlin, "charpoly", lambda m: calls.append(m) or charpoly(m))
+    path = tmp_path / "companion.txt"
+    path.write_text(f"{d}\n" + "\n".join(" ".join(map(str, row)) for row in a.rows) + "\n")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2 and out == "" and err == f"error: matrix has no finite order at dimension {d}\n"
+    assert len(calls) == 1
 
 
 def test_matrix_file_errors(tmp_path, capsys):

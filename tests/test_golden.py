@@ -4,7 +4,10 @@ The equivalence test checks that the three public classifiers agree where
 their domains overlap.  The golden test hashes the JSON of three verdict grids
 and of the analysis report of every nonempty block spec through dimension 6;
 the verdict digests were taken before the three classifiers were folded into
-one engine, so any change to a verdict or report shows up here.  The reports
+one engine, so any change to a verdict or report shows up here.  A sixth
+digest covers reports on seeded conjugates of dimension 7 to 12, where
+``oracle_ranks`` comes from Molien's formula on the matrix; it was taken
+before that route's power-and-trace engine was rewritten.  The reports
 are hashed twice: in full, and without the "blocks" key.  The second digest
 predates reading the blocks off the characteristic polynomial and is
 unchanged by it; the full digest was re-taken after it, when "negC<odd m>"
@@ -13,6 +16,7 @@ became "C<2m>" and the blocks came out in canonical order, identities last.
 
 import hashlib
 import json
+import random
 from itertools import product
 
 from nctori.arith import factorize
@@ -24,7 +28,7 @@ from nctori.classify import (
     report_json,
     verdict_json,
 )
-from nctori.invariants import enumerate_specs, realize
+from nctori.invariants import block_dim, block_menu, enumerate_specs, realize
 from nctori.wfun import AbelianGroup
 
 DIMS = range(1, 13)
@@ -76,6 +80,7 @@ GOLDEN = {
     "analyze_action": "12b00eb904756d302a657c875e63057a59e8f00aba53ba15e31d7d2334159ae7",
     "analyze_action_without_blocks": "1bdb700a7248c2c17c72e0611c321a7318356ae6c1b8a044bae16fb805580852",
 }
+GOLDEN_CONJUGATES_7_12 = "d5692a630d77400f9cf88a441cc8501dd887ae69c6c45cd3c5397b0ba58d29b8"
 
 
 def test_golden_digests():
@@ -102,3 +107,23 @@ def test_golden_digests():
         ),
     }
     assert got == GOLDEN
+
+
+def test_golden_digest_of_conjugates_through_the_matrix_molien_route(unimodular_pair):
+    # eight random block specs per dimension 7..12, each conjugated by a
+    # random P in GL_d(Z): every report carries oracle_ranks
+    rng = random.Random(1505)
+    menu = block_menu()
+    reports = []
+    for d in range(7, 13):
+        for _ in range(8):
+            spec, rest = [], d
+            while rest:
+                b = rng.choice([b for b in menu if block_dim(b) <= rest])
+                spec.append(b)
+                rest -= block_dim(b)
+            p, q = unimodular_pair(rng, d, 3 * d)
+            report = report_json(analyze_action(p @ realize(spec) @ q))
+            assert report["oracle_ranks"] == report["spectrum_ranks"], spec
+            reports.append(report)
+    assert _digest(reports) == GOLDEN_CONJUGATES_7_12

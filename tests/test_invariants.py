@@ -6,8 +6,10 @@ from math import comb, gcd, lcm
 import pytest
 
 from nctori.exactlin import Matrix, det, order, rank
+from nctori.arith import divisors
 from nctori.invariants import (
     _binomial_row,
+    _int_product,
     MAX_RANK_WORK,
     Cyclotomic,
     Identity,
@@ -98,22 +100,27 @@ def test_single_degree_oracle_matches_invariant_ranks(unimodular_pair):
             assert ranks == invariant_ranks(spec), spec
 
 
-def test_single_degree_oracle_on_rational_conjugates(unimodular_pair):
+def _rational_conjugate(rng, b, unimodular_pair):
     # P = U T with U unimodular and T = I + E_00 + E_01 of determinant 2, so
-    # P^-1 = T^-1 U^-1 is exact but not integral, and so are the conjugates
+    # P^-1 = T^-1 U^-1 is exact but not integral, and so is P b P^-1
+    d = b.nrows
+    u, u_inv = unimodular_pair(rng, d, 3 * d)
+    eye = [[int(i == j) for j in range(d)] for i in range(d)]
+    t = Matrix([[2, 1] + [0] * (d - 2)] + eye[1:])
+    t_inv = Matrix([[frac(1, 2), frac(-1, 2)] + [0] * (d - 2)] + eye[1:])
+    p, p_inv = u @ t, t_inv @ u_inv
+    assert p @ p_inv == Matrix.identity(d)
+    a = p @ b @ p_inv
+    assert any(isinstance(x, Fraction) for row in a.rows for x in row)
+    return a
+
+
+def test_single_degree_oracle_on_rational_conjugates(unimodular_pair):
     rng = random.Random(2718)
     for text in ("C3", "C5", "C5+C3", "negC7", "C4+I2", "C8", "C3+C3"):
         spec = parse_block_spec(text)
-        b = realize(spec)
-        d = b.nrows
-        u, u_inv = unimodular_pair(rng, d, 3 * d)
-        eye = [[int(i == j) for j in range(d)] for i in range(d)]
-        t = Matrix([[2, 1] + [0] * (d - 2)] + eye[1:])
-        t_inv = Matrix([[frac(1, 2), frac(-1, 2)] + [0] * (d - 2)] + eye[1:])
-        p, p_inv = u @ t, t_inv @ u_inv
-        assert p @ p_inv == Matrix.identity(d)
-        a = p @ b @ p_inv
-        assert any(isinstance(x, Fraction) for row in a.rows for x in row), text
+        a = _rational_conjugate(rng, realize(spec), unimodular_pair)
+        d = a.nrows
         assert tuple(invariant_rank_oracle(a, m) for m in range(d + 1)) == invariant_ranks(spec), text
 
 
@@ -145,6 +152,95 @@ def test_molien_contract():
         invariant_ranks_molien(Matrix([[1, 0, 0], [0, 1, 0]]), 1)
     # any multiple of the order averages over the same group
     assert invariant_ranks_molien(c5, 10) == invariant_ranks_molien(c5, 5) == (1, 0, 2, 0, 1)
+
+
+def _binary_chain(n):
+    """The exponents of the left-to-right binary chain of n."""
+    chain, e = {1}, 1
+    for bit in bin(n)[3:]:
+        e *= 2
+        chain.add(e)
+        if bit == "1":
+            e += 1
+            chain.add(e)
+    return chain
+
+
+def test_molien_on_rational_conjugates(unimodular_pair):
+    # C5+C4+C3 has order 60: with D = 2 the scaled powers 2^g a^g outgrow
+    # 64-bit digits along the chain
+    rng = random.Random(1505)
+    for text in ("C3", "C5", "C5+C3", "negC7", "C4+I2", "C8", "C3+C3", "C7+C5+C2", "C5+C4+C3"):
+        spec = parse_block_spec(text)
+        a = _rational_conjugate(rng, realize(spec), unimodular_pair)
+        assert invariant_ranks_molien(a, spec_order(spec)) == invariant_ranks(spec), text
+        assert invariant_ranks_molien(a, 2 * spec_order(spec)) == invariant_ranks(spec), text
+
+
+def test_molien_on_conjugates_wider_than_64_bit_digits():
+    # P = product of elementary matrices with multipliers near 10^6, so the
+    # entries of P b P^-1 and d max|a|^2 are far past 2^63
+    rng = random.Random(1009)
+    for text in ("C5+C3", "C7+C2", "C12+C4+I2", "negC9+C3", "C7+C5+C2"):
+        spec = parse_block_spec(text)
+        b = realize(spec)
+        d = b.nrows
+        p = q = Matrix.identity(d)
+        for _ in range(4):
+            i, j = rng.sample(range(d), 2)
+            c = rng.choice((-1, 1)) * rng.randint(10**6, 2 * 10**6)
+            e = [[int(r == s) for s in range(d)] for r in range(d)]
+            e[i][j] = c
+            p = p @ Matrix(e)
+            e[i][j] = -c
+            q = Matrix(e) @ q
+        a = p @ b @ q
+        assert d * max(abs(x) for row in a.rows for x in row) ** 2 >= 2**63, text
+        assert invariant_ranks_molien(a, spec_order(spec)) == invariant_ranks(spec), text
+
+
+def test_molien_with_divisors_off_the_binary_chain(unimodular_pair):
+    rng = random.Random(70)
+    for text, n in (("C7+C2", 14), ("C7+C5+C2", 70), ("C7+C5+C2", 140), ("C7+C5+C2", 210), ("C9+C4", 36), ("C5+C3+C2", 60)):
+        spec = parse_block_spec(text)
+        assert n % spec_order(spec) == 0, text
+        if n > 14:
+            assert set(divisors(n)) - _binary_chain(n), n
+        b = realize(spec)
+        p, q = unimodular_pair(rng, b.nrows, 3 * b.nrows)
+        for a in (b, p @ b @ q):
+            assert invariant_ranks_molien(a, n) == invariant_ranks(spec), (text, n)
+
+
+def test_molien_on_the_empty_matrix_and_order_one():
+    assert invariant_ranks_molien(Matrix([]), 1) == invariant_ranks_molien(Matrix([]), 6) == (1,)
+    assert invariant_ranks_molien(Matrix.identity(3), 1) == invariant_ranks_molien(Matrix.identity(3), 4) == (1, 3, 3, 1)
+    assert invariant_ranks_molien(Matrix([[frac(1, 1)]]), 1) == (1, 1)
+    with pytest.raises(ValueError, match=r"a\^1 = I"):
+        invariant_ranks_molien(-Matrix.identity(2), 1)
+    with pytest.raises(ValueError, match="order must be positive"):
+        invariant_ranks_molien(Matrix.identity(2), 0)
+
+
+def test_molien_rejects_a_matrix_of_infinite_order():
+    shear = Matrix([[1, 1], [0, 1]])
+    for n in (1, 2, 3, 6, 12, 70):
+        with pytest.raises(ValueError, match=f"a\\^{n} = I"):
+            invariant_ranks_molien(shear, n)
+    half = Matrix([[frac(1, 2), 0], [0, 2]])
+    with pytest.raises(ValueError, match=r"a\^4 = I"):
+        invariant_ranks_molien(half, 4)
+
+
+def test_int_product_matches_matrix_product():
+    rng = random.Random(64)
+    for d in range(1, 7):
+        for scale in (0, 1, 9, 2**31, 2**62, 10**30):
+            x = Matrix([[rng.randint(-scale, scale) for _ in range(d)] for _ in range(d)])
+            y = Matrix([[rng.randint(-scale, scale) for _ in range(d)] for _ in range(d)])
+            for u, v in ((x, y), (x, -Matrix.identity(d)), (Matrix.zero(d, d), y)):
+                flat = _int_product([z for row in u.rows for z in row], [z for row in v.rows for z in row], d)
+                assert flat == [z for row in (u @ v).rows for z in row], (d, scale)
 
 
 def test_s1_examples():
