@@ -465,9 +465,11 @@ def invariant_ranks_molien(a: Matrix, n: int) -> tuple[int, ...]:
         trace[g] = q
     weights: dict[tuple[int, ...], int] = {}
     for e in divs:
-        # (-1)^(k-1) p_k for k = 1..d: Newton's identities for the
-        # coefficients of det(I + t a^e) with their signs folded in
-        key = tuple(-trace[gcd(e * k, n)] if k % 2 == 0 else trace[gcd(e * k, n)] for k in range(1, d + 1))
+        # (-1)^(k-1) p_k for k = 1..d: the power sums with the signs of
+        # Newton's identities for the coefficients of det(I + t a^e)
+        signed = [trace[gcd(e * k, n)] for k in range(1, d + 1)]
+        signed[1::2] = [-p for p in signed[1::2]]
+        key = tuple(signed)
         weights[key] = weights.get(key, 0) + totient(n // e)
     totals = [0] * (d + 1)
     for signed, weight in weights.items():
