@@ -167,8 +167,8 @@ def _binary_chain(n):
 
 
 def test_molien_on_rational_conjugates(unimodular_pair):
-    # C5+C4+C3 has order 60: with D = 2 the scaled powers 2^g a^g outgrow
-    # 64-bit digits along the chain
+    # at the orders 60 and 70 of C5+C4+C3 and C7+C5+C2 the scaled powers
+    # 2^g a^g outgrow 64-bit digits along the chain
     rng = random.Random(1505)
     for text in ("C3", "C5", "C5+C3", "negC7", "C4+I2", "C8", "C3+C3", "C7+C5+C2", "C5+C4+C3"):
         spec = parse_block_spec(text)
@@ -204,8 +204,8 @@ def test_molien_with_divisors_off_the_binary_chain(unimodular_pair):
     for text, n in (("C7+C2", 14), ("C7+C5+C2", 70), ("C7+C5+C2", 140), ("C7+C5+C2", 210), ("C9+C4", 36), ("C5+C3+C2", 60)):
         spec = parse_block_spec(text)
         assert n % spec_order(spec) == 0, text
-        if n > 14:
-            assert set(divisors(n)) - _binary_chain(n), n
+        # the chain of 14 is 1, 2, 3, 6, 7, 14; every other n has divisors off its chain
+        assert (set(divisors(n)) <= _binary_chain(n)) == (n == 14), n
         b = realize(spec)
         p, q = unimodular_pair(rng, b.nrows, 3 * b.nrows)
         for a in (b, p @ b @ q):
@@ -215,7 +215,6 @@ def test_molien_with_divisors_off_the_binary_chain(unimodular_pair):
 def test_molien_on_the_empty_matrix_and_order_one():
     assert invariant_ranks_molien(Matrix([]), 1) == invariant_ranks_molien(Matrix([]), 6) == (1,)
     assert invariant_ranks_molien(Matrix.identity(3), 1) == invariant_ranks_molien(Matrix.identity(3), 4) == (1, 3, 3, 1)
-    assert invariant_ranks_molien(Matrix([[frac(1, 1)]]), 1) == (1, 1)
     with pytest.raises(ValueError, match=r"a\^1 = I"):
         invariant_ranks_molien(-Matrix.identity(2), 1)
     with pytest.raises(ValueError, match="order must be positive"):
