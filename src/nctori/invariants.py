@@ -28,12 +28,12 @@ usable on tensor factors whose freeness was established separately.
 from __future__ import annotations
 
 import functools
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm, prod
 from operator import mul
+from struct import pack, unpack
 
 from .arith import cyclotomic, divisors, factorize, totient
 from .exactlin import (
@@ -408,11 +408,11 @@ def invariant_ranks_molien(a: Matrix, n: int) -> tuple[int, ...]:
 
     The work is on integer rows b = D a, D the lcm of the denominators.
     Powers are formed along the left-to-right binary chain of n (which ends
-    in the check b^n = D^n I), each product by Kronecker substitution
-    (``_int_product``).  The trace of b^g for a divisor g off the chain is
-    sum_ij (b^x)_ij (b^(g-x))_ji for the largest exponent x < g formed so
-    far, with b^(g-x) formed the same way when it is missing, and tr(a^g)
-    is that trace divided by D^g.
+    in the check b^n = D^n I), each product by ``_int_product`` (Kronecker
+    substitution while the entries fit 64-bit words).  The trace of b^g for
+    a divisor g off the chain is sum_ij (b^x)_ij (b^(g-x))_ji for the
+    largest exponent x < g formed so far, with b^(g-x) formed the same way
+    when it is missing, and tr(a^g) is that trace divided by D^g.
 
     Raises ValueError when the matrix is not square or a^n != I, and
     ArithmeticError when an exact division leaves a remainder (which a^n = I
@@ -491,31 +491,31 @@ def invariant_ranks_molien(a: Matrix, n: int) -> tuple[int, ...]:
 
 
 def _int_product(x: list[int], y: list[int], d: int) -> list[int]:
-    """x y for d x d integer matrices given as flat row-major lists (d >= 1),
-    by Kronecker substitution: row k of y is packed into one integer Y_k
-    with w-bit digits, so row i of the product is the one integer
-    sum_k x_ik Y_k, whose digits are its entries.  With one sign bit above
-    the bound d max|x| max|y| on an entry (and on y's own entries), no digit
-    carries into the next.  Signed digits pass through two's complement
-    bytes: xor with the mask of every digit's top bit turns them into
-    offset digits, entry + 2^(w-1), and back.  Words of 64 bits convert
-    through ``array('q')``, wider ones through byte slices."""
+    """x y for d x d integer matrices given as flat row-major lists (d >= 1).
+
+    While the entries of y and the bound d max|x| max|y| on an entry of the
+    product stay below 2^63, by Kronecker substitution: row k of y is packed
+    into one integer Y_k with 64-bit digits, so row i of the product is the
+    one integer sum_k x_ik Y_k, whose digits are its entries, none carrying
+    into the next.  Digits pass through little-endian two's complement words
+    (``struct`` format q): xor with the mask of every word's top bit turns
+    them into offset digits, entry + 2^63, and back.  Wider entries take
+    plain row-by-column sums.
+    """
     mx = max(map(abs, x))
     my = max(map(abs, y))
-    size = max(8, (max(d * mx * my, my).bit_length() + 8) // 8)
-    row_bytes = size * d
-    mask = int.from_bytes((bytes(size - 1) + b"\x80") * d, "little")
-    if size == 8:
-        raw = array("q", y).tobytes()
-    else:
-        raw = b"".join([v.to_bytes(size, "little", signed=True) for v in y])
+    if max(d * mx * my, my) >> 63:
+        cols = [y[j::d] for j in range(d)]
+        return [sum(map(mul, x[k : k + d], col)) for k in range(0, len(x), d) for col in cols]
+    words = f"<{len(y)}q"
+    row_bytes = 8 * d
+    mask = int.from_bytes((bytes(7) + b"\x80") * d, "little")
+    raw = pack(words, *y)
     packed = [(int.from_bytes(raw[k : k + row_bytes], "little") ^ mask) - mask for k in range(0, len(raw), row_bytes)]
     raw = b"".join(
         [((sum(map(mul, x[k : k + d], packed)) + mask) ^ mask).to_bytes(row_bytes, "little") for k in range(0, len(x), d)]
     )
-    if size == 8:
-        return array("q", raw).tolist()
-    return [int.from_bytes(raw[k : k + size], "little", signed=True) for k in range(0, len(raw), size)]
+    return list(unpack(words, raw))
 
 
 ORACLE_MAX_DIM = 12

@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd, isqrt, lcm
 
 import pytest
 
@@ -168,7 +168,7 @@ def _binary_chain(n):
 
 def test_molien_on_rational_conjugates(unimodular_pair):
     # at the orders 60 and 70 of C5+C4+C3 and C7+C5+C2 the scaled powers
-    # 2^g a^g outgrow 64-bit digits along the chain
+    # 2^g a^g outgrow 64-bit words along the chain
     rng = random.Random(1505)
     for text in ("C3", "C5", "C5+C3", "negC7", "C4+I2", "C8", "C3+C3", "C7+C5+C2", "C5+C4+C3"):
         spec = parse_block_spec(text)
@@ -177,7 +177,7 @@ def test_molien_on_rational_conjugates(unimodular_pair):
         assert invariant_ranks_molien(a, 2 * spec_order(spec)) == invariant_ranks(spec), text
 
 
-def test_molien_on_conjugates_wider_than_64_bit_digits():
+def test_molien_on_conjugates_wider_than_64_bit_words():
     # P = product of elementary matrices with multipliers near 10^6, so the
     # entries of P b P^-1 and d max|a|^2 are far past 2^63
     rng = random.Random(1009)
@@ -240,6 +240,14 @@ def test_int_product_matches_matrix_product():
             for u, v in ((x, y), (x, -Matrix.identity(d)), (Matrix.zero(d, d), y)):
                 flat = _int_product([z for row in u.rows for z in row], [z for row in v.rows for z in row], d)
                 assert flat == [z for row in (u @ v).rows for z in row], (d, scale)
+    # all entries +-t with d t^2 just below and just above 2^63: the product
+    # reaches -d t^2, the extreme a 64-bit word must hold
+    for d in range(1, 5):
+        for t in (isqrt((2**63 - 1) // d), isqrt((2**63 - 1) // d) + 1):
+            u = Matrix([[t] * d for _ in range(d)])
+            for v in (-u, u, Matrix([[(-1) ** (i + j) * t for j in range(d)] for i in range(d)])):
+                flat = _int_product([z for row in u.rows for z in row], [z for row in v.rows for z in row], d)
+                assert flat == [z for row in (u @ v).rows for z in row], (d, t)
 
 
 def test_s1_examples():
