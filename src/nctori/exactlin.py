@@ -6,12 +6,10 @@ rank and kernels use fraction-free integer echelon reduction with gcd
 normalization (rational input rows are scaled to integers first), and a
 compound matrix comes from a Laplace sweep over only the rows its degree
 reaches.  The characteristic polynomial comes from Hessenberg reduction
-modulo a Mersenne prime above twice a Hadamard bound on its coefficients,
-so the symmetric residues are the coefficients themselves.  Finite order
-is certified by matrix-vector products alone: one Krylov chain and one
-probe vector that packs unit vectors into wide digits
-(``cyclotomic_type``).  Everything is pure and safe to share across
-threads.
+modulo a Mersenne prime above twice a Hadamard bound on its coefficients.
+Finite order is decided modulo the prime that the roots-of-unity bound
+|c_k| <= C(d, k) calls for and certified over Z by one Horner pass from
+the reduction's restart seeds (``cyclotomic_type``).  All pure, thread-safe.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm, prod
 
 from .arith import IntPolynomial, cyclotomic, poly_divmod, poly_mul, totient
 
@@ -181,22 +179,35 @@ def companion(p: IntPolynomial) -> Matrix:
     return Matrix(rows)
 
 
-# Exponents e of the Mersenne primes 2^e - 1 from 2^61 - 1 on, each proved
-# prime; charpoly works modulo the first one above twice its coefficient bound.
-_MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941, 11213, 19937)
+# Exponents e of the proved Mersenne primes 2^e - 1 from 2^19 - 1 on.
+_MERSENNE_EXPONENTS = (19, 31, 61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941, 11213, 19937)
+
+
+def _symmetric_charpoly(rows, bound: int) -> tuple[list[int], list[int]]:
+    """det(x I - rows) modulo the least listed Mersenne prime p > 2 bound,
+    residues in (-p/2, p/2], and the seeds of ``_hessenberg_charpoly``;
+    ValueError past the last prime."""
+    e = next((e for e in _MERSENNE_EXPONENTS if (1 << e) - 1 > 2 * bound), _MERSENNE_EXPONENTS[-1])
+    p = (1 << e) - 1
+    if p <= 2 * bound:
+        raise ValueError(
+            f"matrix entries too large: the coefficient bound of the characteristic polynomial "
+            f"must be below 2^{e - 1} (charpoly works modulo at most 2^{e} - 1)"
+        )
+    residues, seeds = _hessenberg_charpoly([[x % p for x in row] for row in rows], e)
+    return [c - p if c > p // 2 else c for c in residues], seeds
 
 
 def charpoly(a: Matrix) -> IntPolynomial:
     """Characteristic polynomial det(x I - a), ascending coefficients.
 
     Computed modulo one prime p and lifted exactly.  The coefficient of
-    x^(d-k) is (-1)^k times the sum of the principal k x k minors, and by
-    Hadamard's inequality each minor is at most the product of its rows'
-    norms, each below r_i = isqrt(sum_j a_ij^2) + 1.  So every coefficient
-    lies in [-B, B] with B = prod(1 + r_i).  p is the smallest Mersenne prime
-    2^e - 1 with e in ``_MERSENNE_EXPONENTS`` and p > 2B, so each
-    coefficient is the one integer in (-p/2, p/2] congruent to its residue;
-    a bound past the last prime raises ValueError.
+    x^(d-k) is (-1)^k times the sum of the principal k x k minors, each by
+    Hadamard's inequality at most the product of its rows' norms, each below
+    r_i = isqrt(sum_j a_ij^2) + 1; so all lie in [-B, B], B = prod(1 + r_i).
+    With p the least listed Mersenne prime above 2B, each coefficient is its
+    residue taken into (-p/2, p/2] (``_symmetric_charpoly``); a bound past
+    the last prime raises ValueError.
 
     Modulo p, ``a`` is brought to upper Hessenberg form H by similarities (a
     row swap with the matching column swap to a nonzero pivot, then row
@@ -207,8 +218,9 @@ def charpoly(a: Matrix) -> IntPolynomial:
 
     O(d^3) operations in all (Cohen, A Course in Computational Algebraic
     Number Theory, Alg. 2.2.9).  Residues modulo the larger primes are
-    reduced by folding the Mersenne form (``_fold``), not by division.  Rational input is scaled to integers by the
-    lcm D of its denominators first: c_k(a) = c_k(D a) / D^(d-k).
+    reduced by folding the Mersenne form (``_fold``), not by division.
+    Rational input is scaled to integers by the lcm D of its denominators
+    first: c_k(a) = c_k(D a) / D^(d-k).
 
     >>> charpoly(companion(cyclotomic(9))) == cyclotomic(9)
     True
@@ -222,20 +234,7 @@ def charpoly(a: Matrix) -> IntPolynomial:
     d = a.nrows
     scale = lcm(*(x.denominator for row in a.rows for x in row if type(x) is not int), 1)
     rows = a.rows if scale == 1 else [[int(x * scale) for x in row] for row in a.rows]
-    bound = 1
-    for row in rows:
-        bound *= isqrt(sum(x * x for x in row)) + 2
-    p = next(((1 << e) - 1 for e in _MERSENNE_EXPONENTS if (1 << e) - 1 > 2 * bound), None)
-    if p is None:
-        top = _MERSENNE_EXPONENTS[-1]
-        raise ValueError(
-            f"matrix entries too large: the coefficient bound of the characteristic polynomial "
-            f"must be below 2^{top - 1} (charpoly works modulo at most 2^{top} - 1)"
-        )
-    half = p // 2
-    e = p.bit_length()
-    coeffs = _hessenberg_charpoly([[x % p for x in row] for row in rows], e)
-    coeffs = [c - p if c > half else c for c in coeffs]
+    coeffs, _ = _symmetric_charpoly(rows, prod(isqrt(sum(x * x for x in row)) + 2 for row in rows))
     if scale == 1:
         return tuple(coeffs)
     return tuple(_norm_entry(Fraction(c, scale ** (d - k))) for k, c in enumerate(coeffs))
@@ -280,19 +279,26 @@ def _axpy(xs, c: int, ys, p: int, e: int) -> list[int]:
     return out
 
 
-def _hessenberg_charpoly(h: list[list[int]], e: int) -> list[int]:
+def _hessenberg_charpoly(h: list[list[int]], e: int) -> tuple[list[int], list[int]]:
     """det(x I - h) modulo the Mersenne prime p = 2^e - 1, ascending
-    residues; ``h`` (entries already reduced) is brought to upper Hessenberg
-    form in place.  Row updates are ``_axpy`` calls, the rest goes through
-    ``_fold``."""
+    residues, and the restart seeds; ``h`` (entries already reduced) is
+    brought to upper Hessenberg form H = T^-1 h T in place by ``_axpy`` row
+    updates and ``_fold``.  The seeds are the s with T e_m = e_s for m = 0
+    and each m with H[m][m - 1] = 0: step k permutes columns k.. of T, then
+    adds later ones to column k, and does neither when it finds no pivot,
+    exactly when H[k][k - 1] ends at 0.  Modulo the blocks before it, each
+    unreduced diagonal block of H is spanned by the Krylov chain of its first
+    vector, so the seeds' Krylov spaces under h span F_p^d."""
     p = (1 << e) - 1
     d = len(h)
+    perm = list(range(d))
     for m in range(1, d - 1):
         piv = next((i for i in range(m, d) if h[i][m - 1]), None)
         if piv is None:
             continue
         if piv != m:
             h[m], h[piv] = h[piv], h[m]
+            perm[m], perm[piv] = perm[piv], perm[m]
             for row in h:
                 row[m], row[piv] = row[piv], row[m]
         hm = h[m]
@@ -321,7 +327,7 @@ def _hessenberg_charpoly(h: list[list[int]], e: int) -> list[int]:
             if f:
                 new[: i + 1] = _axpy(new, -f, polys[i], p, e)
         polys.append(new)
-    return polys[d]
+    return polys[d], [perm[m] for m in range(d) if m == 0 or not h[m][m - 1]]
 
 
 def _shift_diag(m: Matrix, c) -> Matrix:
@@ -333,125 +339,110 @@ def _shift_diag(m: Matrix, c) -> Matrix:
     )
 
 
-def _cyclotomic_factors(a: Matrix) -> tuple[int, ...] | None:
-    """The sorted n with charpoly(a) = prod Phi_n; None when the
-    characteristic polynomial is not such a product.  Only n with phi(n) <=
-    the remaining degree r are tried, and phi(n) >= sqrt(n / 2) ends the
-    search at n > 2 r^2 + 2.  Such a product has only roots of unity as
-    eigenvalues, so |tr a| <= d and |tr a^2| <= d are checked first."""
+def _cyclotomic_lift(a: Matrix):
+    """(ns, seeds, rows of D a, D) of step 1 of ``cyclotomic_type``; None when
+    it proves infinite order.  Only n with phi(n) <= the remaining degree r
+    are tried, up to n = 2 r^2 + 2 as phi(n) >= sqrt(n / 2)."""
+    if not a.is_square:
+        raise ValueError("charpoly requires a square matrix")
+    d = a.nrows
     rows = a.rows
     flat = itertools.chain.from_iterable
-    if a.is_square and max(
-        abs(sum(row[i] for i, row in enumerate(rows))), abs(sum(map(operator.mul, flat(rows), flat(zip(*rows)))))
-    ) > a.nrows:
+    if max(abs(sum(row[i] for i, row in enumerate(rows))), abs(sum(map(operator.mul, flat(rows), flat(zip(*rows)))))) > d:
+        return None  # |tr a| > d or |tr a^2| > d
+    scale = lcm(*(x.denominator for x in flat(rows) if type(x) is not int), 1)
+    if scale != 1:
+        rows = [[int(x * scale) for x in row] for row in rows]
+    residues, seeds = _symmetric_charpoly(rows, max(comb(d, k) * scale ** (d - k) for k in range(d + 1)))
+    poly = []
+    for k, c in enumerate(residues):
+        c, r = divmod(c, scale ** (d - k))
+        if r or abs(c) > comb(d, k):
+            return None
+        poly.append(c)
+    if poly[::-1] != poly and poly[::-1] != [-c for c in poly]:
         return None
-    poly = charpoly(a)
+    value = sum(c << (16 * k) for k, c in enumerate(poly))
     ns: list[int] = []
     n = 1
     while len(poly) > 1 and n <= 2 * (len(poly) - 1) ** 2 + 2:
         if totient(n) < len(poly):
-            quot, rem = poly_divmod(poly, cyclotomic(n))
-            while not rem:
+            phi = cyclotomic(n)
+            at = sum(c << (16 * k) for k, c in enumerate(phi))
+            while value % at == 0:  # Phi_n(2^16) divides poly(2^16) when Phi_n divides poly
+                quot, rem = poly_divmod(poly, phi)
+                if rem:
+                    break
                 ns.append(n)
                 poly = quot
-                quot, rem = poly_divmod(poly, cyclotomic(n))
+                value //= at
         n += 1
-    return None if len(poly) > 1 else tuple(ns)
+    return None if len(poly) > 1 else (tuple(ns), seeds, rows, scale)
+
+
+def _cyclotomic_factors(a: Matrix) -> tuple[int, ...] | None:
+    """The n of the lift in ``cyclotomic_type`` (None when it proves infinite
+    order); the cyclotomic type when ``a`` has finite order."""
+    return (_cyclotomic_lift(a) or (None,))[0]
 
 
 def _horner(rows, coeffs, x):
-    """Yield the Horner iterates of q(a) x: h = x, then h <- a h + c x for
-    each c in ``coeffs``, the coefficients of the monic q below its leading
-    one, highest first.  ``rows`` holds a's rows as (columns, values) of
-    their nonzero entries; the last iterate is q(a) x."""
+    """q(a) x by Horner's rule: h = x, then h <- a h + c x for each c in
+    ``coeffs``, those of the monic q below its leading one, highest first;
+    ``rows`` holds a's rows as (columns, values) of their nonzero entries."""
     mul = operator.mul
     h = x
-    yield h
     for c in coeffs:
         h = [sum(map(mul, vals, map(h.__getitem__, cols))) + c * xi for (cols, vals), xi in zip(rows, x)]
-        yield h
+    return h
 
 
-def _annihilates(a: Matrix, q: IntPolynomial) -> bool:
-    """Whether q(a) = 0, for a square ``a`` and a monic integer ``q``; exact,
-    without forming a power of ``a``.  The certificate and its proof are in
-    ``cyclotomic_type``."""
-    d = a.nrows
-    deg = len(q) - 1
-    scale = lcm(*(x.denominator for row in a.rows for x in row if type(x) is not int), 1)
-    rows = a.rows if scale == 1 else [[int(x * scale) for x in row] for row in a.rows]
-    coeffs = [q[k] * scale ** (deg - k) for k in range(deg - 1, -1, -1)]
-    sparse = [([j for j, v in enumerate(row) if v], [v for v in row if v]) for row in rows]
-    e = _MERSENNE_EXPONENTS[0]
-    p = (1 << e) - 1
-    # (pivot column, row scaled to 1 there) in the order added; each row is
-    # zero at the pivots added before it
-    echelon: list[tuple[int, list[int]]] = []
-    growing = True
-    for h in _horner(sparse, coeffs, [1] * d):
-        if growing and len(echelon) < d:
-            v = [x % p for x in h]
-            for col, row in echelon:
-                if v[col]:
-                    v = _axpy(v, -v[col], row, p, e)
-            piv = next((j for j, x in enumerate(v) if x), None)
-            if piv is None:
-                growing = False
-            else:
-                inv = pow(v[piv], -1, p)
-                echelon.append((piv, [x * inv % p for x in v]))
-    if any(h):
-        return False
-    pivots = {col for col, _ in echelon}
-    probe = [j for j in range(d) if j not in pivots]
-    if not probe:
-        return True
-    rho = max(sum(map(abs, row)) for row in rows)
-    bound = sum(abs(c) * rho**k for k, c in enumerate(reversed(coeffs))) + rho**deg
-    width = bound.bit_length() + 1
-    x = [0] * d
-    for t, j in enumerate(probe):
-        x[j] = 1 << (width * t)
-    for h in _horner(sparse, coeffs, x):
-        pass
-    return not any(h)
+# From this many seeds on, lanes are sized by Horner on |a|, not by
+# sum |q~_k| rho^k: a fifth narrower, which repaid the extra pass on
+# conjugates with 16-48 seeds and cost 5-17% with 5-8 (CPython 3.11).
+_HORNER_LANES_MIN_SEEDS = 16
+
+
+def _lane_bound(rows, coeffs, seeds) -> int:
+    """A bound on every entry of each q(a) e_s, s in ``seeds`` (terms as in
+    ``_horner``): Horner on |a|, |c| from sum e_s, which dominates each
+    entrywise, or sum |c_k| rho^k + rho^deg q, rho the largest row sum of |a|."""
+    if len(seeds) < _HORNER_LANES_MIN_SEEDS:
+        rho = max(sum(map(abs, vals)) for _, vals in rows)
+        return sum(abs(c) * rho**k for k, c in enumerate(reversed(coeffs))) + rho ** len(coeffs)
+    x = [0] * len(rows)
+    for s in seeds:
+        x[s] = 1
+    return max(_horner([(cols, list(map(abs, vals))) for cols, vals in rows], list(map(abs, coeffs)), x))
 
 
 def cyclotomic_type(a: Matrix) -> tuple[int, ...] | None:
     """The sorted n with charpoly(a) = prod Phi_n, when ``a`` has finite order;
     None when it has infinite order.
 
-    The characteristic polynomial of a finite-order matrix is such a product.
-    Given one, ``a`` has finite order exactly when it is diagonalizable, that
-    is when its minimal polynomial is squarefree, that is when q(a) = 0 for
-    q = prod Phi_n over the distinct n; the order is then L = lcm(n).  This
-    test is what rejects a unipotent [[1, 1], [0, 1]], whose polynomial is
-    Phi_1^2, and any [[C, I], [0, C]] with C = companion(Phi_n).
+    Rational ``a`` is scaled to D a, D the lcm of its denominators, and the
+    coefficient of x^k is c_k(D a) = D^(d - k) c_k(a).  A finite-order ``a``
+    has |tr a|, |tr a^2| <= d, |c_k(a)| <= C(d, k) and chi = prod Phi_n,
+    so x^d chi(1/x) = +-chi(x).
 
-    When the n are distinct, q is the characteristic polynomial and
-    q(a) = 0 by Cayley-Hamilton.  Otherwise q(a) = 0 is certified without a
-    power of ``a`` (``_annihilates``).
-    Rational ``a`` is scaled to D a, D the lcm of its denominators, with q
-    replaced by q~, q~_k = D^(deg q - k) q_k, so q~(D a) = D^(deg q) q(a).
+    1. Lift (``_cyclotomic_lift``): det(x I - D a) modulo the least Mersenne
+       prime p > 2 max_k C(d, k) D^(d - k), each residue taken into
+       (-p/2, p/2] and divided by D^(d - k).  An inexact quotient, one past
+       C(d, k), or a lift that is not reciprocal or not a product of Phi_n
+       proves infinite order.
+    2. Certificate: with q = prod Phi_n over the distinct n of the lift and
+       q~_k = D^(deg q - k) q_k, so that q~(D a) = D^(deg q) q(a), Horner's
+       rule on x = sum_t X^t e_S[t] must end at exactly 0 over Z, the S[t]
+       being the restart seeds of the Hessenberg reduction.  X = 2^w with
+       2^(w - 1) above every entry of each q~(D a) e_S[t], so an entry of
+       q~(D a) x is zero only when each of its base-X digits is.
 
-    1. One chain: from v0 = (1, ..., 1), Horner's rule h <- (D a) h + q~_k v0
-       takes deg q matrix-vector products over Z and ends at q(a) v0 up to
-       the factor, which must be exactly 0.  The intermediate h span the
-       Krylov space K(v0) step by step; they enter an echelon modulo the
-       prime p = 2^61 - 1 until the first one that is dependent there.
-    2. Completion: the unit vectors e_j, j in S, at the columns that are not
-       pivots of that echelon complete it to a basis modulo p (on the pivot
-       columns the echelon rows form a unit triangular matrix).
-    3. Probe: with rho = max_i sum_j |(D a)_ij|, every entry of q~(D a) is
-       at most B = sum_k |q~_k| rho^k in absolute value.  For X = 2^w with
-       2^(w-1) > B, Horner's rule on x = sum_t X^t e_S[t] must end at exactly 0.
-
-    Proof: ker q(a) is a-invariant, so step 1 puts all of K(v0) in it.  The
-    i-th entry of q~(D a) x has the base-X digits q~(D a)[i, S[t]], each
-    below X/2 in absolute value, so it is zero only when every digit is:
-    each e_j with j in S is in the kernel too.  The kept vectors have rank d
-    modulo p, hence rank d over Q, so q(a) vanishes on Q^d.  The prime
-    decides only the size of S, never the answer.
+    Proof: ker q(a) is a-invariant, so step 2 puts the seeds' Krylov spaces,
+    which span F_p^d and so Q^d, in it: q(a) = 0, ``a`` is semisimple with
+    roots of unity as eigenvalues, and its characteristic polynomial is
+    within the bounds of step 1, so it is the lift.  A finite-order ``a``
+    passes both steps, as q is its minimal polynomial; the unipotent
+    [[1, 1], [0, 1]] and [[C, I], [0, C]], C = companion(Phi_n), fail step 2.
 
     >>> cyclotomic_type(-Matrix.identity(3))
     (2, 2, 2)
@@ -462,13 +453,21 @@ def cyclotomic_type(a: Matrix) -> tuple[int, ...] | None:
     >>> cyclotomic_type(Matrix([[0, -1, 1, 0], [1, -1, 0, 1], [0, 0, 0, -1], [0, 0, 1, -1]])) is None
     True
     """
-    ns = _cyclotomic_factors(a)
-    if ns is None or len(set(ns)) == len(ns):  # q(a) = charpoly(a) = 0
-        return ns
+    lift = _cyclotomic_lift(a)
+    if lift is None:
+        return None
+    ns, seeds, rows, scale = lift
     q: IntPolynomial = (1,)
     for n in sorted(set(ns)):
         q = poly_mul(q, cyclotomic(n))
-    return ns if _annihilates(a, q) else None
+    deg = len(q) - 1
+    coeffs = [q[k] * scale ** (deg - k) for k in range(deg - 1, -1, -1)]
+    sparse = [([j for j, v in enumerate(row) if v], [v for v in row if v]) for row in rows]
+    width = _lane_bound(sparse, coeffs, seeds).bit_length() + 1 if len(seeds) > 1 else 0
+    x = [0] * len(rows)
+    for t, s in enumerate(seeds):
+        x[s] = 1 << (width * t)
+    return None if any(_horner(sparse, coeffs, x)) else ns
 
 
 def order(a: Matrix, bound: int) -> int | None:
@@ -504,14 +503,15 @@ def rational_block_form(a: Matrix) -> tuple[Matrix, Matrix] | None:
     in cyclotomic_type(a)) with a @ P == P @ B and P invertible over Q; None
     when ``a`` has infinite order.
 
-    The n are the factors of the characteristic polynomial (None when it is
-    not a product of Phi_n).  P lists chains v, a v, ..., a^(phi(n) - 1) v,
+    The n are those of the lift in ``cyclotomic_type`` (None when it proves
+    infinite order).  P lists chains v, a v, ..., a^(phi(n) - 1) v,
     v in ker Phi_n(a), on which ``a`` acts as companion(Phi_n); Phi_n is
     irreducible, so a chain from a kernel vector outside those taken is
     independent of them.  Chains lie in the kernels, so if they fill Q^d the
-    distinct Phi_n annihilate ``a``: it is semisimple, of finite order.  A
-    semisimple ``a`` fills them, so if they fall short the answer is None.
-    ArithmeticError is raised only if the final exact check fails.
+    distinct Phi_n annihilate ``a``: it is semisimple, of finite order, and
+    the lift is its characteristic polynomial.  A semisimple ``a`` fills
+    them, so if they fall short the answer is None.  ArithmeticError is
+    raised only if the final exact check fails.
 
     >>> c3, c5 = companion(cyclotomic(3)), companion(cyclotomic(5))
     >>> swap = Matrix([[int(j == (i + 2) % 6) for j in range(6)] for i in range(6)])

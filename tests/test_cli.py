@@ -13,7 +13,7 @@ from nctori import classify, cli, exactlin, invariants, theta
 from nctori.classify import MAX_RANK_DIM
 from nctori.arith import CYCLOTOMIC_MAX_N, FACTORIZE_MAX_TRIAL
 from nctori.cli import TABLE_MAX_DIM, TABLE_MAX_VERDICTS, CliParseError, main, parse_group
-from nctori.exactlin import _components
+from nctori.exactlin import Matrix, _components
 from nctori.invariants import invariant_ranks, parse_block_spec, realize
 from nctori.wfun import AbelianGroup, max_finite_order
 
@@ -194,6 +194,19 @@ def test_theta_json_on_dense_conjugate_matches_direct_solve(
     assert code == 0 and routed == direct
 
 
+def _count_hessenberg_passes(monkeypatch):
+    """Record (rows, e) for every Hessenberg reduction; charpoly must not run."""
+
+    def no_charpoly(m):
+        raise AssertionError("analyze must not call charpoly")
+
+    calls = []
+    hessenberg = exactlin._hessenberg_charpoly
+    monkeypatch.setattr(exactlin, "_hessenberg_charpoly", lambda h, e: calls.append(([row[:] for row in h], e)) or hessenberg(h, e))
+    monkeypatch.setattr(exactlin, "charpoly", no_charpoly)
+    return calls
+
+
 def test_analyze_factors_the_characteristic_polynomial_once(tmp_path, capsys, monkeypatch, unimodular_pair):
     # one support component at d = 14: recognize_blocks factors the
     # characteristic polynomial, and every other answer is read off its type
@@ -204,13 +217,12 @@ def test_analyze_factors_the_characteristic_polynomial_once(tmp_path, capsys, mo
     assert d == 14 and len(_components(a)) == 1
     path = tmp_path / "conj.txt"
     path.write_text(f"{d}\n" + "\n".join(" ".join(map(str, row)) for row in a.rows) + "\n")
-    calls = []
-    charpoly = exactlin.charpoly
-    monkeypatch.setattr(exactlin, "charpoly", lambda m: calls.append(m) or charpoly(m))
+    calls = _count_hessenberg_passes(monkeypatch)
     code, out, _ = run(capsys, "analyze", str(path), "--json")
     payload = json.loads(out)
     assert code == 0 and payload["blocks"] == ["C7", "C9", "I2"] and payload["nondegenerate_theta_exists"]
-    assert calls == [a]
+    # C(14, 7) = 3,432: the finite-order lift works modulo 2^19 - 1
+    assert calls == [([[x % (2**19 - 1) for x in row] for row in a.rows], 19)]
 
 
 def test_analyze_solves_no_invariant_form_system(tmp_path, capsys, monkeypatch, unimodular_pair):
@@ -264,17 +276,24 @@ def test_rank_dimension_limit(capsys, monkeypatch):
     assert code == 2 and out == "" and "limit 12" in err
 
 
-def test_analyze_refuses_entries_past_the_charpoly_prime(tmp_path, capsys):
-    # 4,001-digit entries: the coefficient bound is about 10^8000 > 2^19936.
-    # Traces 0 and 0 pass the finite-order trace test, so charpoly is reached
+def test_analyze_answers_entries_past_the_charpoly_prime(tmp_path, capsys):
+    # 4,001-digit entries: the Hadamard bound is about 10^8000 > 2^19936, so
+    # charpoly refuses.  Traces 0 and 0 pass the finite-order trace test, and
+    # the lift modulo 2^19 - 1, x^2, is not reciprocal: no finite order
+    n = 10**4000
+    a = Matrix([[n, n], [-n, -n]])
+    with pytest.raises(ValueError, match="2\\^19936"):
+        exactlin.charpoly(a)
     path = tmp_path / "huge.txt"
-    path.write_text(f"2\n{10**4000} {10**4000}\n{-(10**4000)} {-(10**4000)}\n")
+    path.write_text(f"2\n{n} {n}\n{-n} {-n}\n")
+    start = time.perf_counter()
     code, out, err = run(capsys, "analyze", str(path))
-    assert code == 2 and out == "" and "2^19936" in err
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and err == "error: matrix has no finite order at dimension 2\n"
     code, out, _ = run(capsys, "analyze", str(path), "--json")
-    assert code == 2 and "2^19936" in json.loads(out)["error"]
-    # trace 2 * 10^4000 > 2: infinite order, known before any charpoly
-    path.write_text(f"2\n{10**4000} 1\n0 {10**4000}\n")
+    assert code == 2 and json.loads(out)["error"] == "matrix has no finite order at dimension 2"
+    # trace 2 * 10^4000 > 2: infinite order, known before any reduction
+    path.write_text(f"2\n{n} 1\n0 {n}\n")
     code, out, err = run(capsys, "analyze", str(path))
     assert code == 2 and out == "" and err == "error: matrix has no finite order at dimension 2\n"
 
@@ -294,18 +313,30 @@ def test_analyze_rejects_dense_infinite_order_files_by_their_traces(tmp_path, ca
 
 def test_analyze_past_the_trace_test_still_finds_infinite_order(tmp_path, capsys, monkeypatch):
     # the companion of x^12 - x - 1 has tr a = tr a^2 = 0, so only the
-    # factored characteristic polynomial shows that it has infinite order
+    # characteristic polynomial, from one Hessenberg pass, shows that it has
+    # infinite order
     a = exactlin.companion((-1, -1) + (0,) * 10 + (1,))
     d = a.nrows
     assert sum(a[i, i] for i in range(d)) == sum(a[i, j] * a[j, i] for i in range(d) for j in range(d)) == 0
-    calls = []
-    charpoly = exactlin.charpoly
-    monkeypatch.setattr(exactlin, "charpoly", lambda m: calls.append(m) or charpoly(m))
+    calls = _count_hessenberg_passes(monkeypatch)
     path = tmp_path / "companion.txt"
     path.write_text(f"{d}\n" + "\n".join(" ".join(map(str, row)) for row in a.rows) + "\n")
     code, out, err = run(capsys, "analyze", str(path))
     assert code == 2 and out == "" and err == f"error: matrix has no finite order at dimension {d}\n"
     assert len(calls) == 1
+
+
+def test_analyze_rejects_a_non_reciprocal_companion_at_dimension_200(tmp_path, capsys):
+    # x^200 - x - 1 passes the trace test; its lift modulo 2^521 - 1 is not
+    # reciprocal, so no factor search runs
+    d = 200
+    a = exactlin.companion((-1, -1) + (0,) * (d - 2) + (1,))
+    path = tmp_path / "companion200.txt"
+    path.write_text(f"{d}\n" + "\n".join(" ".join(map(str, row)) for row in a.rows) + "\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "analyze", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and err == f"error: matrix has no finite order at dimension {d}\n"
 
 
 def test_matrix_file_errors(tmp_path, capsys):

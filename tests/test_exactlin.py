@@ -4,16 +4,21 @@ import random
 import time
 from fractions import Fraction
 from math import comb, lcm
+from operator import mul
 
 import pytest
 
 from nctori import exactlin
-from nctori.arith import cyclotomic, poly_mul
+from nctori.arith import cyclotomic, poly_mul, totient
 from nctori.exactlin import (
     _MERSENNE_EXPONENTS,
     _axpy,
     _cyclotomic_factors,
+    _cyclotomic_lift,
     _fold,
+    _hessenberg_charpoly,
+    _horner,
+    _lane_bound,
     Matrix,
     block_diag,
     charpoly,
@@ -236,10 +241,10 @@ def test_rational_block_form_rejects_infinite_order():
 def test_rational_block_form_runs_no_finite_order_certificate(monkeypatch, unimodular_pair):
     # repeated factors: cyclotomic_type would certify q(a) = 0; the chains
     # filling Q^d already prove it
-    def no_certificate(a, q):
-        raise AssertionError("rational_block_form must not run _annihilates")
+    def no_certificate(*args):
+        raise AssertionError("rational_block_form must not run the seed certificate")
 
-    monkeypatch.setattr(exactlin, "_annihilates", no_certificate)
+    monkeypatch.setattr(exactlin, "_horner", no_certificate)
     block = realize(parse_block_spec("C7+C7+C3"))
     p, q = unimodular_pair(random.Random(7), block.nrows, 3 * block.nrows)
     a = p @ block @ q
@@ -486,3 +491,147 @@ def test_cyclotomic_type_large_block_form_is_fast():
     elapsed = time.perf_counter() - start
     assert ns == (1,) * 24 + (7, 8, 9, 25, 41) and lcm(*ns) == 516_600
     assert elapsed < 1
+
+
+def _route_exponent(d):
+    """e of the least listed Mersenne prime 2^e - 1 above 2 max_k C(d, k)."""
+    return next(e for e in _MERSENNE_EXPONENTS if (1 << e) - 1 > 2 * comb(d, d // 2))
+
+
+def _traces_pass(m):
+    d = m.nrows
+    tr2 = sum(m[i, j] * m[j, i] for i in range(d) for j in range(d))
+    return abs(sum(m[i, i] for i in range(d))) <= d and abs(tr2) <= d
+
+
+def test_lift_congruent_to_cyclotomic_is_refuted_by_the_seeds(monkeypatch):
+    # companion(Phi_n + p x^j) has characteristic polynomial Phi_n modulo the
+    # route's prime p, within every bound and reciprocal: only the seed
+    # certificate shows that it has infinite order
+    exponents = []
+    hessenberg = exactlin._hessenberg_charpoly
+    monkeypatch.setattr(exactlin, "_hessenberg_charpoly", lambda h, e: exponents.append(e) or hessenberg(h, e))
+    c5 = companion(cyclotomic(5))
+    checked = 0
+    for n in (5, 7, 9, 12, 16, 20, 21, 33, 44, 61):
+        phi = cyclotomic(n)
+        k = len(phi) - 1
+        for extra in (False, True):
+            d = k + 4 * extra
+            e = _route_exponent(d)
+            for j in range(k):
+                f = list(phi)
+                f[j] += (1 << e) - 1
+                m = companion(tuple(f))
+                if extra:
+                    m = block_diag([m, c5])
+                if not _traces_pass(m):
+                    continue
+                exponents.clear()
+                assert _cyclotomic_factors(m) == tuple(sorted((n, 5) if extra else (n,))), (n, j)
+                assert exponents == [e], (n, j)
+                assert cyclotomic_type(m) is None, (n, extra, j)
+                if d <= 24:
+                    assert rational_block_form(m) is None, (n, extra, j)
+                checked += 1
+    # j = k - 1 and j = k - 2 move tr a and tr a^2 by p, and every other j passes
+    assert checked == 256
+
+
+def _random_spec(rng, d):
+    """A block spec of dimension d from C<n>, negC<n> (odd n) and I<m> labels."""
+    labels = []
+    while d:
+        menu = [f"C{n}" for n in range(2, 40) if totient(n) <= d]
+        menu += [f"negC{n}" for n in range(3, 40, 2) if totient(n) <= d] + [f"I{m}" for m in range(1, min(d, 3) + 1)]
+        label = rng.choice(menu)
+        labels.append(label)
+        d -= int(label[1:]) if label[0] == "I" else totient(int(label.lstrip("negC")))
+    return "+".join(labels)
+
+
+def test_seed_krylov_chains_have_rank_d(unimodular_pair):
+    # each seed's chain, as long as its unreduced diagonal block of H, with
+    # rank d over Q: the seeds' Krylov spaces span Q^d
+    rng = random.Random(300)
+    restarted = 0
+    for t in range(300):
+        d = rng.randint(2, 16)
+        a = realize(parse_block_spec(_random_spec(rng, d)))
+        if t % 2:
+            p, q = unimodular_pair(rng, d, 3 * d)
+            a = p @ a @ q
+        e = _route_exponent(d)
+        h = [[x % ((1 << e) - 1) for x in row] for row in a.rows]
+        _, seeds = _hessenberg_charpoly(h, e)
+        assert seeds == _cyclotomic_lift(a)[1], a
+        starts = [m for m in range(d) if m == 0 or not h[m][m - 1]]
+        assert len(starts) == len(seeds) and seeds[0] == 0, a
+        chains = []
+        for s, start, end in zip(seeds, starts, starts[1:] + [d]):
+            v = tuple(int(i == s) for i in range(d))
+            for _ in range(end - start):
+                chains.append(v)
+                v = tuple(sum(map(mul, row, v)) for row in a.rows)
+        assert len(chains) == d and rank(Matrix(chains)) == d, a
+        restarted += len(seeds) > 1
+    assert restarted > 200
+
+
+def test_non_reciprocal_lift_exits_before_the_factor_search(monkeypatch):
+    # x^d - x - 1 passes the trace test (tr a = tr a^2 = 0) and every
+    # coefficient bound, but its reversal is -x^d - x^(d-1) + 1
+    def no_division(*args):
+        raise AssertionError("a non-reciprocal lift must not reach the factor search")
+
+    passes = []
+    hessenberg = exactlin._hessenberg_charpoly
+    monkeypatch.setattr(exactlin, "_hessenberg_charpoly", lambda h, e: passes.append(e) or hessenberg(h, e))
+    monkeypatch.setattr(exactlin, "poly_divmod", no_division)
+    monkeypatch.setattr(exactlin, "totient", no_division)
+    for d in range(12, 61):
+        a = companion((-1, -1) + (0,) * (d - 2) + (1,))
+        assert _traces_pass(a), d
+        passes.clear()
+        assert _cyclotomic_factors(a) is None and cyclotomic_type(a) is None, d
+        assert passes == [_route_exponent(d)] * 2, d
+
+
+def test_lane_bounds_cover_every_seed(monkeypatch, unimodular_pair):
+    rng = random.Random(48)
+    for text in ("C9+C7+I2", "C5+C5+C3+I3", "I4+C12", "negC9+C8+C8", "C7+C7+C7", "C12+C12+I1"):
+        block = realize(parse_block_spec(text))
+        d = block.nrows
+        p, q = unimodular_pair(rng, d, 3 * d)
+        diag = [Fraction(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(d)]
+        rational = p @ _diag(diag) @ block @ _diag([1 / x for x in diag]) @ q
+        for a in (block, p @ block @ q, rational):
+            ns, seeds, rows, scale = _cyclotomic_lift(a)
+            poly = (1,)
+            for n in sorted(set(ns)):
+                poly = poly_mul(poly, cyclotomic(n))
+            deg = len(poly) - 1
+            coeffs = [poly[k] * scale ** (deg - k) for k in range(deg - 1, -1, -1)]
+            sparse = [([j for j, v in enumerate(row) if v], [v for v in row if v]) for row in rows]
+            truth = max(max(map(abs, _horner(sparse, coeffs, [int(i == s) for i in range(d)]))) for s in seeds)
+            monkeypatch.setattr(exactlin, "_HORNER_LANES_MIN_SEEDS", len(seeds) + 1)
+            coefficient_bound = _lane_bound(sparse, coeffs, seeds)
+            monkeypatch.setattr(exactlin, "_HORNER_LANES_MIN_SEEDS", 1)
+            horner_bound = _lane_bound(sparse, coeffs, seeds)
+            assert truth <= horner_bound <= coefficient_bound, (text, truth, horner_bound, coefficient_bound)
+
+
+def test_lanes_are_wide_enough_to_keep_seeds_apart():
+    # a = I + c E_01 - E_0t is unipotent, upper triangular, so every index is
+    # a seed, and q(a) = a - I sends e_1 to c e_0 and e_t to -e_0.  With
+    # lanes of 2 bits (X = 4) and c = 4^(t - 1) the packed probe would cancel
+    # to 0; the sized lanes keep the two apart.  t = 3 takes the coefficient
+    # bound, t = 16 Horner's rule on |a|
+    for t in (3, 16):
+        rows = [[int(i == j) for j in range(t + 1)] for i in range(t + 1)]
+        rows[0][1], rows[0][t] = 4 ** (t - 1), -1
+        a = Matrix(rows)
+        assert _cyclotomic_lift(a)[:2] == ((1,) * (t + 1), list(range(t + 1)))
+        probe = [4**s for s in range(t + 1)]
+        assert [sum(map(mul, row, probe)) - x for row, x in zip(rows, probe)] == [0] * (t + 1)
+        assert cyclotomic_type(a) is None and _power_type(a) is None, t
