@@ -32,7 +32,7 @@ from nctori.exactlin import (
     rational_block_form,
     reduced_basis,
 )
-from nctori.invariants import enumerate_specs, parse_block_spec, realize
+from nctori.invariants import enumerate_specs, parse_block_spec, realize, spec_dim
 
 
 def test_companion_one_by_one():
@@ -546,7 +546,7 @@ def _random_spec(rng, d):
         menu += [f"negC{n}" for n in range(3, 40, 2) if totient(n) <= d] + [f"I{m}" for m in range(1, min(d, 3) + 1)]
         label = rng.choice(menu)
         labels.append(label)
-        d -= int(label[1:]) if label[0] == "I" else totient(int(label.lstrip("negC")))
+        d -= spec_dim(parse_block_spec(label))
     return "+".join(labels)
 
 
