@@ -362,28 +362,17 @@ def _cyclotomic_lift(a: Matrix):
         poly.append(c)
     if poly[::-1] != poly and poly[::-1] != [-c for c in poly]:
         return None
-    value = sum(c << (16 * k) for k, c in enumerate(poly))
     ns: list[int] = []
     n = 1
     while len(poly) > 1 and n <= 2 * (len(poly) - 1) ** 2 + 2:
         if totient(n) < len(poly):
-            phi = cyclotomic(n)
-            at = sum(c << (16 * k) for k, c in enumerate(phi))
-            while value % at == 0:  # Phi_n(2^16) divides poly(2^16) when Phi_n divides poly
-                quot, rem = poly_divmod(poly, phi)
-                if rem:
-                    break
+            quot, rem = poly_divmod(poly, cyclotomic(n))
+            while not rem:
                 ns.append(n)
                 poly = quot
-                value //= at
+                quot, rem = poly_divmod(poly, cyclotomic(n))
         n += 1
     return None if len(poly) > 1 else (tuple(ns), seeds, rows, scale)
-
-
-def _cyclotomic_factors(a: Matrix) -> tuple[int, ...] | None:
-    """The n of the lift in ``cyclotomic_type`` (None when it proves infinite
-    order); the cyclotomic type when ``a`` has finite order."""
-    return (_cyclotomic_lift(a) or (None,))[0]
 
 
 def _horner(rows, coeffs, x):
@@ -397,23 +386,12 @@ def _horner(rows, coeffs, x):
     return h
 
 
-# From this many seeds on, lanes are sized by Horner on |a|, not by
-# sum |q~_k| rho^k: a fifth narrower, which repaid the extra pass on
-# conjugates with 16-48 seeds and cost 5-17% with 5-8 (CPython 3.11).
-_HORNER_LANES_MIN_SEEDS = 16
-
-
-def _lane_bound(rows, coeffs, seeds) -> int:
-    """A bound on every entry of each q(a) e_s, s in ``seeds`` (terms as in
-    ``_horner``): Horner on |a|, |c| from sum e_s, which dominates each
-    entrywise, or sum |c_k| rho^k + rho^deg q, rho the largest row sum of |a|."""
-    if len(seeds) < _HORNER_LANES_MIN_SEEDS:
-        rho = max(sum(map(abs, vals)) for _, vals in rows)
-        return sum(abs(c) * rho**k for k, c in enumerate(reversed(coeffs))) + rho ** len(coeffs)
-    x = [0] * len(rows)
-    for s in seeds:
-        x[s] = 1
-    return max(_horner([(cols, list(map(abs, vals))) for cols, vals in rows], list(map(abs, coeffs)), x))
+def _lane_bound(rows, coeffs) -> int:
+    """A bound on every entry of q(a) e_s for each unit vector e_s (terms as
+    in ``_horner``): sum |c_k| rho^k + rho^deg q, rho the largest row sum
+    of |a|."""
+    rho = max(sum(map(abs, vals)) for _, vals in rows)
+    return sum(abs(c) * rho**k for k, c in enumerate(reversed(coeffs))) + rho ** len(coeffs)
 
 
 def cyclotomic_type(a: Matrix) -> tuple[int, ...] | None:
@@ -463,7 +441,7 @@ def cyclotomic_type(a: Matrix) -> tuple[int, ...] | None:
     deg = len(q) - 1
     coeffs = [q[k] * scale ** (deg - k) for k in range(deg - 1, -1, -1)]
     sparse = [([j for j, v in enumerate(row) if v], [v for v in row if v]) for row in rows]
-    width = _lane_bound(sparse, coeffs, seeds).bit_length() + 1 if len(seeds) > 1 else 0
+    width = _lane_bound(sparse, coeffs).bit_length() + 1 if len(seeds) > 1 else 0
     x = [0] * len(rows)
     for t, s in enumerate(seeds):
         x[s] = 1 << (width * t)
@@ -524,9 +502,10 @@ def rational_block_form(a: Matrix) -> tuple[Matrix, Matrix] | None:
     >>> rational_block_form(Matrix([[1, 1], [0, 1]])) is None
     True
     """
-    ns = _cyclotomic_factors(a)
-    if ns is None:
+    lift = _cyclotomic_lift(a)
+    if lift is None:
         return None
+    ns = lift[0]
     d = a.nrows
     rows = a.rows
     cols: list[tuple[int, ...]] = []

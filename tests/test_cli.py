@@ -298,6 +298,29 @@ def test_analyze_answers_entries_past_the_charpoly_prime(tmp_path, capsys):
     assert code == 2 and out == "" and err == "error: matrix has no finite order at dimension 2\n"
 
 
+def test_analyze_answers_a_wide_finite_order_conjugate(tmp_path, capsys, unimodular_pair):
+    # P^700 B P^-700 for a d = 14 block form B: entries of about 1,000 digits,
+    # so the Hadamard bound (about 2^46000) is past charpoly's last prime.
+    # The lift works modulo 2^19 - 1 whatever the entries; the cost is the
+    # certificate over Z, whose lanes grow with deg q times the entry bits
+    # (about 0.7 s on a 2-core Xeon VM with CPython 3.11)
+    block = realize(parse_block_spec("C9+C7+I2"))
+    d = block.nrows
+    p, q = unimodular_pair(random.Random(14), d, 3 * d)
+    a = p.pow(700) @ block @ q.pow(700)
+    assert 900 < max(len(str(abs(x))) for row in a.rows for x in row) < 1100
+    with pytest.raises(ValueError, match="2\\^19936"):
+        exactlin.charpoly(a)
+    paths = []
+    for name, m in (("wide", a), ("block", block)):
+        paths.append(tmp_path / f"{name}.txt")
+        paths[-1].write_text(f"{d}\n" + "\n".join(" ".join(map(str, row)) for row in m.rows) + "\n")
+    start = time.perf_counter()
+    wide = run(capsys, "analyze", str(paths[0]))
+    assert time.perf_counter() - start < 5
+    assert wide == run(capsys, "analyze", str(paths[1])) and wide[0] == 0
+
+
 def test_analyze_rejects_dense_infinite_order_files_by_their_traces(tmp_path, capsys):
     # entries in [-9, 9]: tr a^2 = sum a_ij a_ji is in the thousands, past d
     rng = random.Random(250)

@@ -13,7 +13,6 @@ from nctori.arith import cyclotomic, poly_mul, totient
 from nctori.exactlin import (
     _MERSENNE_EXPONENTS,
     _axpy,
-    _cyclotomic_factors,
     _cyclotomic_lift,
     _fold,
     _hessenberg_charpoly,
@@ -234,7 +233,7 @@ def test_rational_block_form_rejects_infinite_order():
     jordan = block_diag([c3, c3]) + Matrix([[0, 0, 1, 0], [0] * 4, [0] * 4, [0] * 4])
     upper_identity = Matrix([[int(j == i + 2) for j in range(4)] for i in range(4)])
     for m in (shear, jordan, block_diag([c3, c3]) + upper_identity, Matrix([[1, 1], [0, 1]])):
-        assert _cyclotomic_factors(m) is not None, m
+        assert _cyclotomic_lift(m) is not None, m
         assert cyclotomic_type(m) is None and rational_block_form(m) is None, m
 
 
@@ -394,10 +393,10 @@ def test_pow_starts_from_lowest_set_bit(monkeypatch):
 def _power_type(a):
     """The cyclotomic type by the power check a^L = I, L = lcm(n): the
     reference for ``cyclotomic_type``'s certificate."""
-    ns = _cyclotomic_factors(a)
-    if ns is None or a.pow(lcm(*ns, 1)) != Matrix.identity(a.nrows):
+    lift = _cyclotomic_lift(a)
+    if lift is None or a.pow(lcm(*lift[0], 1)) != Matrix.identity(a.nrows):
         return None
-    return ns
+    return lift[0]
 
 
 def _diag(values):
@@ -446,7 +445,7 @@ def test_cyclotomic_type_rejects_non_semisimple(unimodular_pair):
         p, q = unimodular_pair(rng, m.nrows, 3 * m.nrows)
         diag = [Fraction(i + 1, 2) for i in range(m.nrows)]
         for a in (m, p @ m @ q, p @ _diag(diag) @ m @ _diag([1 / x for x in diag]) @ q):
-            assert _cyclotomic_factors(a) == (n, n), n
+            assert _cyclotomic_lift(a)[0] == (n, n), n
             assert cyclotomic_type(a) is None and _power_type(a) is None, n
 
 
@@ -460,7 +459,7 @@ def test_cyclotomic_type_probe_sees_defect_off_the_chain():
     for c in reversed(q[:-1]):
         h = [sum(x * y for x, y in zip(row, h)) + c for row in a.rows]
     assert h == [0] * a.nrows
-    assert _cyclotomic_factors(a) == (1,) * 47 + (105,)
+    assert _cyclotomic_lift(a)[0] == (1,) * 47 + (105,)
     assert cyclotomic_type(a) is None and _power_type(a) is None
 
 
@@ -528,7 +527,7 @@ def test_lift_congruent_to_cyclotomic_is_refuted_by_the_seeds(monkeypatch):
                 if not _traces_pass(m):
                     continue
                 exponents.clear()
-                assert _cyclotomic_factors(m) == tuple(sorted((n, 5) if extra else (n,))), (n, j)
+                assert _cyclotomic_lift(m)[0] == tuple(sorted((n, 5) if extra else (n,))), (n, j)
                 assert exponents == [e], (n, j)
                 assert cyclotomic_type(m) is None, (n, extra, j)
                 if d <= 24:
@@ -593,11 +592,11 @@ def test_non_reciprocal_lift_exits_before_the_factor_search(monkeypatch):
         a = companion((-1, -1) + (0,) * (d - 2) + (1,))
         assert _traces_pass(a), d
         passes.clear()
-        assert _cyclotomic_factors(a) is None and cyclotomic_type(a) is None, d
+        assert _cyclotomic_lift(a) is None and cyclotomic_type(a) is None, d
         assert passes == [_route_exponent(d)] * 2, d
 
 
-def test_lane_bounds_cover_every_seed(monkeypatch, unimodular_pair):
+def test_lane_bound_covers_every_seed(unimodular_pair):
     rng = random.Random(48)
     for text in ("C9+C7+I2", "C5+C5+C3+I3", "I4+C12", "negC9+C8+C8", "C7+C7+C7", "C12+C12+I1"):
         block = realize(parse_block_spec(text))
@@ -614,19 +613,15 @@ def test_lane_bounds_cover_every_seed(monkeypatch, unimodular_pair):
             coeffs = [poly[k] * scale ** (deg - k) for k in range(deg - 1, -1, -1)]
             sparse = [([j for j, v in enumerate(row) if v], [v for v in row if v]) for row in rows]
             truth = max(max(map(abs, _horner(sparse, coeffs, [int(i == s) for i in range(d)]))) for s in seeds)
-            monkeypatch.setattr(exactlin, "_HORNER_LANES_MIN_SEEDS", len(seeds) + 1)
-            coefficient_bound = _lane_bound(sparse, coeffs, seeds)
-            monkeypatch.setattr(exactlin, "_HORNER_LANES_MIN_SEEDS", 1)
-            horner_bound = _lane_bound(sparse, coeffs, seeds)
-            assert truth <= horner_bound <= coefficient_bound, (text, truth, horner_bound, coefficient_bound)
+            bound = _lane_bound(sparse, coeffs)
+            assert truth <= bound, (text, truth, bound)
 
 
 def test_lanes_are_wide_enough_to_keep_seeds_apart():
     # a = I + c E_01 - E_0t is unipotent, upper triangular, so every index is
     # a seed, and q(a) = a - I sends e_1 to c e_0 and e_t to -e_0.  With
     # lanes of 2 bits (X = 4) and c = 4^(t - 1) the packed probe would cancel
-    # to 0; the sized lanes keep the two apart.  t = 3 takes the coefficient
-    # bound, t = 16 Horner's rule on |a|
+    # to 0; the sized lanes keep the two apart
     for t in (3, 16):
         rows = [[int(i == j) for j in range(t + 1)] for i in range(t + 1)]
         rows[0][1], rows[0][t] = 4 ** (t - 1), -1
