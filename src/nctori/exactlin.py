@@ -390,8 +390,19 @@ def _lane_bound(rows, coeffs) -> int:
     """A bound on every entry of q(a) e_s for each unit vector e_s (terms as
     in ``_horner``): sum |c_k| rho^k + rho^deg q, rho the largest row sum
     of |a|."""
-    rho = max(sum(map(abs, vals)) for _, vals in rows)
+    rho = max((sum(map(abs, vals)) for _, vals in rows), default=0)
     return sum(abs(c) * rho**k for k, c in enumerate(reversed(coeffs))) + rho ** len(coeffs)
+
+
+# Largest estimated work of the certificate in ``cyclotomic_type``, in 64-bit
+# word products: deg q passes, each multiplying every nonzero entry of D a
+# (``entry`` bits) by a packed vector entry (lanes of ``lane`` bits, one per
+# seed).  On a 2-core Xeon VM (CPython 3.11) a word product takes 2-6 ns with
+# wide entries and up to 20 ns with one-word entries: P^700 B P^-700 for
+# B = C9+C7+I2 (d = 14, 1,000-digit entries) is 1.8e8 and 0.6 s, a conjugate
+# of I72+C79 (d = 150, 72 seeds) 6.2e8 and 4-6 s, and P^200 B P^-200 for
+# B = C25+C9+C8+I6 (d = 36, 287 digits) 1.7e9 and 10 s.
+MAX_CERTIFICATE_WORK = 1_000_000_000
 
 
 def cyclotomic_type(a: Matrix) -> tuple[int, ...] | None:
@@ -441,7 +452,16 @@ def cyclotomic_type(a: Matrix) -> tuple[int, ...] | None:
     deg = len(q) - 1
     coeffs = [q[k] * scale ** (deg - k) for k in range(deg - 1, -1, -1)]
     sparse = [([j for j, v in enumerate(row) if v], [v for v in row if v]) for row in rows]
-    width = _lane_bound(sparse, coeffs).bit_length() + 1 if len(seeds) > 1 else 0
+    lane = _lane_bound(sparse, coeffs).bit_length() + 1
+    entries = list(itertools.chain.from_iterable(vals for _, vals in sparse))
+    entry = max(map(abs, entries), default=0).bit_length()
+    work = deg * len(entries) * -(-lane * len(seeds) // 64) * -(-entry // 64)
+    if work > MAX_CERTIFICATE_WORK:
+        raise ValueError(
+            f"the finite-order certificate of this {len(rows)} x {len(rows)} matrix needs about {work} "
+            f"word products, past the limit MAX_CERTIFICATE_WORK = {MAX_CERTIFICATE_WORK}"
+        )
+    width = lane if len(seeds) > 1 else 0
     x = [0] * len(rows)
     for t, s in enumerate(seeds):
         x[s] = 1 << (width * t)

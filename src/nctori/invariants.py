@@ -6,9 +6,12 @@ exterior power of a finite-order matrix:
 * ``invariant_ranks`` applies Molien's formula to the cyclotomic type of a
   block spec: the average of det(I + t a^e) over the cyclic group is a sum
   over the divisors e of the order of products of powers of F_k(t) =
-  Phi_k(-t), formed by one linear recurrence each, with no matrix, no
-  traces and no Newton's identities.  Its work is estimated first and
-  capped (``MAX_RANK_WORK``);
+  Phi_k(-t), with no matrix, no traces and no Newton's identities.  While
+  the packed size d w stays below ``_KRONECKER_MAX_BITS`` the sum is
+  evaluated at one integer 2^w (Kronecker substitution): each F_k(2^w)
+  once, each product as big-integer powers, and the ranks read off the
+  base-2^w digits.  Past it each product is formed by one linear
+  recurrence, whose work is estimated first and capped (``MAX_RANK_WORK``);
 * ``invariant_ranks_molien`` reads every degree off the matrix itself by
   the same formula: from the traces of the powers a^g for the divisors g of
   the order and Newton's identities.  It shares no code with the spectral
@@ -31,7 +34,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import mul
 from struct import pack, unpack
 
@@ -219,10 +222,12 @@ def _binomial_row(n: int) -> list[int]:
 
 
 # Largest estimated work (coefficient steps, see ``invariant_ranks``) that the
-# spectral route takes on; past it ``invariant_ranks`` raises ValueError.  On
-# a 2-core Xeon VM a step costs 0.2-0.35 us at large work: C9240 (d = 1920)
-# is 6.7 million steps and 1.2 s, thirty-five C401 blocks (d = 14,000) 5.8
-# million and 2.0 s; C30030 (d = 5760) would be 86 million.
+# spectral route takes on: the exponent table on both evaluations, plus the
+# recurrences past ``_KRONECKER_MAX_BITS``; past it ``invariant_ranks``
+# raises ValueError.  On a 2-core Xeon VM a step costs 0.2-0.35 us at large
+# work: C9240 (d = 1920) is 6.7 million steps and 1.2 s, thirty-five C401
+# blocks (d = 14,000) 5.8 million and 2.0 s; C30030 (d = 5760) would be 86
+# million.
 MAX_RANK_WORK = 10_000_000
 
 
@@ -293,34 +298,30 @@ def _product_work(factors) -> int:
     return work
 
 
-@functools.lru_cache(maxsize=None)
-def invariant_ranks(spec: BlockSpec) -> tuple[int, ...]:
-    """All invariant ranks (degree 0 through the dimension), by Molien's
-    formula applied to the cyclotomic type.
+# Kronecker evaluation packs the Molien sum into d + 1 digits of w bits; from
+# about this many bits of d w on, its big-integer products cost more than the
+# recurrences of ``_power_product``.  Per spec, in-process (2-core Xeon VM,
+# CPython 3.11), Kronecker against the recurrence: flips C2^80 (d w = 6,320)
+# 0.079 against 0.083 ms, C2^96 (9,120) 0.118 against 0.087 ms; C89 (8,096)
+# 0.13 against 0.20 ms, C127 (16,506) 0.35 against 0.31 ms; a d = 812 block
+# 81 against 1.4 ms.  Products of many distinct F_k gain past it
+# (C41+C25+C9+C8+C7+I24, 11,700: 7.9 against 45 ms), but the seed-1
+# ``verdicts`` specs take 6.4 ms with this bound and 6.1-6.2 ms with any
+# bound from 12,288 to 65,536.
+_KRONECKER_MAX_BITS = 8192
 
-    With N = spec_order(spec) and m = block_order(b) for each block b,
 
-        sum_k r_k t^k = (1/N) sum_(e | N) phi(N/e) prod_b F_m'(t)^(phi(m)/phi(m')),
-        m' = m / gcd(m, e),
+def _digit_bits(n: int, d: int) -> int:
+    """Width w of a base-2^w digit that holds every N r_k <= N C(d, k), with a
+    spare bit: the bit length of N C(d, floor(d/2)), plus one."""
+    return (n * comb(d, d // 2)).bit_length() + 1
 
-    where F_1 = 1 + t and F_k(t) = Phi_k(-t) for k >= 2, the product of
-    1 + t zeta over the primitive k-th roots zeta: the e-th power of a
-    primitive m-th root is a primitive m'-th root, each hit phi(m)/phi(m')
-    times (Molien 1897; Stanley, Bull. AMS 1 (1979), section 3).  An
-    identity block of size j gives (1 + t)^j.  No matrix is built.
 
-    Blocks are grouped by m' for each e, and the divisors that give the
-    same exponents share one product (``_power_product``).  The work is
-    estimated before anything is multiplied: len(orders) + d + 1 steps per
-    divisor for the exponent table and the weighted sum, plus
-    ``_product_work`` for each distinct product.  Past ``MAX_RANK_WORK``
-    ValueError is raised.  ArithmeticError is raised if a coefficient of the
-    sum is not divisible by N, which the formula rules out.
-
-    >>> invariant_ranks((Cyclotomic(5),))
-    (1, 0, 2, 0, 1)
-    """
-    spec = tuple(spec)
+def _molien_terms(spec: BlockSpec) -> tuple[int, int, dict[tuple[tuple[int, int], ...], int], int]:
+    """(N, d, weights, work) of the Molien sum of ``spec``: each distinct
+    product prod F_k^x, as its sorted (k, x) pairs, with the summed
+    phi(N/e) of the divisors e that give it, and the work of the exponent
+    table, checked against ``MAX_RANK_WORK`` before the divisors are listed."""
     dims = _order_dims(spec)
     n = lcm(*dims, 1)
     d = sum(dims.values())
@@ -343,12 +344,80 @@ def invariant_ranks(spec: BlockSpec) -> tuple[int, ...]:
             exps[k] = exps.get(k, 0) + dm // phi(k)
         key = tuple(sorted(exps.items()))
         weights[key] = weights.get(key, 0) + w
-    work += sum(_product_work(key) for key in weights)
-    _check_rank_work(work, spec)
+    return n, d, weights, work
+
+
+def _kronecker_sum(weights, d: int, w: int) -> list[int]:
+    """The coefficients of sum weight prod F_k^x over ``weights``, read as the
+    d + 1 base-X digits of its value at X = 2^w (Kronecker substitution).
+    Each F_k(X) = Phi_k(-X) is formed once, by shifts; each product is a
+    product of big-integer powers.  The coefficients are N r_k, in [0, X/2)
+    for w from ``_digit_bits``, so the digits are exact; ArithmeticError
+    when the value has digits past degree d (or is negative)."""
+    values: dict[int, int] = {}
+    total = 0
+    for key, weight in weights.items():
+        term = weight
+        for k, x in key:
+            if k not in values:
+                values[k] = sum(c << (w * i) for i, c in _neg_cyclotomic(k))
+            term *= values[k] ** x
+        total += term
+    if total >> (w * (d + 1)):
+        raise ArithmeticError(f"Molien sum has digits past degree {d}")
+    mask = (1 << w) - 1
+    return [total >> (w * i) & mask for i in range(d + 1)]
+
+
+def _recurrence_sum(weights, d: int) -> list[int]:
+    """The coefficients of sum weight prod F_k^x over ``weights``, one
+    ``_power_product`` recurrence per product."""
     totals = [0] * (d + 1)
     for key, w in weights.items():
         for i, c in enumerate(_power_product(key, d)):
             totals[i] += w * c
+    return totals
+
+
+@functools.lru_cache(maxsize=None)
+def invariant_ranks(spec: BlockSpec) -> tuple[int, ...]:
+    """All invariant ranks (degree 0 through the dimension), by Molien's
+    formula applied to the cyclotomic type.
+
+    With N = spec_order(spec) and m = block_order(b) for each block b,
+
+        sum_k r_k t^k = (1/N) sum_(e | N) phi(N/e) prod_b F_m'(t)^(phi(m)/phi(m')),
+        m' = m / gcd(m, e),
+
+    where F_1 = 1 + t and F_k(t) = Phi_k(-t) for k >= 2, the product of
+    1 + t zeta over the primitive k-th roots zeta: the e-th power of a
+    primitive m-th root is a primitive m'-th root, each hit phi(m)/phi(m')
+    times (Molien 1897; Stanley, Bull. AMS 1 (1979), section 3).  An
+    identity block of size j gives (1 + t)^j.  No matrix is built.
+
+    Blocks are grouped by m' for each e, and the divisors that give the
+    same exponents share one product (``_molien_terms``).  The work of the
+    exponent table, len(orders) + d + 1 steps per divisor, is estimated
+    first and checked against ``MAX_RANK_WORK``.  The sum is then evaluated
+    one of two ways, chosen from d and N alone: while d w is below
+    ``_KRONECKER_MAX_BITS`` (w from ``_digit_bits``), at one integer 2^w
+    (``_kronecker_sum``); past it by one recurrence per product
+    (``_recurrence_sum``), whose ``_product_work`` is added to the estimate
+    and checked again first.  Past ``MAX_RANK_WORK`` ValueError is raised.
+    ArithmeticError is raised if a coefficient of the sum is not divisible
+    by N, which the formula rules out.
+
+    >>> invariant_ranks((Cyclotomic(5),))
+    (1, 0, 2, 0, 1)
+    """
+    spec = tuple(spec)
+    n, d, weights, work = _molien_terms(spec)
+    w = _digit_bits(n, d)
+    if d * w < _KRONECKER_MAX_BITS:
+        totals = _kronecker_sum(weights, d, w)
+    else:
+        _check_rank_work(work + sum(map(_product_work, weights)), spec)
+        totals = _recurrence_sum(weights, d)
     ranks = []
     for m, total in enumerate(totals):
         q, rem = divmod(total, n)

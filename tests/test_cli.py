@@ -321,6 +321,27 @@ def test_analyze_answers_a_wide_finite_order_conjugate(tmp_path, capsys, unimodu
     assert wide == run(capsys, "analyze", str(paths[1])) and wide[0] == 0
 
 
+def test_analyze_refuses_a_certificate_past_its_work_limit(tmp_path, capsys, unimodular_pair):
+    # P^300 B P^-300 for B = C25+C9+C8+I6 (d = 36, entries of about 480
+    # digits) has finite order, and its lift modulo 2^61 - 1 is cheap; the
+    # certificate over Z (lanes of about 44,000 bits, six seeds) would take
+    # about 20 s, so its estimate is refused before the Horner pass
+    block = realize(parse_block_spec("C25+C9+C8+I6"))
+    d = block.nrows
+    p, q = unimodular_pair(random.Random(36), d, 3 * d)
+    a = p.pow(300) @ block @ q.pow(300)
+    assert 400 < max(len(str(abs(x))) for row in a.rows for x in row) < 500
+    path = tmp_path / "wide36.txt"
+    path.write_text(f"{d}\n" + "\n".join(" ".join(map(str, row)) for row in a.rows) + "\n")
+    limit = f"past the limit MAX_CERTIFICATE_WORK = {exactlin.MAX_CERTIFICATE_WORK}"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "analyze", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and err.startswith("error: ") and limit in err
+    code, out, _ = run(capsys, "analyze", str(path), "--json")
+    assert code == 2 and limit in json.loads(out)["error"]
+
+
 def test_analyze_rejects_dense_infinite_order_files_by_their_traces(tmp_path, capsys):
     # entries in [-9, 9]: tr a^2 = sum a_ij a_ji is in the thousands, past d
     rng = random.Random(250)

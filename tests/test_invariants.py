@@ -8,8 +8,13 @@ import pytest
 from nctori.exactlin import Matrix, det, order, rank
 from nctori.arith import divisors
 from nctori.invariants import (
+    _KRONECKER_MAX_BITS,
     _binomial_row,
+    _digit_bits,
     _int_product,
+    _kronecker_sum,
+    _molien_terms,
+    _recurrence_sum,
     MAX_RANK_WORK,
     Cyclotomic,
     Identity,
@@ -426,6 +431,50 @@ def test_spectral_molien_matches_counting_on_flips():
     for a, b in ((1, 1), (5, 8), (40, 25)):
         spec = (Cyclotomic(2),) * b + (Identity(a),)
         assert invariant_ranks(spec) == _counting_ranks(spec), (a, b)
+
+
+def _route_ranks(spec, kronecker):
+    """Invariant ranks of ``spec`` by one evaluation of the Molien sum,
+    whichever side of ``_KRONECKER_MAX_BITS`` the spec is on."""
+    n, d, weights, _ = _molien_terms(spec)
+    totals = _kronecker_sum(weights, d, _digit_bits(n, d)) if kronecker else _recurrence_sum(weights, d)
+    assert all(t % n == 0 for t in totals), spec
+    return tuple(t // n for t in totals)
+
+
+def _takes_kronecker(spec):
+    n, d, _, _ = _molien_terms(spec)
+    return d * _digit_bits(n, d) < _KRONECKER_MAX_BITS
+
+
+def test_both_spectral_routes_match_counting_exhaustive():
+    specs = enumerate_specs(9)
+    assert len(specs) == 9010 and all(map(_takes_kronecker, specs))
+    for spec in specs:
+        expected = _counting_ranks(spec)
+        assert _route_ranks(spec, True) == _route_ranks(spec, False) == expected, spec
+
+
+def test_both_spectral_routes_match_counting_at_the_route_bound():
+    # d w = 8010 and 8372 for the flips, 8096 and 9600 for the prime blocks,
+    # 8190 and 8372 for flips next to fixed directions
+    below = [(Cyclotomic(2),) * 90, (Cyclotomic(89),), (Cyclotomic(2),) * 46 + (Identity(45),)]
+    above = [(Cyclotomic(2),) * 92, (Cyclotomic(97),), (Cyclotomic(2),) * 47 + (Identity(45),)]
+    assert all(map(_takes_kronecker, below)) and not any(map(_takes_kronecker, above))
+    for spec in below + above:
+        expected = _counting_ranks(spec)
+        assert _route_ranks(spec, True) == _route_ranks(spec, False) == expected, spec
+        assert invariant_ranks(spec) == expected, spec
+
+
+def test_kronecker_sum_keeps_the_arithmetic_error_contract():
+    # (1 + t)^3 has a digit past degree 2, and (1 - t) - (1 + t) = -2t is
+    # negative at X = 2^w: neither is a sum of N r_k t^k up to degree d
+    with pytest.raises(ArithmeticError, match="past degree 2"):
+        _kronecker_sum({((1, 3),): 1}, 2, 8)
+    with pytest.raises(ArithmeticError, match="past degree 1"):
+        _kronecker_sum({((2, 1),): 1, ((1, 1),): -1}, 1, 8)
+    assert _kronecker_sum({((1, 3),): 1, ((2, 3),): 1}, 3, 8) == [2, 0, 6, 0]
 
 
 def test_spectral_molien_prime_order_closed_form():
