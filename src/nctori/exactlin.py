@@ -453,9 +453,8 @@ def cyclotomic_type(a: Matrix) -> tuple[int, ...] | None:
     coeffs = [q[k] * scale ** (deg - k) for k in range(deg - 1, -1, -1)]
     sparse = [([j for j, v in enumerate(row) if v], [v for v in row if v]) for row in rows]
     lane = _lane_bound(sparse, coeffs).bit_length() + 1
-    entries = list(itertools.chain.from_iterable(vals for _, vals in sparse))
-    entry = max(map(abs, entries), default=0).bit_length()
-    work = deg * len(entries) * -(-lane * len(seeds) // 64) * -(-entry // 64)
+    entry = max(map(abs, itertools.chain.from_iterable(rows)), default=0).bit_length()
+    work = deg * sum(map(len, (cols for cols, _ in sparse))) * -(-lane * len(seeds) // 64) * -(-entry // 64)
     if work > MAX_CERTIFICATE_WORK:
         raise ValueError(
             f"the finite-order certificate of this {len(rows)} x {len(rows)} matrix needs about {work} "
