@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from math import gcd
 
 IntPolynomial = tuple[int, ...]
 
@@ -66,6 +67,29 @@ def totient(n: int) -> int:
     for p, _ in factorize(n):
         result = result // p * (p - 1)
     return result
+
+
+def totient_bound(r: int) -> int:
+    """An n0 >= every n with phi(n) <= r: floor(r prod p_i / (p_i - 1)) over
+    the first s primes p_i, s the largest count with prod (p_i - 1) <= r,
+    and at least r.
+
+    Proof: if n has s' distinct primes q_i, then phi(n) >= prod (q_i - 1)
+    >= prod_{i <= s'} (p_i - 1), so s' <= s; and n / phi(n) = prod q_i /
+    (q_i - 1) is at most the same product over the first s' primes, and so
+    over the first s.  The largest such n is 60 at r = 18 and 840 at r = 200.
+
+    >>> totient_bound(18), totient_bound(200)
+    (67, 875)
+    """
+    num = den = 1
+    p = 2
+    while den * (p - 1) <= r:
+        num *= p
+        den *= p - 1
+        while gcd(p, num) > 1:  # every prime up to p divides num: on to the next
+            p += 1
+    return max(r, r * num // den)
 
 
 def divisors(n: int) -> list[int]:

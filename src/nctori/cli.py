@@ -228,51 +228,65 @@ def _theta_json(a: Matrix) -> dict:
     return payload
 
 
+# Each subcommand's help line and the (name, type) of its positionals, in
+# order; None for the two that take options, which only argparse reads.  Every
+# subcommand also takes --json.
+_COMMANDS = {
+    "wfun": ("dimension cost of an order-n element of GL_d(Z)", (("n", int),)),
+    "wgroup": ("minimal dimension cost of a finite abelian group", (("expr", str),)),
+    "cyclotomic": ("coefficients of the n-th cyclotomic polynomial", (("n", int),)),
+    "s1": ("per-degree invariant ranks and their odd sum for a block spec", None),
+    "classify": ("classify the Z_n action on a simple d-torus", (("d", int), ("n", int))),
+    "classify-group": ("classify a finitely generated abelian group action", (("d", int), ("expr", str))),
+    "theta": ("invariant skew forms of an integer matrix", (("matrix_file", str),)),
+    "analyze": ("full action report for an integer matrix", (("matrix_file", str),)),
+    "table": ("verdict grid over dimensions and orders", None),
+}
+
+
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="nctori", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("wfun", help="dimension cost of an order-n element of GL_d(Z)")
-    p.add_argument("n", type=int)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("wgroup", help="minimal dimension cost of a finite abelian group")
-    p.add_argument("expr")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("cyclotomic", help="coefficients of the n-th cyclotomic polynomial")
-    p.add_argument("n", type=int)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("s1", help="per-degree invariant ranks and their odd sum for a block spec")
-    p.add_argument("--blocks", required=True, help="e.g. C9, negC27, C3+I2")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("classify", help="classify the Z_n action on a simple d-torus")
-    p.add_argument("d", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("classify-group", help="classify a finitely generated abelian group action")
-    p.add_argument("d", type=int)
-    p.add_argument("expr")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("theta", help="invariant skew forms of an integer matrix")
-    p.add_argument("matrix_file")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("analyze", help="full action report for an integer matrix")
-    p.add_argument("matrix_file")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("table", help="verdict grid over dimensions and orders")
-    p.add_argument("--dmax", type=int, required=True)
-    p.add_argument("--nmax", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-
+    for name, (text, positionals) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for dest, kind in positionals or ():
+            p.add_argument(dest, type=kind)
+        if name == "s1":
+            p.add_argument("--blocks", required=True, help="e.g. C9, negC27, C3+I2")
+        elif name == "table":
+            p.add_argument("--dmax", type=int, required=True)
+            p.add_argument("--nmax", type=int, default=None)
+        p.add_argument("--json", action="store_true")
     parser.commands = sub.choices  # subcommand name -> its parser, for main
     return parser
+
+
+def _read_plain(words: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse gives ``words`` when they are a subcommand with
+    positionals only, in the one shape read here: its exact count of
+    positionals, none starting with '-', then at most one --json.  None for
+    any other words (help, abbreviations, '--', a failed int(), s1, table),
+    which are left to argparse.
+
+    >>> _read_plain(["classify", "5", "3", "--json"])
+    Namespace(command='classify', d=5, n=3, json=True)
+    >>> _read_plain(["classify", "5", "--json", "3"]) is None
+    True
+    """
+    positionals = _COMMANDS[words[0]][1] if words and words[0] in _COMMANDS else None
+    if positionals is None:
+        return None
+    values = words[1:]
+    as_json = values[-1:] == ["--json"]
+    if as_json:
+        values = values[:-1]
+    if len(values) != len(positionals) or any(w.startswith("-") for w in values):
+        return None
+    try:
+        fields = {dest: kind(w) for (dest, kind), w in zip(positionals, values)}
+    except ValueError:
+        return None
+    return argparse.Namespace(command=words[0], **fields, json=as_json)
 
 
 def _dispatch(args) -> int:
@@ -350,32 +364,43 @@ def _dispatch(args) -> int:
 _parser: _ArgumentParser | None = None
 
 
-def main(argv=None) -> int:
-    """Run one command.  When the first word names a subcommand, only that
-    subcommand's parser reads the rest; the top-level parser reads everything
-    else (no words, help, unknown commands), with argparse's own messages."""
+def _parse(words: list[str]) -> argparse.Namespace:
+    """argparse's reading of ``words``: when the first word names a
+    subcommand, only that subcommand's parser reads the rest; the top-level
+    parser reads everything else (no words, help, unknown commands)."""
     global _parser
-    if _parser is None:  # built on the first call, not at import
+    if _parser is None:  # built on the first request that needs it, not at import
         _parser = _build_parser()
+    command = _parser.commands.get(words[0]) if words else None
+    if command is None:
+        return _parser.parse_args(words)
+    args = command.parse_args(words[1:])
+    args.command = words[0]
+    return args
+
+
+def main(argv=None) -> int:
+    """Run one command.  Words in the shape ``_read_plain`` reads skip
+    argparse; all others go to it, with its own help and messages."""
     words = sys.argv[1:] if argv is None else list(argv)
+    args = None
     try:
-        command = _parser.commands.get(words[0]) if words else None
-        if command is None:
-            args = _parser.parse_args(words)
-        else:
-            args = command.parse_args(words[1:])
-            args.command = words[0]
+        args = _read_plain(words)
+        if args is None:
+            args = _parse(words)
         return _dispatch(args)
     except CliParseError as exc:
-        _emit_error(words, str(exc))
+        _emit_error(args, words, str(exc))
         return 1
     except ValueError as exc:
-        _emit_error(words, str(exc))
+        _emit_error(args, words, str(exc))
         return 2
 
 
-def _emit_error(words, message: str):
-    if "--json" in words:
+def _emit_error(args, words, message: str):
+    """JSON when the request asked for it: ``args.json`` once the words are
+    parsed, else the literal word --json."""
+    if args.json if args is not None else "--json" in words:
         print(json.dumps({"error": message}))
     else:
         print(f"error: {message}", file=sys.stderr)

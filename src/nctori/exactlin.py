@@ -19,7 +19,7 @@ import operator
 from fractions import Fraction
 from math import comb, gcd, isqrt, lcm, prod
 
-from .arith import IntPolynomial, cyclotomic, poly_divmod, poly_mul, totient
+from .arith import IntPolynomial, cyclotomic, poly_divmod, poly_mul, totient, totient_bound
 
 
 def _norm_entry(x):
@@ -342,7 +342,7 @@ def _shift_diag(m: Matrix, c) -> Matrix:
 def _cyclotomic_lift(a: Matrix):
     """(ns, seeds, rows of D a, D) of step 1 of ``cyclotomic_type``; None when
     it proves infinite order.  Only n with phi(n) <= the remaining degree r
-    are tried, up to n = 2 r^2 + 2 as phi(n) >= sqrt(n / 2)."""
+    are tried, up to ``totient_bound(r)``."""
     if not a.is_square:
         raise ValueError("charpoly requires a square matrix")
     d = a.nrows
@@ -363,13 +363,14 @@ def _cyclotomic_lift(a: Matrix):
     if poly[::-1] != poly and poly[::-1] != [-c for c in poly]:
         return None
     ns: list[int] = []
-    n = 1
-    while len(poly) > 1 and n <= 2 * (len(poly) - 1) ** 2 + 2:
+    n, top = 1, totient_bound(d)
+    while len(poly) > 1 and n <= top:
         if totient(n) < len(poly):
             quot, rem = poly_divmod(poly, cyclotomic(n))
             while not rem:
                 ns.append(n)
                 poly = quot
+                top = totient_bound(len(poly) - 1)
                 quot, rem = poly_divmod(poly, cyclotomic(n))
         n += 1
     return None if len(poly) > 1 else (tuple(ns), seeds, rows, scale)

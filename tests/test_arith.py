@@ -9,6 +9,7 @@ from nctori.arith import (
     poly_divmod,
     poly_mul,
     totient,
+    totient_bound,
 )
 
 
@@ -50,6 +51,25 @@ def test_totient_counts_units():
 
     for n in range(1, 200):
         assert totient(n) == sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+
+
+def test_totient_bound_covers_every_preimage():
+    # phi(n) >= sqrt(n / 2), so every n with phi(n) <= r is at most 2 r^2
+    top = 2 * 300**2
+    phi = list(range(top + 1))
+    for p in range(2, top + 1):
+        if phi[p] == p:  # p is prime
+            for m in range(p, top + 1, p):
+                phi[m] -= phi[m] // p
+    largest = [0] * 301
+    for n in range(1, top + 1):
+        if phi[n] <= 300:
+            largest[phi[n]] = max(largest[phi[n]], n)
+    for r in range(1, 301):
+        largest[r] = max(largest[r], largest[r - 1])
+        assert largest[r] <= totient_bound(r), r
+    assert (largest[18], totient_bound(18)) == (60, 67)
+    assert (largest[200], totient_bound(200)) == (840, 875)
 
 
 def _local_mul(a, b):

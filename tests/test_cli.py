@@ -7,7 +7,7 @@ import time
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nctori import classify, cli, exactlin, invariants, theta
 from nctori.classify import MAX_RANK_DIM
@@ -383,6 +383,20 @@ def test_analyze_rejects_a_non_reciprocal_companion_at_dimension_200(tmp_path, c
     assert code == 2 and out == "" and err == f"error: matrix has no finite order at dimension {d}\n"
 
 
+def test_analyze_bounds_the_factor_search_of_a_reciprocal_companion(tmp_path, capsys):
+    # x^200 - 3x^100 + 1 passes the trace test and lifts to a reciprocal
+    # polynomial within the bounds that is not a product of Phi_n; the walk
+    # over n stops at totient_bound(200) = 875, not at 2 * 200^2 + 2
+    d = 200
+    a = exactlin.companion((1,) + (0,) * 99 + (-3,) + (0,) * 99 + (1,))
+    path = tmp_path / "reciprocal200.txt"
+    path.write_text(f"{d}\n" + "\n".join(" ".join(map(str, row)) for row in a.rows) + "\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "analyze", str(path))
+    assert time.perf_counter() - start < 0.2
+    assert code == 2 and out == "" and err == f"error: matrix has no finite order at dimension {d}\n"
+
+
 def test_matrix_file_errors(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("2\n1 0\n")
@@ -401,6 +415,15 @@ def test_exit_codes(capsys):
     assert code == 1  # usage error
     code, out, _ = run(capsys, "classify", "2", "1", "--json")
     assert code == 2 and "error" in json.loads(out)
+
+
+def test_abbreviated_json_formats_domain_errors(capsys):
+    # argparse expands --js to --json, so the error after the parse is JSON too
+    code, out, err = run(capsys, "classify", "2", "3", "--js")
+    assert code == 0 and json.loads(out)["d"] == 2 and err == ""
+    code, out, err = run(capsys, "classify", "2", "1", "--js")
+    assert code == 2 and err == ""
+    assert json.loads(out) == {"error": "classify_cyclic expects an order n >= 2, got 1"}
 
 
 def test_eleven_distinct_primes_answer(capsys):
@@ -616,6 +639,10 @@ def test_main_matches_the_top_level_parse_on_every_path(tmp_path, capsys):
         ("classify", "5", "3", "7"),
         ("classify", "5", "-3"),
         ("classify", "5", "3", "--", "--json"),
+        ("classify", "--json", "5", "3"),
+        ("classify", "5", "3", "--json", "--json"),
+        ("classify", "1_0", "3"),
+        ("wgroup", ""),
         ("table", "--dmax"),
         ("s1",),
         ("analyze", str(tmp_path / "missing.txt")),
@@ -626,16 +653,25 @@ def test_main_matches_the_top_level_parse_on_every_path(tmp_path, capsys):
 
 
 def test_one_parse_per_well_formed_request(tmp_path, capsys, monkeypatch):
+    # well-formed positional words are read without argparse: no parse and
+    # no parser; anything else goes through the top-level parser once
     flip = tmp_path / "flip.txt"
     flip.write_text("2\n-1 0\n0 -1\n")
-    parsed = []
+    parsed, built = [], []
     parse_known_args = argparse.ArgumentParser.parse_known_args
+    build = cli._build_parser
 
     def counting(self, args=None, namespace=None):
         parsed.append(self.prog)
         return parse_known_args(self, args, namespace)
 
+    def counting_build():
+        built.append(1)
+        return build()
+
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    monkeypatch.setattr(cli, "_build_parser", counting_build)
+    monkeypatch.setattr(cli, "_parser", None)
     for argv in (
         ("classify", "5", "3"),
         ("classify", "24", "35", "--json"),
@@ -644,13 +680,70 @@ def test_one_parse_per_well_formed_request(tmp_path, capsys, monkeypatch):
         ("analyze", str(flip)),
         ("analyze", str(flip), "--json"),
     ):
-        parsed.clear()
         code, _, _ = run(capsys, *argv)
-        assert code == 0 and parsed == [f"nctori {argv[0]}"], argv
-    # anything else goes through the top-level parser first
-    parsed.clear()
+        assert code == 0 and parsed == [] and built == [], argv
     code, _, _ = run(capsys, "clasify", "5", "3")
-    assert code == 1 and parsed == ["nctori"]
+    assert code == 1 and parsed == ["nctori"] and built == [1]
+
+
+_INT_WORDS = st.sampled_from(["7", "0", "1_0", " 7", "\u0663", "", "Zx"])
+_TEXT_WORDS = st.sampled_from(["Z2xZ3", "Z3xZ^1", "Zx", "", "7", "FLIP", "MISSING"])
+_DASHED_WORDS = st.sampled_from(["-3", "--json", "--js", "--j", "-h", "--", "--json=1"])
+
+
+def test_reader_matches_argparse(tmp_path, capsys):
+    # the direct reader either declines or returns argparse's namespace, and
+    # main's output is the top-level parse's except where an abbreviated or
+    # quoted --json decides the format of an error after a successful parse
+    flip = tmp_path / "flip.txt"
+    flip.write_text("2\n-1 0\n0 -1\n")
+    paths = {"FLIP": str(flip), "MISSING": str(tmp_path / "missing.txt")}
+    parser = cli._build_parser()
+    reader_hits = []
+
+    def outcome(entry, words):
+        # argparse hands `classify 7 -- --` a list for n, and _dispatch raises
+        try:
+            return _outcome(capsys, entry, words)
+        except TypeError as exc:
+            capsys.readouterr()
+            return ("raised", type(exc).__name__), "", ""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.data())
+    def check(data):
+        first = data.draw(st.sampled_from(sorted(cli._COMMANDS) + ["clasify", "", "--json", "-h"]))
+        kinds = [kind for _, kind in cli._COMMANDS.get(first, ("", ()))[1] or ()]
+        rest = [data.draw(_INT_WORDS if kind is int else _TEXT_WORDS) for kind in kinds]
+        shape = data.draw(st.sampled_from(["plain", "one dashed", "mixed"]))
+        if shape == "one dashed" and rest:
+            rest[data.draw(st.integers(0, len(rest) - 1))] = data.draw(_DASHED_WORDS)
+        if shape != "mixed":  # the count of positionals the reader takes
+            rest += data.draw(st.sampled_from([[], ["--json"], ["--js"]]))
+        else:
+            rest = rest[: data.draw(st.integers(0, len(rest)))] + data.draw(st.lists(_TEXT_WORDS, max_size=1))
+            rest = data.draw(st.permutations(rest + data.draw(st.lists(_DASHED_WORDS, max_size=2))))
+        words = [first] + [paths.get(w, w) for w in rest]
+        read = cli._read_plain(words)
+        try:
+            parsed = parser.parse_args(words)
+        except (CliParseError, SystemExit):
+            parsed = None
+        capsys.readouterr()
+        if read is not None:
+            reader_hits.append(words)
+            assert parsed is not None and vars(read) == vars(parsed), words
+        got, expected = outcome(main, words), outcome(_reference_main, words)
+        if parsed is not None and parsed.json != ("--json" in words) and expected[0][0] == "returned" and expected[0][1]:
+            (code, out, err), message = expected, (expected[1] or expected[2]).strip()
+            if parsed.json:
+                expected = code, json.dumps({"error": message.removeprefix("error: ")}) + "\n", ""
+            else:
+                expected = code, "", f"error: {json.loads(message)['error']}\n"
+        assert got == expected, words
+
+    check()
+    assert len(reader_hits) >= 10  # the reader took a fair share of the examples
 
 
 def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
