@@ -50,6 +50,14 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise CliParseError(message)
 
+    def parse_known_args(self, args=None, namespace=None):
+        # after "-- --" argparse gives a one-value positional an empty list
+        namespace, extras = super().parse_known_args(args, namespace)
+        for dest, value in vars(namespace).items():
+            if isinstance(value, list):
+                self.error(f"argument {dest}: expected one argument")
+        return namespace, extras
+
 
 _TERM_RE = re.compile(r"^Z(?:(\d+)|\^(\d+))$", re.IGNORECASE)
 

@@ -5,11 +5,11 @@ computations are exact.  Determinants use fraction-free Bareiss elimination,
 rank and kernels use fraction-free integer echelon reduction with gcd
 normalization (rational input rows are scaled to integers first), and a
 compound matrix comes from a Laplace sweep over only the rows its degree
-reaches.  The characteristic polynomial comes from Hessenberg reduction
-modulo a Mersenne prime above twice a Hadamard bound on its coefficients.
-Finite order is decided modulo the prime that the roots-of-unity bound
-|c_k| <= C(d, k) calls for and certified over Z by one Horner pass from
-the reduction's restart seeds (``cyclotomic_type``).  All pure, thread-safe.
+reaches.  Finite order is decided on the characteristic polynomial modulo
+one word-sized Mersenne prime above ``totient_bound(d)``, taken by
+Hessenberg reduction and divided by the cyclotomic polynomials it can
+contain, and certified over Z by one Horner pass from the reduction's
+restart seeds (``cyclotomic_type``).  All pure, thread-safe.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from math import comb, gcd, isqrt, lcm, prod
+from math import gcd, lcm
 
 from .arith import IntPolynomial, cyclotomic, poly_divmod, poly_mul, totient, totient_bound
 
@@ -179,116 +179,30 @@ def companion(p: IntPolynomial) -> Matrix:
     return Matrix(rows)
 
 
-# Exponents e of the proved Mersenne primes 2^e - 1 from 2^19 - 1 on.
+# Exponents e of the proved Mersenne primes 2^e - 1 from 2^19 - 1 on; the
+# lift passes over those that divide the lcm of the denominators.
 _MERSENNE_EXPONENTS = (19, 31, 61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941, 11213, 19937)
-
-
-def _symmetric_charpoly(rows, bound: int) -> tuple[list[int], list[int]]:
-    """det(x I - rows) modulo the least listed Mersenne prime p > 2 bound,
-    residues in (-p/2, p/2], and the seeds of ``_hessenberg_charpoly``;
-    ValueError past the last prime."""
-    e = next((e for e in _MERSENNE_EXPONENTS if (1 << e) - 1 > 2 * bound), _MERSENNE_EXPONENTS[-1])
-    p = (1 << e) - 1
-    if p <= 2 * bound:
-        raise ValueError(
-            f"matrix entries too large: the coefficient bound of the characteristic polynomial "
-            f"must be below 2^{e - 1} (charpoly works modulo at most 2^{e} - 1)"
-        )
-    residues, seeds = _hessenberg_charpoly([[x % p for x in row] for row in rows], e)
-    return [c - p if c > p // 2 else c for c in residues], seeds
-
-
-def charpoly(a: Matrix) -> IntPolynomial:
-    """Characteristic polynomial det(x I - a), ascending coefficients.
-
-    Computed modulo one prime p and lifted exactly.  The coefficient of
-    x^(d-k) is (-1)^k times the sum of the principal k x k minors, each by
-    Hadamard's inequality at most the product of its rows' norms, each below
-    r_i = isqrt(sum_j a_ij^2) + 1; so all lie in [-B, B], B = prod(1 + r_i).
-    With p the least listed Mersenne prime above 2B, each coefficient is its
-    residue taken into (-p/2, p/2] (``_symmetric_charpoly``); a bound past
-    the last prime raises ValueError.
-
-    Modulo p, ``a`` is brought to upper Hessenberg form H by similarities (a
-    row swap with the matching column swap to a nonzero pivot, then row
-    eliminations below the subdiagonal, each undone on the columns), and the
-    polynomials p_m of the leading m x m blocks of H follow from
-
-        p_(m+1) = (x - h_mm) p_m - sum_(i<m) h_im h_(i+1,i) ... h_(m,m-1) p_i,
-
-    O(d^3) operations in all (Cohen, A Course in Computational Algebraic
-    Number Theory, Alg. 2.2.9).  Residues modulo the larger primes are
-    reduced by folding the Mersenne form (``_fold``), not by division.
-    Rational input is scaled to integers by the lcm D of its denominators
-    first: c_k(a) = c_k(D a) / D^(d-k).
-
-    >>> charpoly(companion(cyclotomic(9))) == cyclotomic(9)
-    True
-    >>> charpoly(Matrix([[2, 1], [1, 1]]))
-    (1, -3, 1)
-    >>> charpoly(Matrix([[Fraction(1, 2), 1], [0, Fraction(1, 3)]]))
-    (Fraction(1, 6), Fraction(-5, 6), 1)
-    """
-    if not a.is_square:
-        raise ValueError("charpoly requires a square matrix")
-    d = a.nrows
-    scale = lcm(*(x.denominator for row in a.rows for x in row if type(x) is not int), 1)
-    rows = a.rows if scale == 1 else [[int(x * scale) for x in row] for row in a.rows]
-    coeffs, _ = _symmetric_charpoly(rows, prod(isqrt(sum(x * x for x in row)) + 2 for row in rows))
-    if scale == 1:
-        return tuple(coeffs)
-    return tuple(_norm_entry(Fraction(c, scale ** (d - k))) for k, c in enumerate(coeffs))
-
-
-# From this exponent on, charpoly reduces by folding.  Per entry of a row
-# update (CPython 3.11), one ``%`` is about 10% faster than two folds at
-# 2^127 - 1; the folds are 1.5 times faster at 2^521 - 1 and 3.5 times at
-# 2^19937 - 1.
-_FOLD_MIN_EXPONENT = 521
-
-
-def _fold(x: int, p: int, e: int) -> int:
-    """x modulo the Mersenne prime p = 2^e - 1, in [0, p).
-
-    2^e = 1 (mod p), so the bits of x above e fold onto the low ones:
-    x = (x & p) + (x >> e) (mod p), also for negative x, whose shift is
-    negative.  Each fold is linear in the size of x, where ``x % p`` is
-    CPython's quadratic long division; the last compare maps p to 0, so
-    zero tests see canonical residues.  Below ``_FOLD_MIN_EXPONENT`` it is
-    ``x % p``."""
-    if e < _FOLD_MIN_EXPONENT:
-        return x % p
-    while x >> e:  # x >= 2^e or x < 0
-        x = (x & p) + (x >> e)
-    return 0 if x == p else x
-
-
-def _axpy(xs, c: int, ys, p: int, e: int) -> list[int]:
-    """[(x + c y) mod p for x, y in zip(xs, ys)] for x, y in [0, p).  With c
-    taken into [0, p), x + c y < 2^(2e): one fold leaves at most 2p, a second
-    at most p, and the compare maps p to 0."""
-    if e < _FOLD_MIN_EXPONENT:
-        return [(x + c * y) % p for x, y in zip(xs, ys)]
-    c = _fold(c, p, e)
-    out = []
-    for x, y in zip(xs, ys):
-        v = x + c * y
-        v = (v & p) + (v >> e)
-        v = (v & p) + (v >> e)
-        out.append(v - p if v >= p else v)
-    return out
 
 
 def _hessenberg_charpoly(h: list[list[int]], e: int) -> tuple[list[int], list[int]]:
     """det(x I - h) modulo the Mersenne prime p = 2^e - 1, ascending
-    residues, and the restart seeds; ``h`` (entries already reduced) is
-    brought to upper Hessenberg form H = T^-1 h T in place by ``_axpy`` row
-    updates and ``_fold``.  The seeds are the s with T e_m = e_s for m = 0
-    and each m with H[m][m - 1] = 0: step k permutes columns k.. of T, then
-    adds later ones to column k, and does neither when it finds no pivot,
-    exactly when H[k][k - 1] ends at 0.  Modulo the blocks before it, each
-    unreduced diagonal block of H is spanned by the Krylov chain of its first
-    vector, so the seeds' Krylov spaces under h span F_p^d."""
+    residues in [0, p), and the restart seeds.
+
+    ``h`` (entries already reduced) is brought to upper Hessenberg form
+    H = T^-1 h T in place by similarities (a row swap with the matching
+    column swap to a nonzero pivot, then row eliminations below the
+    subdiagonal, each undone on the columns), and the polynomials p_m of the
+    leading m x m blocks of H follow from
+
+        p_(m+1) = (x - h_mm) p_m - sum_(i<m) h_im h_(i+1,i) ... h_(m,m-1) p_i,
+
+    O(d^3) operations in all (Cohen, A Course in Computational Algebraic
+    Number Theory, Alg. 2.2.9).  The seeds are the s with T e_m = e_s for
+    m = 0 and each m with H[m][m - 1] = 0: step k permutes columns k.. of T,
+    then adds later ones to column k, and does neither when it finds no
+    pivot, exactly when H[k][k - 1] ends at 0.  Modulo the blocks before it,
+    each unreduced diagonal block of H is spanned by the Krylov chain of its
+    first vector, so the seeds' Krylov spaces under h span F_p^d."""
     p = (1 << e) - 1
     d = len(h)
     perm = list(range(d))
@@ -307,25 +221,26 @@ def _hessenberg_charpoly(h: list[list[int]], e: int) -> tuple[list[int], list[in
         # (the column updates commute, so they are summed and reduced once)
         us = []
         for i in range(m + 1, d):
-            u = _fold(h[i][m - 1] * inv, p, e)
+            u = h[i][m - 1] * inv % p
             if u:
-                h[i][m - 1 :] = _axpy(h[i][m - 1 :], -u, hm[m - 1 :], p, e)
+                h[i][m - 1 :] = [(x - u * y) % p for x, y in zip(h[i][m - 1 :], hm[m - 1 :])]
                 us.append((i, u))
         if us:
             for row in h:
-                row[m] = _fold(row[m] + sum(u * row[i] for i, u in us), p, e)
+                row[m] = (row[m] + sum(u * row[i] for i, u in us)) % p
     polys = [[1]]
     for m in range(d):
         prev = polys[m]
-        new = _axpy([0] + prev, -h[m][m], prev + [0], p, e)
+        c = h[m][m]
+        new = [(x - c * y) % p for x, y in zip([0] + prev, prev + [0])]
         t = 1
         for i in range(m - 1, -1, -1):
-            t = _fold(t * h[i + 1][i], p, e)
+            t = t * h[i + 1][i] % p
             if not t:
                 break
-            f = _fold(h[i][m] * t, p, e)
+            f = h[i][m] * t % p
             if f:
-                new[: i + 1] = _axpy(new, -f, polys[i], p, e)
+                new[: i + 1] = [(x - f * y) % p for x, y in zip(new, polys[i])]
         polys.append(new)
     return polys[d], [perm[m] for m in range(d) if m == 0 or not h[m][m - 1]]
 
@@ -344,7 +259,7 @@ def _cyclotomic_lift(a: Matrix):
     it proves infinite order.  Only n with phi(n) <= the remaining degree r
     are tried, up to ``totient_bound(r)``."""
     if not a.is_square:
-        raise ValueError("charpoly requires a square matrix")
+        raise ValueError("cyclotomic_type requires a square matrix")
     d = a.nrows
     rows = a.rows
     flat = itertools.chain.from_iterable
@@ -353,23 +268,27 @@ def _cyclotomic_lift(a: Matrix):
     scale = lcm(*(x.denominator for x in flat(rows) if type(x) is not int), 1)
     if scale != 1:
         rows = [[int(x * scale) for x in row] for row in rows]
-    residues, seeds = _symmetric_charpoly(rows, max(comb(d, k) * scale ** (d - k) for k in range(d + 1)))
-    poly = []
-    for k, c in enumerate(residues):
-        c, r = divmod(c, scale ** (d - k))
-        if r or abs(c) > comb(d, k):
-            return None
-        poly.append(c)
-    if poly[::-1] != poly and poly[::-1] != [-c for c in poly]:
+    top = totient_bound(d)
+    e = next((e for e in _MERSENNE_EXPONENTS if (1 << e) - 1 > top and scale % ((1 << e) - 1)), None)
+    if e is None:
+        raise ValueError(
+            f"the lcm of the denominators is divisible by every listed Mersenne prime above {top} "
+            f"up to the last, 2^{_MERSENNE_EXPONENTS[-1]} - 1 (cyclotomic_type works modulo one that is not)"
+        )
+    p = (1 << e) - 1
+    poly, seeds = _hessenberg_charpoly([[x % p for x in row] for row in rows], e)
+    if scale != 1:
+        poly = [c * pow(scale, k - d, p) % p for k, c in enumerate(poly)]
+    if poly[::-1] != poly and poly[::-1] != [-c % p for c in poly]:
         return None
     ns: list[int] = []
-    n, top = 1, totient_bound(d)
+    n = 1
     while len(poly) > 1 and n <= top:
         if totient(n) < len(poly):
             quot, rem = poly_divmod(poly, cyclotomic(n))
-            while not rem:
+            while not any(c % p for c in rem):
                 ns.append(n)
-                poly = quot
+                poly = [c % p for c in quot]
                 top = totient_bound(len(poly) - 1)
                 quot, rem = poly_divmod(poly, cyclotomic(n))
         n += 1
@@ -407,19 +326,20 @@ MAX_CERTIFICATE_WORK = 1_000_000_000
 
 
 def cyclotomic_type(a: Matrix) -> tuple[int, ...] | None:
-    """The sorted n with charpoly(a) = prod Phi_n, when ``a`` has finite order;
-    None when it has infinite order.
+    """The sorted n with det(x I - a) = prod Phi_n, when ``a`` has finite
+    order; None when it has infinite order.
 
     Rational ``a`` is scaled to D a, D the lcm of its denominators, and the
     coefficient of x^k is c_k(D a) = D^(d - k) c_k(a).  A finite-order ``a``
-    has |tr a|, |tr a^2| <= d, |c_k(a)| <= C(d, k) and chi = prod Phi_n,
-    so x^d chi(1/x) = +-chi(x).
+    has |tr a|, |tr a^2| <= d and chi = prod Phi_n, so x^d chi(1/x) = +-chi(x).
 
-    1. Lift (``_cyclotomic_lift``): det(x I - D a) modulo the least Mersenne
-       prime p > 2 max_k C(d, k) D^(d - k), each residue taken into
-       (-p/2, p/2] and divided by D^(d - k).  An inexact quotient, one past
-       C(d, k), or a lift that is not reciprocal or not a product of Phi_n
-       proves infinite order.
+    1. Lift (``_cyclotomic_lift``): det(x I - D a) by Hessenberg reduction
+       modulo p = 2^e - 1, the least listed Mersenne prime above
+       ``totient_bound(d)`` that does not divide D, with the coefficient of
+       x^k multiplied by D^-(d - k) mod p; then each Phi_n, n up to
+       ``totient_bound(r)`` for the degree r left, divided out while it
+       divides modulo p.  A lift that is not reciprocal modulo p or not a
+       product of Phi_n modulo p proves infinite order.
     2. Certificate: with q = prod Phi_n over the distinct n of the lift and
        q~_k = D^(deg q - k) q_k, so that q~(D a) = D^(deg q) q(a), Horner's
        rule on x = sum_t X^t e_S[t] must end at exactly 0 over Z, the S[t]
@@ -429,10 +349,12 @@ def cyclotomic_type(a: Matrix) -> tuple[int, ...] | None:
 
     Proof: ker q(a) is a-invariant, so step 2 puts the seeds' Krylov spaces,
     which span F_p^d and so Q^d, in it: q(a) = 0, ``a`` is semisimple with
-    roots of unity as eigenvalues, and its characteristic polynomial is
-    within the bounds of step 1, so it is the lift.  A finite-order ``a``
-    passes both steps, as q is its minimal polynomial; the unipotent
-    [[1, 1], [0, 1]] and [[C, I], [0, C]], C = companion(Phi_n), fail step 2.
+    roots of unity as eigenvalues, and chi = prod Phi_n^f_n over Z for the
+    n of the lift.  Every n tried is below p, so modulo p the Phi_n are
+    squarefree and pairwise coprime, and reducing chi forces each f_n to be
+    the multiplicity of the lift.  A finite-order ``a`` passes both steps,
+    as q is its minimal polynomial; the unipotent [[1, 1], [0, 1]] and
+    [[C, I], [0, C]], C = companion(Phi_n), fail step 2.
 
     >>> cyclotomic_type(-Matrix.identity(3))
     (2, 2, 2)

@@ -13,7 +13,7 @@ from nctori import classify, cli, exactlin, invariants, theta
 from nctori.classify import MAX_RANK_DIM
 from nctori.arith import CYCLOTOMIC_MAX_N, FACTORIZE_MAX_TRIAL
 from nctori.cli import TABLE_MAX_DIM, TABLE_MAX_VERDICTS, CliParseError, main, parse_group
-from nctori.exactlin import Matrix, _components
+from nctori.exactlin import _components
 from nctori.invariants import invariant_ranks, parse_block_spec, realize
 from nctori.wfun import AbelianGroup, max_finite_order
 
@@ -195,15 +195,10 @@ def test_theta_json_on_dense_conjugate_matches_direct_solve(
 
 
 def _count_hessenberg_passes(monkeypatch):
-    """Record (rows, e) for every Hessenberg reduction; charpoly must not run."""
-
-    def no_charpoly(m):
-        raise AssertionError("analyze must not call charpoly")
-
+    """Record (rows, e) for every Hessenberg reduction."""
     calls = []
     hessenberg = exactlin._hessenberg_charpoly
     monkeypatch.setattr(exactlin, "_hessenberg_charpoly", lambda h, e: calls.append(([row[:] for row in h], e)) or hessenberg(h, e))
-    monkeypatch.setattr(exactlin, "charpoly", no_charpoly)
     return calls
 
 
@@ -221,8 +216,15 @@ def test_analyze_factors_the_characteristic_polynomial_once(tmp_path, capsys, mo
     code, out, _ = run(capsys, "analyze", str(path), "--json")
     payload = json.loads(out)
     assert code == 0 and payload["blocks"] == ["C7", "C9", "I2"] and payload["nondegenerate_theta_exists"]
-    # C(14, 7) = 3,432: the finite-order lift works modulo 2^19 - 1
+    # totient_bound(14) = 52: the finite-order lift works modulo 2^19 - 1
     assert calls == [([[x % (2**19 - 1) for x in row] for row in a.rows], 19)]
+    # and so it does at d = 31 (totient_bound(31) = 116)
+    _, d, path = _write_conjugate(tmp_path, "C25+C11+I1", 31, unimodular_pair)
+    assert d == 31
+    calls.clear()
+    code, out, _ = run(capsys, "analyze", path, "--json")
+    assert code == 0 and json.loads(out)["blocks"] == ["C11", "C25", "I1"]
+    assert [e for _, e in calls] == [19]
 
 
 def test_analyze_solves_no_invariant_form_system(tmp_path, capsys, monkeypatch, unimodular_pair):
@@ -277,13 +279,10 @@ def test_rank_dimension_limit(capsys, monkeypatch):
 
 
 def test_analyze_answers_entries_past_the_charpoly_prime(tmp_path, capsys):
-    # 4,001-digit entries: the Hadamard bound is about 10^8000 > 2^19936, so
-    # charpoly refuses.  Traces 0 and 0 pass the finite-order trace test, and
+    # 4,001-digit entries, whose Hadamard bound (about 10^8000) no word-sized
+    # prime exceeds.  Traces 0 and 0 pass the finite-order trace test, and
     # the lift modulo 2^19 - 1, x^2, is not reciprocal: no finite order
     n = 10**4000
-    a = Matrix([[n, n], [-n, -n]])
-    with pytest.raises(ValueError, match="2\\^19936"):
-        exactlin.charpoly(a)
     path = tmp_path / "huge.txt"
     path.write_text(f"2\n{n} {n}\n{-n} {-n}\n")
     start = time.perf_counter()
@@ -299,8 +298,8 @@ def test_analyze_answers_entries_past_the_charpoly_prime(tmp_path, capsys):
 
 
 def test_analyze_answers_a_wide_finite_order_conjugate(tmp_path, capsys, unimodular_pair):
-    # P^700 B P^-700 for a d = 14 block form B: entries of about 1,000 digits,
-    # so the Hadamard bound (about 2^46000) is past charpoly's last prime.
+    # P^700 B P^-700 for a d = 14 block form B: entries of about 1,000 digits
+    # (a Hadamard bound of about 2^46000).
     # The lift works modulo 2^19 - 1 whatever the entries; the cost is the
     # certificate over Z, whose lanes grow with deg q times the entry bits
     # (about 0.7 s on a 2-core Xeon VM with CPython 3.11)
@@ -309,8 +308,6 @@ def test_analyze_answers_a_wide_finite_order_conjugate(tmp_path, capsys, unimodu
     p, q = unimodular_pair(random.Random(14), d, 3 * d)
     a = p.pow(700) @ block @ q.pow(700)
     assert 900 < max(len(str(abs(x))) for row in a.rows for x in row) < 1100
-    with pytest.raises(ValueError, match="2\\^19936"):
-        exactlin.charpoly(a)
     paths = []
     for name, m in (("wide", a), ("block", block)):
         paths.append(tmp_path / f"{name}.txt")
@@ -323,7 +320,7 @@ def test_analyze_answers_a_wide_finite_order_conjugate(tmp_path, capsys, unimodu
 
 def test_analyze_refuses_a_certificate_past_its_work_limit(tmp_path, capsys, unimodular_pair):
     # P^300 B P^-300 for B = C25+C9+C8+I6 (d = 36, entries of about 480
-    # digits) has finite order, and its lift modulo 2^61 - 1 is cheap; the
+    # digits) has finite order, and its lift modulo 2^19 - 1 is cheap; the
     # certificate over Z (lanes of about 44,000 bits, six seeds) would take
     # about 20 s, so its estimate is refused before the Horner pass
     block = realize(parse_block_spec("C25+C9+C8+I6"))
@@ -371,7 +368,7 @@ def test_analyze_past_the_trace_test_still_finds_infinite_order(tmp_path, capsys
 
 
 def test_analyze_rejects_a_non_reciprocal_companion_at_dimension_200(tmp_path, capsys):
-    # x^200 - x - 1 passes the trace test; its lift modulo 2^521 - 1 is not
+    # x^200 - x - 1 passes the trace test; its lift modulo 2^19 - 1 is not
     # reciprocal, so no factor search runs
     d = 200
     a = exactlin.companion((-1, -1) + (0,) * (d - 2) + (1,))
@@ -701,14 +698,6 @@ def test_reader_matches_argparse(tmp_path, capsys):
     parser = cli._build_parser()
     reader_hits = []
 
-    def outcome(entry, words):
-        # argparse hands `classify 7 -- --` a list for n, and _dispatch raises
-        try:
-            return _outcome(capsys, entry, words)
-        except TypeError as exc:
-            capsys.readouterr()
-            return ("raised", type(exc).__name__), "", ""
-
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(st.data())
     def check(data):
@@ -733,7 +722,7 @@ def test_reader_matches_argparse(tmp_path, capsys):
         if read is not None:
             reader_hits.append(words)
             assert parsed is not None and vars(read) == vars(parsed), words
-        got, expected = outcome(main, words), outcome(_reference_main, words)
+        got, expected = _outcome(capsys, main, words), _outcome(capsys, _reference_main, words)
         if parsed is not None and parsed.json != ("--json" in words) and expected[0][0] == "returned" and expected[0][1]:
             (code, out, err), message = expected, (expected[1] or expected[2]).strip()
             if parsed.json:
@@ -744,6 +733,15 @@ def test_reader_matches_argparse(tmp_path, capsys):
 
     check()
     assert len(reader_hits) >= 10  # the reader took a fair share of the examples
+
+
+def test_empty_positional_after_double_dash_is_a_usage_error(capsys):
+    # after "-- --" argparse gives the last positional an empty list
+    for words, dest in ((["classify", "7", "--", "--"], "n"), (["classify-group", "2", "--", "--"], "expr")):
+        message = f"argument {dest}: expected one argument"
+        assert run(capsys, *words) == (1, "", f"error: {message}\n"), words
+        code, out, err = run(capsys, words[0], "--json", *words[1:])
+        assert code == 1 and json.loads(out) == {"error": message} and err == "", words
 
 
 def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):

@@ -1,4 +1,3 @@
-import hashlib
 import itertools
 import random
 import time
@@ -9,18 +8,15 @@ from operator import mul
 import pytest
 
 from nctori import exactlin
-from nctori.arith import cyclotomic, poly_mul, totient
+from nctori.arith import cyclotomic, poly_mul, totient, totient_bound
 from nctori.exactlin import (
     _MERSENNE_EXPONENTS,
-    _axpy,
     _cyclotomic_lift,
-    _fold,
     _hessenberg_charpoly,
     _horner,
     _lane_bound,
     Matrix,
     block_diag,
-    charpoly,
     companion,
     compound,
     cyclotomic_type,
@@ -276,8 +272,9 @@ def test_matrix_validation():
 
 
 def _faddeev_leverrier(a):
-    """det(x I - a) by Faddeev-LeVerrier, a reference independent of charpoly:
-    M_1 = I, c_(d-k) = -tr(a M_k) / k, M_(k+1) = a M_k + c_(d-k) I."""
+    """det(x I - a) by Faddeev-LeVerrier, a reference independent of the
+    Hessenberg reduction: M_1 = I, c_(d-k) = -tr(a M_k) / k,
+    M_(k+1) = a M_k + c_(d-k) I."""
     d = a.nrows
     coeffs = [0] * d + [1]
     m = Matrix.identity(d)
@@ -309,20 +306,21 @@ def test_charpoly_matches_independent_references():
             cases.append(block_diag([hyperbolic, rest]))
     for a in cases:
         d = a.nrows
-        poly = charpoly(a)
-        assert poly == _faddeev_leverrier(a), a
+        # rational input goes through D a, D the lcm of the denominators
+        scale = lcm(*(x.denominator for row in a.rows for x in row if type(x) is not int), 1)
+        b = scale * a
+        e = _route_exponent(d)
+        p = (1 << e) - 1
+        residues, _ = _hessenberg_charpoly([[x % p for x in row] for row in b.rows], e)
+        assert residues == [c % p for c in _faddeev_leverrier(b)], a
         for t in range(d + 1):
-            value = sum(c * t**k for k, c in enumerate(poly))
-            assert value == det(t * Matrix.identity(d) - a), (a, t)
-    # the 10^20 entries at d = 14 need a prime far above 2^61 - 1
+            value = sum(c * t**k for k, c in enumerate(residues))
+            assert (value - det(t * Matrix.identity(d) - b)) % p == 0, (a, t)
+    # the 10^20 entries at d = 14 are reduced modulo 2^19 - 1 first
     big = cases[-3]
     assert big.nrows == 14 and max(abs(x) for row in big.rows for x in row) > 10**19
-    top = _MERSENNE_EXPONENTS[-1]
-    assert charpoly(Matrix([[2 ** (top - 2)]])) == (-(2 ** (top - 2)), 1)
-    with pytest.raises(ValueError, match=f"2\\^{top - 1}"):
-        charpoly(Matrix([[2 ** (top - 1)]]))
-    with pytest.raises(ValueError):
-        charpoly(Matrix([[1, 2]]))
+    with pytest.raises(ValueError, match="cyclotomic_type requires a square matrix"):
+        cyclotomic_type(Matrix([[1, 2]]))
 
 
 def test_charpoly_takes_no_matrix_products(monkeypatch, unimodular_pair):
@@ -332,42 +330,12 @@ def test_charpoly_takes_no_matrix_products(monkeypatch, unimodular_pair):
     p, q = unimodular_pair(random.Random(18), block.nrows, 3 * block.nrows)
     a = p @ block @ q
     assert a.nrows == 18
-    expected = (1,)
-    for n in (9, 7, 5, 1, 1):
-        expected = poly_mul(expected, cyclotomic(n))
 
     def no_products(self, other):
-        raise AssertionError("charpoly must not multiply matrices")
+        raise AssertionError("the lift must not multiply matrices")
 
     monkeypatch.setattr(Matrix, "__matmul__", no_products)
-    assert charpoly(a) == expected
-
-
-def test_fold_matches_modulo():
-    rng = random.Random(19937)
-    for e in (61, 127, 521, 4423):
-        p = (1 << e) - 1
-        values = [0, 1, -1, p - 1, p, p + 1, 2 * p, -p, (1 << (2 * e)) - 1, -(1 << (3 * e))]
-        values += [rng.randrange(-(1 << (3 * e)), 1 << (3 * e)) for _ in range(50)]
-        for x in values:
-            assert _fold(x, p, e) == x % p, (e, x)
-        xs = [rng.randrange(p) for _ in range(30)] + [p - 1, 0]
-        ys = [rng.randrange(p) for _ in range(30)] + [p - 1, p - 1]
-        for c in (0, 1, -1, p - 1, rng.randrange(-p, p)):
-            assert _axpy(xs, c, ys, p, e) == [(x + c * y) % p for x, y in zip(xs, ys)], (e, c)
-
-
-def test_charpoly_on_huge_entries_folds():
-    # 300-digit entries need the last prime, 2^19937 - 1, where a % p is a
-    # quadratic long division; folding keeps this 18 x 18 case inside the bound
-    rng = random.Random(300)
-    a = Matrix([[rng.randrange(-10**300, 10**300) for _ in range(18)] for _ in range(18)])
-    start = time.perf_counter()
-    poly = charpoly(a)
-    elapsed = time.perf_counter() - start
-    digest = hashlib.sha256(",".join(map(hex, poly)).encode()).hexdigest()
-    assert digest == "a618ff093a2f922c290a7ef6a2b671e1ad3625dc4d1225bb57f4c9f7ea9ebd06"
-    assert elapsed < 4.5
+    assert _cyclotomic_lift(a)[0] == (1, 1, 5, 7, 9)
 
 
 def test_pow_starts_from_lowest_set_bit(monkeypatch):
@@ -493,8 +461,8 @@ def test_cyclotomic_type_large_block_form_is_fast():
 
 
 def _route_exponent(d):
-    """e of the least listed Mersenne prime 2^e - 1 above 2 max_k C(d, k)."""
-    return next(e for e in _MERSENNE_EXPONENTS if (1 << e) - 1 > 2 * comb(d, d // 2))
+    """e of the least listed Mersenne prime 2^e - 1 above totient_bound(d)."""
+    return next(e for e in _MERSENNE_EXPONENTS if (1 << e) - 1 > totient_bound(d))
 
 
 def _traces_pass(m):
@@ -615,6 +583,23 @@ def test_lane_bound_covers_every_seed(unimodular_pair):
             truth = max(max(map(abs, _horner(sparse, coeffs, [int(i == s) for i in range(d)]))) for s in seeds)
             bound = _lane_bound(sparse, coeffs)
             assert truth <= bound, (text, truth, bound)
+
+
+def test_lift_passes_over_a_prime_dividing_the_denominators(monkeypatch, unimodular_pair):
+    # the diagonal scaling by 1 / (2^19 - 1) puts that prime into D, where
+    # D^-1 does not exist: the lift takes the next listed prime, 2^31 - 1
+    exponents = []
+    hessenberg = exactlin._hessenberg_charpoly
+    monkeypatch.setattr(exactlin, "_hessenberg_charpoly", lambda h, e: exponents.append(e) or hessenberg(h, e))
+    block = realize(parse_block_spec("C9+C7+I2"))
+    d = block.nrows
+    p, q = unimodular_pair(random.Random(19), d, 3 * d)
+    diag = [Fraction(1, 2**19 - 1)] + [Fraction(i + 2, 3) for i in range(d - 1)]
+    rational = p @ _diag(diag) @ block @ _diag([1 / x for x in diag]) @ q
+    scale = lcm(*(x.denominator for row in rational.rows for x in row if type(x) is not int))
+    assert scale % (2**19 - 1) == 0
+    assert cyclotomic_type(rational) == cyclotomic_type(block) == (1, 1, 7, 9)
+    assert exponents == [31, 19]
 
 
 def test_lanes_are_wide_enough_to_keep_seeds_apart():
