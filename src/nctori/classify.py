@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable
-from dataclasses import dataclass
 from math import lcm
 
 from .arith import factorize
@@ -37,6 +36,7 @@ from .invariants import (
     spec_order,
 )
 from .ktheory import GradedRank, RankInfo, at_least, exact, factor_k, kunneth_all, torus_k
+from .record import Record
 from .wfun import AbelianGroup, w_group, w_order
 
 W_TOO_BIG = "w_too_big"
@@ -75,32 +75,31 @@ def af_paper(n: int) -> bool:
     return k == 1 and len(big) <= 1 and j <= 2 and i <= 1
 
 
-@dataclass(eq=False)
-class Realization:
+class Realization(Record):
     """A concrete block realization: the block list and the matrix order.
     ``invariants.realize(blocks)`` builds the integer matrix (verdicts never
     need it)."""
 
-    blocks: BlockSpec
-    order: int
+    __slots__ = ("blocks", "order")
+
+    def __init__(self, blocks: BlockSpec, order: int):
+        self.blocks, self.order = blocks, order
 
 
-@dataclass(eq=False)
-class Verdict:
+class Verdict(Record):
     """Classification outcome for one (dimension, group) query."""
 
-    d: int
-    input_label: str
-    realizable_in_gl_d: bool
-    simple_action_exists: bool
-    reason: str
-    w: int
-    realization: Realization | None
-    k: GradedRank | None
-    is_at: bool
-    is_af_computed: bool
-    is_af_paper_predicate: bool
-    divergence_flag: bool
+    __slots__ = ("d", "input_label", "realizable_in_gl_d", "simple_action_exists", "reason", "w", "realization", "k",
+                 "is_at", "is_af_computed", "is_af_paper_predicate", "divergence_flag")
+
+    def __init__(self, d: int, input_label: str, realizable_in_gl_d: bool, simple_action_exists: bool, reason: str,
+                 w: int, realization: Realization | None, k: GradedRank | None, is_at: bool, is_af_computed: bool,
+                 is_af_paper_predicate: bool, divergence_flag: bool):
+        self.d, self.input_label, self.realizable_in_gl_d = d, input_label, realizable_in_gl_d
+        self.simple_action_exists, self.reason, self.w = simple_action_exists, reason, w
+        self.realization, self.k, self.is_at = realization, k, is_at
+        self.is_af_computed, self.is_af_paper_predicate = is_af_computed, is_af_paper_predicate
+        self.divergence_flag = divergence_flag
 
 
 def _verdict(d, label, w, reason, realization=None, k=None, af_computed=False, paper_flag=False) -> Verdict:
@@ -234,22 +233,19 @@ def recognize_blocks(a: Matrix) -> BlockSpec | None:
     return tuple(Cyclotomic(n) for n in ns if n > 1) + ((Identity(fixed),) if fixed else ())
 
 
-@dataclass(eq=False)
-class ActionReport:
+class ActionReport(Record):
     """What ``analyze_action`` can determine about one finite-order matrix;
     every field but ``oracle_ranks`` is read off its cyclotomic type."""
 
-    dim: int
-    order: int
-    free: bool
-    blocks: BlockSpec
-    oracle_ranks: tuple[int, ...] | None
-    spectrum_ranks: tuple[int, ...]
-    s1: int | None
-    s1_note: str | None
-    k1: RankInfo | None
-    invariant_space_dim: int
-    theta_exists: bool
+    __slots__ = ("dim", "order", "free", "blocks", "oracle_ranks", "spectrum_ranks", "s1", "s1_note", "k1",
+                 "invariant_space_dim", "theta_exists")
+
+    def __init__(self, dim: int, order: int, free: bool, blocks: BlockSpec, oracle_ranks: tuple[int, ...] | None,
+                 spectrum_ranks: tuple[int, ...], s1: int | None, s1_note: str | None, k1: RankInfo | None,
+                 invariant_space_dim: int, theta_exists: bool):
+        self.dim, self.order, self.free, self.blocks = dim, order, free, blocks
+        self.oracle_ranks, self.spectrum_ranks, self.s1, self.s1_note = oracle_ranks, spectrum_ranks, s1, s1_note
+        self.k1, self.invariant_space_dim, self.theta_exists = k1, invariant_space_dim, theta_exists
 
 
 def analyze_action(a: Matrix) -> ActionReport:

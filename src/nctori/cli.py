@@ -9,11 +9,11 @@ text output (styling is only attempted on a terminal anyway).
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
 import sys
+from types import SimpleNamespace
 
 from .arith import cyclotomic
 from .classify import (
@@ -38,25 +38,11 @@ from .invariants import (
     spec_free,
     spec_order,
 )
-from .theta import invariant_space, nondegenerate_witness
 from .wfun import AbelianGroup, max_finite_order, w_group, w_order
 
 
 class CliParseError(Exception):
     """Malformed command-line input (exit code 1)."""
-
-
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise CliParseError(message)
-
-    def parse_known_args(self, args=None, namespace=None):
-        # after "-- --" argparse gives a one-value positional an empty list
-        namespace, extras = super().parse_known_args(args, namespace)
-        for dest, value in vars(namespace).items():
-            if isinstance(value, list):
-                self.error(f"argument {dest}: expected one argument")
-        return namespace, extras
 
 
 _TERM_RE = re.compile(r"^Z(?:(\d+)|\^(\d+))$", re.IGNORECASE)
@@ -220,6 +206,7 @@ def _print_theta_text(payload: dict):
 
 
 def _theta_json(a: Matrix) -> dict:
+    from .theta import invariant_space, nondegenerate_witness  # only this subcommand loads theta
     basis = invariant_space(a)
     exists, witness = nondegenerate_witness(basis, a.nrows)
     payload = {
@@ -252,7 +239,21 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> _ArgumentParser:
+def _build_parser():
+    import argparse  # here, not at import: only help, errors and options need it
+
+    class _ArgumentParser(argparse.ArgumentParser):
+        def error(self, message):
+            raise CliParseError(message)
+
+        def parse_known_args(self, args=None, namespace=None):
+            # after "-- --" argparse gives a one-value positional an empty list
+            namespace, extras = super().parse_known_args(args, namespace)
+            for dest, value in vars(namespace).items():
+                if isinstance(value, list):
+                    self.error(f"argument {dest}: expected one argument")
+            return namespace, extras
+
     parser = _ArgumentParser(prog="nctori", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (text, positionals) in _COMMANDS.items():
@@ -269,15 +270,15 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
-def _read_plain(words: list[str]) -> argparse.Namespace | None:
-    """The namespace argparse gives ``words`` when they are a subcommand with
+def _read_plain(words: list[str]) -> SimpleNamespace | None:
+    """The fields argparse gives ``words`` when they are a subcommand with
     positionals only, in the one shape read here: its exact count of
     positionals, none starting with '-', then at most one --json.  None for
     any other words (help, abbreviations, '--', a failed int(), s1, table),
     which are left to argparse.
 
     >>> _read_plain(["classify", "5", "3", "--json"])
-    Namespace(command='classify', d=5, n=3, json=True)
+    namespace(command='classify', d=5, n=3, json=True)
     >>> _read_plain(["classify", "5", "--json", "3"]) is None
     True
     """
@@ -294,7 +295,7 @@ def _read_plain(words: list[str]) -> argparse.Namespace | None:
         fields = {dest: kind(w) for (dest, kind), w in zip(positionals, values)}
     except ValueError:
         return None
-    return argparse.Namespace(command=words[0], **fields, json=as_json)
+    return SimpleNamespace(command=words[0], **fields, json=as_json)
 
 
 def _dispatch(args) -> int:
@@ -369,10 +370,10 @@ def _dispatch(args) -> int:
     return 0
 
 
-_parser: _ArgumentParser | None = None
+_parser = None  # _build_parser's parser
 
 
-def _parse(words: list[str]) -> argparse.Namespace:
+def _parse(words: list[str]):
     """argparse's reading of ``words``: when the first word names a
     subcommand, only that subcommand's parser reads the rest; the top-level
     parser reads everything else (no words, help, unknown commands)."""

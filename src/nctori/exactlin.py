@@ -16,16 +16,16 @@ from __future__ import annotations
 
 import itertools
 import operator
-from fractions import Fraction
 from math import gcd, lcm
 
 from .arith import IntPolynomial, cyclotomic, poly_divmod, poly_mul, totient, totient_bound
 
 
 def _norm_entry(x):
-    if type(x) is int:  # the common case; skips the ABC check in isinstance(x, Fraction)
+    if type(x) is int:  # the common case; skips the import and the ABC check in isinstance(x, Fraction)
         return x
-    if isinstance(x, Fraction):
+    import fractions  # only non-int entries need it; the from-import form costs ~10x more per call
+    if isinstance(x, fractions.Fraction):
         return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
         return x
@@ -474,10 +474,10 @@ def rational_block_form(a: Matrix) -> tuple[Matrix, Matrix] | None:
     return p, b
 
 
-def _scaled_int_rows(m: Matrix) -> tuple[list[list[int]], Fraction]:
+def _scaled_int_rows(m: Matrix) -> tuple[list[list[int]], int]:
     """Integer row copies of ``m``; returns (rows, product of the row scalings)."""
     rows = []
-    scale = Fraction(1)
+    scale = 1
     for row in m.rows:
         mult = lcm(*(x.denominator for x in row if type(x) is not int), 1)
         if mult == 1:
@@ -521,7 +521,10 @@ def det(m: Matrix):
         raise ValueError("det requires a square matrix")
     rows, scale = _scaled_int_rows(m)
     value = _det_int(rows)
-    return value if scale == 1 else Fraction(value) / scale
+    if scale == 1:
+        return value
+    import fractions  # only rational input reaches here
+    return fractions.Fraction(value, scale)
 
 
 def _content_free(row: list[int]) -> list[int]:

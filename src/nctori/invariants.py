@@ -31,8 +31,6 @@ usable on tensor factors whose freeness was established separately.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from math import comb, gcd, lcm, prod
 from operator import mul
@@ -49,39 +47,40 @@ from .exactlin import (
     cyclotomic_type,
     rank,
 )
+from .record import Frozen, set_field
 
 
-@dataclass(frozen=True)
-class Cyclotomic:
+class Cyclotomic(Frozen):
     """Companion block of the n-th cyclotomic polynomial (order n, size phi(n))."""
 
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int):
+        if n < 1:
             raise ValueError("Cyclotomic block index must be positive")
+        set_field(self, "n", n)
 
 
-@dataclass(frozen=True)
-class NegCyclotomic:
+class NegCyclotomic(Frozen):
     """Negated companion block of the n-th cyclotomic polynomial."""
 
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int):
+        if n < 1:
             raise ValueError("NegCyclotomic block index must be positive")
+        set_field(self, "n", n)
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(Frozen):
     """Identity block of size m (the residual torus directions)."""
 
-    m: int
+    __slots__ = ("m",)
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, m: int):
+        if m < 1:
             raise ValueError("Identity block size must be positive")
+        set_field(self, "m", m)
 
 
 Block = Cyclotomic | NegCyclotomic | Identity
@@ -193,24 +192,6 @@ def _realize_block(block: Block) -> Matrix:
 def realize(spec) -> Matrix:
     """Integer matrix realization: the direct sum of the blocks in order."""
     return block_diag(_realize_block(b) for b in spec)
-
-
-def rotation_spectrum(spec) -> tuple[Fraction, ...]:
-    """Eigenvalue angles of the realized matrix, as the sorted multiset of
-    q in [0, 1) with exp(2 pi i q) an eigenvalue.
-
-    A Cyclotomic(n) block contributes {k/n : gcd(k, n) = 1}; negation shifts
-    every angle by 1/2; identity blocks contribute zeros.
-    """
-    angles: list[Fraction] = []
-    for block in spec:
-        if isinstance(block, Identity):
-            angles.extend([Fraction(0)] * block.m)
-            continue
-        shift = Fraction(1, 2) if isinstance(block, NegCyclotomic) else Fraction(0)
-        n = block.n
-        angles.extend((Fraction(k, n) + shift) % 1 for k in range(1, n + 1) if gcd(k, n) == 1)
-    return tuple(sorted(angles))
 
 
 def _binomial_row(n: int) -> list[int]:

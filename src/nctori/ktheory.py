@@ -10,26 +10,25 @@ the Tor terms of the general sequence never contribute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .invariants import Block, Cyclotomic, Identity, NegCyclotomic, s1
+from .record import Frozen, set_field
 
 EXACT = "exact"
 AT_LEAST = "at_least"
 
 
-@dataclass(frozen=True)
-class RankInfo:
+class RankInfo(Frozen):
     """Either the exact rank of a free abelian group or a lower bound on it."""
 
-    kind: str
-    value: int
+    __slots__ = ("kind", "value")
 
-    def __post_init__(self):
-        if self.kind not in (EXACT, AT_LEAST):
-            raise ValueError(f"bad kind {self.kind!r}")
-        if self.value < 0:
+    def __init__(self, kind: str, value: int):
+        if kind not in (EXACT, AT_LEAST):
+            raise ValueError(f"bad kind {kind!r}")
+        if value < 0:
             raise ValueError("rank value must be nonnegative")
+        set_field(self, "kind", kind)
+        set_field(self, "value", value)
 
     @property
     def is_exact(self) -> bool:
@@ -60,12 +59,14 @@ def _entry(x: RankInfo, y: RankInfo, u: RankInfo, v: RankInfo) -> RankInfo:
     return RankInfo(kind, total)
 
 
-@dataclass(frozen=True)
-class GradedRank:
+class GradedRank(Frozen):
     """The pair (rank K_0, rank K_1)."""
 
-    k0: RankInfo
-    k1: RankInfo
+    __slots__ = ("k0", "k1")
+
+    def __init__(self, k0: RankInfo, k1: RankInfo):
+        set_field(self, "k0", k0)
+        set_field(self, "k1", k1)
 
     def __str__(self):
         return f"(k0={self.k0}, k1={self.k1})"

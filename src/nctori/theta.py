@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactlin import (
@@ -25,34 +24,35 @@ from .exactlin import (
     rational_block_form,
     reduced_basis,
 )
+from .record import Frozen, set_field
 
 
 def _is_skew(m: Matrix) -> bool:
     return m.is_square and m.transpose() == -m
 
 
-@dataclass(frozen=True)
-class SymbolicSkew:
+class SymbolicSkew(Frozen):
     """Skew form A_0 + sum of A_k * symbol_k over Q-independent symbols."""
 
-    dim: int
-    rational_part: Matrix
-    symbol_parts: tuple[tuple[str, Matrix], ...] = ()
+    __slots__ = ("dim", "rational_part", "symbol_parts")
 
-    def __post_init__(self):
-        if self.rational_part.nrows != self.dim or self.rational_part.ncols != self.dim:
+    def __init__(self, dim: int, rational_part: Matrix, symbol_parts: tuple[tuple[str, Matrix], ...] = ()):
+        if rational_part.nrows != dim or rational_part.ncols != dim:
             raise ValueError("rational part has wrong shape")
-        if not _is_skew(self.rational_part):
+        if not _is_skew(rational_part):
             raise ValueError("rational part must be skew-symmetric")
         seen = set()
-        for name, mat in self.symbol_parts:
+        for name, mat in symbol_parts:
             if name in seen:
                 raise ValueError(f"duplicate symbol {name!r}")
             seen.add(name)
-            if mat.nrows != self.dim or mat.ncols != self.dim:
+            if mat.nrows != dim or mat.ncols != dim:
                 raise ValueError(f"coefficient of {name!r} has wrong shape")
             if not _is_skew(mat):
                 raise ValueError(f"coefficient of {name!r} must be skew-symmetric")
+        set_field(self, "dim", dim)
+        set_field(self, "rational_part", rational_part)
+        set_field(self, "symbol_parts", symbol_parts)
 
     @classmethod
     def from_symbol_matrices(cls, matrices, prefix: str = "θ") -> "SymbolicSkew":
@@ -77,13 +77,15 @@ class SymbolicSkew:
         return str(PairingValue(Fraction(self.rational_part.rows[i][j]), terms))
 
 
-@dataclass(frozen=True)
-class PairingValue:
+class PairingValue(Frozen):
     """Exact value of the pairing x . Theta . y: a rational constant plus
     rational coefficients on the symbols."""
 
-    constant: Fraction
-    terms: tuple[tuple[str, Fraction], ...] = ()
+    __slots__ = ("constant", "terms")
+
+    def __init__(self, constant: Fraction, terms: tuple[tuple[str, Fraction], ...] = ()):
+        set_field(self, "constant", constant)
+        set_field(self, "terms", terms)
 
     def __str__(self):
         parts = [str(self.constant)] if self.constant or not self.terms else []

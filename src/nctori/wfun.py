@@ -10,9 +10,9 @@ minimizer built directly instead of searched for.  Pure functions throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .arith import factorize
+from .record import Frozen, set_field
 
 
 def w_order(n: int) -> int:
@@ -43,25 +43,24 @@ def w_cyclic(n: int) -> int:
     return 2 if n == 2 else w_order(n)
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Frozen):
     """A finitely generated abelian group in primary decomposition.
 
     ``torsion`` is the sorted multiset of prime-power orders of the cyclic
     factors; ``free_rank`` counts the Z factors.
     """
 
-    torsion: tuple[int, ...] = ()
-    free_rank: int = 0
+    __slots__ = ("torsion", "free_rank")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, torsion: tuple[int, ...] = (), free_rank: int = 0):
+        if free_rank < 0:
             raise ValueError("free_rank must be nonnegative")
-        for q in self.torsion:
+        for q in torsion:
             fac = factorize(q)
             if len(fac) != 1:
                 raise ValueError(f"torsion entry {q} is not a prime power")
-        object.__setattr__(self, "torsion", tuple(sorted(self.torsion)))
+        set_field(self, "torsion", tuple(sorted(torsion)))
+        set_field(self, "free_rank", free_rank)
 
     @classmethod
     def from_factors(cls, factors, free_rank: int = 0) -> "AbelianGroup":
@@ -104,8 +103,7 @@ class AbelianGroup:
         return "x".join(parts) if parts else "Z^0"
 
 
-@dataclass(frozen=True)
-class CyclicDecomposition:
+class CyclicDecomposition(Frozen):
     """A factoring of a torsion multiset into cyclic parts.
 
     Each part is a product of prime powers with pairwise distinct primes, so
@@ -113,10 +111,10 @@ class CyclicDecomposition:
     the whole multiset.
     """
 
-    parts: tuple[int, ...] = field(default=())
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(sorted(self.parts)))
+    def __init__(self, parts: tuple[int, ...] = ()):
+        set_field(self, "parts", tuple(sorted(parts)))
 
 
 def w_group(g: AbelianGroup) -> tuple[int, CyclicDecomposition]:

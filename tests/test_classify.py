@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 
@@ -21,6 +20,7 @@ from nctori.ktheory import GradedRank, at_least, exact, torus_k
 from nctori.classify import (
     GAP_ONE,
     W_TOO_BIG,
+    Realization,
     _best_blocks,
     af_paper,
     analyze_action,
@@ -157,8 +157,8 @@ def test_flip_and_group_route_disagree_on_af_paper_in_dimension_two():
 def test_verdict_leaves_realization_matrix_unbuilt():
     v = classify_cyclic(300, 7)
     verdict_json(v)
-    assert [f.name for f in dataclasses.fields(v.realization)] == ["blocks", "order"]
-    assert vars(v.realization).keys() == {"blocks", "order"}
+    assert Realization.__slots__ == ("blocks", "order")
+    assert not hasattr(v.realization, "__dict__")  # so no other attribute can be set on it
     assert realize(v.realization.blocks).nrows == 300
 
 

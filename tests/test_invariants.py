@@ -31,12 +31,12 @@ from nctori.invariants import (
     invariant_ranks_molien,
     parse_block_spec,
     realize,
-    rotation_spectrum,
     s1,
     spec_dim,
     spec_free,
     spec_order,
 )
+from oracles import rotation_spectrum
 
 
 def frac(a, b):

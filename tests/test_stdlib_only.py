@@ -7,7 +7,8 @@ import sys
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "nctori"
 
 
-def test_sources_import_only_the_standard_library():
+def _absolute_imports():
+    """(file name, imported module) for every absolute import in src/nctori."""
     paths = sorted(SRC.glob("*.py"))
     assert paths
     for path in paths:
@@ -19,4 +20,15 @@ def test_sources_import_only_the_standard_library():
             else:
                 continue  # relative imports stay inside the package
             for name in names:
-                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+                yield path.name, name
+
+
+def test_sources_import_only_the_standard_library():
+    for path_name, name in _absolute_imports():
+        assert name.split(".")[0] in sys.stdlib_module_names, (path_name, name)
+
+
+def test_sources_do_not_import_dataclasses():
+    # records are __slots__ classes on nctori.record's bases: one idiom, not two
+    for path_name, name in _absolute_imports():
+        assert name.split(".")[0] != "dataclasses", (path_name, name)
