@@ -16,16 +16,17 @@ from __future__ import annotations
 
 import itertools
 import operator
+import sys
 from math import gcd, lcm
 
 from .arith import IntPolynomial, cyclotomic, poly_divmod, poly_mul, totient, totient_bound
 
 
 def _norm_entry(x):
-    if type(x) is int:  # the common case; skips the import and the ABC check in isinstance(x, Fraction)
+    if type(x) is int:  # the common case; skips the lookup and the ABC check in isinstance(x, Fraction)
         return x
-    import fractions  # only non-int entries need it; the from-import form costs ~10x more per call
-    if isinstance(x, fractions.Fraction):
+    fractions = sys.modules.get("fractions")  # loaded whenever x is a Fraction, so never imported here
+    if fractions is not None and isinstance(x, fractions.Fraction):
         return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
         return x
@@ -521,10 +522,8 @@ def det(m: Matrix):
         raise ValueError("det requires a square matrix")
     rows, scale = _scaled_int_rows(m)
     value = _det_int(rows)
-    if scale == 1:
-        return value
-    import fractions  # only rational input reaches here
-    return fractions.Fraction(value, scale)
+    # scale > 1 only for Fraction entries, so fractions is loaded
+    return value if scale == 1 else sys.modules["fractions"].Fraction(value, scale)
 
 
 def _content_free(row: list[int]) -> list[int]:

@@ -51,7 +51,12 @@ for argv in json.loads(sys.argv[2]):
     with contextlib.redirect_stdout(out):
         code = nctori.cli.main(argv)
     replies.append([code, json.loads(out.getvalue())])
-print(json.dumps({"after_import": after_import, "after_requests": loaded(), "replies": replies}))
+try:  # a non-int entry while fractions is not loaded: not a Fraction, so refused
+    nctori.cli.Matrix([[0.5]])
+    refused = False
+except TypeError:
+    refused = True
+print(json.dumps({"after_import": after_import, "after_requests": loaded(), "replies": replies, "refused": refused}))
 """
 
 
@@ -70,7 +75,7 @@ def test_cli_import_and_requests_leave_the_deferred_modules_unloaded(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
-    assert result["after_import"] == [] and result["after_requests"] == []
+    assert result["after_import"] == [] and result["after_requests"] == [] and result["refused"]
     codes = [code for code, _ in result["replies"]]
     verdict, group_verdict, report = (reply for _, reply in result["replies"])
     assert codes == [0, 0, 0]
