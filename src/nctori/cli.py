@@ -266,7 +266,6 @@ def _build_parser():
             p.add_argument("--dmax", type=int, required=True)
             p.add_argument("--nmax", type=int, default=None)
         p.add_argument("--json", action="store_true")
-    parser.commands = sub.choices  # subcommand name -> its parser, for main
     return parser
 
 
@@ -374,18 +373,11 @@ _parser = None  # _build_parser's parser
 
 
 def _parse(words: list[str]):
-    """argparse's reading of ``words``: when the first word names a
-    subcommand, only that subcommand's parser reads the rest; the top-level
-    parser reads everything else (no words, help, unknown commands)."""
+    """argparse's reading of ``words``."""
     global _parser
     if _parser is None:  # built on the first request that needs it, not at import
         _parser = _build_parser()
-    command = _parser.commands.get(words[0]) if words else None
-    if command is None:
-        return _parser.parse_args(words)
-    args = command.parse_args(words[1:])
-    args.command = words[0]
-    return args
+    return _parser.parse_args(words)
 
 
 def main(argv=None) -> int:

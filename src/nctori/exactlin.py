@@ -3,7 +3,8 @@
 Matrices are immutable with ``int`` or ``fractions.Fraction`` entries; all
 computations are exact.  Determinants use fraction-free Bareiss elimination,
 rank and kernels use fraction-free integer echelon reduction with gcd
-normalization (rational input rows are scaled to integers first), and a
+normalization (rational input is first scaled to integers by the lcm of its
+denominators, ``_scaled_int_rows``), and a
 compound matrix comes from a Laplace sweep over only the rows its degree
 reaches.  Finite order is decided on the characteristic polynomial modulo
 one word-sized Mersenne prime above ``totient_bound(d)``, taken by
@@ -20,6 +21,7 @@ import sys
 from math import gcd, lcm
 
 from .arith import IntPolynomial, cyclotomic, poly_divmod, poly_mul, totient, totient_bound
+from .record import Frozen, set_field
 
 
 def _norm_entry(x):
@@ -36,7 +38,7 @@ def _norm_entry(x):
 _INT_ONLY = frozenset({int})
 
 
-class Matrix:
+class Matrix(Frozen):
     """Immutable dense matrix. Entries are exact (int, or Fraction in lowest terms)."""
 
     __slots__ = ("rows", "nrows", "ncols")
@@ -52,21 +54,18 @@ class Matrix:
             ncols = width
         else:
             ncols = 0 if ncols is None else ncols
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", ncols)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
+        set_field(self, "rows", rows)
+        set_field(self, "nrows", len(rows))
+        set_field(self, "ncols", ncols)
 
     @classmethod
     def _from_rows(cls, rows: tuple, ncols: int) -> "Matrix":
         # trusted fast path: rows already a rectangular tuple of tuples of
         # normalized entries (int, or Fraction not equal to an integer)
         self = object.__new__(cls)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", ncols)
+        set_field(self, "rows", rows)
+        set_field(self, "nrows", len(rows))
+        set_field(self, "ncols", ncols)
         return self
 
     @classmethod
@@ -89,18 +88,6 @@ class Matrix:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return (self.nrows, self.ncols, self.rows) == (other.nrows, other.ncols, other.rows)
-
-    def __hash__(self):
-        return hash((self.nrows, self.ncols, self.rows))
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
@@ -110,55 +97,24 @@ class Matrix:
             tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in self.rows), other.ncols
         )
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        return Matrix._from_result(
-            tuple(tuple(map(operator.add, r, s)) for r, s in zip(self.rows, other.rows)), self.ncols
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        return Matrix._from_result(
-            tuple(tuple(map(operator.sub, r, s)) for r, s in zip(self.rows, other.rows)), self.ncols
-        )
-
     def __neg__(self) -> "Matrix":
         return Matrix._from_rows(tuple(tuple(map(operator.neg, r)) for r in self.rows), self.ncols)
-
-    def __rmul__(self, scalar) -> "Matrix":
-        scalar = _norm_entry(scalar)
-        return Matrix._from_result(tuple(tuple(scalar * x for x in r) for r in self.rows), self.ncols)
 
     def transpose(self) -> "Matrix":
         return Matrix._from_rows(tuple(zip(*self.rows)), self.nrows)
 
-    def pow(self, k: int) -> "Matrix":
-        if not self.is_square:
-            raise ValueError("pow requires a square matrix")
-        if k < 0:
-            raise ValueError("negative powers not supported")
-        if k == 0:
-            return Matrix.identity(self.nrows)
-        # start from the lowest set bit, so no product is by the identity:
-        # bit_length - 1 squarings and popcount - 1 multiplications
-        base = self
-        while not k & 1:
-            base = base @ base
-            k >>= 1
-        result = base
-        k >>= 1
-        while k:
-            base = base @ base
-            if k & 1:
-                result = result @ base
-            k >>= 1
-        return result
-
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
         return f"Matrix({self.nrows}x{self.ncols}: {body})"
+
+
+def _scaled_int_rows(m: Matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(rows of D m, D) for D the lcm of the denominators of ``m``; the rows
+    are ``m.rows`` itself when ``m`` is an integer matrix."""
+    scale = lcm(*(x.denominator for x in itertools.chain.from_iterable(m.rows) if type(x) is not int), 1)
+    if scale == 1:
+        return m.rows, 1
+    return tuple(tuple(int(x * scale) for x in row) for row in m.rows), scale
 
 
 def companion(p: IntPolynomial) -> Matrix:
@@ -266,9 +222,7 @@ def _cyclotomic_lift(a: Matrix):
     flat = itertools.chain.from_iterable
     if max(abs(sum(row[i] for i, row in enumerate(rows))), abs(sum(map(operator.mul, flat(rows), flat(zip(*rows)))))) > d:
         return None  # |tr a| > d or |tr a^2| > d
-    scale = lcm(*(x.denominator for x in flat(rows) if type(x) is not int), 1)
-    if scale != 1:
-        rows = [[int(x * scale) for x in row] for row in rows]
+    rows, scale = _scaled_int_rows(a)
     top = totient_bound(d)
     e = next((e for e in _MERSENNE_EXPONENTS if (1 << e) - 1 > top and scale % ((1 << e) - 1)), None)
     if e is None:
@@ -475,20 +429,6 @@ def rational_block_form(a: Matrix) -> tuple[Matrix, Matrix] | None:
     return p, b
 
 
-def _scaled_int_rows(m: Matrix) -> tuple[list[list[int]], int]:
-    """Integer row copies of ``m``; returns (rows, product of the row scalings)."""
-    rows = []
-    scale = 1
-    for row in m.rows:
-        mult = lcm(*(x.denominator for x in row if type(x) is not int), 1)
-        if mult == 1:
-            rows.append(list(row))
-        else:
-            rows.append([int(x * mult) for x in row])
-            scale *= mult
-    return rows, scale
-
-
 def _det_int(rows: list[list[int]]) -> int:
     """Bareiss fraction-free determinant of an integer matrix (mutates rows)."""
     n = len(rows)
@@ -521,9 +461,9 @@ def det(m: Matrix):
     if not m.is_square:
         raise ValueError("det requires a square matrix")
     rows, scale = _scaled_int_rows(m)
-    value = _det_int(rows)
+    value = _det_int([list(row) for row in rows])
     # scale > 1 only for Fraction entries, so fractions is loaded
-    return value if scale == 1 else sys.modules["fractions"].Fraction(value, scale)
+    return value if scale == 1 else sys.modules["fractions"].Fraction(value, scale**m.nrows)
 
 
 def _content_free(row: list[int]) -> list[int]:
@@ -532,10 +472,12 @@ def _content_free(row: list[int]) -> list[int]:
     return row if g <= 1 else [x // g for x in row]
 
 
-def _echelon_int(rows: list[list[int]]) -> list[tuple[int, int]]:
+def _echelon_int(rows: list) -> list[tuple[int, int]]:
     """Fraction-free row echelon via cross-multiplication with gcd reduction.
 
-    Mutates ``rows``; returns the pivot positions [(row, col), ...] in order.
+    Reorders and replaces the items of the list ``rows`` (never changing a
+    row in place, so they may be tuples); returns the pivot positions
+    [(row, col), ...] in order.
     """
     m = len(rows)
     ncols = len(rows[0]) if m else 0
@@ -593,8 +535,7 @@ def _components(m: Matrix) -> list[list[int]]:
 
 def rank(m: Matrix) -> int:
     """Exact rank over the rationals."""
-    rows, _ = _scaled_int_rows(m)
-    return len(_echelon_int(rows))
+    return len(_echelon_int(list(_scaled_int_rows(m)[0])))
 
 
 def kernel_basis(m: Matrix) -> list[tuple[int, ...]]:
@@ -605,7 +546,7 @@ def kernel_basis(m: Matrix) -> list[tuple[int, ...]]:
     echelon form.  This is also how integer lattices are saturated here:
     the primitive kernel vectors span ker over Q and are integral.
     """
-    rows, _ = _scaled_int_rows(m)
+    rows = list(_scaled_int_rows(m)[0])
     pivots = _echelon_int(rows)
     ncols = m.ncols
     pivot_cols = [c for _, c in pivots]
@@ -641,7 +582,7 @@ def reduced_basis(vectors) -> list[tuple[int, ...]]:
     backwards, and reducing each pivot column to zero in the other rows
     leaves exactly those vectors, up to scale.
     """
-    rows, _ = _scaled_int_rows(Matrix(vectors))
+    rows = list(_scaled_int_rows(Matrix(vectors))[0])
     ncols = len(rows[0]) if rows else 0
     pivots: list[tuple[int, int]] = []
     unpivoted = list(range(len(rows)))

@@ -40,6 +40,7 @@ from .arith import cyclotomic, divisors, factorize, totient
 from .exactlin import (
     Matrix,
     _components,
+    _scaled_int_rows,
     _shift_diag,
     block_diag,
     companion,
@@ -478,10 +479,9 @@ def invariant_ranks_molien(a: Matrix, n: int) -> tuple[int, ...]:
     d = a.nrows
     if not d:
         return (1,)
-    entries = list(chain.from_iterable(a.rows))
-    scale = lcm(*(x.denominator for x in entries if type(x) is not int), 1)
+    rows, scale = _scaled_int_rows(a)
     # b^g as one flat row-major list per exponent g
-    powers = {1: entries if scale == 1 else [int(x * scale) for x in entries]}
+    powers = {1: list(chain.from_iterable(rows))}
 
     def power(g: int) -> list[int]:
         if g not in powers:
@@ -619,35 +619,3 @@ def _rank_by_components(m: Matrix) -> int:
         rank(Matrix._from_rows(tuple(tuple(rows[i][j] for j in idx) for i in idx), len(idx)))
         for idx in _components(m)
     )
-
-
-# -- exhaustive spec family helpers (used by the verification suite) ---------
-
-
-def block_menu(max_n: int = 12, max_identity: int = 3) -> tuple[Block, ...]:
-    """The standard test menu: Cyclotomic(n) for n <= max_n, NegCyclotomic(n)
-    for odd n <= max_n, Identity(m) for m <= max_identity."""
-    menu: list[Block] = [Cyclotomic(n) for n in range(1, max_n + 1)]
-    menu.extend(NegCyclotomic(n) for n in range(1, max_n + 1, 2))
-    menu.extend(Identity(m) for m in range(1, max_identity + 1))
-    return tuple(menu)
-
-
-def enumerate_specs(max_dim: int, menu=None) -> list[BlockSpec]:
-    """All multisets of menu blocks with total dimension <= max_dim, each as a
-    canonically sorted tuple (ascending dimension, then label)."""
-    menu = block_menu() if menu is None else tuple(menu)
-    ordered = sorted(menu, key=lambda b: (block_dim(b), block_label(b)))
-    out: list[BlockSpec] = []
-
-    def extend(idx: int, budget: int, acc: list[Block]):
-        out.append(tuple(acc))
-        for i in range(idx, len(ordered)):
-            b = ordered[i]
-            if block_dim(b) <= budget:
-                acc.append(b)
-                extend(i, budget - block_dim(b), acc)
-                acc.pop()
-
-    extend(0, max_dim, [])
-    return out

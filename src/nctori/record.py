@@ -3,7 +3,7 @@ its own ``__init__`` (checks included, no loop over the fields)."""
 
 from operator import attrgetter
 
-set_field = object.__setattr__  # how a Frozen record's __init__ sets each field, as exactlin.Matrix does
+set_field = object.__setattr__  # how a Frozen record's __init__ sets each field
 
 
 class Record:

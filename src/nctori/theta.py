@@ -55,8 +55,8 @@ class SymbolicSkew(Frozen):
         set_field(self, "symbol_parts", symbol_parts)
 
     @classmethod
-    def from_symbol_matrices(cls, matrices, prefix: str = "θ") -> "SymbolicSkew":
-        """One fresh symbol per coefficient matrix, zero rational part."""
+    def from_symbol_matrices(cls, matrices) -> "SymbolicSkew":
+        """One fresh symbol per coefficient matrix, θ1, θ2, ..., zero rational part."""
         matrices = list(matrices)
         if not matrices:
             raise ValueError("need at least one coefficient matrix")
@@ -64,7 +64,7 @@ class SymbolicSkew(Frozen):
         return cls(
             dim=d,
             rational_part=Matrix.zero(d, d),
-            symbol_parts=tuple((f"{prefix}{k + 1}", m) for k, m in enumerate(matrices)),
+            symbol_parts=tuple((f"θ{k + 1}", m) for k, m in enumerate(matrices)),
         )
 
     def coefficient_matrices(self) -> tuple[Matrix, ...]:
@@ -253,7 +253,7 @@ def is_nondegenerate(theta: SymbolicSkew) -> bool:
         return theta.dim == 0
     # echelon the stack one matrix at a time, carrying only the pivot rows
     # (they span the rows so far), and stop once they reach full rank
-    rows: list[list[int]] = []
+    rows: list = []
     for m in mats:
         rows += _scaled_int_rows(m)[0]
         del rows[len(_echelon_int(rows)) :]

@@ -77,25 +77,6 @@ class AbelianGroup(Frozen):
     def is_trivial(self) -> bool:
         return not self.torsion and self.free_rank == 0
 
-    @property
-    def torsion_order(self) -> int:
-        out = 1
-        for q in self.torsion:
-            out *= q
-        return out
-
-    @property
-    def exponent(self) -> int:
-        """Exponent of the torsion part (lcm of the factor orders)."""
-        best: dict[int, int] = {}
-        for q in self.torsion:
-            ((p, e),) = factorize(q)
-            best[p] = max(best.get(p, 0), e)
-        out = 1
-        for p, e in best.items():
-            out *= p**e
-        return out
-
     def __str__(self):
         parts = [f"Z{q}" for q in self.torsion]
         if self.free_rank:

@@ -28,7 +28,6 @@ from nctori.exactlin import Matrix, order
 from nctori.invariants import (
     Cyclotomic,
     block_order,
-    enumerate_specs,
     free_outside_origin,
     invariant_rank,
     invariant_rank_oracle,
@@ -40,6 +39,7 @@ from nctori.invariants import (
 from nctori.ktheory import GradedRank, KUNNETH_UNIT, RankInfo, at_least, exact, kunneth, kunneth_all, torus_k
 from nctori.theta import nondegenerate_invariant_exists
 from nctori.wfun import AbelianGroup, w_group, w_order
+from oracles import enumerate_specs
 
 
 def _report(number, message):

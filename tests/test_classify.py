@@ -10,7 +10,6 @@ from nctori.invariants import (
     Identity,
     NegCyclotomic,
     block_label,
-    enumerate_specs,
     parse_block_spec,
     realize,
     s1,
@@ -33,6 +32,7 @@ from nctori.classify import (
 )
 from nctori.theta import is_invariant, is_nondegenerate, nondegenerate_invariant_exists
 from nctori.wfun import AbelianGroup, w_order
+from oracles import enumerate_specs
 
 
 def test_af_paper_examples():

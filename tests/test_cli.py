@@ -1,6 +1,9 @@
 import argparse
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
 import sys
 import random
 import time
@@ -16,6 +19,7 @@ from nctori.cli import TABLE_MAX_DIM, TABLE_MAX_VERDICTS, CliParseError, main, p
 from nctori.exactlin import _components
 from nctori.invariants import invariant_ranks, parse_block_spec, realize
 from nctori.wfun import AbelianGroup, max_finite_order
+from oracles import matrix_pow
 
 
 def run(capsys, *argv):
@@ -306,7 +310,7 @@ def test_analyze_answers_a_wide_finite_order_conjugate(tmp_path, capsys, unimodu
     block = realize(parse_block_spec("C9+C7+I2"))
     d = block.nrows
     p, q = unimodular_pair(random.Random(14), d, 3 * d)
-    a = p.pow(700) @ block @ q.pow(700)
+    a = matrix_pow(p, 700) @ block @ matrix_pow(q, 700)
     assert 900 < max(len(str(abs(x))) for row in a.rows for x in row) < 1100
     paths = []
     for name, m in (("wide", a), ("block", block)):
@@ -326,7 +330,7 @@ def test_analyze_refuses_a_certificate_past_its_work_limit(tmp_path, capsys, uni
     block = realize(parse_block_spec("C25+C9+C8+I6"))
     d = block.nrows
     p, q = unimodular_pair(random.Random(36), d, 3 * d)
-    a = p.pow(300) @ block @ q.pow(300)
+    a = matrix_pow(p, 300) @ block @ matrix_pow(q, 300)
     assert 400 < max(len(str(abs(x))) for row in a.rows for x in row) < 500
     path = tmp_path / "wide36.txt"
     path.write_text(f"{d}\n" + "\n".join(" ".join(map(str, row)) for row in a.rows) + "\n")
@@ -358,7 +362,8 @@ def test_analyze_past_the_trace_test_still_finds_infinite_order(tmp_path, capsys
     # infinite order
     a = exactlin.companion((-1, -1) + (0,) * 10 + (1,))
     d = a.nrows
-    assert sum(a[i, i] for i in range(d)) == sum(a[i, j] * a[j, i] for i in range(d) for j in range(d)) == 0
+    rows = a.rows
+    assert sum(rows[i][i] for i in range(d)) == sum(rows[i][j] * rows[j][i] for i in range(d) for j in range(d)) == 0
     calls = _count_hessenberg_passes(monkeypatch)
     path = tmp_path / "companion.txt"
     path.write_text(f"{d}\n" + "\n".join(" ".join(map(str, row)) for row in a.rows) + "\n")
@@ -757,6 +762,18 @@ def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
     code = main()
     captured = capsys.readouterr()
     assert code == 1 and captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_module_run_as_a_script_exits_with_the_code_of_main(capsys):
+    # python -m nctori.cli runs main under the __main__ guard: exit status 0,
+    # 1 (a word argparse refuses) and 2 (a value the classifier refuses)
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+    for argv, code in ((["classify", "5", "3", "--json"], 0), (["clasify", "5", "3"], 1), (["classify", "5", "1"], 2)):
+        done = subprocess.run(
+            [sys.executable, "-m", "nctori.cli", *argv], capture_output=True, text=True, timeout=60, env=env
+        )
+        assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv), argv
+        assert done.returncode == code, argv
 
 
 def test_theta_json_on_repeated_blocks_is_unchanged(tmp_path, capsys, unimodular_pair):

@@ -28,8 +28,9 @@ from nctori.classify import (
     report_json,
     verdict_json,
 )
-from nctori.invariants import block_dim, block_menu, enumerate_specs, realize
+from nctori.invariants import block_dim, realize
 from nctori.wfun import AbelianGroup
+from oracles import block_menu, enumerate_specs
 
 DIMS = range(1, 13)
 

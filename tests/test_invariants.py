@@ -22,7 +22,6 @@ from nctori.invariants import (
     block_dim,
     block_label,
     block_order,
-    enumerate_specs,
     even_invariant_sum,
     free_outside_origin,
     invariant_rank,
@@ -36,7 +35,7 @@ from nctori.invariants import (
     spec_free,
     spec_order,
 )
-from oracles import rotation_spectrum
+from oracles import enumerate_specs, rotation_spectrum
 
 
 def frac(a, b):

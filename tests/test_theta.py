@@ -10,7 +10,6 @@ from nctori.classify import analyze_action
 from nctori.invariants import (
     Cyclotomic,
     Identity,
-    enumerate_specs,
     invariant_ranks,
     parse_block_spec,
     realize,
@@ -29,6 +28,7 @@ from nctori.theta import (
     nondegenerate_witness,
     pairing,
 )
+from oracles import enumerate_specs
 
 J = Matrix([[0, 1], [-1, 0]])
 
@@ -73,8 +73,8 @@ def test_invariant_space_trailing_identity_forces_zero_edge():
     basis = invariant_space(a)
     assert basis
     for s in basis:
-        assert all(s[2, j] == 0 for j in range(3))
-        assert all(s[i, 2] == 0 for i in range(3))
+        assert all(s.rows[2][j] == 0 for j in range(3))
+        assert all(s.rows[i][2] == 0 for i in range(3))
 
 
 def test_invariant_space_toeplitz_structure_emerges():
@@ -84,7 +84,7 @@ def test_invariant_space_toeplitz_structure_emerges():
     basis = invariant_space(a)
     assert basis
     for s in basis:
-        block = [[s[i, j] for j in (2, 3)] for i in (0, 1)]
+        block = [[s.rows[i][j] for j in (2, 3)] for i in (0, 1)]
         assert block[0][0] == block[1][1]
 
 
@@ -123,12 +123,12 @@ def _direct_sum(a: SymbolicSkew, b: SymbolicSkew, suffix: str) -> SymbolicSkew:
         rows = [[0] * d for _ in range(d)]
         for i in range(size):
             for j in range(size):
-                rows[offset + i][offset + j] = m[i, j]
+                rows[offset + i][offset + j] = m.rows[i][j]
         return Matrix(rows)
 
     parts = [(name, embed(m, 0, a.dim)) for name, m in a.symbol_parts]
     parts += [(name + suffix, embed(m, a.dim, b.dim)) for name, m in b.symbol_parts]
-    rational = embed(a.rational_part, 0, a.dim) + embed(b.rational_part, a.dim, b.dim)
+    rational = block_diag([a.rational_part, b.rational_part])
     return SymbolicSkew(d, rational, tuple(parts))
 
 
@@ -208,7 +208,7 @@ def _dense_space(a: Matrix) -> tuple[Matrix, ...]:
                 continue
             rows = [
                 [
-                    a[k, i] * a[l, j] - a[l, i] * a[k, j] - ((k, l) == (i, j))
+                    a.rows[k][i] * a.rows[l][j] - a.rows[l][i] * a.rows[k][j] - ((k, l) == (i, j))
                     for k, l in positions
                 ]
                 for i, j in positions
@@ -221,7 +221,7 @@ def _dense_space(a: Matrix) -> tuple[Matrix, ...]:
 def _shuffled(a: Matrix, rng: random.Random) -> Matrix:
     perm = list(range(a.nrows))
     rng.shuffle(perm)
-    return Matrix([[a[i, j] for j in perm] for i in perm])
+    return Matrix([[a.rows[i][j] for j in perm] for i in perm])
 
 
 def test_sparse_assembly_matches_dense_formula(unimodular_pair):
