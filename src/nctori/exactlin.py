@@ -4,13 +4,13 @@ Matrices are immutable with ``int`` or ``fractions.Fraction`` entries; all
 computations are exact.  Determinants use fraction-free Bareiss elimination,
 rank and kernels use fraction-free integer echelon reduction with gcd
 normalization (rational input is first scaled to integers by the lcm of its
-denominators, ``_scaled_int_rows``), and a
-compound matrix comes from a Laplace sweep over only the rows its degree
-reaches.  Finite order is decided on the characteristic polynomial modulo
-one word-sized Mersenne prime above ``totient_bound(d)``, taken by
-Hessenberg reduction and divided by the cyclotomic polynomials it can
-contain, and certified over Z by one Horner pass from the reduction's
-restart seeds (``cyclotomic_type``).  All pure, thread-safe.
+denominators, ``_scaled_int_rows``), and a compound matrix comes from a
+Laplace sweep over only the rows its degree reaches.  Finite order is
+decided on the characteristic polynomial modulo one word-sized Mersenne
+prime above ``totient_bound(d)``, taken by Hessenberg reduction, factored
+on its half-degree trace polynomial (``arith.cyclotomic_factors``), and
+certified over Z by one Horner pass from the reduction's restart seeds
+(``cyclotomic_type``).  All pure, thread-safe.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import operator
 import sys
 from math import gcd, lcm
 
-from .arith import IntPolynomial, cyclotomic, poly_divmod, poly_mul, totient, totient_bound
+from .arith import IntPolynomial, cyclotomic, cyclotomic_factors, poly_mul, totient_bound
 from .record import Frozen, set_field
 
 
@@ -128,12 +128,7 @@ def companion(p: IntPolynomial) -> Matrix:
     if p[-1] != 1:
         raise ValueError("companion requires a monic polynomial")
     d = len(p) - 1
-    rows = [[0] * d for _ in range(d)]
-    for i in range(1, d):
-        rows[i][i - 1] = 1
-    for i in range(d):
-        rows[i][d - 1] = -p[i]
-    return Matrix(rows)
+    return Matrix(tuple(-p[i] if j == d - 1 else int(i == j + 1) for j in range(d)) for i in range(d))
 
 
 # Exponents e of the proved Mersenne primes 2^e - 1 from 2^19 - 1 on; the
@@ -213,8 +208,7 @@ def _shift_diag(m: Matrix, c) -> Matrix:
 
 def _cyclotomic_lift(a: Matrix):
     """(ns, seeds, rows of D a, D) of step 1 of ``cyclotomic_type``; None when
-    it proves infinite order.  Only n with phi(n) <= the remaining degree r
-    are tried, up to ``totient_bound(r)``."""
+    it proves infinite order.  The n are read by ``arith.cyclotomic_factors``."""
     if not a.is_square:
         raise ValueError("cyclotomic_type requires a square matrix")
     d = a.nrows
@@ -234,30 +228,22 @@ def _cyclotomic_lift(a: Matrix):
     poly, seeds = _hessenberg_charpoly([[x % p for x in row] for row in rows], e)
     if scale != 1:
         poly = [c * pow(scale, k - d, p) % p for k, c in enumerate(poly)]
-    if poly[::-1] != poly and poly[::-1] != [-c % p for c in poly]:
-        return None
-    ns: list[int] = []
-    n = 1
-    while len(poly) > 1 and n <= top:
-        if totient(n) < len(poly):
-            quot, rem = poly_divmod(poly, cyclotomic(n))
-            while not any(c % p for c in rem):
-                ns.append(n)
-                poly = [c % p for c in quot]
-                top = totient_bound(len(poly) - 1)
-                quot, rem = poly_divmod(poly, cyclotomic(n))
-        n += 1
-    return None if len(poly) > 1 else (tuple(ns), seeds, rows, scale)
+    reciprocal = poly[::-1] == poly or poly[::-1] == [-c % p for c in poly]
+    ns = cyclotomic_factors(poly, p) if reciprocal else None
+    return None if ns is None else (ns, seeds, rows, scale)
 
 
 def _horner(rows, coeffs, x):
-    """q(a) x by Horner's rule: h = x, then h <- a h + c x for each c in
-    ``coeffs``, those of the monic q below its leading one, highest first;
-    ``rows`` holds a's rows as (columns, values) of their nonzero entries."""
+    """q(a) x by Horner's rule: h = x, then h <- a h + c x for each c in ``coeffs``, those of the monic q
+    below its leading one, highest first, c x added only at the seed rows, where x is nonzero; ``rows``
+    holds a's rows as (columns, values) of their nonzero entries."""
     mul = operator.mul
+    seeds = [(i, xi) for i, xi in enumerate(x) if xi]
     h = x
     for c in coeffs:
-        h = [sum(map(mul, vals, map(h.__getitem__, cols))) + c * xi for (cols, vals), xi in zip(rows, x)]
+        h = [sum(map(mul, vals, map(h.__getitem__, cols))) for cols, vals in rows]
+        for i, xi in seeds:
+            h[i] += c * xi
     return h
 
 
@@ -291,10 +277,12 @@ def cyclotomic_type(a: Matrix) -> tuple[int, ...] | None:
     1. Lift (``_cyclotomic_lift``): det(x I - D a) by Hessenberg reduction
        modulo p = 2^e - 1, the least listed Mersenne prime above
        ``totient_bound(d)`` that does not divide D, with the coefficient of
-       x^k multiplied by D^-(d - k) mod p; then each Phi_n, n up to
-       ``totient_bound(r)`` for the degree r left, divided out while it
-       divides modulo p.  A lift that is not reciprocal modulo p or not a
-       product of Phi_n modulo p proves infinite order.
+       x^k multiplied by D^-(d - k) mod p; then Phi_1 and Phi_2 divided out
+       at 1 and -1, the rest being g = x^s G(x + 1/x), and from G each Psi_n,
+       Phi_n(x) = x^(phi(n)/2) Psi_n(x + 1/x), of degree at most half of what
+       is left, while it divides modulo p; the rest must be 1 or one Psi_n.  A
+       lift that is not reciprocal modulo p or not a product of Phi_n modulo
+       p proves infinite order (``arith.cyclotomic_factors``).
     2. Certificate: with q = prod Phi_n over the distinct n of the lift and
        q~_k = D^(deg q - k) q_k, so that q~(D a) = D^(deg q) q(a), Horner's
        rule on x = sum_t X^t e_S[t] must end at exactly 0 over Z, the S[t]
@@ -307,9 +295,13 @@ def cyclotomic_type(a: Matrix) -> tuple[int, ...] | None:
     roots of unity as eigenvalues, and chi = prod Phi_n^f_n over Z for the
     n of the lift.  Every n tried is below p, so modulo p the Phi_n are
     squarefree and pairwise coprime, and reducing chi forces each f_n to be
-    the multiplicity of the lift.  A finite-order ``a`` passes both steps,
-    as q is its minimal polynomial; the unipotent [[1, 1], [0, 1]] and
-    [[C, I], [0, C]], C = companion(Phi_n), fail step 2.
+    the multiplicity of the lift, read on G: a g = prod Phi_n, n >= 3, is
+    palindromic of degree 2s, Phi_n | g iff Psi_n | G (G -> x^s G(x + 1/x)
+    maps degree <= s one to one onto palindromic degree <= 2s, products
+    onto products, quotients onto quotients), and once the Psi_n of degree
+    at most half of what is left are out, two factors cannot remain.  A
+    finite-order ``a`` passes both steps, as q is its minimal polynomial; the
+    unipotent [[1, 1], [0, 1]] and [[C, I], [0, C]], C = companion(Phi_n), fail step 2.
 
     >>> cyclotomic_type(-Matrix.identity(3))
     (2, 2, 2)
@@ -329,7 +321,7 @@ def cyclotomic_type(a: Matrix) -> tuple[int, ...] | None:
         q = poly_mul(q, cyclotomic(n))
     deg = len(q) - 1
     coeffs = [q[k] * scale ** (deg - k) for k in range(deg - 1, -1, -1)]
-    sparse = [([j for j, v in enumerate(row) if v], [v for v in row if v]) for row in rows]
+    sparse = [(list(itertools.compress(range(len(rows)), row)), list(itertools.compress(row, row))) for row in rows]
     lane = _lane_bound(sparse, coeffs).bit_length() + 1
     entry = max(map(abs, itertools.chain.from_iterable(rows)), default=0).bit_length()
     work = deg * sum(map(len, (cols for cols, _ in sparse))) * -(-lane * len(seeds) // 64) * -(-entry // 64)
@@ -360,9 +352,8 @@ def order(a: Matrix, bound: int) -> int | None:
 def block_diag(blocks) -> Matrix:
     """Direct sum of square matrices, in the given order."""
     blocks = list(blocks)
-    for b in blocks:
-        if not b.is_square:
-            raise ValueError("block_diag blocks must be square")
+    if not all(b.is_square for b in blocks):
+        raise ValueError("block_diag blocks must be square")
     total = sum(b.nrows for b in blocks)
     rows = [[0] * total for _ in range(total)]
     offset = 0
@@ -438,13 +429,11 @@ def _det_int(rows: list[list[int]]) -> int:
     prev = 1
     for k in range(n - 1):
         if rows[k][k] == 0:
-            for i in range(k + 1, n):
-                if rows[i][k]:
-                    rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
-                    break
-            else:
+            i = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if i is None:
                 return 0
+            rows[k], rows[i] = rows[i], rows[k]
+            sign = -sign
         pivot = rows[k][k]
         rk = rows[k]
         for i in range(k + 1, n):
@@ -484,11 +473,7 @@ def _echelon_int(rows: list) -> list[tuple[int, int]]:
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, m):
-            if rows[i][c]:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, m) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from math import gcd
 
+from nctori.arith import cyclotomic, totient, totient_bound
 from nctori.exactlin import Matrix
 from nctori.invariants import Block, BlockSpec, Cyclotomic, Identity, NegCyclotomic, block_dim, block_label
 
@@ -77,3 +78,45 @@ def enumerate_specs(max_dim: int, menu=None) -> list[BlockSpec]:
 
     extend(0, max_dim, [])
     return out
+
+
+def poly_divmod(num, den):
+    """Quotient and remainder of ``num / den`` for a monic divisor ``den``.
+
+    Plain long division over the integers; exact because the divisor is monic.
+    """
+    if not den or den[-1] != 1:
+        raise ValueError("poly_divmod requires a monic divisor")
+    rem = list(num)
+    dd = len(den) - 1
+    if dd == 0:
+        return tuple(rem), ()
+    quot = [0] * max(len(rem) - dd, 0)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        c = rem[i]
+        if c:
+            quot[i - dd] = c
+            for j, cd in enumerate(den):
+                rem[i - dd + j] -= c * cd
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return tuple(quot), tuple(rem)
+
+
+def cyclotomic_factors_by_division(poly, p):
+    """The reference for ``arith.cyclotomic_factors``: each Phi_n, n = 1, 2,
+    ... up to ``totient_bound(r)`` for the degree r left, divided out of the
+    residues ``poly`` over Z while the remainder vanishes modulo p."""
+    ns = []
+    top = totient_bound(len(poly) - 1)
+    n = 1
+    while len(poly) > 1 and n <= top:
+        if totient(n) < len(poly):
+            quot, rem = poly_divmod(poly, cyclotomic(n))
+            while not any(c % p for c in rem):
+                ns.append(n)
+                poly = [c % p for c in quot]
+                top = totient_bound(len(poly) - 1)
+                quot, rem = poly_divmod(poly, cyclotomic(n))
+        n += 1
+    return None if len(poly) > 1 else tuple(ns)

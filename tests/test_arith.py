@@ -6,11 +6,11 @@ from nctori.arith import (
     cyclotomic,
     divisors,
     factorize,
-    poly_divmod,
     poly_mul,
     totient,
     totient_bound,
 )
+from oracles import poly_divmod
 
 
 def test_factorize_examples():

@@ -8,7 +8,7 @@ from operator import mul
 import pytest
 
 from nctori import exactlin
-from nctori.arith import cyclotomic, poly_mul, totient, totient_bound
+from nctori.arith import _trace_terms, cyclotomic, cyclotomic_factors, poly_mul, totient, totient_bound, trace_form
 from nctori.exactlin import (
     _MERSENNE_EXPONENTS,
     _cyclotomic_lift,
@@ -29,7 +29,7 @@ from nctori.exactlin import (
     reduced_basis,
 )
 from nctori.invariants import parse_block_spec, realize, spec_dim
-from oracles import enumerate_specs, matrix_pow
+from oracles import cyclotomic_factors_by_division, enumerate_specs, matrix_pow
 
 
 def test_companion_one_by_one():
@@ -557,14 +557,109 @@ def test_non_reciprocal_lift_exits_before_the_factor_search(monkeypatch):
     passes = []
     hessenberg = exactlin._hessenberg_charpoly
     monkeypatch.setattr(exactlin, "_hessenberg_charpoly", lambda h, e: passes.append(e) or hessenberg(h, e))
-    monkeypatch.setattr(exactlin, "poly_divmod", no_division)
-    monkeypatch.setattr(exactlin, "totient", no_division)
+    monkeypatch.setattr(exactlin, "cyclotomic_factors", no_division)
     for d in range(12, 61):
         a = companion((-1, -1) + (0,) * (d - 2) + (1,))
         assert _traces_pass(a), d
         passes.clear()
         assert _cyclotomic_lift(a) is None and cyclotomic_type(a) is None, d
         assert passes == [_route_exponent(d)] * 2, d
+
+
+def test_reciprocal_lift_of_infinite_order_exits_before_the_certificate(monkeypatch, unimodular_pair):
+    # a conjugate of [[2, 1], [1, 1]] + C5 (the shape of the benchmark's
+    # infinite-order requests) has the reciprocal characteristic polynomial
+    # (x^2 - 3x + 1) Phi_5 and passes the trace test: the factor search
+    # refuses it, and the certificate never runs
+    def no_certificate(*args):
+        raise AssertionError("a lift that is not a product of Phi_n must not reach the certificate")
+
+    searched = []
+    factors = exactlin.cyclotomic_factors
+    monkeypatch.setattr(exactlin, "cyclotomic_factors", lambda poly, p: searched.append(p) or factors(poly, p))
+    monkeypatch.setattr(exactlin, "_horner", no_certificate)
+    block = block_diag([Matrix([[2, 1], [1, 1]]), companion(cyclotomic(5))])
+    rng = random.Random(17)
+    for t in range(40):
+        p, q = unimodular_pair(rng, 6, 2 + t % 12)
+        a = p @ block @ q
+        assert _traces_pass(a), a
+        searched.clear()
+        assert _cyclotomic_lift(a) is None and cyclotomic_type(a) is None, a
+        assert searched == [(1 << 19) - 1] * 2, a
+
+
+def _random_reciprocal(rng, half, p):
+    """A monic palindromic polynomial of degree 2 half with random residues."""
+    low = [1] + [rng.randrange(p) for _ in range(half - 1)]
+    return low + [rng.randrange(p)] + low[::-1]
+
+
+def test_cyclotomic_factors_match_trial_division():
+    # products of Phi_n (n <= 200, with multiplicity), the same times a
+    # reciprocal factor that is not cyclotomic, random reciprocal residues,
+    # and products of two, against the trial division by Phi_n over Z it
+    # replaced
+    rng = random.Random(24)
+    lehmer = (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
+    small = [n for n in range(1, 201) if totient(n) <= 24]
+    found = refused = 0
+    for e in (19, 31, 61):
+        p = (1 << e) - 1
+        for t in range(150):
+            kind = t % 3
+            ns = []
+            budget = rng.randint(0, 36)
+            while True:
+                pool = [n for n in (small if t % 2 else range(1, 201)) if totient(n) <= budget]
+                if not pool or rng.random() < 0.15:
+                    break
+                n = rng.choice(pool)
+                for _ in range(rng.choice((1, 1, 1, 2, 3))):
+                    if totient(n) <= budget:
+                        ns.append(n)
+                        budget -= totient(n)
+            poly = (1,)
+            for n in ns:
+                poly = poly_mul(poly, cyclotomic(n))
+            if kind == 1:
+                poly = poly_mul(poly, rng.choice(((1, -3, 1), lehmer)))
+            elif kind == 2:
+                poly = poly_mul(poly, tuple(_random_reciprocal(rng, rng.randint(1, 6), p)))
+            residues = [c % p for c in poly]
+            expected = cyclotomic_factors_by_division(residues, p)
+            assert cyclotomic_factors(residues, p) == expected, (e, ns, kind)
+            if kind == 0:
+                assert expected == tuple(sorted(ns)), (e, ns)
+                found += 1
+            else:
+                refused += expected is None
+    assert found == 150 and refused == 300
+    # every product of two: the larger factor is often not the larger n
+    p = (1 << 19) - 1
+    for a in range(1, 41):
+        for b in range(a, 41):
+            residues = [c % p for c in poly_mul(cyclotomic(a), cyclotomic(b))]
+            assert cyclotomic_factors(residues, p) == cyclotomic_factors_by_division(residues, p) == (a, b), (a, b)
+
+
+def test_trace_form_inverts_the_reciprocal_substitution():
+    # x^s G(x + 1/x) = sum_k G_k x^(s - k) (x^2 + 1)^k gives back Phi_n,
+    # Psi_n is monic of degree phi(n)/2 with integer coefficients, and the
+    # cached terms mod p (Psi_2m read off Psi_m for odd m) are its own
+    p = (1 << 19) - 1
+    for n in range(3, 201):
+        psi = trace_form(list(cyclotomic(n)))
+        s = len(psi) - 1
+        assert 2 * s == totient(n) and psi[-1] == 1, n
+        assert _trace_terms(n, p) == tuple((j - s, c % p) for j, c in enumerate(psi[:-1]) if c % p), n
+        back = [0] * (2 * s + 1)
+        power = (1,)
+        for k, c in enumerate(psi):
+            for i, v in enumerate(power):
+                back[s - k + i] += c * v
+            power = poly_mul(power, (1, 0, 1))
+        assert tuple(back) == cyclotomic(n), n
 
 
 def test_lane_bound_covers_every_seed(unimodular_pair):
