@@ -182,7 +182,7 @@ def trace_form(g: list[int]) -> list[int]:
     return h
 
 
-_totient = functools.lru_cache(maxsize=None)(totient)  # the factor search asks for the same n per request
+_totient = functools.lru_cache(maxsize=None)(totient)  # the factor search and the Molien sums ask for the same n
 
 
 @functools.lru_cache(maxsize=None)

@@ -92,8 +92,7 @@ def read_matrix_file(path: str) -> Matrix:
     d = values[0]
     if d < 1 or len(values) != 1 + d * d:
         raise CliParseError(f"{path}: expected {d} x {d} entries after the dimension line")
-    # d rows of d ints: already what Matrix would normalize them to
-    return Matrix._from_rows(tuple(tuple(values[i * d + 1 : (i + 1) * d + 1]) for i in range(d)), d)
+    return Matrix((values[i * d + 1 : (i + 1) * d + 1] for i in range(d)), d)
 
 
 def _styled(text: str, code: str) -> str:

@@ -35,16 +35,15 @@ def _norm_entry(x):
     raise TypeError(f"matrix entries must be int or Fraction, got {type(x).__name__}")
 
 
-_INT_ONLY = frozenset({int})
-
-
 class Matrix(Frozen):
     """Immutable dense matrix. Entries are exact (int, or Fraction in lowest terms)."""
 
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows, ncols: int | None = None):
-        rows = tuple(tuple(_norm_entry(x) for x in row) for row in rows)
+        rows = tuple(map(tuple, rows))
+        if not set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
+            rows = tuple(tuple(map(_norm_entry, row)) for row in rows)
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -59,30 +58,12 @@ class Matrix(Frozen):
         set_field(self, "ncols", ncols)
 
     @classmethod
-    def _from_rows(cls, rows: tuple, ncols: int) -> "Matrix":
-        # trusted fast path: rows already a rectangular tuple of tuples of
-        # normalized entries (int, or Fraction not equal to an integer)
-        self = object.__new__(cls)
-        set_field(self, "rows", rows)
-        set_field(self, "nrows", len(rows))
-        set_field(self, "ncols", ncols)
-        return self
-
-    @classmethod
-    def _from_result(cls, rows: tuple, ncols: int) -> "Matrix":
-        # freshly computed rows: trusted when every entry is an int, else
-        # normalized (a Fraction with denominator 1 becomes an int)
-        if set(map(type, itertools.chain.from_iterable(rows))) <= _INT_ONLY:
-            return cls._from_rows(rows, ncols)
-        return cls(rows, ncols=ncols)
-
-    @classmethod
     def identity(cls, d: int) -> "Matrix":
-        return cls._from_rows(tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d)), d)
+        return cls(((1 if i == j else 0 for j in range(d)) for i in range(d)), d)
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls._from_rows(tuple((0,) * ncols for _ in range(nrows)), ncols)
+        return cls(((0,) * ncols for _ in range(nrows)), ncols)
 
     @property
     def is_square(self) -> bool:
@@ -93,15 +74,13 @@ class Matrix(Frozen):
             raise ValueError(f"shape mismatch: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
         bt = list(zip(*other.rows)) if other.rows else [()] * other.ncols
         mul = operator.mul
-        return Matrix._from_result(
-            tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in self.rows), other.ncols
-        )
+        return Matrix(((sum(map(mul, row, col)) for col in bt) for row in self.rows), other.ncols)
 
     def __neg__(self) -> "Matrix":
-        return Matrix._from_rows(tuple(tuple(map(operator.neg, r)) for r in self.rows), self.ncols)
+        return Matrix((map(operator.neg, r) for r in self.rows), self.ncols)
 
     def transpose(self) -> "Matrix":
-        return Matrix._from_rows(tuple(zip(*self.rows)), self.nrows)
+        return Matrix(tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols, self.nrows)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
@@ -201,9 +180,7 @@ def _shift_diag(m: Matrix, c) -> Matrix:
     """m + c I for a square ``m``, without forming c I."""
     if not c:
         return m
-    return Matrix._from_result(
-        tuple(row[:i] + (row[i] + c,) + row[i + 1 :] for i, row in enumerate(m.rows)), m.ncols
-    )
+    return Matrix((row[:i] + (row[i] + c,) + row[i + 1 :] for i, row in enumerate(m.rows)), m.ncols)
 
 
 def _cyclotomic_lift(a: Matrix):
@@ -330,10 +307,9 @@ def cyclotomic_type(a: Matrix) -> tuple[int, ...] | None:
             f"the finite-order certificate of this {len(rows)} x {len(rows)} matrix needs about {work} "
             f"word products, past the limit MAX_CERTIFICATE_WORK = {MAX_CERTIFICATE_WORK}"
         )
-    width = lane if len(seeds) > 1 else 0
     x = [0] * len(rows)
     for t, s in enumerate(seeds):
-        x[s] = 1 << (width * t)
+        x[s] = 1 << (lane * t)
     return None if any(_horner(sparse, coeffs, x)) else ns
 
 
@@ -642,4 +618,4 @@ def compound(a: Matrix, m: int) -> Matrix:
         prev = out
         row_index = {rows_s: i for i, rows_s in enumerate(row_subsets)}
         col_index = {cols: c for c, cols in enumerate(col_subsets)}
-    return Matrix._from_result(tuple(prev), len(prev[0]))
+    return Matrix(prev, len(prev[0]))

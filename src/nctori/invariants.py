@@ -36,7 +36,7 @@ from math import comb, gcd, lcm, prod
 from operator import mul
 from struct import pack, unpack
 
-from .arith import cyclotomic, divisors, factorize, totient
+from .arith import _totient, cyclotomic, divisors, factorize, totient
 from .exactlin import (
     Matrix,
     _components,
@@ -317,13 +317,12 @@ def _molien_terms(spec: BlockSpec) -> tuple[int, int, dict[tuple[tuple[int, int]
     pairs = [(1, 1)]
     for p, a in fac:
         pairs = [(e * p**i, w * (p ** (a - i - 1) * (p - 1) if i < a else 1)) for e, w in pairs for i in range(a + 1)]
-    phi = functools.cache(totient)
     weights: dict[tuple[tuple[int, int], ...], int] = {}
     for e, w in pairs:
         exps: dict[int, int] = {}
         for m, dm in dims.items():
             k = m // gcd(m, e)
-            exps[k] = exps.get(k, 0) + dm // phi(k)
+            exps[k] = exps.get(k, 0) + dm // _totient(k)
         key = tuple(sorted(exps.items()))
         weights[key] = weights.get(key, 0) + w
     return n, d, weights, work
@@ -520,7 +519,7 @@ def invariant_ranks_molien(a: Matrix, n: int) -> tuple[int, ...]:
         signed = [trace[gcd(e * k, n)] for k in range(1, d + 1)]
         signed[1::2] = [-p for p in signed[1::2]]
         key = tuple(signed)
-        weights[key] = weights.get(key, 0) + totient(n // e)
+        weights[key] = weights.get(key, 0) + _totient(n // e)
     totals = [0] * (d + 1)
     for signed, weight in weights.items():
         coeffs = [1]
@@ -616,6 +615,6 @@ def _fixed_rank(c: Matrix) -> int:
 def _rank_by_components(m: Matrix) -> int:
     rows = m.rows
     return sum(
-        rank(Matrix._from_rows(tuple(tuple(rows[i][j] for j in idx) for i in idx), len(idx)))
+        rank(Matrix(((rows[i][j] for j in idx) for i in idx), len(idx)))
         for idx in _components(m)
     )

@@ -167,7 +167,7 @@ def _block_solutions(a: Matrix, positions: list[tuple[int, int]]) -> list[list[t
         rows.append(row)
     return [
         [(pos[0], pos[1], v) for pos, v in zip(positions, vec) if v]
-        for vec in kernel_basis(Matrix._from_result(tuple(map(tuple, rows)), len(positions)))
+        for vec in kernel_basis(Matrix(rows, len(positions)))
     ]
 
 

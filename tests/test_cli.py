@@ -6,6 +6,8 @@ import pathlib
 import subprocess
 import sys
 import random
+import re
+import shlex
 import time
 from math import comb
 
@@ -788,3 +790,24 @@ def test_theta_json_on_repeated_blocks_is_unchanged(tmp_path, capsys, unimodular
         code, out, _ = run(capsys, "theta", path, "--json")
         assert code == 0 and json.loads(out)["d"] == d, text
         assert hashlib.sha256(out.encode()).hexdigest() == digest, text
+
+
+def test_readme_cli_examples_run(tmp_path, capsys):
+    # every line of the fenced block under "## CLI" exits 0, with matrix.txt
+    # the example of "Matrix file format"; a "# -> value" comment gives the
+    # start of stdout (a closing parenthetical is a gloss, not output)
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    matrix = tmp_path / "matrix.txt"
+    matrix.write_text(section.split("### Matrix file format", 1)[1].split("```\n", 2)[1], encoding="utf-8")
+    lines = [line for line in block.splitlines() if line.startswith("nctori ")]
+    assert len(lines) == 13
+    for line in lines:
+        command, _, comment = line.partition("#")
+        argv = [str(matrix) if w == "matrix.txt" else w for w in shlex.split(command)[1:]]
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (line, err)
+        if comment.strip().startswith("->"):
+            expected = re.sub(r"\s*\(.*\)$", "", comment.strip()[2:].strip())
+            assert out.startswith(expected), (line, out)

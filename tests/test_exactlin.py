@@ -187,6 +187,14 @@ def test_matrix_arithmetic_and_pow():
     assert a.transpose() == Matrix([[1, 0], [1, 1]])
 
 
+def test_transpose_swaps_the_shape_and_is_an_involution():
+    for nrows, ncols in ((0, 3), (3, 0), (0, 0), (2, 5)):
+        m = Matrix.zero(nrows, ncols) if 0 in (nrows, ncols) else Matrix([range(k, k + ncols) for k in range(nrows)])
+        t = m.transpose()
+        assert (t.nrows, t.ncols) == (ncols, nrows), (nrows, ncols)
+        assert t.transpose() == m, (nrows, ncols)
+
+
 def test_matrix_fields_refuse_assignment_and_deletion():
     m = Matrix([[1, 2], [3, 4]])
     with pytest.raises(AttributeError, match="cannot assign to field 'rows'"):
