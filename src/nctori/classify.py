@@ -87,37 +87,21 @@ class Realization(Record):
 
 
 class Verdict(Record):
-    """Classification outcome for one (dimension, group) query."""
+    """Classification outcome for one (dimension, group) query.  The four
+    flags follow from the rest: the group fits unless W > d, a simple action
+    (hence AT) exists exactly when the reason is ``exists``, and the
+    divergence is the two AF predicates disagreeing."""
 
     __slots__ = ("d", "input_label", "realizable_in_gl_d", "simple_action_exists", "reason", "w", "realization", "k",
                  "is_at", "is_af_computed", "is_af_paper_predicate", "divergence_flag")
 
-    def __init__(self, d: int, input_label: str, realizable_in_gl_d: bool, simple_action_exists: bool, reason: str,
-                 w: int, realization: Realization | None, k: GradedRank | None, is_at: bool, is_af_computed: bool,
-                 is_af_paper_predicate: bool, divergence_flag: bool):
-        self.d, self.input_label, self.realizable_in_gl_d = d, input_label, realizable_in_gl_d
-        self.simple_action_exists, self.reason, self.w = simple_action_exists, reason, w
-        self.realization, self.k, self.is_at = realization, k, is_at
+    def __init__(self, d: int, input_label: str, w: int, reason: str, realization: Realization | None = None,
+                 k: GradedRank | None = None, is_af_computed: bool = False, is_af_paper_predicate: bool = False):
+        self.d, self.input_label, self.realizable_in_gl_d = d, input_label, reason != W_TOO_BIG
+        self.simple_action_exists, self.reason, self.w = reason == EXISTS, reason, w
+        self.realization, self.k, self.is_at = realization, k, reason == EXISTS
         self.is_af_computed, self.is_af_paper_predicate = is_af_computed, is_af_paper_predicate
-        self.divergence_flag = divergence_flag
-
-
-def _verdict(d, label, w, reason, realization=None, k=None, af_computed=False, paper_flag=False) -> Verdict:
-    exists = reason == EXISTS
-    return Verdict(
-        d=d,
-        input_label=label,
-        realizable_in_gl_d=reason != W_TOO_BIG,
-        simple_action_exists=exists,
-        reason=reason,
-        w=w,
-        realization=realization,
-        k=k,
-        is_at=exists,
-        is_af_computed=af_computed,
-        is_af_paper_predicate=paper_flag,
-        divergence_flag=af_computed != paper_flag,
-    )
+        self.divergence_flag = is_af_computed != is_af_paper_predicate
 
 
 def _best_blocks(n: int) -> tuple[Block, ...]:
@@ -158,17 +142,17 @@ def _classify(d: int, label: str, w: int, parts: tuple[int, ...], free_rank: int
     (the gap-one case lands on a form that is zero in one coordinate, with
     the free part restoring simplicity one dimension up)."""
     if w > d:
-        return _verdict(d, label, w, W_TOO_BIG)
+        return Verdict(d, label, w, W_TOO_BIG)
     gap = d - w
     resolved = [_part(n_l) for n_l in parts]
     blocks = tuple(b for part_blocks, _ in resolved for b in part_blocks)
     realization = Realization(blocks + ((Identity(gap),) if gap else ()), lcm(*parts, 1))
     if gap == 1 and not free_rank:
-        return _verdict(d, label, w, GAP_ONE, realization)
+        return Verdict(d, label, w, GAP_ONE, realization)
     k = kunneth_all(itertools.chain(*(factors for _, factors in resolved), [torus_k(gap + free_rank)]))
     af_computed = not free_rank and k.k1 == exact(0)
     paper_flag = not free_rank and gap == 0 and all(af_paper(n_l) for n_l in parts)
-    return _verdict(d, label, w, EXISTS, realization, k, af_computed, paper_flag)
+    return Verdict(d, label, w, EXISTS, realization, k, af_computed, paper_flag)
 
 
 def classify_cyclic(d: int, n: int) -> Verdict:
@@ -190,9 +174,9 @@ def classify_cyclic(d: int, n: int) -> Verdict:
         # the closed-form predicate never holds, in any dimension.
         flip = Realization((Cyclotomic(2),) * d, 2)
         if d == 1:
-            return _verdict(d, label, w, GAP_ONE, flip)
-        k = GradedRank(at_least(1), exact(s1(flip.blocks)))
-        return _verdict(d, label, w, EXISTS, flip, k, k.k1 == exact(0))
+            return Verdict(d, label, w, GAP_ONE, flip)
+        # K_1 = s1 = 0 in every d: Lambda^m(-I) = (-1)^m I fixes no vector of odd degree m.
+        return Verdict(d, label, w, EXISTS, flip, GradedRank(at_least(1), exact(0)), True)
     return _classify(d, label, w, (n,), 0)
 
 
@@ -240,12 +224,14 @@ class ActionReport(Record):
     __slots__ = ("dim", "order", "free", "blocks", "oracle_ranks", "spectrum_ranks", "s1", "s1_note", "k1",
                  "invariant_space_dim", "theta_exists")
 
-    def __init__(self, dim: int, order: int, free: bool, blocks: BlockSpec, oracle_ranks: tuple[int, ...] | None,
-                 spectrum_ranks: tuple[int, ...], s1: int | None, s1_note: str | None, k1: RankInfo | None,
-                 invariant_space_dim: int, theta_exists: bool):
-        self.dim, self.order, self.free, self.blocks = dim, order, free, blocks
-        self.oracle_ranks, self.spectrum_ranks, self.s1, self.s1_note = oracle_ranks, spectrum_ranks, s1, s1_note
-        self.k1, self.invariant_space_dim, self.theta_exists = k1, invariant_space_dim, theta_exists
+    def __init__(self, dim: int, order: int, blocks: BlockSpec, oracle_ranks: tuple[int, ...] | None):
+        self.dim, self.order, self.free, self.blocks = dim, order, spec_free(blocks), blocks
+        self.oracle_ranks, self.spectrum_ranks = oracle_ranks, invariant_ranks(blocks)
+        self.s1 = sum(self.spectrum_ranks[1::2]) if self.free else None
+        self.s1_note = None if self.free else "s1 unavailable: action is not free outside the origin"
+        self.k1 = None if self.s1 is None else exact(self.s1)
+        self.invariant_space_dim = self.spectrum_ranks[2] if dim > 1 else 0
+        self.theta_exists = spec_nondegenerate(blocks)
 
 
 def analyze_action(a: Matrix) -> ActionReport:
@@ -259,7 +245,8 @@ def analyze_action(a: Matrix) -> ActionReport:
     the same ranks by Molien's formula on the matrix itself
     (``invariant_ranks_molien``, from the traces of its powers), an
     independent check that shares no code with the spectrum route.  The K_1
-    rank is given when the freeness hypothesis holds.
+    rank, the odd sum of the ranks, is given when the freeness hypothesis
+    holds.
     """
     if not a.is_square or a.nrows == 0:
         raise ValueError("analyze_action requires a nonempty square matrix")
@@ -267,23 +254,8 @@ def analyze_action(a: Matrix) -> ActionReport:
     blocks = recognize_blocks(a)
     if blocks is None:
         raise ValueError(f"matrix has no finite order at dimension {d}")
-    free = spec_free(blocks)
     order = spec_order(blocks)
-    spectrum_ranks = invariant_ranks(blocks)
-    s1_value = s1(blocks) if free else None
-    return ActionReport(
-        dim=d,
-        order=order,
-        free=free,
-        blocks=blocks,
-        oracle_ranks=invariant_ranks_molien(a, order) if d <= ORACLE_MAX_DIM else None,
-        spectrum_ranks=spectrum_ranks,
-        s1=s1_value,
-        s1_note=None if free else "s1 unavailable: action is not free outside the origin",
-        k1=None if s1_value is None else exact(s1_value),
-        invariant_space_dim=spectrum_ranks[2] if d > 1 else 0,
-        theta_exists=spec_nondegenerate(blocks),
-    )
+    return ActionReport(d, order, blocks, invariant_ranks_molien(a, order) if d <= ORACLE_MAX_DIM else None)
 
 
 # -- JSON rendering -----------------------------------------------------------

@@ -380,9 +380,21 @@ def _parse(words: list[str]):
 
 
 def main(argv=None) -> int:
-    """Run one command.  Words in the shape ``_read_plain`` reads skip
-    argparse; all others go to it, with its own help and messages."""
+    """Run one command.  A reader that closes stdout early gets exit code 1
+    and no traceback: what is left of the output goes to os.devnull."""
     words = sys.argv[1:] if argv is None else list(argv)
+    try:
+        code = _run(words)
+        sys.stdout.flush()  # so a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader left early: Python's "Note on SIGPIPE"
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _run(words: list[str]) -> int:
+    """Words in the shape ``_read_plain`` reads skip argparse; all others go
+    to it, with its own help and messages."""
     args = None
     try:
         args = _read_plain(words)

@@ -258,6 +258,16 @@ def test_classify_flip_at_dimension_5000(capsys):
     assert elapsed < 1
 
 
+def test_classify_flip_at_the_rank_limit_computes_no_ranks(capsys):
+    # -I_d fixes no vector of odd degree, so K_1 = 0 is written down, not
+    # summed from the ranks of MAX_RANK_DIM sign blocks
+    invariant_ranks.cache_clear()
+    code, out, _ = run(capsys, "classify", str(MAX_RANK_DIM), "2", "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["k1"] == {"kind": "exact", "value": 0} and payload["AF_computed"]
+    assert invariant_ranks.cache_info().currsize == 0
+
+
 def test_rank_dimension_limit(capsys, monkeypatch):
     limit = MAX_RANK_DIM
     over = [
@@ -776,6 +786,22 @@ def test_module_run_as_a_script_exits_with_the_code_of_main(capsys):
         )
         assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv), argv
         assert done.returncode == code, argv
+
+
+def test_closed_output_pipe_exits_1_without_a_traceback():
+    # the read end is closed before the child starts: the table (about 115 KB)
+    # fails while printing, the few bytes of a verdict at the final flush
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+    for argv in (["table", "--dmax", "12"], ["classify", "6", "9"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "nctori.cli", *argv], stdout=write_end, stderr=subprocess.PIPE, timeout=60, env=env
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, b""), argv
 
 
 def test_theta_json_on_repeated_blocks_is_unchanged(tmp_path, capsys, unimodular_pair):
