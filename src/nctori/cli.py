@@ -90,7 +90,9 @@ def read_matrix_file(path: str) -> Matrix:
     except ValueError as exc:
         raise CliParseError(f"{path}: non-integer token ({exc})") from exc
     d = values[0]
-    if d < 1 or len(values) != 1 + d * d:
+    if d < 1:
+        raise CliParseError(f"{path}: dimension must be at least 1, got {d}")
+    if len(values) != 1 + d * d:
         raise CliParseError(f"{path}: expected {d} x {d} entries after the dimension line")
     return Matrix((values[i * d + 1 : (i + 1) * d + 1] for i in range(d)), d)
 
@@ -359,6 +361,8 @@ def _dispatch(args) -> int:
     elif args.command == "table":
         if args.dmax < 1:
             raise ValueError("--dmax must be at least 1")
+        if args.nmax is not None and args.nmax < 2:
+            raise ValueError(f"--nmax must be at least 2, got {args.nmax}")
         nmax = args.nmax if args.nmax is not None else _default_nmax(args.dmax)
         _check_table_size(args.dmax, nmax)
         if args.json:

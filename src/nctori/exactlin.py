@@ -7,9 +7,10 @@ normalization (rational input is first scaled to integers by the lcm of its
 denominators, ``_scaled_int_rows``), and a compound matrix comes from a
 Laplace sweep over only the rows its degree reaches.  Finite order is
 decided on the characteristic polynomial modulo one word-sized Mersenne
-prime above ``totient_bound(d)``, taken by Hessenberg reduction, factored
-on its half-degree trace polynomial (``arith.cyclotomic_factors``), and
-certified over Z by one Horner pass from the reduction's restart seeds
+prime above ``totient_bound(d)``, taken by Krylov chains on packed lanes
+(by the recurrence of an upper Hessenberg matrix when the input is one),
+factored on its half-degree trace polynomial (``arith.cyclotomic_factors``),
+and certified over Z by one Horner pass from the chains' seeds
 (``cyclotomic_type``).  All pure, thread-safe.
 """
 
@@ -19,6 +20,7 @@ import itertools
 import operator
 import sys
 from math import gcd, lcm
+from struct import pack, unpack
 
 from .arith import IntPolynomial, cyclotomic, cyclotomic_factors, poly_mul, totient_bound
 from .record import Frozen, set_field
@@ -117,48 +119,22 @@ _MERSENNE_EXPONENTS = (19, 31, 61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 321
 
 def _hessenberg_charpoly(h: list[list[int]], e: int) -> tuple[list[int], list[int]]:
     """det(x I - h) modulo the Mersenne prime p = 2^e - 1, ascending
-    residues in [0, p), and the restart seeds.
+    residues in [0, p), and seeds whose Krylov spaces under h span F_p^d.
 
-    ``h`` (entries already reduced) is brought to upper Hessenberg form
-    H = T^-1 h T in place by similarities (a row swap with the matching
-    column swap to a nonzero pivot, then row eliminations below the
-    subdiagonal, each undone on the columns), and the polynomials p_m of the
-    leading m x m blocks of H follow from
+    ``h`` (entries already reduced) that is not upper Hessenberg goes to
+    ``_krylov_charpoly``.  For an upper Hessenberg H the polynomials p_m of
+    the leading m x m blocks follow from
 
-        p_(m+1) = (x - h_mm) p_m - sum_(i<m) h_im h_(i+1,i) ... h_(m,m-1) p_i,
+        p_(m+1) = (x - h_mm) p_m - sum_(i<m) h_im h_(i+1,i) ... h_(m,m-1) p_i
 
-    O(d^3) operations in all (Cohen, A Course in Computational Algebraic
-    Number Theory, Alg. 2.2.9).  The seeds are the s with T e_m = e_s for
-    m = 0 and each m with H[m][m - 1] = 0: step k permutes columns k.. of T,
-    then adds later ones to column k, and does neither when it finds no
-    pivot, exactly when H[k][k - 1] ends at 0.  Modulo the blocks before it,
-    each unreduced diagonal block of H is spanned by the Krylov chain of its
-    first vector, so the seeds' Krylov spaces under h span F_p^d."""
-    p = (1 << e) - 1
+    (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9),
+    and the seeds are 0 and each m with H[m][m - 1] = 0: modulo the blocks
+    before it, each unreduced diagonal block of H is spanned by the Krylov
+    chain of its first unit vector."""
     d = len(h)
-    perm = list(range(d))
-    for m in range(1, d - 1):
-        piv = next((i for i in range(m, d) if h[i][m - 1]), None)
-        if piv is None:
-            continue
-        if piv != m:
-            h[m], h[piv] = h[piv], h[m]
-            perm[m], perm[piv] = perm[piv], perm[m]
-            for row in h:
-                row[m], row[piv] = row[piv], row[m]
-        hm = h[m]
-        inv = pow(hm[m - 1], -1, p)
-        # row i -= u_i row m for each i > m, then column m += sum u_i column i
-        # (the column updates commute, so they are summed and reduced once)
-        us = []
-        for i in range(m + 1, d):
-            u = h[i][m - 1] * inv % p
-            if u:
-                h[i][m - 1 :] = [(x - u * y) % p for x, y in zip(h[i][m - 1 :], hm[m - 1 :])]
-                us.append((i, u))
-        if us:
-            for row in h:
-                row[m] = (row[m] + sum(u * row[i] for i, u in us)) % p
+    if any(any(h[i][: i - 1]) for i in range(2, d)):
+        return _krylov_charpoly(h, e)
+    p = (1 << e) - 1
     polys = [[1]]
     for m in range(d):
         prev = polys[m]
@@ -173,7 +149,81 @@ def _hessenberg_charpoly(h: list[list[int]], e: int) -> tuple[list[int], list[in
             if f:
                 new[: i + 1] = [(x - f * y) % p for x, y in zip(new, polys[i])]
         polys.append(new)
-    return polys[d], [perm[m] for m in range(d) if m == 0 or not h[m][m - 1]]
+    return polys[d], [m for m in range(d) if m == 0 or not h[m][m - 1]]
+
+
+def _krylov_charpoly(h: list[list[int]], e: int) -> tuple[list[int], list[int]]:
+    """det(x I - h) modulo p = 2^e - 1 and the seeds, by Krylov chains with
+    restarts (Keller-Gehrig, Theoret. Comput. Sci. 36, 1985).
+
+    A chain starts at e_s, s the lowest index that is not yet a pivot, and
+    runs v = h^k e_s until v reduces to 0 against the echelon rows so far.
+    Each vector is one integer of ``width``-bit lanes: lane i < d holds
+    entry i, lanes d..2d its chain coordinates (x^k for h^k e_s), and each
+    row, scaled to -1 mod p at its pivot lane, costs one multiply-add.  Rows
+    of earlier chains lose their coordinates, so coordinates c always give
+    c(h) e_s = the vector lanes modulo the earlier chains, which span an
+    h-invariant space.  At 0, c is the chain's polynomial, h acts on the
+    chain modulo that space as companion(c), and chi is the product over the
+    chains.
+
+    Lanes stay at most 2 d p^2 < 2^width, one 64-bit word at e = 19.  The
+    lane-wise Mersenne fold (x & lo) + ((x >> e) & hi) keeps each residue;
+    two bring a lane below 2^e + 2d, and a third, on x plus 1 in each lane,
+    leaves the residue plus 1 in [1, p], as 2d < p."""
+    p = (1 << e) - 1
+    d = len(h)
+    width = 64 * -(-(2 * e + d.bit_length() + 2) // 64)
+    size = width // 8
+    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * (2 * d + 1), "little")
+    lo = ones * p
+    hi = ones * ((1 << (width - e)) - 1)
+    lane = (1 << width) - 1
+    vector = (1 << (width * d)) - 1
+    if size == 8:  # one word a lane, packed by struct
+        cols = [int.from_bytes(pack(f"<{d}Q", *col), "little") for col in zip(*h)]
+
+        def lanes(x, n):
+            return unpack(f"<{n}Q", x.to_bytes(8 * n, "little"))
+
+    else:
+        cols = [sum(x << (width * i) for i, x in enumerate(col)) for col in zip(*h)]
+
+        def lanes(x, n):
+            return [x >> (width * i) & lane for i in range(n)]
+
+    rows: list[tuple[int, int]] = []  # (shift of the pivot lane, packed row)
+    poly, seeds = [1], []
+    while len(rows) < d:
+        pivots = {shift for shift, _ in rows}
+        s = next(i for i in range(d) if i * width not in pivots)
+        seeds.append(s)
+        start = len(rows)
+        v = [0] * d
+        v[s] = 1
+        y = 1 << (width * s)
+        for k in range(d + 1):
+            x = y + (1 << (width * (d + k)))
+            for shift, row in rows:
+                c = (x >> shift & lane) % p
+                if c:
+                    x += c * row
+            x = (x & lo) + ((x >> e) & hi)
+            x = (x & lo) + ((x >> e) & hi) + ones
+            x = (x & lo) + ((x >> e) & hi) - ones
+            low = x & vector
+            if not low:
+                break
+            shift = (low & -low).bit_length() - 1
+            shift -= shift % width
+            x *= pow(-(x >> shift & lane), -1, p)
+            x = (x & lo) + ((x >> e) & hi)
+            rows.append((shift, (x & lo) + ((x >> e) & hi)))
+            y = sum(map(operator.mul, v, cols))
+            v = [c % p for c in lanes(y, d)]
+        poly = [c % p for c in poly_mul(poly, lanes(x >> (width * d), k + 1))]
+        rows[start:] = [(shift, row & vector) for shift, row in rows[start:]]
+    return poly, seeds
 
 
 def _shift_diag(m: Matrix, c) -> Matrix:
@@ -185,7 +235,9 @@ def _shift_diag(m: Matrix, c) -> Matrix:
 
 def _cyclotomic_lift(a: Matrix):
     """(ns, seeds, rows of D a, D) of step 1 of ``cyclotomic_type``; None when
-    it proves infinite order.  The n are read by ``arith.cyclotomic_factors``."""
+    it proves infinite order.  One pass of ``_hessenberg_charpoly`` gives the
+    residues and the seeds, whose Krylov spaces span F_p^d; the n are read
+    by ``arith.cyclotomic_factors``."""
     if not a.is_square:
         raise ValueError("cyclotomic_type requires a square matrix")
     d = a.nrows
@@ -251,7 +303,8 @@ def cyclotomic_type(a: Matrix) -> tuple[int, ...] | None:
     coefficient of x^k is c_k(D a) = D^(d - k) c_k(a).  A finite-order ``a``
     has |tr a|, |tr a^2| <= d and chi = prod Phi_n, so x^d chi(1/x) = +-chi(x).
 
-    1. Lift (``_cyclotomic_lift``): det(x I - D a) by Hessenberg reduction
+    1. Lift (``_cyclotomic_lift``): det(x I - D a) by Krylov chains with
+       restarts (the p_m recurrence when D a is already upper Hessenberg)
        modulo p = 2^e - 1, the least listed Mersenne prime above
        ``totient_bound(d)`` that does not divide D, with the coefficient of
        x^k multiplied by D^-(d - k) mod p; then Phi_1 and Phi_2 divided out
@@ -263,14 +316,14 @@ def cyclotomic_type(a: Matrix) -> tuple[int, ...] | None:
     2. Certificate: with q = prod Phi_n over the distinct n of the lift and
        q~_k = D^(deg q - k) q_k, so that q~(D a) = D^(deg q) q(a), Horner's
        rule on x = sum_t X^t e_S[t] must end at exactly 0 over Z, the S[t]
-       being the restart seeds of the Hessenberg reduction.  X = 2^w with
+       being the seeds of the lift, the starts of its chains.  X = 2^w with
        2^(w - 1) above every entry of each q~(D a) e_S[t], so an entry of
        q~(D a) x is zero only when each of its base-X digits is.
 
     Proof: ker q(a) is a-invariant, so step 2 puts the seeds' Krylov spaces,
-    which span F_p^d and so Q^d, in it: q(a) = 0, ``a`` is semisimple with
-    roots of unity as eigenvalues, and chi = prod Phi_n^f_n over Z for the
-    n of the lift.  Every n tried is below p, so modulo p the Phi_n are
+    which span F_p^d (the lift's chains fill it) and so Q^d, in it:
+    q(a) = 0, ``a`` is semisimple with roots of unity as eigenvalues, and
+    chi = prod Phi_n^f_n over Z for the n of the lift.  Every n tried is below p, so modulo p the Phi_n are
     squarefree and pairwise coprime, and reducing chi forces each f_n to be
     the multiplicity of the lift, read on G: a g = prod Phi_n, n >= 3, is
     palindromic of degree 2s, Phi_n | g iff Psi_n | G (G -> x^s G(x + 1/x)

@@ -201,7 +201,7 @@ def test_theta_json_on_dense_conjugate_matches_direct_solve(
 
 
 def _count_hessenberg_passes(monkeypatch):
-    """Record (rows, e) for every Hessenberg reduction."""
+    """Record (rows, e) for every pass of the lift modulo 2^e - 1."""
     calls = []
     hessenberg = exactlin._hessenberg_charpoly
     monkeypatch.setattr(exactlin, "_hessenberg_charpoly", lambda h, e: calls.append(([row[:] for row in h], e)) or hessenberg(h, e))
@@ -418,6 +418,26 @@ def test_matrix_file_errors(tmp_path, capsys):
     assert code == 1 and "expected" in err
     code, _, err = run(capsys, "analyze", str(tmp_path / "missing.txt"))
     assert code == 1
+    # a dimension line below 1 is named as such
+    for d in (0, -2):
+        bad.write_text(f"{d}\n")
+        code, _, err = run(capsys, "analyze", str(bad))
+        assert code == 1 and err == f"error: {bad}: dimension must be at least 1, got {d}\n"
+        code, out, _ = run(capsys, "theta", str(bad), "--json")
+        assert code == 1 and json.loads(out) == {"error": f"{bad}: dimension must be at least 1, got {d}"}
+
+
+def test_table_refuses_an_order_range_below_two(capsys):
+    # --nmax 1 or less would leave no orders: refused like --dmax 0, not a bare header
+    for nmax in ("1", "-5"):
+        code, out, err = run(capsys, "table", "--dmax", "3", "--nmax", nmax)
+        assert code == 2 and out == "" and err == f"error: --nmax must be at least 2, got {nmax}\n"
+        code, out, _ = run(capsys, "table", "--dmax", "3", "--nmax", nmax, "--json")
+        assert code == 2 and "--nmax" in json.loads(out)["error"]
+    code, _, err = run(capsys, "table", "--dmax", "0")
+    assert code == 2 and "--dmax" in err
+    code, out, _ = run(capsys, "table", "--dmax", "3", "--nmax", "2", "--json")
+    assert code == 0 and len(json.loads(out)) == 3
 
 
 def test_exit_codes(capsys):

@@ -11,6 +11,7 @@ from nctori import exactlin
 from nctori.arith import _trace_terms, cyclotomic, cyclotomic_factors, poly_mul, totient, totient_bound, trace_form
 from nctori.exactlin import (
     _MERSENNE_EXPONENTS,
+    _components,
     _cyclotomic_lift,
     _hessenberg_charpoly,
     _horner,
@@ -285,8 +286,8 @@ def test_matrix_validation():
 
 def _faddeev_leverrier(a):
     """det(x I - a) by Faddeev-LeVerrier, a reference independent of the
-    Hessenberg reduction: M_1 = I, c_(d-k) = -tr(a M_k) / k,
-    M_(k+1) = a M_k + c_(d-k) I."""
+    lift's Krylov chains and Hessenberg recurrence: M_1 = I,
+    c_(d-k) = -tr(a M_k) / k, M_(k+1) = a M_k + c_(d-k) I."""
     d = a.nrows
     coeffs = [0] * d + [1]
     m = Matrix.identity(d)
@@ -301,7 +302,11 @@ def _faddeev_leverrier(a):
 def test_charpoly_matches_independent_references():
     rng = random.Random(2022)
     hyperbolic = Matrix([[2, 1], [1, 1]])
-    cases = []
+    # dense at d = 30: one support component, far from upper Hessenberg
+    wide = random.Random(30)
+    dense = Matrix([[wide.randint(-9, 9) for _ in range(30)] for _ in range(30)])
+    assert len(_components(dense)) == 1 and any(any(dense.rows[i][: i - 1]) for i in range(2, 30))
+    cases = [dense]
     for d in range(1, 15):
         perm = rng.sample(range(d), d)
         cases += [
@@ -336,8 +341,8 @@ def test_charpoly_matches_independent_references():
 
 
 def test_charpoly_takes_no_matrix_products(monkeypatch, unimodular_pair):
-    # Hessenberg reduction works on rows in place; Faddeev-LeVerrier would
-    # need d - 1 products
+    # the Krylov chains take one packed matrix-vector product per vector;
+    # Faddeev-LeVerrier would need d - 1 matrix products
     block = realize(parse_block_spec("C9+C7+C5+I2"))
     p, q = unimodular_pair(random.Random(18), block.nrows, 3 * block.nrows)
     a = p @ block @ q
@@ -529,8 +534,9 @@ def _random_spec(rng, d):
 
 
 def test_seed_krylov_chains_have_rank_d(unimodular_pair):
-    # each seed's chain, as long as its unreduced diagonal block of H, with
-    # rank d over Q: the seeds' Krylov spaces span Q^d
+    # each seed's integer chain, taken for as long as it raises the rank over
+    # Q, adds at least one vector, and together they reach rank d: the
+    # seeds' Krylov spaces span Q^d
     rng = random.Random(300)
     restarted = 0
     for t in range(300):
@@ -540,17 +546,17 @@ def test_seed_krylov_chains_have_rank_d(unimodular_pair):
             p, q = unimodular_pair(rng, d, 3 * d)
             a = p @ a @ q
         e = _route_exponent(d)
-        h = [[x % ((1 << e) - 1) for x in row] for row in a.rows]
-        _, seeds = _hessenberg_charpoly(h, e)
+        _, seeds = _hessenberg_charpoly([[x % ((1 << e) - 1) for x in row] for row in a.rows], e)
         assert seeds == _cyclotomic_lift(a)[1], a
-        starts = [m for m in range(d) if m == 0 or not h[m][m - 1]]
-        assert len(starts) == len(seeds) and seeds[0] == 0, a
+        assert seeds[0] == 0, a
         chains = []
-        for s, start, end in zip(seeds, starts, starts[1:] + [d]):
+        for s in seeds:
             v = tuple(int(i == s) for i in range(d))
-            for _ in range(end - start):
+            before = len(chains)
+            while rank(Matrix(chains + [v], ncols=d)) > len(chains):
                 chains.append(v)
                 v = tuple(sum(map(mul, row, v)) for row in a.rows)
+            assert len(chains) > before, (a, s)
         assert len(chains) == d and rank(Matrix(chains)) == d, a
         restarted += len(seeds) > 1
     assert restarted > 200
@@ -706,6 +712,14 @@ def test_lift_passes_over_a_prime_dividing_the_denominators(monkeypatch, unimodu
     assert scale % (2**19 - 1) == 0
     assert cyclotomic_type(rational) == cyclotomic_type(block) == (1, 1, 7, 9)
     assert exponents == [31, 19]
+    # with 2^31 - 1 in D as well, it takes 2^61 - 1, on lanes of 192 bits
+    diag[1] = Fraction(1, 2**31 - 1)
+    rational = p @ _diag(diag) @ block @ _diag([1 / x for x in diag]) @ q
+    scale = lcm(*(x.denominator for row in rational.rows for x in row if type(x) is not int))
+    assert scale % (2**19 - 1) == scale % (2**31 - 1) == 0
+    exponents.clear()
+    assert cyclotomic_type(rational) == (1, 1, 7, 9)
+    assert exponents == [61]
 
 
 def test_lanes_are_wide_enough_to_keep_seeds_apart():
