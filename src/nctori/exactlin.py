@@ -10,7 +10,8 @@ decided on the characteristic polynomial modulo one word-sized Mersenne
 prime above ``totient_bound(d)``, taken by Krylov chains on packed lanes
 (by the recurrence of an upper Hessenberg matrix when the input is one),
 factored on its half-degree trace polynomial (``arith.cyclotomic_factors``),
-and certified over Z by one Horner pass from the chains' seeds
+and certified over Z on the chains' own integer vectors, or by one Horner
+pass from their seeds when the chains did not stay in 64-bit lanes
 (``cyclotomic_type``).  All pure, thread-safe.
 """
 
@@ -117,13 +118,14 @@ def companion(p: IntPolynomial) -> Matrix:
 _MERSENNE_EXPONENTS = (19, 31, 61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941, 11213, 19937)
 
 
-def _hessenberg_charpoly(h: list[list[int]], e: int) -> tuple[list[int], list[int]]:
+def _hessenberg_charpoly(h, e: int) -> tuple[list[int], list[int], tuple | None]:
     """det(x I - h) modulo the Mersenne prime p = 2^e - 1, ascending
-    residues in [0, p), and seeds whose Krylov spaces under h span F_p^d.
+    residues in [0, p), seeds whose Krylov spaces under h span F_p^d, and
+    the seeds' integer chains (``_krylov_charpoly``; None here).
 
-    ``h`` (entries already reduced) that is not upper Hessenberg goes to
-    ``_krylov_charpoly``.  For an upper Hessenberg H the polynomials p_m of
-    the leading m x m blocks follow from
+    Integer ``h`` that is not upper Hessenberg goes to ``_krylov_charpoly``.
+    For an upper Hessenberg H the polynomials p_m of the leading m x m
+    blocks follow from
 
         p_(m+1) = (x - h_mm) p_m - sum_(i<m) h_im h_(i+1,i) ... h_(m,m-1) p_i
 
@@ -135,6 +137,7 @@ def _hessenberg_charpoly(h: list[list[int]], e: int) -> tuple[list[int], list[in
     if any(any(h[i][: i - 1]) for i in range(2, d)):
         return _krylov_charpoly(h, e)
     p = (1 << e) - 1
+    h = [[x % p for x in row] for row in h]
     polys = [[1]]
     for m in range(d):
         prev = polys[m]
@@ -149,31 +152,71 @@ def _hessenberg_charpoly(h: list[list[int]], e: int) -> tuple[list[int], list[in
             if f:
                 new[: i + 1] = [(x - f * y) % p for x, y in zip(new, polys[i])]
         polys.append(new)
-    return polys[d], [m for m in range(d) if m == 0 or not h[m][m - 1]]
+    return polys[d], [m for m in range(d) if m == 0 or not h[m][m - 1]], None
 
 
-def _krylov_charpoly(h: list[list[int]], e: int) -> tuple[list[int], list[int]]:
+# Largest estimated work of the Krylov pass in ``_krylov_charpoly``, in 64-bit
+# word products: d^2 multiply-adds of (2d + 1)-lane integers (lanes of
+# ``width`` bits) plus d^2 entries of at most ``rho`` bits reduced modulo p.
+# On a 2-core Xeon VM (CPython 3.11) the d = 308 conjugate of C307+C3 (entries
+# up to 40) is 5.9e7 and takes 0.7 s, that of C601 (d = 600) 4.3e8 and 3.7 s;
+# the limit is near d = 790 at e = 19.
+MAX_LIFT_WORK = 1_000_000_000
+
+
+def _lane_masks(d: int, t: int) -> tuple[int, int]:
+    """(plus, over) such that (y + plus) & over is 0 exactly when each of the
+    d signed 64-bit lanes w_i of y = sum_i w_i 2^(64 i), |w_i| < 2^63, has
+    |w_i| < 2^t (0 < t < 63): then each lane of y + plus is w_i + 2^t, in
+    [0, 2^(t + 1)), and none borrows from the next."""
+    ones = int.from_bytes((b"\x01" + bytes(7)) * d, "little")
+    return ones << t, (ones << 64) - (ones << (t + 1))
+
+
+def _krylov_charpoly(h, e: int, exact: bool = True) -> tuple[list[int], list[int], tuple | None]:
     """det(x I - h) modulo p = 2^e - 1 and the seeds, by Krylov chains with
-    restarts (Keller-Gehrig, Theoret. Comput. Sci. 36, 1985).
+    restarts (Keller-Gehrig, Theoret. Comput. Sci. 36, 1985), and the chains
+    over Z while they stay in 64-bit lanes.
 
     A chain starts at e_s, s the lowest index that is not yet a pivot, and
     runs v = h^k e_s until v reduces to 0 against the echelon rows so far.
-    Each vector is one integer of ``width``-bit lanes: lane i < d holds
-    entry i, lanes d..2d its chain coordinates (x^k for h^k e_s), and each
-    row, scaled to -1 mod p at its pivot lane, costs one multiply-add.  Rows
-    of earlier chains lose their coordinates, so coordinates c always give
-    c(h) e_s = the vector lanes modulo the earlier chains, which span an
+    The vectors are the exact h^k e_s, each one packed product
+    sum_j v_j col_j with the columns of h in signed 64-bit lanes, whatever
+    ``width``; |v_i| < 2^t, t = 62 - bit_length(rho), rho the largest row
+    sum of |h|, keeps the product's lanes below 2^62 (``_lane_masks``), and
+    a vector past it restarts the pass on residues, as when rho >= 2^61.
+
+    The echelon rows are integers of ``width``-bit lanes: lane i < d holds
+    entry i mod p, lanes d..2d the chain coordinates (x^k for h^k e_s), and
+    each row, scaled to -1 mod p at its pivot lane, costs one multiply-add.
+    Rows of earlier chains lose their coordinates, so coordinates c always
+    give c(h) e_s = the vector lanes modulo the earlier chains, which span an
     h-invariant space.  At 0, c is the chain's polynomial, h acts on the
     chain modulo that space as companion(c), and chi is the product over the
-    chains.
+    chains.  An exact vector enters, on lanes of 64 bits (e = 19), as its
+    lanes plus the least multiple of p from 2^62 on, folded once by the
+    lane-wise Mersenne fold (x & lo) + ((x >> e) & hi), which keeps each
+    residue: below 2^e + 2^(64 - e).  On wider lanes it enters as its
+    residues, and on residues as the product's lanes, below d p^2.  Lanes
+    stay below 2^(64 - e) + 2 d p^2 < 2^width; two folds bring a lane below
+    2^e + 2d + 2^8, and a third, on x plus 1 in each lane, leaves the residue
+    plus 1 in [1, p], as 2d + 2^8 < p.
 
-    Lanes stay at most 2 d p^2 < 2^width, one 64-bit word at e = 19.  The
-    lane-wise Mersenne fold (x & lo) + ((x >> e) & hi) keeps each residue;
-    two bring a lane below 2^e + 2d, and a third, on x plus 1 in each lane,
-    leaves the residue plus 1 in [1, p], as 2d < p."""
+    The third value is None on residues, else (step, chains), a chain being
+    (its packed vectors, the last one unpacked) and step(y, v) the next
+    packed and unpacked vector, None when v (packed y) is past the bound,
+    for ``cyclotomic_type`` to certify on.  Past ``MAX_LIFT_WORK`` the pass
+    is refused before it starts."""
     p = (1 << e) - 1
     d = len(h)
     width = 64 * -(-(2 * e + d.bit_length() + 2) // 64)
+    rho = max(sum(map(abs, row)) for row in h)
+    work = d * d * ((2 * d + 1) * width // 64 + -(-rho.bit_length() // 64))
+    if work > MAX_LIFT_WORK:
+        raise ValueError(
+            f"the characteristic polynomial of this {d} x {d} matrix needs about {work} "
+            f"word products, past the limit MAX_LIFT_WORK = {MAX_LIFT_WORK}"
+        )
     size = width // 8
     ones = int.from_bytes((b"\x01" + bytes(size - 1)) * (2 * d + 1), "little")
     lo = ones * p
@@ -181,19 +224,40 @@ def _krylov_charpoly(h: list[list[int]], e: int) -> tuple[list[int], list[int]]:
     lane = (1 << width) - 1
     vector = (1 << (width * d)) - 1
     if size == 8:  # one word a lane, packed by struct
-        cols = [int.from_bytes(pack(f"<{d}Q", *col), "little") for col in zip(*h)]
+
+        def packed(v):
+            return int.from_bytes(pack(f"<{d}Q", *v), "little")
 
         def lanes(x, n):
             return unpack(f"<{n}Q", x.to_bytes(8 * n, "little"))
 
     else:
-        cols = [sum(x << (width * i) for i, x in enumerate(col)) for col in zip(*h)]
+
+        def packed(v):
+            return sum(x << (width * i) for i, x in enumerate(v))
 
         def lanes(x, n):
             return [x >> (width * i) & lane for i in range(n)]
 
+    exact = exact and rho.bit_length() < 62
+    if exact:
+        plus, over = _lane_masks(d, 62 - rho.bit_length())
+        # sum_i w_i 2^(64 i) + bias has the digits w_i + 2^63, and flipping
+        # their top bits leaves each w_i as a signed 64-bit word
+        bias = int.from_bytes((bytes(7) + b"\x80") * d, "little")
+        off = (bias >> 63) * (-(-(1 << 62) // p) * p)
+        cols = [(int.from_bytes(pack(f"<{d}q", *col), "little") ^ bias) - bias for col in zip(*h)]
+
+        def step(y, v):
+            if (y + plus) & over:
+                return None
+            y = sum(map(operator.mul, v, cols))
+            return y, unpack(f"<{d}q", ((y + bias) ^ bias).to_bytes(8 * d, "little"))
+
+    else:
+        cols = [packed([x % p for x in col]) for col in zip(*h)]
     rows: list[tuple[int, int]] = []  # (shift of the pivot lane, packed row)
-    poly, seeds = [1], []
+    poly, seeds, chains = [1], [], []
     while len(rows) < d:
         pivots = {shift for shift, _ in rows}
         s = next(i for i in range(d) if i * width not in pivots)
@@ -202,6 +266,7 @@ def _krylov_charpoly(h: list[list[int]], e: int) -> tuple[list[int], list[int]]:
         v = [0] * d
         v[s] = 1
         y = 1 << (width * s)
+        chain = [1 << (64 * s)]
         for k in range(d + 1):
             x = y + (1 << (width * (d + k)))
             for shift, row in rows:
@@ -219,11 +284,24 @@ def _krylov_charpoly(h: list[list[int]], e: int) -> tuple[list[int], list[int]]:
             x *= pow(-(x >> shift & lane), -1, p)
             x = (x & lo) + ((x >> e) & hi)
             rows.append((shift, (x & lo) + ((x >> e) & hi)))
-            y = sum(map(operator.mul, v, cols))
-            v = [c % p for c in lanes(y, d)]
+            if not exact:
+                y = sum(map(operator.mul, v, cols))
+                v = [c % p for c in lanes(y, d)]
+                continue
+            stepped = step(chain[-1], v)
+            if stepped is None:
+                return _krylov_charpoly(h, e, False)
+            y, v = stepped
+            chain.append(y)
+            if size == 8:
+                y += off
+                y = (y & lo) + ((y >> e) & hi)
+            else:
+                y = packed([c % p for c in v])
         poly = [c % p for c in poly_mul(poly, lanes(x >> (width * d), k + 1))]
         rows[start:] = [(shift, row & vector) for shift, row in rows[start:]]
-    return poly, seeds
+        chains.append((chain, v))
+    return poly, seeds, (step, chains) if exact else None
 
 
 def _shift_diag(m: Matrix, c) -> Matrix:
@@ -234,10 +312,11 @@ def _shift_diag(m: Matrix, c) -> Matrix:
 
 
 def _cyclotomic_lift(a: Matrix):
-    """(ns, seeds, rows of D a, D) of step 1 of ``cyclotomic_type``; None when
-    it proves infinite order.  One pass of ``_hessenberg_charpoly`` gives the
-    residues and the seeds, whose Krylov spaces span F_p^d; the n are read
-    by ``arith.cyclotomic_factors``."""
+    """(ns, seeds, rows of D a, D, chains) of step 1 of ``cyclotomic_type``;
+    None when it proves infinite order.  One pass of ``_hessenberg_charpoly``
+    gives the residues, the seeds, whose Krylov spaces span F_p^d, and their
+    integer chains when it kept them; the n are read by
+    ``arith.cyclotomic_factors``."""
     if not a.is_square:
         raise ValueError("cyclotomic_type requires a square matrix")
     d = a.nrows
@@ -254,12 +333,12 @@ def _cyclotomic_lift(a: Matrix):
             f"up to the last, 2^{_MERSENNE_EXPONENTS[-1]} - 1 (cyclotomic_type works modulo one that is not)"
         )
     p = (1 << e) - 1
-    poly, seeds = _hessenberg_charpoly([[x % p for x in row] for row in rows], e)
+    poly, seeds, chains = _hessenberg_charpoly(rows, e)
     if scale != 1:
         poly = [c * pow(scale, k - d, p) % p for k, c in enumerate(poly)]
     reciprocal = poly[::-1] == poly or poly[::-1] == [-c % p for c in poly]
     ns = cyclotomic_factors(poly, p) if reciprocal else None
-    return None if ns is None else (ns, seeds, rows, scale)
+    return None if ns is None else (ns, seeds, rows, scale, chains)
 
 
 def _horner(rows, coeffs, x):
@@ -284,15 +363,55 @@ def _lane_bound(rows, coeffs) -> int:
     return sum(abs(c) * rho**k for k, c in enumerate(reversed(coeffs))) + rho ** len(coeffs)
 
 
+def _chain_certificate(chains, coeffs, d: int) -> bool | None:
+    """Whether sum_k c_k h^k e_s = 0 over Z for every chain of
+    ``_krylov_charpoly`` (``coeffs`` ascending, the leading 1 included),
+    each chain extended to len(coeffs) vectors; None when a lane could
+    overflow: a step past its bound, or an entry of the chain not below
+    2^t, t = 63 - bit_length(sum |c_k|).  Below that, each lane of the
+    packed sum is below 2^63 in absolute value, so the sum is 0 only when
+    each lane is."""
+    step, chains = chains
+    n = len(coeffs)
+    t = 63 - sum(map(abs, coeffs)).bit_length()
+    if t < 1:
+        return None
+    plus, over = _lane_masks(d, t)
+    for chain, v in chains:
+        chain = chain[:n]
+        while len(chain) < n:
+            stepped = step(chain[-1], v)
+            if stepped is None:
+                return None
+            y, v = stepped
+            chain.append(y)
+        if any((y + plus) & over for y in chain):
+            return None
+        if sum(map(operator.mul, coeffs, chain)):
+            return False
+    return True
+
+
 # Largest estimated work of the certificate in ``cyclotomic_type``, in 64-bit
-# word products: deg q passes, each multiplying every nonzero entry of D a
-# (``entry`` bits) by a packed vector entry (lanes of ``lane`` bits, one per
-# seed).  On a 2-core Xeon VM (CPython 3.11) a word product takes 2-6 ns with
-# wide entries and up to 20 ns with one-word entries: P^700 B P^-700 for
-# B = C9+C7+I2 (d = 14, 1,000-digit entries) is 1.8e8 and 0.6 s, a conjugate
-# of I72+C79 (d = 150, 72 seeds) 6.2e8 and 4-6 s, and P^200 B P^-200 for
-# B = C25+C9+C8+I6 (d = 36, 287 digits) 1.7e9 and 10 s.
+# word products.  The Horner pass, for upper Hessenberg D a and chains that
+# left their lanes, makes deg q passes, each multiplying every nonzero entry of
+# D a (``entry`` bits) by a packed vector entry (lanes of ``lane`` bits, one
+# per seed).  On a 2-core Xeon VM (CPython 3.11) its word product takes 2-6 ns:
+# P^700 B P^-700 for B = C9+C7+I2 (d = 14, 1,000-digit entries) is 1.8e8 and
+# 0.4 s, U B U^-1 for B = C61+C25+C9+C8+I6 and an upper unitriangular U
+# (d = 96, upper Hessenberg, 26-bit entries) 1.6e8 and 1.0 s, and
+# P^200 B P^-200 for B = C25+C9+C8+I6 (d = 36, 287 digits) 2.0e9 and 7 s.
+# The chains take seeds x deg q steps of d one-word by d-word products: a
+# conjugate of I72+C79 (d = 150, 72 seeds, entries up to 40) is 1.3e8 and 0.8 s.
 MAX_CERTIFICATE_WORK = 1_000_000_000
+
+
+def _check_certificate_work(d: int, work: int):
+    if work > MAX_CERTIFICATE_WORK:
+        raise ValueError(
+            f"the finite-order certificate of this {d} x {d} matrix needs about {work} "
+            f"word products, past the limit MAX_CERTIFICATE_WORK = {MAX_CERTIFICATE_WORK}"
+        )
 
 
 def cyclotomic_type(a: Matrix) -> tuple[int, ...] | None:
@@ -314,11 +433,16 @@ def cyclotomic_type(a: Matrix) -> tuple[int, ...] | None:
        lift that is not reciprocal modulo p or not a product of Phi_n modulo
        p proves infinite order (``arith.cyclotomic_factors``).
     2. Certificate: with q = prod Phi_n over the distinct n of the lift and
-       q~_k = D^(deg q - k) q_k, so that q~(D a) = D^(deg q) q(a), Horner's
-       rule on x = sum_t X^t e_S[t] must end at exactly 0 over Z, the S[t]
-       being the seeds of the lift, the starts of its chains.  X = 2^w with
-       2^(w - 1) above every entry of each q~(D a) e_S[t], so an entry of
-       q~(D a) x is zero only when each of its base-X digits is.
+       q~_k = D^(deg q - k) q_k, so that q~(D a) = D^(deg q) q(a),
+       q~(D a) e_S[t] must be exactly 0 over Z for each seed S[t] of the
+       lift, the starts of its chains.  When the Krylov pass kept its chains
+       (D a not upper Hessenberg, small entries), each chain, the exact
+       (D a)^k e_S[t], is extended to deg q and sum_k q~_k (D a)^k e_S[t] taken
+       as one packed sum (``_chain_certificate``).  Otherwise, or when a lane
+       of that could overflow, Horner's rule on x = sum_t X^t e_S[t] must end
+       at exactly 0: X = 2^w with 2^(w - 1) above every entry of each
+       q~(D a) e_S[t], so an entry of q~(D a) x is zero only when each of its
+       base-X digits is.  Either is refused past ``MAX_CERTIFICATE_WORK``.
 
     Proof: ker q(a) is a-invariant, so step 2 puts the seeds' Krylov spaces,
     which span F_p^d (the lift's chains fill it) and so Q^d, in it:
@@ -345,22 +469,24 @@ def cyclotomic_type(a: Matrix) -> tuple[int, ...] | None:
     lift = _cyclotomic_lift(a)
     if lift is None:
         return None
-    ns, seeds, rows, scale = lift
+    ns, seeds, rows, scale, chains = lift
+    d = len(rows)
     q: IntPolynomial = (1,)
     for n in sorted(set(ns)):
         q = poly_mul(q, cyclotomic(n))
     deg = len(q) - 1
-    coeffs = [q[k] * scale ** (deg - k) for k in range(deg - 1, -1, -1)]
-    sparse = [(list(itertools.compress(range(len(rows)), row)), list(itertools.compress(row, row))) for row in rows]
+    scaled = [c * scale ** (deg - k) for k, c in enumerate(q)]
+    if chains is not None:
+        _check_certificate_work(d, len(chains[1]) * deg * d * d)
+        certified = _chain_certificate(chains, scaled, d)
+        if certified is not None:
+            return ns if certified else None
+    coeffs = scaled[-2::-1]
+    sparse = [(list(itertools.compress(range(d), row)), list(itertools.compress(row, row))) for row in rows]
     lane = _lane_bound(sparse, coeffs).bit_length() + 1
     entry = max(map(abs, itertools.chain.from_iterable(rows)), default=0).bit_length()
-    work = deg * sum(map(len, (cols for cols, _ in sparse))) * -(-lane * len(seeds) // 64) * -(-entry // 64)
-    if work > MAX_CERTIFICATE_WORK:
-        raise ValueError(
-            f"the finite-order certificate of this {len(rows)} x {len(rows)} matrix needs about {work} "
-            f"word products, past the limit MAX_CERTIFICATE_WORK = {MAX_CERTIFICATE_WORK}"
-        )
-    x = [0] * len(rows)
+    _check_certificate_work(d, deg * sum(map(len, (cols for cols, _ in sparse))) * -(-lane * len(seeds) // 64) * -(-entry // 64))
+    x = [0] * d
     for t, s in enumerate(seeds):
         x[s] = 1 << (lane * t)
     return None if any(_horner(sparse, coeffs, x)) else ns

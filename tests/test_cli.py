@@ -223,7 +223,7 @@ def test_analyze_factors_the_characteristic_polynomial_once(tmp_path, capsys, mo
     payload = json.loads(out)
     assert code == 0 and payload["blocks"] == ["C7", "C9", "I2"] and payload["nondegenerate_theta_exists"]
     # totient_bound(14) = 52: the finite-order lift works modulo 2^19 - 1
-    assert calls == [([[x % (2**19 - 1) for x in row] for row in a.rows], 19)]
+    assert calls == [(list(a.rows), 19)]
     # and so it does at d = 31 (totient_bound(31) = 116)
     _, d, path = _write_conjugate(tmp_path, "C25+C11+I1", 31, unimodular_pair)
     assert d == 31
@@ -353,6 +353,23 @@ def test_analyze_refuses_a_certificate_past_its_work_limit(tmp_path, capsys, uni
     assert code == 2 and out == "" and err.startswith("error: ") and limit in err
     code, out, _ = run(capsys, "analyze", str(path), "--json")
     assert code == 2 and limit in json.loads(out)["error"]
+
+
+def test_analyze_refuses_a_lift_past_its_work_limit(tmp_path, capsys, monkeypatch, unimodular_pair):
+    # the Krylov pass of a d = 14 conjugate is estimated, before it starts,
+    # at 14^2 (29 lanes + 1 entry word) = 5,880 word products; the block form
+    # is upper Hessenberg, takes the p_m recurrence, and is still answered
+    monkeypatch.setattr(exactlin, "MAX_LIFT_WORK", 5000)
+    spec, d, path = _write_conjugate(tmp_path, "C9+C7+I2", 14, unimodular_pair)
+    limit = "needs about 5880 word products, past the limit MAX_LIFT_WORK = 5000"
+    code, out, err = run(capsys, "analyze", path)
+    assert code == 2 and out == "" and err.startswith("error: ") and limit in err
+    code, out, _ = run(capsys, "analyze", path, "--json")
+    assert code == 2 and limit in json.loads(out)["error"]
+    block = tmp_path / "block.txt"
+    block.write_text(f"{d}\n" + "\n".join(" ".join(map(str, row)) for row in realize(spec).rows) + "\n")
+    code, out, _ = run(capsys, "analyze", str(block), "--json")
+    assert code == 0 and json.loads(out)["blocks"] == ["C7", "C9", "I2"]
 
 
 def test_analyze_rejects_dense_infinite_order_files_by_their_traces(tmp_path, capsys):

@@ -328,7 +328,7 @@ def test_charpoly_matches_independent_references():
         b = Matrix([[scale * x for x in row] for row in a.rows])
         e = _route_exponent(d)
         p = (1 << e) - 1
-        residues, _ = _hessenberg_charpoly([[x % p for x in row] for row in b.rows], e)
+        residues, _, _ = _hessenberg_charpoly(b.rows, e)
         assert residues == [c % p for c in _faddeev_leverrier(b)], a
         for t in range(d + 1):
             value = sum(c * t**k for k, c in enumerate(residues))
@@ -432,6 +432,68 @@ def test_cyclotomic_type_rejects_non_semisimple(unimodular_pair):
         for a in (m, p @ m @ q, p @ _diag(diag) @ m @ _diag([1 / x for x in diag]) @ q):
             assert _cyclotomic_lift(a)[0] == (n, n), n
             assert cyclotomic_type(a) is None and _power_type(a) is None, n
+
+
+def test_cyclotomic_type_certifies_on_the_lift_chains(monkeypatch, unimodular_pair):
+    # small-entry conjugates keep their Krylov chains exact, so the
+    # certificate reads q~(D a) e_s off them and never runs the Horner pass
+    def no_horner(*args):
+        raise AssertionError("the certificate must run on the lift's own chains")
+
+    monkeypatch.setattr(exactlin, "_horner", no_horner)
+    rng = random.Random(28)
+    for text in ("C9+C7+I2", "C5+C5+C3+I3", "I4+C12", "negC9+C8+C8", "C7+C7+C7", "C12+C12+I1", "C30+C11+I1", "C2+I5"):
+        block = realize(parse_block_spec(text))
+        d = block.nrows
+        p, q = unimodular_pair(rng, d, 3 * d)
+        a = p @ block @ q
+        ns, seeds, rows, _, chains = _cyclotomic_lift(a)
+        assert ns == _cyclotomic_lift(block)[0] and chains is not None, text
+        # each chain holds the exact a^k e_s, packed in signed 64-bit lanes,
+        # and the last one unpacked
+        for s, (chain, last) in zip(seeds, chains[1]):
+            v = [int(i == s) for i in range(d)]
+            for y in chain:
+                assert y == sum(x << (64 * i) for i, x in enumerate(v)), (text, s)
+                u, v = v, [sum(map(mul, row, v)) for row in rows]
+            assert list(last) == u, (text, s)
+        assert cyclotomic_type(a) == _power_type(a) == ns, text
+    # the conjugated nilpotent extensions of Phi_n, n >= 3 (at n = 1, 2 every
+    # 2 x 2 matrix is upper Hessenberg), are refuted on their chains
+    for n in range(3, 10):
+        m = _nilpotent_extension(companion(cyclotomic(n)))
+        p, q = unimodular_pair(rng, m.nrows, 3 * m.nrows)
+        a = p @ m @ q
+        assert _cyclotomic_lift(a)[4] is not None, n
+        assert cyclotomic_type(a) is None and _power_type(a) is None, n
+
+
+def test_chains_past_their_lanes_fall_back_to_the_horner_pass(monkeypatch, unimodular_pair):
+    # P^k B P^-k with entries of 14-17 digits: rho < 2^61, so the pass
+    # starts on exact chains, but the first step's entries pass
+    # 2^(62 - bit_length rho) and the pass restarts on residues, without
+    # chains.  A rational conjugate with D = 36 keeps its chains through the
+    # lift, but sum |q~_k| >= D^13 > 2^63.  Both take the Horner pass
+    calls = []
+    horner = exactlin._horner
+    monkeypatch.setattr(exactlin, "_horner", lambda *args: calls.append(1) or horner(*args))
+    block = realize(parse_block_spec("C9+C7+I2"))
+    d = block.nrows
+    p, q = unimodular_pair(random.Random(14), d, 3 * d)
+    for k in (9, 11):
+        a = matrix_pow(p, k) @ block @ matrix_pow(q, k)
+        assert 14 <= max(len(str(abs(x))) for row in a.rows for x in row) <= 17, k
+        assert max(sum(map(abs, row)) for row in a.rows) < 2**61, k
+        assert _cyclotomic_lift(a)[4] is None, k
+        calls.clear()
+        assert cyclotomic_type(a) == _power_type(a) == (1, 1, 7, 9) and calls == [1], k
+    p, q = unimodular_pair(random.Random(48), d, 3 * d)
+    diag = [Fraction(3, 4), Fraction(1, 3)] + [Fraction(1)] * (d - 2)
+    f = p @ _diag(diag) @ block @ _diag([1 / x for x in diag]) @ q
+    _, _, _, scale, chains = _cyclotomic_lift(f)
+    assert scale == 36 and chains is not None
+    calls.clear()
+    assert cyclotomic_type(f) == _power_type(f) == (1, 1, 7, 9) and calls == [1]
 
 
 def test_cyclotomic_type_probe_sees_defect_off_the_chain():
@@ -546,7 +608,7 @@ def test_seed_krylov_chains_have_rank_d(unimodular_pair):
             p, q = unimodular_pair(rng, d, 3 * d)
             a = p @ a @ q
         e = _route_exponent(d)
-        _, seeds = _hessenberg_charpoly([[x % ((1 << e) - 1) for x in row] for row in a.rows], e)
+        _, seeds, _ = _hessenberg_charpoly(a.rows, e)
         assert seeds == _cyclotomic_lift(a)[1], a
         assert seeds[0] == 0, a
         chains = []
@@ -685,7 +747,7 @@ def test_lane_bound_covers_every_seed(unimodular_pair):
         diag = [Fraction(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(d)]
         rational = p @ _diag(diag) @ block @ _diag([1 / x for x in diag]) @ q
         for a in (block, p @ block @ q, rational):
-            ns, seeds, rows, scale = _cyclotomic_lift(a)
+            ns, seeds, rows, scale, _ = _cyclotomic_lift(a)
             poly = (1,)
             for n in sorted(set(ns)):
                 poly = poly_mul(poly, cyclotomic(n))
