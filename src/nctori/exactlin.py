@@ -10,9 +10,8 @@ decided on the characteristic polynomial modulo one word-sized Mersenne
 prime above ``totient_bound(d)``, taken by Krylov chains on packed lanes
 (by the recurrence of an upper Hessenberg matrix when the input is one),
 factored on its half-degree trace polynomial (``arith.cyclotomic_factors``),
-and certified over Z on the chains' own integer vectors, or by one Horner
-pass from their seeds when the chains did not stay in 64-bit lanes
-(``cyclotomic_type``).  All pure, thread-safe.
+and certified over Z on the exact chains of its seeds, on packed 64-bit
+lanes or on Python ints (``cyclotomic_type``).  All pure, thread-safe.
 """
 
 from __future__ import annotations
@@ -118,10 +117,31 @@ def companion(p: IntPolynomial) -> Matrix:
 _MERSENNE_EXPONENTS = (19, 31, 61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941, 11213, 19937)
 
 
+# Largest work of the lift, in 64-bit word products, counted before it
+# starts: d^2 multiply-adds of (2d + 1)-lane integers (lanes of ``width``
+# bits) and d^2 reductions of ``rho``-bit entries in ``_krylov_charpoly``;
+# 16 for each coefficient update (about 110 ns) of the p_m recurrence in
+# ``_hessenberg_charpoly``.  On a 2-core Xeon VM (CPython 3.11) the d = 308
+# conjugate of C307+C3 (entries up to 40) is 5.9e7 and takes 0.7 s, that of
+# C601 (d = 600) 4.3e8 and 3.7 s, a dense upper Hessenberg matrix at d = 400
+# 1.7e8 and 1.1 s; the limit is near d = 790 (e = 19) and d = 720 (7 s).
+MAX_LIFT_WORK = 1_000_000_000
+
+
+def _check_work(d: int, work: int, what: str, limit: str):
+    """Refuse ``work`` word products for the ``what`` of a d x d matrix past
+    the limit named ``limit``, read from the module at each call."""
+    if work > globals()[limit]:
+        raise ValueError(
+            f"the {what} of this {d} x {d} matrix needs about {work} "
+            f"word products, past the limit {limit} = {globals()[limit]}"
+        )
+
+
 def _hessenberg_charpoly(h, e: int) -> tuple[list[int], list[int], tuple | None]:
     """det(x I - h) modulo the Mersenne prime p = 2^e - 1, ascending
     residues in [0, p), seeds whose Krylov spaces under h span F_p^d, and
-    the seeds' integer chains (``_krylov_charpoly``; None here).
+    the seeds' integer chains (as ``_krylov_charpoly`` returns them).
 
     Integer ``h`` that is not upper Hessenberg goes to ``_krylov_charpoly``.
     For an upper Hessenberg H the polynomials p_m of the leading m x m
@@ -130,38 +150,35 @@ def _hessenberg_charpoly(h, e: int) -> tuple[list[int], list[int], tuple | None]
         p_(m+1) = (x - h_mm) p_m - sum_(i<m) h_im h_(i+1,i) ... h_(m,m-1) p_i
 
     (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9),
-    and the seeds are 0 and each m with H[m][m - 1] = 0: modulo the blocks
-    before it, each unreduced diagonal block of H is spanned by the Krylov
-    chain of its first unit vector."""
+    and the seeds, each a chain of length 1, are 0 and each m with
+    H[m][m - 1] = 0 mod p: modulo the blocks before it, each unreduced
+    diagonal block of H is spanned by the Krylov chain of its first unit
+    vector.  The sum at m stops at the seed b <= m before it: at most
+    sum_m (m (m + 1) - b (b + 1)) / 2 coefficient updates, counted first."""
     d = len(h)
     if any(any(h[i][: i - 1]) for i in range(2, d)):
         return _krylov_charpoly(h, e)
     p = (1 << e) - 1
-    h = [[x % p for x in row] for row in h]
+    r = [[x % p for x in row] for row in h]
+    seeds = [m for m in range(d) if m == 0 or not r[m][m - 1]]
+    updates = sum(m * (m + 1) - b * (b + 1) for b, end in zip(seeds, seeds[1:] + [d]) for m in range(b, end)) // 2
+    _check_work(d, 16 * updates, "characteristic polynomial", "MAX_LIFT_WORK")
     polys = [[1]]
     for m in range(d):
         prev = polys[m]
-        c = h[m][m]
+        c = r[m][m]
         new = [(x - c * y) % p for x, y in zip([0] + prev, prev + [0])]
         t = 1
         for i in range(m - 1, -1, -1):
-            t = t * h[i + 1][i] % p
+            t = t * r[i + 1][i] % p
             if not t:
                 break
-            f = h[i][m] * t % p
+            f = r[i][m] * t % p
             if f:
                 new[: i + 1] = [(x - f * y) % p for x, y in zip(new, polys[i])]
         polys.append(new)
-    return polys[d], [m for m in range(d) if m == 0 or not h[m][m - 1]], None
-
-
-# Largest estimated work of the Krylov pass in ``_krylov_charpoly``, in 64-bit
-# word products: d^2 multiply-adds of (2d + 1)-lane integers (lanes of
-# ``width`` bits) plus d^2 entries of at most ``rho`` bits reduced modulo p.
-# On a 2-core Xeon VM (CPython 3.11) the d = 308 conjugate of C307+C3 (entries
-# up to 40) is 5.9e7 and takes 0.7 s, that of C601 (d = 600) 4.3e8 and 3.7 s;
-# the limit is near d = 790 at e = 19.
-MAX_LIFT_WORK = 1_000_000_000
+    step = _chain_step(h, max((sum(map(abs, row)) for row in h), default=0))
+    return polys[d], seeds, step and (step, [([1 << (64 * s)], [int(i == s) for i in range(d)]) for s in seeds])
 
 
 def _lane_masks(d: int, t: int) -> tuple[int, int]:
@@ -173,6 +190,32 @@ def _lane_masks(d: int, t: int) -> tuple[int, int]:
     return ones << t, (ones << 64) - (ones << (t + 1))
 
 
+def _chain_step(h, rho: int):
+    """step(y, v) = the packed and the unpacked h v, exact in signed 64-bit
+    lanes, for y the packed v: one product sum_j v_j col_j with the columns
+    of integer ``h``; None when a lane of y is 2^t or more, t = 62 -
+    bit_length(rho), rho the largest row sum of |h| (``_lane_masks``), which
+    keeps each lane of the product below 2^62.  None when rho >= 2^61."""
+    d = len(h)
+    t = 62 - rho.bit_length()
+    if t < 1:
+        return None
+    plus, over = _lane_masks(d, t)
+    # sum_i w_i 2^(64 i) + bias has the digits w_i + 2^63, and flipping
+    # their top bits leaves each w_i as a signed 64-bit word
+    bias = int.from_bytes((bytes(7) + b"\x80") * d, "little")
+    fmt = f"<{d}q"
+    cols = [(int.from_bytes(pack(fmt, *col), "little") ^ bias) - bias for col in zip(*h)]
+
+    def step(y, v):
+        if (y + plus) & over:
+            return None
+        y = sum(map(operator.mul, v, cols))
+        return y, unpack(fmt, ((y + bias) ^ bias).to_bytes(8 * d, "little"))
+
+    return step
+
+
 def _krylov_charpoly(h, e: int, exact: bool = True) -> tuple[list[int], list[int], tuple | None]:
     """det(x I - h) modulo p = 2^e - 1 and the seeds, by Krylov chains with
     restarts (Keller-Gehrig, Theoret. Comput. Sci. 36, 1985), and the chains
@@ -180,11 +223,9 @@ def _krylov_charpoly(h, e: int, exact: bool = True) -> tuple[list[int], list[int
 
     A chain starts at e_s, s the lowest index that is not yet a pivot, and
     runs v = h^k e_s until v reduces to 0 against the echelon rows so far.
-    The vectors are the exact h^k e_s, each one packed product
-    sum_j v_j col_j with the columns of h in signed 64-bit lanes, whatever
-    ``width``; |v_i| < 2^t, t = 62 - bit_length(rho), rho the largest row
-    sum of |h|, keeps the product's lanes below 2^62 (``_lane_masks``), and
-    a vector past it restarts the pass on residues, as when rho >= 2^61.
+    The vectors are the exact h^k e_s, whatever ``width``, each one step of
+    ``_chain_step``; a vector past its bound restarts the pass on residues,
+    as when rho >= 2^61.
 
     The echelon rows are integers of ``width``-bit lanes: lane i < d holds
     entry i mod p, lanes d..2d the chain coordinates (x^k for h^k e_s), and
@@ -203,20 +244,14 @@ def _krylov_charpoly(h, e: int, exact: bool = True) -> tuple[list[int], list[int
     plus 1 in [1, p], as 2d + 2^8 < p.
 
     The third value is None on residues, else (step, chains), a chain being
-    (its packed vectors, the last one unpacked) and step(y, v) the next
-    packed and unpacked vector, None when v (packed y) is past the bound,
-    for ``cyclotomic_type`` to certify on.  Past ``MAX_LIFT_WORK`` the pass
-    is refused before it starts."""
+    (its packed vectors, the last one unpacked).  Past ``MAX_LIFT_WORK`` the
+    pass is refused before it starts."""
     p = (1 << e) - 1
     d = len(h)
     width = 64 * -(-(2 * e + d.bit_length() + 2) // 64)
     rho = max(sum(map(abs, row)) for row in h)
     work = d * d * ((2 * d + 1) * width // 64 + -(-rho.bit_length() // 64))
-    if work > MAX_LIFT_WORK:
-        raise ValueError(
-            f"the characteristic polynomial of this {d} x {d} matrix needs about {work} "
-            f"word products, past the limit MAX_LIFT_WORK = {MAX_LIFT_WORK}"
-        )
+    _check_work(d, work, "characteristic polynomial", "MAX_LIFT_WORK")
     size = width // 8
     ones = int.from_bytes((b"\x01" + bytes(size - 1)) * (2 * d + 1), "little")
     lo = ones * p
@@ -239,23 +274,11 @@ def _krylov_charpoly(h, e: int, exact: bool = True) -> tuple[list[int], list[int
         def lanes(x, n):
             return [x >> (width * i) & lane for i in range(n)]
 
-    exact = exact and rho.bit_length() < 62
-    if exact:
-        plus, over = _lane_masks(d, 62 - rho.bit_length())
-        # sum_i w_i 2^(64 i) + bias has the digits w_i + 2^63, and flipping
-        # their top bits leaves each w_i as a signed 64-bit word
-        bias = int.from_bytes((bytes(7) + b"\x80") * d, "little")
-        off = (bias >> 63) * (-(-(1 << 62) // p) * p)
-        cols = [(int.from_bytes(pack(f"<{d}q", *col), "little") ^ bias) - bias for col in zip(*h)]
-
-        def step(y, v):
-            if (y + plus) & over:
-                return None
-            y = sum(map(operator.mul, v, cols))
-            return y, unpack(f"<{d}q", ((y + bias) ^ bias).to_bytes(8 * d, "little"))
-
-    else:
+    step = _chain_step(h, rho) if exact else None
+    if step is None:
         cols = [packed([x % p for x in col]) for col in zip(*h)]
+    elif size == 8:
+        off = (ones & vector) * (-(-(1 << 62) // p) * p)
     rows: list[tuple[int, int]] = []  # (shift of the pivot lane, packed row)
     poly, seeds, chains = [1], [], []
     while len(rows) < d:
@@ -284,7 +307,7 @@ def _krylov_charpoly(h, e: int, exact: bool = True) -> tuple[list[int], list[int
             x *= pow(-(x >> shift & lane), -1, p)
             x = (x & lo) + ((x >> e) & hi)
             rows.append((shift, (x & lo) + ((x >> e) & hi)))
-            if not exact:
+            if step is None:
                 y = sum(map(operator.mul, v, cols))
                 v = [c % p for c in lanes(y, d)]
                 continue
@@ -301,7 +324,7 @@ def _krylov_charpoly(h, e: int, exact: bool = True) -> tuple[list[int], list[int
         poly = [c % p for c in poly_mul(poly, lanes(x >> (width * d), k + 1))]
         rows[start:] = [(shift, row & vector) for shift, row in rows[start:]]
         chains.append((chain, v))
-    return poly, seeds, (step, chains) if exact else None
+    return poly, seeds, step and (step, chains)
 
 
 def _shift_diag(m: Matrix, c) -> Matrix:
@@ -312,11 +335,9 @@ def _shift_diag(m: Matrix, c) -> Matrix:
 
 
 def _cyclotomic_lift(a: Matrix):
-    """(ns, seeds, rows of D a, D, chains) of step 1 of ``cyclotomic_type``;
-    None when it proves infinite order.  One pass of ``_hessenberg_charpoly``
-    gives the residues, the seeds, whose Krylov spaces span F_p^d, and their
-    integer chains when it kept them; the n are read by
-    ``arith.cyclotomic_factors``."""
+    """(ns, seeds, rows of D a, D, chains) of step 1 of ``cyclotomic_type``,
+    from one pass of ``_hessenberg_charpoly``; None when it proves infinite
+    order."""
     if not a.is_square:
         raise ValueError("cyclotomic_type requires a square matrix")
     d = a.nrows
@@ -341,77 +362,76 @@ def _cyclotomic_lift(a: Matrix):
     return None if ns is None else (ns, seeds, rows, scale, chains)
 
 
-def _horner(rows, coeffs, x):
-    """q(a) x by Horner's rule: h = x, then h <- a h + c x for each c in ``coeffs``, those of the monic q
-    below its leading one, highest first, c x added only at the seed rows, where x is nonzero; ``rows``
-    holds a's rows as (columns, values) of their nonzero entries."""
-    mul = operator.mul
-    seeds = [(i, xi) for i, xi in enumerate(x) if xi]
-    h = x
-    for c in coeffs:
-        h = [sum(map(mul, vals, map(h.__getitem__, cols))) for cols, vals in rows]
-        for i, xi in seeds:
-            h[i] += c * xi
-    return h
+# Largest work of the certificate in ``cyclotomic_type``, in 64-bit word
+# products charged as its chains grow: nnz(h) entry words times vector words
+# a step h v, one and one on packed lanes, and 3 header words plus one per
+# 64 bits for a Python int.  On a 2-core Xeon VM (CPython 3.11) one takes
+# 2-7 ns: P^300 B P^-300 for B = C25+C9+C8+I6 (d = 36, 480-digit entries)
+# is 1.2e8 and 0.4 s, U B U^-1 for B = C61+C25+C9+C8+I6 and U upper
+# unitriangular (d = 96, 28-bit entries) 5.4e7 and 0.26 s, and a conjugate
+# of I72+C79 (d = 150, entries up to 40, 73 packed chains) 1.1e8 and 0.7 s.
+MAX_CERTIFICATE_WORK = 1_000_000_000
 
 
-def _lane_bound(rows, coeffs) -> int:
-    """A bound on every entry of q(a) e_s for each unit vector e_s (terms as
-    in ``_horner``): sum |c_k| rho^k + rho^deg q, rho the largest row sum
-    of |a|."""
-    rho = max((sum(map(abs, vals)) for _, vals in rows), default=0)
-    return sum(abs(c) * rho**k for k, c in enumerate(reversed(coeffs))) + rho ** len(coeffs)
-
-
-def _chain_certificate(chains, coeffs, d: int) -> bool | None:
-    """Whether sum_k c_k h^k e_s = 0 over Z for every chain of
-    ``_krylov_charpoly`` (``coeffs`` ascending, the leading 1 included),
-    each chain extended to len(coeffs) vectors; None when a lane could
-    overflow: a step past its bound, or an entry of the chain not below
-    2^t, t = 63 - bit_length(sum |c_k|).  Below that, each lane of the
-    packed sum is below 2^63 in absolute value, so the sum is 0 only when
-    each lane is."""
-    step, chains = chains
+def _chain_certificate(chains, coeffs, rows, seeds) -> bool:
+    """Whether sum_k c_k h^k e_s = 0 over Z for each of ``seeds`` (``coeffs``
+    ascending, the leading 1 included), h = ``rows``: each chain of the lift
+    is extended to len(coeffs) vectors, or until it returns to e_s (then the
+    c_k are added up modulo its period), and summed on its packed lanes.
+    With every entry of the chain below 2^t, t = 63 - bit_length(sum |c_k|),
+    each lane of the sum is below 2^63 in absolute value, so the sum is 0
+    only when each lane is.  From the first chain that could overflow, and
+    for every seed when the lift kept no chains, the sums are taken on
+    Python ints (``_int_chain_sums``).  Each step is charged."""
+    d = len(rows)
     n = len(coeffs)
     t = 63 - sum(map(abs, coeffs)).bit_length()
-    if t < 1:
-        return None
+    if chains is None or t < 1:
+        return _int_chain_sums(rows, coeffs, seeds, 0)
+    step, chains = chains
     plus, over = _lane_masks(d, t)
-    for chain, v in chains:
+    nnz = d * d - sum(row.count(0) for row in rows)
+    work = 0
+    for index, (chain, v) in enumerate(chains):
         chain = chain[:n]
         while len(chain) < n:
+            work += nnz
+            _check_work(d, work, "finite-order certificate", "MAX_CERTIFICATE_WORK")
             stepped = step(chain[-1], v)
             if stepped is None:
-                return None
+                return _int_chain_sums(rows, coeffs, seeds[index:], work)
             y, v = stepped
+            if y == chain[0]:  # then (D a)^k e_s is chain[k mod len(chain)]
+                break
             chain.append(y)
         if any((y + plus) & over for y in chain):
-            return None
-        if sum(map(operator.mul, coeffs, chain)):
+            return _int_chain_sums(rows, coeffs, seeds[index:], work)
+        period = len(chain)
+        if sum(map(operator.mul, coeffs if period == n else [sum(coeffs[j::period]) for j in range(period)], chain)):
             return False
     return True
 
 
-# Largest estimated work of the certificate in ``cyclotomic_type``, in 64-bit
-# word products.  The Horner pass, for upper Hessenberg D a and chains that
-# left their lanes, makes deg q passes, each multiplying every nonzero entry of
-# D a (``entry`` bits) by a packed vector entry (lanes of ``lane`` bits, one
-# per seed).  On a 2-core Xeon VM (CPython 3.11) its word product takes 2-6 ns:
-# P^700 B P^-700 for B = C9+C7+I2 (d = 14, 1,000-digit entries) is 1.8e8 and
-# 0.4 s, U B U^-1 for B = C61+C25+C9+C8+I6 and an upper unitriangular U
-# (d = 96, upper Hessenberg, 26-bit entries) 1.6e8 and 1.0 s, and
-# P^200 B P^-200 for B = C25+C9+C8+I6 (d = 36, 287 digits) 2.0e9 and 7 s.
-# The chains take seeds x deg q steps of d one-word by d-word products: a
-# conjugate of I72+C79 (d = 150, 72 seeds, entries up to 40) is 1.3e8 and 0.8 s.
-MAX_CERTIFICATE_WORK = 1_000_000_000
-
-
-def _check_certificate_work(d: int, work: int):
-    if work > MAX_CERTIFICATE_WORK:
-        raise ValueError(
-            f"the finite-order certificate of this {d} x {d} matrix needs about {work} "
-            f"word products, past the limit MAX_CERTIFICATE_WORK = {MAX_CERTIFICATE_WORK}"
-        )
+def _int_chain_sums(rows, coeffs, seeds, work: int) -> bool:
+    """Whether sum_k c_k h^k e_s = 0 for each of ``seeds``, on Python ints:
+    one sparse product h v a step, charged on top of ``work``."""
+    d = len(rows)
+    sparse = [(list(itertools.compress(range(d), row)), list(itertools.compress(row, row))) for row in rows]
+    nnz = sum(len(cols) for cols, _ in sparse)
+    entry = 3 + -(-max(map(abs, itertools.chain.from_iterable(rows)), default=0).bit_length() // 64)
+    mul = operator.mul
+    for s in seeds:
+        v = [int(i == s) for i in range(d)]
+        total = [coeffs[0] * x for x in v]
+        for c in coeffs[1:]:
+            work += nnz * entry * (3 + -(-max(max(v), -min(v)).bit_length() // 64))
+            _check_work(d, work, "finite-order certificate", "MAX_CERTIFICATE_WORK")
+            v = [sum(map(mul, vals, map(v.__getitem__, cols))) for cols, vals in sparse]
+            if c:
+                total = [x + c * y for x, y in zip(total, v)]
+        if any(total):
+            return False
+    return True
 
 
 def cyclotomic_type(a: Matrix) -> tuple[int, ...] | None:
@@ -432,17 +452,10 @@ def cyclotomic_type(a: Matrix) -> tuple[int, ...] | None:
        is left, while it divides modulo p; the rest must be 1 or one Psi_n.  A
        lift that is not reciprocal modulo p or not a product of Phi_n modulo
        p proves infinite order (``arith.cyclotomic_factors``).
-    2. Certificate: with q = prod Phi_n over the distinct n of the lift and
-       q~_k = D^(deg q - k) q_k, so that q~(D a) = D^(deg q) q(a),
-       q~(D a) e_S[t] must be exactly 0 over Z for each seed S[t] of the
-       lift, the starts of its chains.  When the Krylov pass kept its chains
-       (D a not upper Hessenberg, small entries), each chain, the exact
-       (D a)^k e_S[t], is extended to deg q and sum_k q~_k (D a)^k e_S[t] taken
-       as one packed sum (``_chain_certificate``).  Otherwise, or when a lane
-       of that could overflow, Horner's rule on x = sum_t X^t e_S[t] must end
-       at exactly 0: X = 2^w with 2^(w - 1) above every entry of each
-       q~(D a) e_S[t], so an entry of q~(D a) x is zero only when each of its
-       base-X digits is.  Either is refused past ``MAX_CERTIFICATE_WORK``.
+    2. Certificate (``_chain_certificate``): with q = prod Phi_n over the
+       distinct n of the lift and q~_k = D^(deg q - k) q_k, so that
+       q~(D a) = D^(deg q) q(a), sum_k q~_k (D a)^k e_s must be exactly 0
+       over Z for each seed s of the lift, taken on its exact chain.
 
     Proof: ker q(a) is a-invariant, so step 2 puts the seeds' Krylov spaces,
     which span F_p^d (the lift's chains fill it) and so Q^d, in it:
@@ -470,26 +483,12 @@ def cyclotomic_type(a: Matrix) -> tuple[int, ...] | None:
     if lift is None:
         return None
     ns, seeds, rows, scale, chains = lift
-    d = len(rows)
     q: IntPolynomial = (1,)
     for n in sorted(set(ns)):
         q = poly_mul(q, cyclotomic(n))
     deg = len(q) - 1
-    scaled = [c * scale ** (deg - k) for k, c in enumerate(q)]
-    if chains is not None:
-        _check_certificate_work(d, len(chains[1]) * deg * d * d)
-        certified = _chain_certificate(chains, scaled, d)
-        if certified is not None:
-            return ns if certified else None
-    coeffs = scaled[-2::-1]
-    sparse = [(list(itertools.compress(range(d), row)), list(itertools.compress(row, row))) for row in rows]
-    lane = _lane_bound(sparse, coeffs).bit_length() + 1
-    entry = max(map(abs, itertools.chain.from_iterable(rows)), default=0).bit_length()
-    _check_certificate_work(d, deg * sum(map(len, (cols for cols, _ in sparse))) * -(-lane * len(seeds) // 64) * -(-entry // 64))
-    x = [0] * d
-    for t, s in enumerate(seeds):
-        x[s] = 1 << (lane * t)
-    return None if any(_horner(sparse, coeffs, x)) else ns
+    coeffs = [c * scale ** (deg - k) for k, c in enumerate(q)]
+    return ns if _chain_certificate(chains, coeffs, rows, seeds) else None
 
 
 def order(a: Matrix, bound: int) -> int | None:

@@ -18,7 +18,7 @@ from nctori import classify, cli, exactlin, invariants, theta
 from nctori.classify import MAX_RANK_DIM
 from nctori.arith import CYCLOTOMIC_MAX_N, FACTORIZE_MAX_TRIAL
 from nctori.cli import TABLE_MAX_DIM, TABLE_MAX_VERDICTS, CliParseError, main, parse_group
-from nctori.exactlin import _components
+from nctori.exactlin import Matrix, _components
 from nctori.invariants import invariant_ranks, parse_block_spec, realize
 from nctori.wfun import AbelianGroup, max_finite_order
 from oracles import matrix_pow
@@ -334,25 +334,77 @@ def test_analyze_answers_a_wide_finite_order_conjugate(tmp_path, capsys, unimodu
     assert wide == run(capsys, "analyze", str(paths[1])) and wide[0] == 0
 
 
-def test_analyze_refuses_a_certificate_past_its_work_limit(tmp_path, capsys, unimodular_pair):
+def _write_rows(path, rows):
+    path.write_text(f"{len(rows)}\n" + "\n".join(" ".join(map(str, row)) for row in rows) + "\n")
+    return str(path)
+
+
+def test_analyze_refuses_a_certificate_past_its_work_limit(tmp_path, capsys, monkeypatch, unimodular_pair):
     # P^300 B P^-300 for B = C25+C9+C8+I6 (d = 36, entries of about 480
-    # digits) has finite order, and its lift modulo 2^19 - 1 is cheap; the
-    # certificate over Z (lanes of about 44,000 bits, six seeds) would take
-    # about 20 s, so its estimate is refused before the Horner pass
+    # digits) has finite order, and its lift modulo 2^19 - 1 is cheap; its
+    # entries leave the 64-bit lanes, so the certificate sums the chains of
+    # its six seeds on Python ints, about 1.2e8 word products charged as they
+    # grow.  Past a limit patched to 10^7 it is refused at once; under the
+    # real limit it is answered, as its block form is
     block = realize(parse_block_spec("C25+C9+C8+I6"))
     d = block.nrows
     p, q = unimodular_pair(random.Random(36), d, 3 * d)
     a = matrix_pow(p, 300) @ block @ matrix_pow(q, 300)
     assert 400 < max(len(str(abs(x))) for row in a.rows for x in row) < 500
-    path = tmp_path / "wide36.txt"
-    path.write_text(f"{d}\n" + "\n".join(" ".join(map(str, row)) for row in a.rows) + "\n")
-    limit = f"past the limit MAX_CERTIFICATE_WORK = {exactlin.MAX_CERTIFICATE_WORK}"
+    path = _write_rows(tmp_path / "wide36.txt", a.rows)
+    monkeypatch.setattr(exactlin, "MAX_CERTIFICATE_WORK", 10**7)
+    limit = "word products, past the limit MAX_CERTIFICATE_WORK = 10000000"
     start = time.perf_counter()
-    code, out, err = run(capsys, "analyze", str(path))
+    code, out, err = run(capsys, "analyze", path)
     assert time.perf_counter() - start < 1
     assert code == 2 and out == "" and err.startswith("error: ") and limit in err
-    code, out, _ = run(capsys, "analyze", str(path), "--json")
+    code, out, _ = run(capsys, "analyze", path, "--json")
     assert code == 2 and limit in json.loads(out)["error"]
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "analyze", path, "--json")
+    assert code == 0 and out == run(capsys, "analyze", _write_rows(tmp_path / "block36.txt", block.rows), "--json")[1]
+
+
+def test_analyze_answers_a_dense_upper_hessenberg_input_with_many_seeds(tmp_path, capsys):
+    # U B U^-1 for B = I72+C79 and an upper unitriangular U with entries in
+    # {-1, 0, 1} (d = 150, entries of 28 bits) is upper Hessenberg, so the lift
+    # takes the p_m recurrence, with 73 seeds; each seed is certified on its
+    # own packed chain, and the 72 chains that return to their seed after
+    # one step (A e_s = e_s for s < 72) take one step each
+    block = realize(parse_block_spec("I72+C79"))
+    d = block.nrows
+    rng = random.Random(1)
+    u = [[rng.choice((-1, 0, 1)) if j > i else int(i == j) for j in range(d)] for i in range(d)]
+    inverse = [[0] * d for _ in range(d)]
+    for c in range(d):
+        for i in range(d - 1, -1, -1):
+            inverse[i][c] = int(i == c) - sum(u[i][k] * inverse[k][c] for k in range(i + 1, d))
+    a = Matrix(u) @ block @ Matrix(inverse)
+    assert a @ Matrix(u) == Matrix(u) @ block and not any(any(a.rows[i][: i - 1]) for i in range(2, d))
+    assert 20 <= max(abs(x) for row in a.rows for x in row).bit_length() <= 30
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "analyze", _write_rows(tmp_path / "hessenberg150.txt", a.rows), "--json")
+    assert time.perf_counter() - start < 5
+    assert code == 0 and json.loads(out)["blocks"] == ["C79", "I72"]
+    assert out == run(capsys, "analyze", _write_rows(tmp_path / "block150.txt", block.rows), "--json")[1]
+
+
+def test_analyze_refuses_a_dense_hessenberg_recurrence_past_the_lift_limit(tmp_path, capsys):
+    # zero diagonal and superdiagonal, a subdiagonal of ones and entries in
+    # [-9, 9] above: tr a = tr a^2 = 0, so the lift runs, on the p_m
+    # recurrence, whose inner steps update about d^3 / 6 coefficients
+    # (8.5e7 at d = 800, about 10 s); counted before it starts, they are
+    # refused past MAX_LIFT_WORK
+    d = 800
+    rng = random.Random(800)
+    rows = [[rng.randint(-9, 9) if j > i + 1 else int(j == i - 1) for j in range(d)] for i in range(d)]
+    path = _write_rows(tmp_path / "hessenberg800.txt", rows)
+    limit = f"word products, past the limit MAX_LIFT_WORK = {exactlin.MAX_LIFT_WORK}"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "analyze", path)
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == "" and err.startswith("error: ") and limit in err
+    assert f"needs about {16 * sum(m * (m + 1) // 2 for m in range(d))} word products" in err
 
 
 def test_analyze_refuses_a_lift_past_its_work_limit(tmp_path, capsys, monkeypatch, unimodular_pair):

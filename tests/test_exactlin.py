@@ -14,8 +14,6 @@ from nctori.exactlin import (
     _components,
     _cyclotomic_lift,
     _hessenberg_charpoly,
-    _horner,
-    _lane_bound,
     _shift_diag,
     Matrix,
     block_diag,
@@ -252,7 +250,7 @@ def test_rational_block_form_runs_no_finite_order_certificate(monkeypatch, unimo
     def no_certificate(*args):
         raise AssertionError("rational_block_form must not run the seed certificate")
 
-    monkeypatch.setattr(exactlin, "_horner", no_certificate)
+    monkeypatch.setattr(exactlin, "_chain_certificate", no_certificate)
     block = realize(parse_block_spec("C7+C7+C3"))
     p, q = unimodular_pair(random.Random(7), block.nrows, 3 * block.nrows)
     a = p @ block @ q
@@ -435,12 +433,13 @@ def test_cyclotomic_type_rejects_non_semisimple(unimodular_pair):
 
 
 def test_cyclotomic_type_certifies_on_the_lift_chains(monkeypatch, unimodular_pair):
-    # small-entry conjugates keep their Krylov chains exact, so the
-    # certificate reads q~(D a) e_s off them and never runs the Horner pass
-    def no_horner(*args):
+    # small-entry conjugates keep their Krylov chains exact, and small-entry
+    # block forms their seeds as chains of length 1, so the certificate
+    # reads q~(D a) e_s off them and never takes the sums on Python ints
+    def no_int_sums(*args):
         raise AssertionError("the certificate must run on the lift's own chains")
 
-    monkeypatch.setattr(exactlin, "_horner", no_horner)
+    monkeypatch.setattr(exactlin, "_int_chain_sums", no_int_sums)
     rng = random.Random(28)
     for text in ("C9+C7+I2", "C5+C5+C3+I3", "I4+C12", "negC9+C8+C8", "C7+C7+C7", "C12+C12+I1", "C30+C11+I1", "C2+I5"):
         block = realize(parse_block_spec(text))
@@ -458,6 +457,11 @@ def test_cyclotomic_type_certifies_on_the_lift_chains(monkeypatch, unimodular_pa
                 u, v = v, [sum(map(mul, row, v)) for row in rows]
             assert list(last) == u, (text, s)
         assert cyclotomic_type(a) == _power_type(a) == ns, text
+        # the block form is upper Hessenberg: each seed is a chain of length 1
+        _, seeds, _, _, chains = _cyclotomic_lift(block)
+        units = [([1 << (64 * s)], [int(i == s) for i in range(d)]) for s in seeds]
+        assert [(chain, list(last)) for chain, last in chains[1]] == units, text
+        assert cyclotomic_type(block) == ns, text
     # the conjugated nilpotent extensions of Phi_n, n >= 3 (at n = 1, 2 every
     # 2 x 2 matrix is upper Hessenberg), are refuted on their chains
     for n in range(3, 10):
@@ -468,15 +472,15 @@ def test_cyclotomic_type_certifies_on_the_lift_chains(monkeypatch, unimodular_pa
         assert cyclotomic_type(a) is None and _power_type(a) is None, n
 
 
-def test_chains_past_their_lanes_fall_back_to_the_horner_pass(monkeypatch, unimodular_pair):
+def test_chains_past_their_lanes_fall_back_to_python_ints(monkeypatch, unimodular_pair):
     # P^k B P^-k with entries of 14-17 digits: rho < 2^61, so the pass
     # starts on exact chains, but the first step's entries pass
     # 2^(62 - bit_length rho) and the pass restarts on residues, without
     # chains.  A rational conjugate with D = 36 keeps its chains through the
-    # lift, but sum |q~_k| >= D^13 > 2^63.  Both take the Horner pass
+    # lift, but sum |q~_k| >= D^13 > 2^63.  Both take the sums on Python ints
     calls = []
-    horner = exactlin._horner
-    monkeypatch.setattr(exactlin, "_horner", lambda *args: calls.append(1) or horner(*args))
+    int_sums = exactlin._int_chain_sums
+    monkeypatch.setattr(exactlin, "_int_chain_sums", lambda *args: calls.append(1) or int_sums(*args))
     block = realize(parse_block_spec("C9+C7+I2"))
     d = block.nrows
     p, q = unimodular_pair(random.Random(14), d, 3 * d)
@@ -653,7 +657,7 @@ def test_reciprocal_lift_of_infinite_order_exits_before_the_certificate(monkeypa
     searched = []
     factors = exactlin.cyclotomic_factors
     monkeypatch.setattr(exactlin, "cyclotomic_factors", lambda poly, p: searched.append(p) or factors(poly, p))
-    monkeypatch.setattr(exactlin, "_horner", no_certificate)
+    monkeypatch.setattr(exactlin, "_chain_certificate", no_certificate)
     block = block_diag([Matrix([[2, 1], [1, 1]]), companion(cyclotomic(5))])
     rng = random.Random(17)
     for t in range(40):
@@ -738,27 +742,6 @@ def test_trace_form_inverts_the_reciprocal_substitution():
         assert tuple(back) == cyclotomic(n), n
 
 
-def test_lane_bound_covers_every_seed(unimodular_pair):
-    rng = random.Random(48)
-    for text in ("C9+C7+I2", "C5+C5+C3+I3", "I4+C12", "negC9+C8+C8", "C7+C7+C7", "C12+C12+I1"):
-        block = realize(parse_block_spec(text))
-        d = block.nrows
-        p, q = unimodular_pair(rng, d, 3 * d)
-        diag = [Fraction(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(d)]
-        rational = p @ _diag(diag) @ block @ _diag([1 / x for x in diag]) @ q
-        for a in (block, p @ block @ q, rational):
-            ns, seeds, rows, scale, _ = _cyclotomic_lift(a)
-            poly = (1,)
-            for n in sorted(set(ns)):
-                poly = poly_mul(poly, cyclotomic(n))
-            deg = len(poly) - 1
-            coeffs = [poly[k] * scale ** (deg - k) for k in range(deg - 1, -1, -1)]
-            sparse = [([j for j, v in enumerate(row) if v], [v for v in row if v]) for row in rows]
-            truth = max(max(map(abs, _horner(sparse, coeffs, [int(i == s) for i in range(d)]))) for s in seeds)
-            bound = _lane_bound(sparse, coeffs)
-            assert truth <= bound, (text, truth, bound)
-
-
 def test_lift_passes_over_a_prime_dividing_the_denominators(monkeypatch, unimodular_pair):
     # the diagonal scaling by 1 / (2^19 - 1) puts that prime into D, where
     # D^-1 does not exist: the lift takes the next listed prime, 2^31 - 1
@@ -786,9 +769,9 @@ def test_lift_passes_over_a_prime_dividing_the_denominators(monkeypatch, unimodu
 
 def test_lanes_are_wide_enough_to_keep_seeds_apart():
     # a = I + c E_01 - E_0t is unipotent, upper triangular, so every index is
-    # a seed, and q(a) = a - I sends e_1 to c e_0 and e_t to -e_0.  With
-    # lanes of 2 bits (X = 4) and c = 4^(t - 1) the packed probe would cancel
-    # to 0; the sized lanes keep the two apart
+    # a seed, and q(a) = a - I sends e_1 to c e_0 and e_t to -e_0.  With the
+    # seeds packed as lanes of 2 bits (X = 4) and c = 4^(t - 1) one probe
+    # would cancel to 0; the certificate sums each seed's chain apart
     for t in (3, 16):
         rows = [[int(i == j) for j in range(t + 1)] for i in range(t + 1)]
         rows[0][1], rows[0][t] = 4 ** (t - 1), -1
