@@ -120,21 +120,20 @@ _MERSENNE_EXPONENTS = (19, 31, 61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 321
 # Largest work of the lift, in 64-bit word products, counted before it
 # starts: d^2 multiply-adds of (2d + 1)-lane integers (lanes of ``width``
 # bits) and d^2 reductions of ``rho``-bit entries in ``_krylov_charpoly``;
-# 16 for each coefficient update (about 110 ns) of the p_m recurrence in
-# ``_hessenberg_charpoly``.  On a 2-core Xeon VM (CPython 3.11) the d = 308
-# conjugate of C307+C3 (entries up to 40) is 5.9e7 and takes 0.7 s, that of
-# C601 (d = 600) 4.3e8 and 3.7 s, a dense upper Hessenberg matrix at d = 400
-# 1.7e8 and 1.1 s; the limit is near d = 790 (e = 19) and d = 720 (7 s).
+# 16 a step (110-180 ns) of the p_m recurrence in ``_hessenberg_charpoly``.
+# On a 2-core Xeon VM (CPython 3.11) the d = 308 conjugate of C307+C3
+# (entries up to 40) is 5.9e7 and takes 0.7 s, that of C601 (d = 600) 4.3e8
+# and 3.7 s, a dense upper Hessenberg matrix at d = 700 8.7e8 and 10 s; the
+# limit is near d = 790 (e = 19), and d = 735 for that dense matrix.
 MAX_LIFT_WORK = 1_000_000_000
 
 
-def _check_work(d: int, work: int, what: str, limit: str):
-    """Refuse ``work`` word products for the ``what`` of a d x d matrix past
-    the limit named ``limit``, read from the module at each call."""
-    if work > globals()[limit]:
+def _check_work(d: int, work: int, what: str, name: str, limit: int):
+    """Refuse ``work`` word products past ``limit``, the value of ``name``."""
+    if work > limit:
         raise ValueError(
             f"the {what} of this {d} x {d} matrix needs about {work} "
-            f"word products, past the limit {limit} = {globals()[limit]}"
+            f"word products, past the limit {name} = {limit}"
         )
 
 
@@ -153,16 +152,20 @@ def _hessenberg_charpoly(h, e: int) -> tuple[list[int], list[int], tuple | None]
     and the seeds, each a chain of length 1, are 0 and each m with
     H[m][m - 1] = 0 mod p: modulo the blocks before it, each unreduced
     diagonal block of H is spanned by the Krylov chain of its first unit
-    vector.  The sum at m stops at the seed b <= m before it: at most
-    sum_m (m (m + 1) - b (b + 1)) / 2 coefficient updates, counted first."""
+    vector.  The sum at m runs down to the seed b <= m before it, the
+    product t of subdiagonal entries a unit: m - b steps of t and the i + 1
+    coefficients of p_i where h_im != 0 mod p, counted first, row by row,
+    with the m + 1 of (x - h_mm) p_m."""
     d = len(h)
     if any(any(h[i][: i - 1]) for i in range(2, d)):
         return _krylov_charpoly(h, e)
     p = (1 << e) - 1
     r = [[x % p for x in row] for row in h]
     seeds = [m for m in range(d) if m == 0 or not r[m][m - 1]]
-    updates = sum(m * (m + 1) - b * (b + 1) for b, end in zip(seeds, seeds[1:] + [d]) for m in range(b, end)) // 2
-    _check_work(d, 16 * updates, "characteristic polynomial", "MAX_LIFT_WORK")
+    steps = 0
+    for b, end in zip(seeds, seeds[1:] + [d]):
+        steps += (end - b) * end + sum((i + 1) * (end - i - 1 - r[i][i + 1 : end].count(0)) for i in range(b, end))
+    _check_work(d, 16 * steps, "characteristic polynomial", "MAX_LIFT_WORK", MAX_LIFT_WORK)
     polys = [[1]]
     for m in range(d):
         prev = polys[m]
@@ -251,7 +254,7 @@ def _krylov_charpoly(h, e: int, exact: bool = True) -> tuple[list[int], list[int
     width = 64 * -(-(2 * e + d.bit_length() + 2) // 64)
     rho = max(sum(map(abs, row)) for row in h)
     work = d * d * ((2 * d + 1) * width // 64 + -(-rho.bit_length() // 64))
-    _check_work(d, work, "characteristic polynomial", "MAX_LIFT_WORK")
+    _check_work(d, work, "characteristic polynomial", "MAX_LIFT_WORK", MAX_LIFT_WORK)
     size = width // 8
     ones = int.from_bytes((b"\x01" + bytes(size - 1)) * (2 * d + 1), "little")
     lo = ones * p
@@ -376,8 +379,7 @@ MAX_CERTIFICATE_WORK = 1_000_000_000
 def _chain_certificate(chains, coeffs, rows, seeds) -> bool:
     """Whether sum_k c_k h^k e_s = 0 over Z for each of ``seeds`` (``coeffs``
     ascending, the leading 1 included), h = ``rows``: each chain of the lift
-    is extended to len(coeffs) vectors, or until it returns to e_s (then the
-    c_k are added up modulo its period), and summed on its packed lanes.
+    is extended to len(coeffs) vectors and summed on its packed lanes.
     With every entry of the chain below 2^t, t = 63 - bit_length(sum |c_k|),
     each lane of the sum is below 2^63 in absolute value, so the sum is 0
     only when each lane is.  From the first chain that could overflow, and
@@ -396,18 +398,15 @@ def _chain_certificate(chains, coeffs, rows, seeds) -> bool:
         chain = chain[:n]
         while len(chain) < n:
             work += nnz
-            _check_work(d, work, "finite-order certificate", "MAX_CERTIFICATE_WORK")
+            _check_work(d, work, "finite-order certificate", "MAX_CERTIFICATE_WORK", MAX_CERTIFICATE_WORK)
             stepped = step(chain[-1], v)
             if stepped is None:
                 return _int_chain_sums(rows, coeffs, seeds[index:], work)
             y, v = stepped
-            if y == chain[0]:  # then (D a)^k e_s is chain[k mod len(chain)]
-                break
             chain.append(y)
         if any((y + plus) & over for y in chain):
             return _int_chain_sums(rows, coeffs, seeds[index:], work)
-        period = len(chain)
-        if sum(map(operator.mul, coeffs if period == n else [sum(coeffs[j::period]) for j in range(period)], chain)):
+        if sum(map(operator.mul, coeffs, chain)):
             return False
     return True
 
@@ -425,7 +424,7 @@ def _int_chain_sums(rows, coeffs, seeds, work: int) -> bool:
         total = [coeffs[0] * x for x in v]
         for c in coeffs[1:]:
             work += nnz * entry * (3 + -(-max(max(v), -min(v)).bit_length() // 64))
-            _check_work(d, work, "finite-order certificate", "MAX_CERTIFICATE_WORK")
+            _check_work(d, work, "finite-order certificate", "MAX_CERTIFICATE_WORK", MAX_CERTIFICATE_WORK)
             v = [sum(map(mul, vals, map(v.__getitem__, cols))) for cols, vals in sparse]
             if c:
                 total = [x + c * y for x, y in zip(total, v)]

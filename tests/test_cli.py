@@ -369,8 +369,7 @@ def test_analyze_answers_a_dense_upper_hessenberg_input_with_many_seeds(tmp_path
     # U B U^-1 for B = I72+C79 and an upper unitriangular U with entries in
     # {-1, 0, 1} (d = 150, entries of 28 bits) is upper Hessenberg, so the lift
     # takes the p_m recurrence, with 73 seeds; each seed is certified on its
-    # own packed chain, and the 72 chains that return to their seed after
-    # one step (A e_s = e_s for s < 72) take one step each
+    # own packed chain
     block = realize(parse_block_spec("I72+C79"))
     d = block.nrows
     rng = random.Random(1)
@@ -393,8 +392,10 @@ def test_analyze_refuses_a_dense_hessenberg_recurrence_past_the_lift_limit(tmp_p
     # zero diagonal and superdiagonal, a subdiagonal of ones and entries in
     # [-9, 9] above: tr a = tr a^2 = 0, so the lift runs, on the p_m
     # recurrence, whose inner steps update about d^3 / 6 coefficients
-    # (8.5e7 at d = 800, about 10 s); counted before it starts, they are
-    # refused past MAX_LIFT_WORK
+    # (8.1e7 at d = 800, about 10 s); counted before it starts, they are
+    # refused past MAX_LIFT_WORK.  At m the recurrence updates m + 1
+    # coefficients, takes m steps of t, and updates the i + 1 coefficients
+    # of p_i for each i < m with a[i][m] != 0
     d = 800
     rng = random.Random(800)
     rows = [[rng.randint(-9, 9) if j > i + 1 else int(j == i - 1) for j in range(d)] for i in range(d)]
@@ -404,7 +405,21 @@ def test_analyze_refuses_a_dense_hessenberg_recurrence_past_the_lift_limit(tmp_p
     code, out, err = run(capsys, "analyze", path)
     assert time.perf_counter() - start < 5
     assert code == 2 and out == "" and err.startswith("error: ") and limit in err
-    assert f"needs about {16 * sum(m * (m + 1) // 2 for m in range(d))} word products" in err
+    steps = sum(2 * m + 1 + sum(i + 1 for i in range(m) if rows[i][m]) for m in range(d))
+    assert f"needs about {16 * steps} word products" in err
+
+
+def test_analyze_answers_a_sparse_hessenberg_recurrence_of_the_same_size(tmp_path, capsys):
+    # the cyclic permutation of d = 800 (a subdiagonal of ones and a 1 in
+    # the top right corner; tr a = tr a^2 = 0) is upper Hessenberg in one
+    # unreduced block, as the dense file above, but its recurrence updates
+    # p_i only at i = 0 of the last column: about 6.4e5 steps, well within
+    # MAX_LIFT_WORK.  Its characteristic polynomial is x^800 - 1
+    d = 800
+    rows = [[int(j == i - 1 or (i, j) == (0, d - 1)) for j in range(d)] for i in range(d)]
+    code, out, _ = run(capsys, "analyze", _write_rows(tmp_path / "cyclic800.txt", rows), "--json")
+    assert code == 0
+    assert json.loads(out)["blocks"] == [f"C{n}" for n in (2, 4, 5, 8, 10, 16, 20, 25, 32, 40, 50, 80, 100, 160, 200, 400, 800)] + ["I1"]
 
 
 def test_analyze_refuses_a_lift_past_its_work_limit(tmp_path, capsys, monkeypatch, unimodular_pair):
