@@ -168,9 +168,8 @@ def _hessenberg_charpoly(h, e: int) -> tuple[list[int], list[int], tuple | None]
     _check_work(d, 16 * steps, "characteristic polynomial", "MAX_LIFT_WORK", MAX_LIFT_WORK)
     polys = [[1]]
     for m in range(d):
-        prev = polys[m]
         c = r[m][m]
-        new = [(x - c * y) % p for x, y in zip([0] + prev, prev + [0])]
+        new = [(x - c * y) % p for x, y in zip([0] + polys[m], polys[m] + [0])]
         t = 1
         for i in range(m - 1, -1, -1):
             t = t * r[i + 1][i] % p
@@ -195,10 +194,10 @@ def _lane_masks(d: int, t: int) -> tuple[int, int]:
 
 def _chain_step(h, rho: int):
     """step(y, v) = the packed and the unpacked h v, exact in signed 64-bit
-    lanes, for y the packed v: one product sum_j v_j col_j with the columns
-    of integer ``h``; None when a lane of y is 2^t or more, t = 62 -
-    bit_length(rho), rho the largest row sum of |h| (``_lane_masks``), which
-    keeps each lane of the product below 2^62.  None when rho >= 2^61."""
+    lanes, for y the packed v: sum_j v_j col_j over the nonzero v_j, col_j
+    the columns of integer ``h``; None when a lane of y is 2^t or more,
+    t = 62 - bit_length(rho), rho the largest row sum of |h| (``_lane_masks``),
+    which keeps each lane of the product below 2^62.  None when rho >= 2^61."""
     d = len(h)
     t = 62 - rho.bit_length()
     if t < 1:
@@ -213,7 +212,7 @@ def _chain_step(h, rho: int):
     def step(y, v):
         if (y + plus) & over:
             return None
-        y = sum(map(operator.mul, v, cols))
+        y = sum(map(operator.mul, itertools.compress(v, v), itertools.compress(cols, v)))
         return y, unpack(fmt, ((y + bias) ^ bias).to_bytes(8 * d, "little"))
 
     return step
@@ -366,20 +365,21 @@ def _cyclotomic_lift(a: Matrix):
 
 
 # Largest work of the certificate in ``cyclotomic_type``, in 64-bit word
-# products charged as its chains grow: nnz(h) entry words times vector words
-# a step h v, one and one on packed lanes, and 3 header words plus one per
-# 64 bits for a Python int.  On a 2-core Xeon VM (CPython 3.11) one takes
-# 2-7 ns: P^300 B P^-300 for B = C25+C9+C8+I6 (d = 36, 480-digit entries)
-# is 1.2e8 and 0.4 s, U B U^-1 for B = C61+C25+C9+C8+I6 and U upper
-# unitriangular (d = 96, 28-bit entries) 5.4e7 and 0.26 s, and a conjugate
-# of I72+C79 (d = 150, entries up to 40, 73 packed chains) 1.1e8 and 0.7 s.
+# products charged as its chains grow: a packed step h v multiplies the
+# d-word column of each nonzero v_j and unpacks d lanes, Python ints of 3
+# header words and one, so d (nnz(v) + 4); on Python ints, nnz(h) entry
+# words times vector words, 3 header words plus one per 64 bits each.  On a
+# 2-core Xeon VM (CPython 3.11) one takes 2-10 ns: P^300 B P^-300 for
+# B = C25+C9+C8+I6 (d = 36, 480-digit entries) is 1.2e8 and 0.4-1.0 s, a
+# conjugate of I72+C79 (d = 150, entries up to 40) 1.2e8 and 0.8-1.3 s.
 MAX_CERTIFICATE_WORK = 1_000_000_000
 
 
 def _chain_certificate(chains, coeffs, rows, seeds) -> bool:
     """Whether sum_k c_k h^k e_s = 0 over Z for each of ``seeds`` (``coeffs``
     ascending, the leading 1 included), h = ``rows``: each chain of the lift
-    is extended to len(coeffs) vectors and summed on its packed lanes.
+    is extended to len(coeffs) vectors, or until it returns to e_s after L
+    steps (then the c_k are added up modulo L), and summed on its packed lanes.
     With every entry of the chain below 2^t, t = 63 - bit_length(sum |c_k|),
     each lane of the sum is below 2^63 in absolute value, so the sum is 0
     only when each lane is.  From the first chain that could overflow, and
@@ -392,21 +392,22 @@ def _chain_certificate(chains, coeffs, rows, seeds) -> bool:
         return _int_chain_sums(rows, coeffs, seeds, 0)
     step, chains = chains
     plus, over = _lane_masks(d, t)
-    nnz = d * d - sum(row.count(0) for row in rows)
     work = 0
     for index, (chain, v) in enumerate(chains):
         chain = chain[:n]
-        while len(chain) < n:
-            work += nnz
+        closed = len(chain) > 1 and chain[-1] == chain[0]
+        while not closed and len(chain) < n:
+            work += d * (d + 4 - v.count(0))
             _check_work(d, work, "finite-order certificate", "MAX_CERTIFICATE_WORK", MAX_CERTIFICATE_WORK)
-            stepped = step(chain[-1], v)
-            if stepped is None:
+            if (stepped := step(chain[-1], v)) is None:
                 return _int_chain_sums(rows, coeffs, seeds[index:], work)
             y, v = stepped
+            closed = y == chain[0]
             chain.append(y)
         if any((y + plus) & over for y in chain):
             return _int_chain_sums(rows, coeffs, seeds[index:], work)
-        if sum(map(operator.mul, coeffs, chain)):
+        period = len(chain) - closed  # when closed, (D a)^k e_s is chain[k mod period]
+        if sum(map(operator.mul, [sum(coeffs[j::period]) for j in range(period)], chain)):
             return False
     return True
 

@@ -369,7 +369,8 @@ def test_analyze_answers_a_dense_upper_hessenberg_input_with_many_seeds(tmp_path
     # U B U^-1 for B = I72+C79 and an upper unitriangular U with entries in
     # {-1, 0, 1} (d = 150, entries of 28 bits) is upper Hessenberg, so the lift
     # takes the p_m recurrence, with 73 seeds; each seed is certified on its
-    # own packed chain
+    # own packed chain, and the 72 chains that return to their seed after
+    # one step (A e_s = e_s for s < 72) take one step each
     block = realize(parse_block_spec("I72+C79"))
     d = block.nrows
     rng = random.Random(1)

@@ -472,6 +472,33 @@ def test_cyclotomic_type_certifies_on_the_lift_chains(monkeypatch, unimodular_pa
         assert cyclotomic_type(a) is None and _power_type(a) is None, n
 
 
+def test_certificate_stops_a_chain_that_returns_to_its_seed(monkeypatch):
+    # a chain back at e_s after L steps repeats with period L, so the
+    # certificate adds the q~_k up modulo L instead of stepping on to deg q.
+    # The permutation with cycles (0 5 10), (1 6 11 3), (2 7 12 4 8), (9) is
+    # not upper Hessenberg: the Krylov pass closes each chain on its cycle,
+    # and the certificate takes no step (deg q = 10).  In the block form
+    # I5+C7+C9 (deg q = 13) each identity seed closes after one step, the
+    # seeds of C7 and C9 after 7 and 9.  Beside a unipotent block, whose
+    # seed e_13 closes at once, the permutation is still refuted on e_14
+    steps = []
+    check = exactlin._check_work
+
+    def spy(d, work, what, name, limit):
+        if name == "MAX_CERTIFICATE_WORK":
+            steps.append(work)
+        return check(d, work, what, name, limit)
+
+    monkeypatch.setattr(exactlin, "_check_work", spy)
+    sigma = {0: 5, 5: 10, 10: 0, 1: 6, 6: 11, 11: 3, 3: 1, 2: 7, 7: 12, 12: 4, 4: 8, 8: 2, 9: 9}
+    perm = [[int(sigma[j] == i) for j in range(13)] for i in range(13)]
+    assert [len(chain) for chain, _ in _cyclotomic_lift(Matrix(perm))[4][1]] == [4, 5, 6, 2]
+    assert cyclotomic_type(Matrix(perm)) == (1, 1, 1, 1, 2, 3, 4, 5) and steps == []
+    assert cyclotomic_type(realize(parse_block_spec("I5+C7+C9"))) == (1, 1, 1, 1, 1, 7, 9) and len(steps) == 21
+    extended = block_diag([Matrix(perm), Matrix([[1, 1], [0, 1]])])
+    assert cyclotomic_type(extended) is None and _power_type(extended) is None
+
+
 def test_chains_past_their_lanes_fall_back_to_python_ints(monkeypatch, unimodular_pair):
     # P^k B P^-k with entries of 14-17 digits: rho < 2^61, so the pass
     # starts on exact chains, but the first step's entries pass
