@@ -14,8 +14,7 @@ than hiding the discrepancy.
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterable
+import functools
 from math import lcm
 
 from .arith import factorize
@@ -120,16 +119,18 @@ def _best_blocks(n: int) -> tuple[Block, ...]:
     return tuple(NegCyclotomic(q) if q == neg else Cyclotomic(q) for q in odd)
 
 
-def _part(n_l: int) -> tuple[tuple[Block, ...], Iterable[GradedRank]]:
-    """The blocks of one cyclic part of order n_l and the K-ranks of its
-    Kunneth factors, the latter computed when read, once (a gap-one verdict
-    never reads them).  Z_2 spends a full -I_2, since a lone sign block
-    cannot carry it; both sign blocks carry the same Z_2, so the part is one
+@functools.lru_cache(maxsize=1024)
+def _part(n_l: int) -> tuple[tuple[Block, ...], GradedRank, bool]:
+    """The blocks of one cyclic part of order n_l, the Kunneth product of
+    their factors' K-ranks and ``af_paper(n_l)``.  None of them depends on
+    d, so each part is resolved once; a run of verdicts meets about 400
+    distinct parts.  Z_2 spends a full -I_2, since a lone sign block cannot
+    carry it; both sign blocks carry the same Z_2, so the part is one
     factor, the flip on a 2-torus, not the product of two."""
     if n_l == 2:
-        return (Cyclotomic(2), Cyclotomic(2)), [GradedRank(at_least(1), exact(0))]
+        return (Cyclotomic(2), Cyclotomic(2)), GradedRank(at_least(1), exact(0)), af_paper(2)
     blocks = _best_blocks(n_l)
-    return blocks, map(factor_k, blocks)
+    return blocks, kunneth_all(map(factor_k, blocks)), af_paper(n_l)
 
 
 def _classify(d: int, label: str, w: int, parts: tuple[int, ...], free_rank: int) -> Verdict:
@@ -145,13 +146,13 @@ def _classify(d: int, label: str, w: int, parts: tuple[int, ...], free_rank: int
         return Verdict(d, label, w, W_TOO_BIG)
     gap = d - w
     resolved = [_part(n_l) for n_l in parts]
-    blocks = tuple(b for part_blocks, _ in resolved for b in part_blocks)
+    blocks = tuple(b for part_blocks, _, _ in resolved for b in part_blocks)
     realization = Realization(blocks + ((Identity(gap),) if gap else ()), lcm(*parts, 1))
     if gap == 1 and not free_rank:
         return Verdict(d, label, w, GAP_ONE, realization)
-    k = kunneth_all(itertools.chain(*(factors for _, factors in resolved), [torus_k(gap + free_rank)]))
+    k = kunneth_all([*(factor for _, factor, _ in resolved), torus_k(gap + free_rank)])
     af_computed = not free_rank and k.k1 == exact(0)
-    paper_flag = not free_rank and gap == 0 and all(af_paper(n_l) for n_l in parts)
+    paper_flag = not free_rank and gap == 0 and all(af for _, _, af in resolved)
     return Verdict(d, label, w, EXISTS, realization, k, af_computed, paper_flag)
 
 

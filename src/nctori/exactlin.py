@@ -368,10 +368,14 @@ def _cyclotomic_lift(a: Matrix):
 # products charged as its chains grow: a packed step h v multiplies the
 # d-word column of each nonzero v_j and unpacks d lanes, Python ints of 3
 # header words and one, so d (nnz(v) + 4); on Python ints, nnz(h) entry
-# words times vector words, 3 header words plus one per 64 bits each.  On a
-# 2-core Xeon VM (CPython 3.11) one takes 2-10 ns: P^300 B P^-300 for
-# B = C25+C9+C8+I6 (d = 36, 480-digit entries) is 1.2e8 and 0.4-1.0 s, a
-# conjugate of I72+C79 (d = 150, entries up to 40) 1.2e8 and 0.8-1.3 s.
+# words times vector words, 3 header words plus one per 64 bits each, plus
+# 100 a row for the Python int it builds (about 0.5 us).  On a 2-core Xeon
+# VM (CPython 3.11) one takes 2-10 ns: P^300 B P^-300 for B = C25+C9+C8+I6
+# (d = 36, 480-digit entries) is 1.3e8 and 0.6 s, a conjugate of I72+C79
+# (d = 150, entries up to 40) 1.2e8 and 0.8-1.3 s, and the upper block-
+# triangular matrix with blocks companion(Phi_p), p = 3 ... 79, each linked
+# to the next by a 1 (d = 768, 21 seeds, on Python ints) 1.6e9 and 8.5 s,
+# refused after 6.5 s.
 MAX_CERTIFICATE_WORK = 1_000_000_000
 
 
@@ -414,7 +418,9 @@ def _chain_certificate(chains, coeffs, rows, seeds) -> bool:
 
 def _int_chain_sums(rows, coeffs, seeds, work: int) -> bool:
     """Whether sum_k c_k h^k e_s = 0 for each of ``seeds``, on Python ints:
-    one sparse product h v a step, charged on top of ``work``."""
+    one sparse product h v a step, charged on top of ``work``, with 100 for
+    each of the d rows, whose sum and update of the total build Python ints
+    in a Python-level loop whatever the entries."""
     d = len(rows)
     sparse = [(list(itertools.compress(range(d), row)), list(itertools.compress(row, row))) for row in rows]
     nnz = sum(len(cols) for cols, _ in sparse)
@@ -424,7 +430,7 @@ def _int_chain_sums(rows, coeffs, seeds, work: int) -> bool:
         v = [int(i == s) for i in range(d)]
         total = [coeffs[0] * x for x in v]
         for c in coeffs[1:]:
-            work += nnz * entry * (3 + -(-max(max(v), -min(v)).bit_length() // 64))
+            work += nnz * entry * (3 + -(-max(max(v), -min(v)).bit_length() // 64)) + 100 * d
             _check_work(d, work, "finite-order certificate", "MAX_CERTIFICATE_WORK", MAX_CERTIFICATE_WORK)
             v = [sum(map(mul, vals, map(v.__getitem__, cols))) for cols, vals in sparse]
             if c:

@@ -15,12 +15,14 @@ from nctori.invariants import (
     s1,
     spec_dim,
 )
-from nctori.ktheory import GradedRank, at_least, exact, torus_k
+from nctori.ktheory import GradedRank, at_least, exact, factor_k, kunneth_all, torus_k
 from nctori.classify import (
+    EXISTS,
     GAP_ONE,
     W_TOO_BIG,
     Realization,
     _best_blocks,
+    _part,
     af_paper,
     analyze_action,
     classify_cyclic,
@@ -31,7 +33,7 @@ from nctori.classify import (
     verdict_json,
 )
 from nctori.theta import is_invariant, is_nondegenerate, nondegenerate_invariant_exists
-from nctori.wfun import AbelianGroup, w_order
+from nctori.wfun import AbelianGroup, w_group, w_order
 from oracles import enumerate_specs
 
 
@@ -184,6 +186,60 @@ def test_gap_one_realization_has_no_witness():
         exists, witness = nondegenerate_invariant_exists(realize(v.realization.blocks))
         assert not exists
         assert witness is None
+
+
+def _per_block_fold(d: int, w: int, parts: tuple[int, ...], free_rank: int):
+    """(k0, k1, AF_computed, AF_paper) of an ``exists`` verdict folded block
+    by block, in part order, as before the parts were cached: one flip factor
+    for a Z_2 part, factor_k of each block otherwise, then the torus."""
+    factors = []
+    for n_l in parts:
+        factors += [GradedRank(at_least(1), exact(0))] if n_l == 2 else map(factor_k, _best_blocks(n_l))
+    gap = d - w
+    k = kunneth_all(factors + [torus_k(gap + free_rank)])
+    paper = not free_rank and gap == 0 and all(af_paper(n_l) for n_l in parts)
+    return k.k0, k.k1, not free_rank and k.k1 == exact(0), paper
+
+
+@pytest.mark.parametrize("cold", [True, False])
+def test_cached_part_fold_equals_the_per_block_fold(cold):
+    # each part's Kunneth factor is folded once and cached; the product is
+    # associative with KUNNETH_UNIT as identity, so the verdict's ranks and
+    # flags are those of the fold over every block, cold or warm.  Z_n goes
+    # through classify_fg (classify_cyclic gives Z_2 the flip -I_d) and, from
+    # n = 3 on, through classify_cyclic too
+    groups = [AbelianGroup.from_factors([n]) for n in range(2, 401)] + [
+        AbelianGroup.from_factors([2, 2, 3]),
+        AbelianGroup.from_factors([4, 6, 10]),
+        AbelianGroup.from_factors([30, 10, 28]),
+        AbelianGroup.from_factors([6], free_rank=2),
+    ]
+    exists = 0
+    for g in groups:
+        w, decomp = w_group(g)
+        for d in range(1, 65):
+            verdicts = [classify_fg]
+            if decomp.parts[0] > 2 and not g.free_rank and len(decomp.parts) == 1:
+                verdicts.append(lambda d, g: classify_cyclic(d, decomp.parts[0]))
+            for verdict in verdicts:
+                if cold:
+                    _part.cache_clear()
+                v = verdict(d, g)
+                if v.reason != EXISTS:
+                    continue
+                exists += 1
+                got = (v.k.k0, v.k.k1, v.is_af_computed, v.is_af_paper_predicate)
+                assert got == _per_block_fold(d, w, decomp.parts, g.free_rank), (d, str(g))
+    assert exists > 20_000
+
+
+def test_part_cache_is_bounded_and_hit_by_a_repeated_order():
+    assert isinstance(_part.cache_info().maxsize, int)
+    _part.cache_clear()
+    classify_cyclic(20, 45)
+    hits = _part.cache_info().hits
+    classify_cyclic(31, 45)
+    assert _part.cache_info().hits == hits + 1 and _part.cache_info().currsize == 1
 
 
 def test_classify_group_examples():

@@ -527,6 +527,27 @@ def test_chains_past_their_lanes_fall_back_to_python_ints(monkeypatch, unimodula
     assert cyclotomic_type(f) == _power_type(f) == (1, 1, 7, 9) and calls == [1]
 
 
+def test_python_int_steps_are_charged_for_each_row(monkeypatch):
+    # a step on Python ints builds one int a row in a Python-level loop,
+    # about as long as 100 word products whatever the entries, so each step
+    # is charged 100 d on top of nnz(h) entry words times vector words.  On
+    # the cyclic permutation (one entry a row) the word products alone come
+    # to 16 d a step
+    charges = []
+    check = exactlin._check_work
+
+    def spy(d, work, what, name, limit):
+        charges.append(work)
+        return check(d, work, what, name, limit)
+
+    monkeypatch.setattr(exactlin, "_check_work", spy)
+    d = 40
+    perm = [[int(j == (i - 1) % d) for j in range(d)] for i in range(d)]
+    assert exactlin._int_chain_sums(perm, [-1] + [0] * (d - 1) + [1], [0, 7], 0)
+    steps = [b - a for a, b in zip([0] + charges, charges)]
+    assert len(steps) == 2 * d and min(steps) >= 100 * d
+
+
 def test_cyclotomic_type_probe_sees_defect_off_the_chain():
     # (U - I) kills (1, 1, 1), so q(a) v0 = 0 for v0 = (1, ..., 1): the chain
     # from v0 passes and only the probe finds the unipotent part
