@@ -6,8 +6,8 @@ rank and kernels use fraction-free integer echelon reduction with gcd
 normalization (rational input is first scaled to integers by the lcm of its
 denominators, ``_scaled_int_rows``), and a compound matrix comes from a
 Laplace sweep over only the rows its degree reaches.  Finite order is
-decided on the characteristic polynomial modulo one word-sized Mersenne
-prime above ``totient_bound(d)``, taken by Krylov chains on packed lanes
+decided on the characteristic polynomial modulo p = 2^19 - 1 (refused when
+p divides the denominators), taken by Krylov chains on packed 64-bit lanes
 (by the recurrence of an upper Hessenberg matrix when the input is one),
 factored on its half-degree trace polynomial (``arith.cyclotomic_factors``),
 and certified over Z on the exact chains of its seeds, on packed 64-bit
@@ -22,7 +22,7 @@ import sys
 from math import gcd, lcm
 from struct import pack, unpack
 
-from .arith import IntPolynomial, cyclotomic, cyclotomic_factors, poly_mul, totient_bound
+from .arith import IntPolynomial, cyclotomic, cyclotomic_factors, poly_mul
 from .record import Frozen, set_field
 
 
@@ -112,19 +112,20 @@ def companion(p: IntPolynomial) -> Matrix:
     return Matrix(tuple(-p[i] if j == d - 1 else int(i == j + 1) for j in range(d)) for i in range(d))
 
 
-# Exponents e of the proved Mersenne primes 2^e - 1 from 2^19 - 1 on; the
-# lift passes over those that divide the lcm of the denominators.
-_MERSENNE_EXPONENTS = (19, 31, 61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941, 11213, 19937)
+# The lift works modulo the Mersenne prime 2^E - 1, above totient_bound(d),
+# as its proof needs, up to d = 94,647: far past MAX_LIFT_WORK on either
+# route.  So one prime serves, and a packed lane is one 64-bit word.
+_E = 19
 
 
 # Largest work of the lift, in 64-bit word products, counted before it
-# starts: d^2 multiply-adds of (2d + 1)-lane integers (lanes of ``width``
-# bits) and d^2 reductions of ``rho``-bit entries in ``_krylov_charpoly``;
+# starts: d^2 multiply-adds of (2d + 1)-word integers and d^2 reductions
+# of ``rho``-bit entries in ``_krylov_charpoly``;
 # 16 a step (110-180 ns) of the p_m recurrence in ``_hessenberg_charpoly``.
 # On a 2-core Xeon VM (CPython 3.11) the d = 308 conjugate of C307+C3
 # (entries up to 40) is 5.9e7 and takes 0.7 s, that of C601 (d = 600) 4.3e8
 # and 3.7 s, a dense upper Hessenberg matrix at d = 700 8.7e8 and 10 s; the
-# limit is near d = 790 (e = 19), and d = 735 for that dense matrix.
+# limit is near d = 790, and d = 735 for that dense matrix.
 MAX_LIFT_WORK = 1_000_000_000
 
 
@@ -137,8 +138,8 @@ def _check_work(d: int, work: int, what: str, name: str, limit: int):
         )
 
 
-def _hessenberg_charpoly(h, e: int) -> tuple[list[int], list[int], tuple | None]:
-    """det(x I - h) modulo the Mersenne prime p = 2^e - 1, ascending
+def _hessenberg_charpoly(h) -> tuple[list[int], list[int], tuple | None]:
+    """det(x I - h) modulo the Mersenne prime p = 2^E - 1, ascending
     residues in [0, p), seeds whose Krylov spaces under h span F_p^d, and
     the seeds' integer chains (as ``_krylov_charpoly`` returns them).
 
@@ -158,8 +159,8 @@ def _hessenberg_charpoly(h, e: int) -> tuple[list[int], list[int], tuple | None]
     with the m + 1 of (x - h_mm) p_m."""
     d = len(h)
     if any(any(h[i][: i - 1]) for i in range(2, d)):
-        return _krylov_charpoly(h, e)
-    p = (1 << e) - 1
+        return _krylov_charpoly(h)
+    p = (1 << _E) - 1
     r = [[x % p for x in row] for row in h]
     seeds = [m for m in range(d) if m == 0 or not r[m][m - 1]]
     steps = 0
@@ -218,82 +219,64 @@ def _chain_step(h, rho: int):
     return step
 
 
-def _krylov_charpoly(h, e: int, exact: bool = True) -> tuple[list[int], list[int], tuple | None]:
-    """det(x I - h) modulo p = 2^e - 1 and the seeds, by Krylov chains with
+def _krylov_charpoly(h, exact: bool = True) -> tuple[list[int], list[int], tuple | None]:
+    """det(x I - h) modulo p = 2^E - 1 and the seeds, by Krylov chains with
     restarts (Keller-Gehrig, Theoret. Comput. Sci. 36, 1985), and the chains
     over Z while they stay in 64-bit lanes.
 
     A chain starts at e_s, s the lowest index that is not yet a pivot, and
     runs v = h^k e_s until v reduces to 0 against the echelon rows so far.
-    The vectors are the exact h^k e_s, whatever ``width``, each one step of
-    ``_chain_step``; a vector past its bound restarts the pass on residues,
-    as when rho >= 2^61.
+    The vectors are the exact h^k e_s, each one step of ``_chain_step``; a
+    vector past its bound restarts the pass on residues, as when rho >= 2^61.
 
-    The echelon rows are integers of ``width``-bit lanes: lane i < d holds
-    entry i mod p, lanes d..2d the chain coordinates (x^k for h^k e_s), and
-    each row, scaled to -1 mod p at its pivot lane, costs one multiply-add.
+    The echelon rows are integers of 64-bit lanes: lane i < d holds entry
+    i mod p, lanes d..2d the chain coordinates (x^k for h^k e_s), and each
+    row, scaled to -1 mod p at its pivot lane, costs one multiply-add.
     Rows of earlier chains lose their coordinates, so coordinates c always
     give c(h) e_s = the vector lanes modulo the earlier chains, which span an
     h-invariant space.  At 0, c is the chain's polynomial, h acts on the
     chain modulo that space as companion(c), and chi is the product over the
-    chains.  An exact vector enters, on lanes of 64 bits (e = 19), as its
-    lanes plus the least multiple of p from 2^62 on, folded once by the
-    lane-wise Mersenne fold (x & lo) + ((x >> e) & hi), which keeps each
-    residue: below 2^e + 2^(64 - e).  On wider lanes it enters as its
-    residues, and on residues as the product's lanes, below d p^2.  Lanes
-    stay below 2^(64 - e) + 2 d p^2 < 2^width; two folds bring a lane below
-    2^e + 2d + 2^8, and a third, on x plus 1 in each lane, leaves the residue
-    plus 1 in [1, p], as 2d + 2^8 < p.
+    chains.  An exact vector enters as its lanes plus the least multiple of
+    p from 2^62 on, folded once by the lane-wise Mersenne fold
+    (x & lo) + ((x >> E) & hi), which keeps each residue: below
+    2^E + 2^(64 - E).  On residues it enters as the product's lanes, below
+    d p^2.  Lanes stay below 2^(64 - E) + 2 d p^2 < 2^64; two folds bring a
+    lane below 2^E + 2d + 2^8, and a third, on x plus 1 in each lane, leaves
+    the residue plus 1 in [1, p], as 2d + 2^8 < p.
 
     The third value is None on residues, else (step, chains), a chain being
     (its packed vectors, the last one unpacked).  Past ``MAX_LIFT_WORK`` the
     pass is refused before it starts."""
+    e = _E
     p = (1 << e) - 1
     d = len(h)
-    width = 64 * -(-(2 * e + d.bit_length() + 2) // 64)
     rho = max(sum(map(abs, row)) for row in h)
-    work = d * d * ((2 * d + 1) * width // 64 + -(-rho.bit_length() // 64))
+    work = d * d * (2 * d + 1 + -(-rho.bit_length() // 64))
     _check_work(d, work, "characteristic polynomial", "MAX_LIFT_WORK", MAX_LIFT_WORK)
-    size = width // 8
-    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * (2 * d + 1), "little")
+    ones = int.from_bytes((b"\x01" + bytes(7)) * (2 * d + 1), "little")
     lo = ones * p
-    hi = ones * ((1 << (width - e)) - 1)
-    lane = (1 << width) - 1
-    vector = (1 << (width * d)) - 1
-    if size == 8:  # one word a lane, packed by struct
-
-        def packed(v):
-            return int.from_bytes(pack(f"<{d}Q", *v), "little")
-
-        def lanes(x, n):
-            return unpack(f"<{n}Q", x.to_bytes(8 * n, "little"))
-
-    else:
-
-        def packed(v):
-            return sum(x << (width * i) for i, x in enumerate(v))
-
-        def lanes(x, n):
-            return [x >> (width * i) & lane for i in range(n)]
-
+    hi = ones * ((1 << (64 - e)) - 1)
+    lane = (1 << 64) - 1
+    vector = (1 << (64 * d)) - 1
+    fmt = f"<{d}Q"
     step = _chain_step(h, rho) if exact else None
     if step is None:
-        cols = [packed([x % p for x in col]) for col in zip(*h)]
-    elif size == 8:
+        cols = [int.from_bytes(pack(fmt, *(x % p for x in col)), "little") for col in zip(*h)]
+    else:
         off = (ones & vector) * (-(-(1 << 62) // p) * p)
     rows: list[tuple[int, int]] = []  # (shift of the pivot lane, packed row)
     poly, seeds, chains = [1], [], []
     while len(rows) < d:
         pivots = {shift for shift, _ in rows}
-        s = next(i for i in range(d) if i * width not in pivots)
+        s = next(i for i in range(d) if 64 * i not in pivots)
         seeds.append(s)
         start = len(rows)
         v = [0] * d
         v[s] = 1
-        y = 1 << (width * s)
-        chain = [1 << (64 * s)]
+        y = 1 << (64 * s)
+        chain = [y]
         for k in range(d + 1):
-            x = y + (1 << (width * (d + k)))
+            x = y + (1 << (64 * (d + k)))
             for shift, row in rows:
                 c = (x >> shift & lane) % p
                 if c:
@@ -305,25 +288,22 @@ def _krylov_charpoly(h, e: int, exact: bool = True) -> tuple[list[int], list[int
             if not low:
                 break
             shift = (low & -low).bit_length() - 1
-            shift -= shift % width
+            shift -= shift % 64
             x *= pow(-(x >> shift & lane), -1, p)
             x = (x & lo) + ((x >> e) & hi)
             rows.append((shift, (x & lo) + ((x >> e) & hi)))
             if step is None:
                 y = sum(map(operator.mul, v, cols))
-                v = [c % p for c in lanes(y, d)]
+                v = [c % p for c in unpack(fmt, y.to_bytes(8 * d, "little"))]
                 continue
             stepped = step(chain[-1], v)
             if stepped is None:
-                return _krylov_charpoly(h, e, False)
+                return _krylov_charpoly(h, False)
             y, v = stepped
             chain.append(y)
-            if size == 8:
-                y += off
-                y = (y & lo) + ((y >> e) & hi)
-            else:
-                y = packed([c % p for c in v])
-        poly = [c % p for c in poly_mul(poly, lanes(x >> (width * d), k + 1))]
+            y += off
+            y = (y & lo) + ((y >> e) & hi)
+        poly = [c % p for c in poly_mul(poly, unpack(f"<{k + 1}Q", (x >> (64 * d)).to_bytes(8 * (k + 1), "little")))]
         rows[start:] = [(shift, row & vector) for shift, row in rows[start:]]
         chains.append((chain, v))
     return poly, seeds, step and (step, chains)
@@ -348,15 +328,10 @@ def _cyclotomic_lift(a: Matrix):
     if max(abs(sum(row[i] for i, row in enumerate(rows))), abs(sum(map(operator.mul, flat(rows), flat(zip(*rows)))))) > d:
         return None  # |tr a| > d or |tr a^2| > d
     rows, scale = _scaled_int_rows(a)
-    top = totient_bound(d)
-    e = next((e for e in _MERSENNE_EXPONENTS if (1 << e) - 1 > top and scale % ((1 << e) - 1)), None)
-    if e is None:
-        raise ValueError(
-            f"the lcm of the denominators is divisible by every listed Mersenne prime above {top} "
-            f"up to the last, 2^{_MERSENNE_EXPONENTS[-1]} - 1 (cyclotomic_type works modulo one that is not)"
-        )
-    p = (1 << e) - 1
-    poly, seeds, chains = _hessenberg_charpoly(rows, e)
+    p = (1 << _E) - 1
+    if not scale % p:
+        raise ValueError(f"the lcm of the denominators is divisible by 2^{_E} - 1, the prime cyclotomic_type works modulo")
+    poly, seeds, chains = _hessenberg_charpoly(rows)
     if scale != 1:
         poly = [c * pow(scale, k - d, p) % p for k, c in enumerate(poly)]
     reciprocal = poly[::-1] == poly or poly[::-1] == [-c % p for c in poly]
@@ -450,8 +425,9 @@ def cyclotomic_type(a: Matrix) -> tuple[int, ...] | None:
 
     1. Lift (``_cyclotomic_lift``): det(x I - D a) by Krylov chains with
        restarts (the p_m recurrence when D a is already upper Hessenberg)
-       modulo p = 2^e - 1, the least listed Mersenne prime above
-       ``totient_bound(d)`` that does not divide D, with the coefficient of
+       modulo the Mersenne prime p = 2^19 - 1, which is above
+       ``totient_bound(d)`` for every d the work limit lets through (a D
+       that p divides is refused with ValueError), with the coefficient of
        x^k multiplied by D^-(d - k) mod p; then Phi_1 and Phi_2 divided out
        at 1 and -1, the rest being g = x^s G(x + 1/x), and from G each Psi_n,
        Phi_n(x) = x^(phi(n)/2) Psi_n(x + 1/x), of degree at most half of what
@@ -530,14 +506,15 @@ def rational_block_form(a: Matrix) -> tuple[Matrix, Matrix] | None:
     when ``a`` has infinite order.
 
     The n are those of the lift in ``cyclotomic_type`` (None when it proves
-    infinite order).  P lists chains v, a v, ..., a^(phi(n) - 1) v,
-    v in ker Phi_n(a), on which ``a`` acts as companion(Phi_n); Phi_n is
-    irreducible, so a chain from a kernel vector outside those taken is
-    independent of them.  Chains lie in the kernels, so if they fill Q^d the
-    distinct Phi_n annihilate ``a``: it is semisimple, of finite order, and
-    the lift is its characteristic polynomial.  A semisimple ``a`` fills
-    them, so if they fall short the answer is None.  ArithmeticError is
-    raised only if the final exact check fails.
+    infinite order; ValueError when 2^19 - 1 divides the denominators' lcm).
+    P lists chains v, a v, ..., a^(phi(n) - 1) v, v in ker Phi_n(a), on
+    which ``a`` acts as companion(Phi_n); Phi_n is irreducible, so a chain
+    from a kernel vector outside those taken is independent of them.  Chains
+    lie in the kernels, so if they fill Q^d the distinct Phi_n annihilate
+    ``a``: it is semisimple, of finite order, and the lift is its
+    characteristic polynomial.  A semisimple ``a`` fills them, so if they
+    fall short the answer is None.  ArithmeticError is raised only if the
+    final exact check fails.
 
     >>> c3, c5 = companion(cyclotomic(3)), companion(cyclotomic(5))
     >>> swap = Matrix([[int(j == (i + 2) % 6) for j in range(6)] for i in range(6)])

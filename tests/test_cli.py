@@ -201,10 +201,10 @@ def test_theta_json_on_dense_conjugate_matches_direct_solve(
 
 
 def _count_hessenberg_passes(monkeypatch):
-    """Record (rows, e) for every pass of the lift modulo 2^e - 1."""
+    """Record the rows of every pass of the lift modulo 2^19 - 1."""
     calls = []
     hessenberg = exactlin._hessenberg_charpoly
-    monkeypatch.setattr(exactlin, "_hessenberg_charpoly", lambda h, e: calls.append(([row[:] for row in h], e)) or hessenberg(h, e))
+    monkeypatch.setattr(exactlin, "_hessenberg_charpoly", lambda h: calls.append([row[:] for row in h]) or hessenberg(h))
     return calls
 
 
@@ -222,15 +222,15 @@ def test_analyze_factors_the_characteristic_polynomial_once(tmp_path, capsys, mo
     code, out, _ = run(capsys, "analyze", str(path), "--json")
     payload = json.loads(out)
     assert code == 0 and payload["blocks"] == ["C7", "C9", "I2"] and payload["nondegenerate_theta_exists"]
-    # totient_bound(14) = 52: the finite-order lift works modulo 2^19 - 1
-    assert calls == [(list(a.rows), 19)]
-    # and so it does at d = 31 (totient_bound(31) = 116)
+    # one pass of the lift, on the rows as read
+    assert calls == [list(a.rows)]
+    # and one at d = 31
     _, d, path = _write_conjugate(tmp_path, "C25+C11+I1", 31, unimodular_pair)
     assert d == 31
     calls.clear()
     code, out, _ = run(capsys, "analyze", path, "--json")
     assert code == 0 and json.loads(out)["blocks"] == ["C11", "C25", "I1"]
-    assert [e for _, e in calls] == [19]
+    assert len(calls) == 1
 
 
 def test_analyze_solves_no_invariant_form_system(tmp_path, capsys, monkeypatch, unimodular_pair):

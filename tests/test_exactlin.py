@@ -7,10 +7,10 @@ from operator import mul
 
 import pytest
 
-from nctori import exactlin
+from nctori import exactlin, theta
 from nctori.arith import _trace_terms, cyclotomic, cyclotomic_factors, poly_mul, totient, totient_bound, trace_form
 from nctori.exactlin import (
-    _MERSENNE_EXPONENTS,
+    MAX_LIFT_WORK,
     _components,
     _cyclotomic_lift,
     _hessenberg_charpoly,
@@ -319,14 +319,13 @@ def test_charpoly_matches_independent_references():
         if d >= 3:
             rest = Matrix([[rng.randint(-2, 2) for _ in range(d - 2)] for _ in range(d - 2)])
             cases.append(block_diag([hyperbolic, rest]))
+    p = 2**19 - 1
     for a in cases:
         d = a.nrows
         # rational input goes through D a, D the lcm of the denominators
         scale = lcm(*(x.denominator for row in a.rows for x in row if type(x) is not int), 1)
         b = Matrix([[scale * x for x in row] for row in a.rows])
-        e = _route_exponent(d)
-        p = (1 << e) - 1
-        residues, _, _ = _hessenberg_charpoly(b.rows, e)
+        residues, _, _ = _hessenberg_charpoly(b.rows)
         assert residues == [c % p for c in _faddeev_leverrier(b)], a
         for t in range(d + 1):
             value = sum(c * t**k for k, c in enumerate(residues))
@@ -590,11 +589,6 @@ def test_cyclotomic_type_large_block_form_is_fast():
     assert elapsed < 1
 
 
-def _route_exponent(d):
-    """e of the least listed Mersenne prime 2^e - 1 above totient_bound(d)."""
-    return next(e for e in _MERSENNE_EXPONENTS if (1 << e) - 1 > totient_bound(d))
-
-
 def _traces_pass(m):
     d = m.nrows
     tr2 = sum(m.rows[i][j] * m.rows[j][i] for i in range(d) for j in range(d))
@@ -603,32 +597,30 @@ def _traces_pass(m):
 
 def test_lift_congruent_to_cyclotomic_is_refuted_by_the_seeds(monkeypatch):
     # companion(Phi_n + p x^j) has characteristic polynomial Phi_n modulo the
-    # route's prime p, within every bound and reciprocal: only the seed
-    # certificate shows that it has infinite order
-    exponents = []
+    # lift's prime p = 2^19 - 1, within every bound and reciprocal: only the
+    # seed certificate shows that it has infinite order
+    passes = []
     hessenberg = exactlin._hessenberg_charpoly
-    monkeypatch.setattr(exactlin, "_hessenberg_charpoly", lambda h, e: exponents.append(e) or hessenberg(h, e))
+    monkeypatch.setattr(exactlin, "_hessenberg_charpoly", lambda h: passes.append(list(h)) or hessenberg(h))
     c5 = companion(cyclotomic(5))
     checked = 0
     for n in (5, 7, 9, 12, 16, 20, 21, 33, 44, 61):
         phi = cyclotomic(n)
         k = len(phi) - 1
         for extra in (False, True):
-            d = k + 4 * extra
-            e = _route_exponent(d)
             for j in range(k):
                 f = list(phi)
-                f[j] += (1 << e) - 1
+                f[j] += 2**19 - 1
                 m = companion(tuple(f))
                 if extra:
                     m = block_diag([m, c5])
                 if not _traces_pass(m):
                     continue
-                exponents.clear()
+                passes.clear()
                 assert _cyclotomic_lift(m)[0] == tuple(sorted((n, 5) if extra else (n,))), (n, j)
-                assert exponents == [e], (n, j)
+                assert passes == [list(m.rows)], (n, j)
                 assert cyclotomic_type(m) is None, (n, extra, j)
-                if d <= 24:
+                if m.nrows <= 24:
                     assert rational_block_form(m) is None, (n, extra, j)
                 checked += 1
     # j = k - 1 and j = k - 2 move tr a and tr a^2 by p, and every other j passes
@@ -659,8 +651,7 @@ def test_seed_krylov_chains_have_rank_d(unimodular_pair):
         if t % 2:
             p, q = unimodular_pair(rng, d, 3 * d)
             a = p @ a @ q
-        e = _route_exponent(d)
-        _, seeds, _ = _hessenberg_charpoly(a.rows, e)
+        _, seeds, _ = _hessenberg_charpoly(a.rows)
         assert seeds == _cyclotomic_lift(a)[1], a
         assert seeds[0] == 0, a
         chains = []
@@ -684,14 +675,14 @@ def test_non_reciprocal_lift_exits_before_the_factor_search(monkeypatch):
 
     passes = []
     hessenberg = exactlin._hessenberg_charpoly
-    monkeypatch.setattr(exactlin, "_hessenberg_charpoly", lambda h, e: passes.append(e) or hessenberg(h, e))
+    monkeypatch.setattr(exactlin, "_hessenberg_charpoly", lambda h: passes.append(list(h)) or hessenberg(h))
     monkeypatch.setattr(exactlin, "cyclotomic_factors", no_division)
     for d in range(12, 61):
         a = companion((-1, -1) + (0,) * (d - 2) + (1,))
         assert _traces_pass(a), d
         passes.clear()
         assert _cyclotomic_lift(a) is None and cyclotomic_type(a) is None, d
-        assert passes == [_route_exponent(d)] * 2, d
+        assert passes == [list(a.rows)] * 2, d
 
 
 def test_reciprocal_lift_of_infinite_order_exits_before_the_certificate(monkeypatch, unimodular_pair):
@@ -790,12 +781,13 @@ def test_trace_form_inverts_the_reciprocal_substitution():
         assert tuple(back) == cyclotomic(n), n
 
 
-def test_lift_passes_over_a_prime_dividing_the_denominators(monkeypatch, unimodular_pair):
-    # the diagonal scaling by 1 / (2^19 - 1) puts that prime into D, where
-    # D^-1 does not exist: the lift takes the next listed prime, 2^31 - 1
-    exponents = []
+def test_lift_refuses_denominators_divisible_by_its_prime(monkeypatch, unimodular_pair):
+    # the diagonal scaling by 1 / (2^19 - 1) puts the lift's prime into D,
+    # where D^-1 does not exist: every route through the lift refuses it and
+    # names the prime, while another Mersenne prime in D is no obstacle
+    passes = []
     hessenberg = exactlin._hessenberg_charpoly
-    monkeypatch.setattr(exactlin, "_hessenberg_charpoly", lambda h, e: exponents.append(e) or hessenberg(h, e))
+    monkeypatch.setattr(exactlin, "_hessenberg_charpoly", lambda h: passes.append(list(h)) or hessenberg(h))
     block = realize(parse_block_spec("C9+C7+I2"))
     d = block.nrows
     p, q = unimodular_pair(random.Random(19), d, 3 * d)
@@ -803,16 +795,44 @@ def test_lift_passes_over_a_prime_dividing_the_denominators(monkeypatch, unimodu
     rational = p @ _diag(diag) @ block @ _diag([1 / x for x in diag]) @ q
     scale = lcm(*(x.denominator for row in rational.rows for x in row if type(x) is not int))
     assert scale % (2**19 - 1) == 0
-    assert cyclotomic_type(rational) == cyclotomic_type(block) == (1, 1, 7, 9)
-    assert exponents == [31, 19]
-    # with 2^31 - 1 in D as well, it takes 2^61 - 1, on lanes of 192 bits
-    diag[1] = Fraction(1, 2**31 - 1)
+    for call in (cyclotomic_type, rational_block_form, theta.invariant_space):
+        with pytest.raises(ValueError, match=r"2\^19 - 1"):
+            call(rational)
+    assert passes == []
+    assert cyclotomic_type(block) == (1, 1, 7, 9) and passes == [list(block.rows)]
+    # with 2^31 - 1 in D in its place, the lift works modulo 2^19 - 1
+    diag[0] = Fraction(1, 2**31 - 1)
     rational = p @ _diag(diag) @ block @ _diag([1 / x for x in diag]) @ q
     scale = lcm(*(x.denominator for row in rational.rows for x in row if type(x) is not int))
-    assert scale % (2**19 - 1) == scale % (2**31 - 1) == 0
-    exponents.clear()
-    assert cyclotomic_type(rational) == (1, 1, 7, 9)
-    assert exponents == [61]
+    assert scale % (2**31 - 1) == 0 and scale % (2**19 - 1)
+    passes.clear()
+    assert cyclotomic_type(rational) == (1, 1, 7, 9) and len(passes) == 1
+
+
+def test_one_prime_covers_every_dimension_the_work_limit_admits(monkeypatch):
+    # the lift's proof needs 2^19 - 1 > totient_bound(d); from d = 94,648 on
+    # it fails, and there both routes' work is far past MAX_LIFT_WORK: the
+    # Krylov pass counts at least d^2 (2d + 1), and the p_m recurrence 16 a
+    # step over sum (end - b) end >= sum (end^2 - b^2) / 2 = d^2 / 2 steps
+    p = 2**19 - 1
+    first = 94_648
+    assert totient_bound(first - 1) < p <= totient_bound(first)
+    assert first * first * (2 * first + 1) > MAX_LIFT_WORK
+    assert 16 * first * first // 2 > MAX_LIFT_WORK
+    # both floors hold for the work each route counts
+    counted = []
+    check = exactlin._check_work
+    monkeypatch.setattr(exactlin, "_check_work", lambda d, work, *rest: counted.append((d, work)) or check(d, work, *rest))
+    rng = random.Random(94_648)
+    for t in range(40):
+        d = rng.randint(3, 30)
+        a = realize(parse_block_spec(_random_spec(rng, d)))
+        # a nonzero corner below the subdiagonal sends it to the Krylov pass
+        dense = Matrix([[rng.randint(-3, 3) or 1 if (i, j) == (d - 1, 0) else rng.randint(-3, 3) for j in range(d)] for i in range(d)])
+        for m, floor in ((a, 8 * d * d), (dense, d * d * (2 * d + 1))):
+            counted.clear()
+            exactlin._hessenberg_charpoly(m.rows)
+            assert counted[0][0] == d and counted[0][1] >= floor, (m, counted)
 
 
 def test_lanes_are_wide_enough_to_keep_seeds_apart():
