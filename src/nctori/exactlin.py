@@ -6,8 +6,8 @@ rank and kernels use fraction-free integer echelon reduction with gcd
 normalization (rational input is first scaled to integers by the lcm of its
 denominators, ``_scaled_int_rows``), and a compound matrix comes from a
 Laplace sweep over only the rows its degree reaches.  Finite order is
-decided on the characteristic polynomial modulo p = 2^19 - 1 (refused when
-p divides the denominators), taken by Krylov chains on packed 64-bit lanes
+decided for integer matrices only, on the characteristic polynomial modulo
+p = 2^19 - 1, taken by Krylov chains on packed 64-bit lanes
 (by the recurrence of an upper Hessenberg matrix when the input is one),
 factored on its half-degree trace polynomial (``arith.cyclotomic_factors``),
 and certified over Z on the exact chains of its seeds, on packed 64-bit
@@ -32,9 +32,14 @@ def _norm_entry(x):
     fractions = sys.modules.get("fractions")  # loaded whenever x is a Fraction, so never imported here
     if fractions is not None and isinstance(x, fractions.Fraction):
         return x.numerator if x.denominator == 1 else x
-    if isinstance(x, int):
-        return x
+    if isinstance(x, int):  # bool and other int subclasses become plain ints
+        return int(x)
     raise TypeError(f"matrix entries must be int or Fraction, got {type(x).__name__}")
+
+
+def _integral(rows) -> bool:
+    """Whether every entry of ``rows`` is an int (a Matrix keeps a Fraction only off Z)."""
+    return set(map(type, itertools.chain.from_iterable(rows))) <= {int}
 
 
 class Matrix(Frozen):
@@ -44,7 +49,7 @@ class Matrix(Frozen):
 
     def __init__(self, rows, ncols: int | None = None):
         rows = tuple(map(tuple, rows))
-        if not set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
+        if not _integral(rows):
             rows = tuple(tuple(map(_norm_entry, row)) for row in rows)
         if rows:
             width = len(rows[0])
@@ -317,26 +322,20 @@ def _shift_diag(m: Matrix, c) -> Matrix:
 
 
 def _cyclotomic_lift(a: Matrix):
-    """(ns, seeds, rows of D a, D, chains) of step 1 of ``cyclotomic_type``,
-    from one pass of ``_hessenberg_charpoly``; None when it proves infinite
-    order."""
+    """(ns, seeds, chains) of step 1 of ``cyclotomic_type``, from one pass of
+    ``_hessenberg_charpoly``; None when it proves infinite order."""
     if not a.is_square:
         raise ValueError("cyclotomic_type requires a square matrix")
     d = a.nrows
     rows = a.rows
     flat = itertools.chain.from_iterable
+    if not _integral(rows):
+        raise ValueError("cyclotomic_type requires an integer matrix")
     if max(abs(sum(row[i] for i, row in enumerate(rows))), abs(sum(map(operator.mul, flat(rows), flat(zip(*rows)))))) > d:
         return None  # |tr a| > d or |tr a^2| > d
-    rows, scale = _scaled_int_rows(a)
-    p = (1 << _E) - 1
-    if not scale % p:
-        raise ValueError(f"the lcm of the denominators is divisible by 2^{_E} - 1, the prime cyclotomic_type works modulo")
     poly, seeds, chains = _hessenberg_charpoly(rows)
-    if scale != 1:
-        poly = [c * pow(scale, k - d, p) % p for k, c in enumerate(poly)]
-    reciprocal = poly[::-1] == poly or poly[::-1] == [-c % p for c in poly]
-    ns = cyclotomic_factors(poly, p) if reciprocal else None
-    return None if ns is None else (ns, seeds, rows, scale, chains)
+    ns = cyclotomic_factors(poly, (1 << _E) - 1)
+    return None if ns is None else (ns, seeds, chains)
 
 
 # Largest work of the certificate in ``cyclotomic_type``, in 64-bit word
@@ -385,7 +384,7 @@ def _chain_certificate(chains, coeffs, rows, seeds) -> bool:
             chain.append(y)
         if any((y + plus) & over for y in chain):
             return _int_chain_sums(rows, coeffs, seeds[index:], work)
-        period = len(chain) - closed  # when closed, (D a)^k e_s is chain[k mod period]
+        period = len(chain) - closed  # when closed, h^k e_s is chain[k mod period]
         if sum(map(operator.mul, [sum(coeffs[j::period]) for j in range(period)], chain)):
             return False
     return True
@@ -419,25 +418,22 @@ def cyclotomic_type(a: Matrix) -> tuple[int, ...] | None:
     """The sorted n with det(x I - a) = prod Phi_n, when ``a`` has finite
     order; None when it has infinite order.
 
-    Rational ``a`` is scaled to D a, D the lcm of its denominators, and the
-    coefficient of x^k is c_k(D a) = D^(d - k) c_k(a).  A finite-order ``a``
-    has |tr a|, |tr a^2| <= d and chi = prod Phi_n, so x^d chi(1/x) = +-chi(x).
+    ``a`` must be an integer matrix (ValueError otherwise).  A finite-order
+    ``a`` has |tr a|, |tr a^2| <= d and chi = prod Phi_n.
 
-    1. Lift (``_cyclotomic_lift``): det(x I - D a) by Krylov chains with
-       restarts (the p_m recurrence when D a is already upper Hessenberg)
+    1. Lift (``_cyclotomic_lift``): det(x I - a) by Krylov chains with
+       restarts (the p_m recurrence when ``a`` is already upper Hessenberg)
        modulo the Mersenne prime p = 2^19 - 1, which is above
-       ``totient_bound(d)`` for every d the work limit lets through (a D
-       that p divides is refused with ValueError), with the coefficient of
-       x^k multiplied by D^-(d - k) mod p; then Phi_1 and Phi_2 divided out
-       at 1 and -1, the rest being g = x^s G(x + 1/x), and from G each Psi_n,
+       ``totient_bound(d)`` for every d the work limit lets through; then
+       Phi_1 and Phi_2 divided out at 1 and -1, the rest g, which must be
+       palindromic, being x^s G(x + 1/x), and from G each Psi_n,
        Phi_n(x) = x^(phi(n)/2) Psi_n(x + 1/x), of degree at most half of what
        is left, while it divides modulo p; the rest must be 1 or one Psi_n.  A
-       lift that is not reciprocal modulo p or not a product of Phi_n modulo
-       p proves infinite order (``arith.cyclotomic_factors``).
+       lift that is not a product of Phi_n modulo p proves infinite order
+       (``arith.cyclotomic_factors``).
     2. Certificate (``_chain_certificate``): with q = prod Phi_n over the
-       distinct n of the lift and q~_k = D^(deg q - k) q_k, so that
-       q~(D a) = D^(deg q) q(a), sum_k q~_k (D a)^k e_s must be exactly 0
-       over Z for each seed s of the lift, taken on its exact chain.
+       distinct n of the lift, sum_k q_k a^k e_s must be exactly 0 over Z for
+       each seed s of the lift, taken on its exact chain.
 
     Proof: ker q(a) is a-invariant, so step 2 puts the seeds' Krylov spaces,
     which span F_p^d (the lift's chains fill it) and so Q^d, in it:
@@ -464,13 +460,11 @@ def cyclotomic_type(a: Matrix) -> tuple[int, ...] | None:
     lift = _cyclotomic_lift(a)
     if lift is None:
         return None
-    ns, seeds, rows, scale, chains = lift
+    ns, seeds, chains = lift
     q: IntPolynomial = (1,)
     for n in sorted(set(ns)):
         q = poly_mul(q, cyclotomic(n))
-    deg = len(q) - 1
-    coeffs = [c * scale ** (deg - k) for k, c in enumerate(q)]
-    return ns if _chain_certificate(chains, coeffs, rows, seeds) else None
+    return ns if _chain_certificate(chains, q, a.rows, seeds) else None
 
 
 def order(a: Matrix, bound: int) -> int | None:
@@ -501,12 +495,12 @@ def block_diag(blocks) -> Matrix:
 
 
 def rational_block_form(a: Matrix) -> tuple[Matrix, Matrix] | None:
-    """P, integer when ``a`` is, and B = block_diag(companion(Phi_n) for n
-    in cyclotomic_type(a)) with a @ P == P @ B and P invertible over Q; None
+    """Integer P and B = block_diag(companion(Phi_n) for n in
+    cyclotomic_type(a)) with a @ P == P @ B and P invertible over Q; None
     when ``a`` has infinite order.
 
     The n are those of the lift in ``cyclotomic_type`` (None when it proves
-    infinite order; ValueError when 2^19 - 1 divides the denominators' lcm).
+    infinite order; ValueError when ``a`` is not an integer matrix).
     P lists chains v, a v, ..., a^(phi(n) - 1) v, v in ker Phi_n(a), on
     which ``a`` acts as companion(Phi_n); Phi_n is irreducible, so a chain
     from a kernel vector outside those taken is independent of them.  Chains

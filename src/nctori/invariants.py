@@ -40,7 +40,7 @@ from .arith import _totient, cyclotomic, divisors, factorize, totient
 from .exactlin import (
     Matrix,
     _components,
-    _scaled_int_rows,
+    _integral,
     _shift_diag,
     block_diag,
     companion,
@@ -456,31 +456,31 @@ def invariant_ranks_molien(a: Matrix, n: int) -> tuple[int, ...]:
     Newton's identities turn them into the coefficients of det(I + t a^e),
     once for each distinct sequence p_1..p_d.
 
-    The work is on integer rows b = D a, D the lcm of the denominators.
     Powers are formed along the left-to-right binary chain of n (which ends
-    in the check b^n = D^n I), each product by ``_int_product`` (Kronecker
-    substitution while the entries fit 64-bit words).  The trace of b^g for
-    a divisor g off the chain is sum_ij (b^x)_ij (b^(g-x))_ji for the
-    largest exponent x < g formed so far, with b^(g-x) formed the same way
-    when it is missing, and tr(a^g) is that trace divided by D^g.
+    in the check a^n = I), each product by ``_int_product`` (Kronecker
+    substitution while the entries fit 64-bit words).  The trace of a^g for
+    a divisor g off the chain is sum_ij (a^x)_ij (a^(g-x))_ji for the
+    largest exponent x < g formed so far, with a^(g-x) formed the same way
+    when it is missing.
 
-    Raises ValueError when the matrix is not square or a^n != I, and
-    ArithmeticError when an exact division leaves a remainder (which a^n = I
-    rules out).
+    Raises ValueError when the matrix is not a square integer matrix or
+    a^n != I, and ArithmeticError when an exact division leaves a remainder
+    (which a^n = I rules out).
 
     >>> invariant_ranks_molien(realize((Cyclotomic(5),)), 5)
     (1, 0, 2, 0, 1)
     """
     if not a.is_square:
         raise ValueError("Molien's formula requires a square matrix")
+    if not _integral(a.rows):
+        raise ValueError("Molien's formula requires an integer matrix")
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
     d = a.nrows
     if not d:
         return (1,)
-    rows, scale = _scaled_int_rows(a)
-    # b^g as one flat row-major list per exponent g
-    powers = {1: list(chain.from_iterable(rows))}
+    # a^g as one flat row-major list per exponent g
+    powers = {1: list(chain.from_iterable(a.rows))}
 
     def power(g: int) -> list[int]:
         if g not in powers:
@@ -496,22 +496,18 @@ def invariant_ranks_molien(a: Matrix, n: int) -> tuple[int, ...]:
             powers[e + 1] = _int_product(powers[e], powers[1], d)
             e += 1
     identity = [0] * (d * d)
-    identity[:: d + 1] = [scale**n] * d
+    identity[:: d + 1] = [1] * d
     if powers[n] != identity:
         raise ValueError(f"matrix does not satisfy a^{n} = I")
     divs = divisors(n)
     trace = {}
     for g in divs:
         if g in powers:
-            t = sum(powers[g][:: d + 1])
+            trace[g] = sum(powers[g][:: d + 1])
         else:
             x = max(h for h in powers if h < g)
             y = power(g - x)
-            t = sum(map(mul, powers[x], chain.from_iterable(y[j::d] for j in range(d))))
-        q, r = divmod(t, scale**g)
-        if r:
-            raise ArithmeticError(f"trace of a^{g} is not an integer")
-        trace[g] = q
+            trace[g] = sum(map(mul, powers[x], chain.from_iterable(y[j::d] for j in range(d))))
     weights: dict[tuple[int, ...], int] = {}
     for e in divs:
         # (-1)^(k-1) p_k for k = 1..d: the power sums with the signs of

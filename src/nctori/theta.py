@@ -19,6 +19,7 @@ from .exactlin import (
     Matrix,
     _components,
     _echelon_int,
+    _integral,
     _scaled_int_rows,
     kernel_basis,
     rational_block_form,
@@ -220,11 +221,11 @@ def invariant_space(a: Matrix) -> tuple[Matrix, ...]:
     Solved as a linear system in the upper-triangle entries.  When ``a`` is
     block diagonal the system decouples into one subsystem per pair of
     support components, which keeps the elimination small.  A finite-order
-    ``a`` with one support component that is not its own rational block form
-    is solved in that block form and the basis carried back; infinite order
-    and several components take the direct solve.  Either way the basis is
-    the one the direct system's kernel gives: primitive integer matrices,
-    deterministic in order.
+    integer ``a`` with one support component that is not its own rational
+    block form is solved in that block form and the basis carried back;
+    infinite order, rational entries and several components take the direct
+    solve.  Either way the basis is the one the direct system's kernel
+    gives: primitive integer matrices, deterministic in order.
 
     >>> invariant_space(Matrix([[0, -1], [1, -1]]))
     (Matrix(2x2: 0 1; -1 0),)
@@ -233,7 +234,7 @@ def invariant_space(a: Matrix) -> tuple[Matrix, ...]:
         raise ValueError("invariant_space requires a square matrix")
     d = a.nrows
     comps = _components(a)
-    if len(comps) == 1:
+    if len(comps) == 1 and _integral(a.rows):
         form = rational_block_form(a.transpose())
         if form is not None and form[1] != a:
             return _transported_space(*form)

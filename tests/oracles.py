@@ -1,7 +1,9 @@
 """Reference computations that only the tests use."""
 
+import functools
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from nctori.arith import cyclotomic, totient, totient_bound
 from nctori.exactlin import Matrix
@@ -120,3 +122,70 @@ def cyclotomic_factors_by_division(poly, p):
                 quot, rem = poly_divmod(poly, cyclotomic(n))
         n += 1
     return None if len(poly) > 1 else tuple(ns)
+
+
+def random_ops(rng, d: int, steps: int, kind: str) -> list[tuple[int, int, int]]:
+    """``steps`` random elementary operations (i, j, c) on Z^d for
+    ``conjugate_in_place``: with i != j, I + c E_ij for ``unimodular``
+    (c = +-1) and ``unitriangular`` (i < j, so the product is upper
+    unitriangular); for ``signed_permutation``, the swap of i and j (c = 0)
+    or the sign change of i (j = i, c = -1)."""
+    ops = []
+    for _ in range(steps):
+        i, j = rng.sample(range(d), 2) if d > 1 else (0, 0)
+        if kind == "signed_permutation":
+            ops.append((i, j, 0) if i != j and rng.random() < 0.5 else (i, i, -1))
+        elif i != j:
+            if kind == "unitriangular":
+                i, j = min(i, j), max(i, j)
+            ops.append((i, j, rng.choice((-1, 1))))
+    return ops
+
+
+def conjugate_in_place(rows: list[list[int]], ops, times: int = 1) -> None:
+    """rows <- P^times rows P^-times for P = E_1 ... E_s, the elementary
+    matrices of ``ops`` (``random_ops``) in order, so E_s is applied first:
+    each E X E^-1 is one row operation and the inverse column operation,
+    O(d) where a matrix product costs O(d^3)."""
+    for _ in range(times):
+        for i, j, c in reversed(ops):
+            if i == j:  # E = E^-1 = I - 2 E_ii
+                rows[i] = [-x for x in rows[i]]
+                for row in rows:
+                    row[i] = -row[i]
+            elif not c:  # E = E^-1 swaps i and j
+                rows[i], rows[j] = rows[j], rows[i]
+                for row in rows:
+                    row[i], row[j] = row[j], row[i]
+            else:  # E = I + c E_ij: row i += c row j, then column j -= c column i
+                rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+                for row in rows:
+                    row[j] -= c * row[i]
+
+
+@functools.cache
+def cyclotomic_by_division(n: int) -> tuple[int, ...]:
+    """Phi_n as (x^n - 1) / prod_(e | n, e < n) Phi_e, by long division."""
+    num = (-1,) + (0,) * (n - 1) + (1,)
+    for e in range(1, n):
+        if not n % e:
+            num = poly_divmod(num, cyclotomic_by_division(e))[0]
+    return num
+
+
+def annihilated_by_cyclotomics(a: Matrix, ns) -> bool:
+    """Whether q(a) = 0 for q = prod Phi_n over the distinct ``ns``
+    (``cyclotomic_by_division``), by a plain exact Horner pass over Z:
+    H = I, then H <- H a + q_k I for each lower coefficient q_k."""
+    q = [1]
+    for n in set(ns):
+        phi = cyclotomic_by_division(n)
+        q = [sum(q[i] * phi[k - i] for i in range(len(q)) if 0 <= k - i < len(phi)) for k in range(len(q) + len(phi) - 1)]
+    d = a.nrows
+    cols = list(zip(*a.rows))
+    h = [[int(i == j) for j in range(d)] for i in range(d)]
+    for c in reversed(q[:-1]):
+        h = [[sum(map(mul, row, col)) for col in cols] for row in h]
+        for i in range(d):
+            h[i][i] += c
+    return not any(map(any, h))

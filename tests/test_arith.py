@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from nctori.arith import (
     CYCLOTOMIC_MAX_N,
     FACTORIZE_MAX_TRIAL,
     cyclotomic,
+    cyclotomic_factors,
     divisors,
     factorize,
     poly_mul,
@@ -179,3 +182,27 @@ def test_factorize_caps_trial_division():
     for n in (10**48 + 1, (FACTORIZE_MAX_TRIAL + 3) ** 2, (FACTORIZE_MAX_TRIAL + 3) * (FACTORIZE_MAX_TRIAL + 33)):
         with pytest.raises(ValueError, match=f"FACTORIZE_MAX_TRIAL = {FACTORIZE_MAX_TRIAL}"):
             factorize(n)
+
+
+def test_cyclotomic_factors_refuses_residues_that_are_not_reciprocal():
+    # a product of Phi_n is +-reciprocal, and what is left of it once Phi_1
+    # and Phi_2 are divided out is palindromic: cyclotomic_factors is the
+    # one place that checks this, so a lift whose residues are neither
+    # reciprocal nor antireciprocal gets None, with or without Phi_n factors
+    rng = random.Random(34)
+    p = (1 << 19) - 1
+    refused = 0
+    for t in range(300):
+        poly = (1,)
+        for _ in range(rng.randint(0, 4)):
+            poly = poly_mul(poly, cyclotomic(rng.choice((1, 1, 2, 2, 3, 4, 5, 7, 9, 12))))
+        f = [rng.randrange(p) for _ in range(rng.randint(1, 6))] + [1]
+        residues = [c % p for c in poly_mul(poly, tuple(f))]
+        if residues[::-1] in (residues, [-c % p for c in residues]):
+            continue
+        assert cyclotomic_factors(residues, p) is None, (poly, f)
+        refused += 1
+    assert refused == 300
+    # x^d - x - 1 and (x - 1)(x + 1)^2 (x^2 + x + 2), over Z
+    for poly in ((-1, -1) + (0,) * 10 + (1,), poly_mul(poly_mul((-1, 1), (1, 2, 1)), (2, 1, 1))):
+        assert cyclotomic_factors([c % p for c in poly], p) is None, poly

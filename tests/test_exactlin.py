@@ -7,7 +7,7 @@ from operator import mul
 
 import pytest
 
-from nctori import exactlin, theta
+from nctori import arith, exactlin
 from nctori.arith import _trace_terms, cyclotomic, cyclotomic_factors, poly_mul, totient, totient_bound, trace_form
 from nctori.exactlin import (
     MAX_LIFT_WORK,
@@ -27,8 +27,27 @@ from nctori.exactlin import (
     rational_block_form,
     reduced_basis,
 )
-from nctori.invariants import parse_block_spec, realize, spec_dim
-from oracles import cyclotomic_factors_by_division, enumerate_specs, matrix_pow
+from nctori.classify import analyze_action
+from nctori.invariants import (
+    Cyclotomic,
+    Identity,
+    NegCyclotomic,
+    block_order,
+    free_outside_origin,
+    invariant_ranks,
+    invariant_ranks_molien,
+    parse_block_spec,
+    realize,
+    spec_dim,
+)
+from oracles import (
+    annihilated_by_cyclotomics,
+    conjugate_in_place,
+    cyclotomic_factors_by_division,
+    enumerate_specs,
+    matrix_pow,
+    random_ops,
+)
 
 
 def test_companion_one_by_one():
@@ -410,10 +429,6 @@ def test_cyclotomic_type_certificate_matches_power_check(unimodular_pair):
         assert ns == _power_type(a) == cyclotomic_type(block) is not None, spec
         if t % 3:
             continue
-        # conjugate by a rational, non-integral P
-        diag = [Fraction(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(d)]
-        f = p @ _diag(diag) @ block @ _diag([1 / x for x in diag]) @ q
-        assert cyclotomic_type(f) == _power_type(f) == ns, spec
         if d <= 6:
             g = block_diag([hyperbolic, block])
             p, q = unimodular_pair(rng, d + 2, 3 * d + 6)
@@ -425,8 +440,7 @@ def test_cyclotomic_type_rejects_non_semisimple(unimodular_pair):
     for n in range(1, 10):
         m = _nilpotent_extension(companion(cyclotomic(n)))
         p, q = unimodular_pair(rng, m.nrows, 3 * m.nrows)
-        diag = [Fraction(i + 1, 2) for i in range(m.nrows)]
-        for a in (m, p @ m @ q, p @ _diag(diag) @ m @ _diag([1 / x for x in diag]) @ q):
+        for a in (m, p @ m @ q):
             assert _cyclotomic_lift(a)[0] == (n, n), n
             assert cyclotomic_type(a) is None and _power_type(a) is None, n
 
@@ -434,7 +448,7 @@ def test_cyclotomic_type_rejects_non_semisimple(unimodular_pair):
 def test_cyclotomic_type_certifies_on_the_lift_chains(monkeypatch, unimodular_pair):
     # small-entry conjugates keep their Krylov chains exact, and small-entry
     # block forms their seeds as chains of length 1, so the certificate
-    # reads q~(D a) e_s off them and never takes the sums on Python ints
+    # reads q(a) e_s off them and never takes the sums on Python ints
     def no_int_sums(*args):
         raise AssertionError("the certificate must run on the lift's own chains")
 
@@ -445,7 +459,7 @@ def test_cyclotomic_type_certifies_on_the_lift_chains(monkeypatch, unimodular_pa
         d = block.nrows
         p, q = unimodular_pair(rng, d, 3 * d)
         a = p @ block @ q
-        ns, seeds, rows, _, chains = _cyclotomic_lift(a)
+        ns, seeds, chains = _cyclotomic_lift(a)
         assert ns == _cyclotomic_lift(block)[0] and chains is not None, text
         # each chain holds the exact a^k e_s, packed in signed 64-bit lanes,
         # and the last one unpacked
@@ -453,11 +467,11 @@ def test_cyclotomic_type_certifies_on_the_lift_chains(monkeypatch, unimodular_pa
             v = [int(i == s) for i in range(d)]
             for y in chain:
                 assert y == sum(x << (64 * i) for i, x in enumerate(v)), (text, s)
-                u, v = v, [sum(map(mul, row, v)) for row in rows]
+                u, v = v, [sum(map(mul, row, v)) for row in a.rows]
             assert list(last) == u, (text, s)
         assert cyclotomic_type(a) == _power_type(a) == ns, text
         # the block form is upper Hessenberg: each seed is a chain of length 1
-        _, seeds, _, _, chains = _cyclotomic_lift(block)
+        _, seeds, chains = _cyclotomic_lift(block)
         units = [([1 << (64 * s)], [int(i == s) for i in range(d)]) for s in seeds]
         assert [(chain, list(last)) for chain, last in chains[1]] == units, text
         assert cyclotomic_type(block) == ns, text
@@ -467,13 +481,13 @@ def test_cyclotomic_type_certifies_on_the_lift_chains(monkeypatch, unimodular_pa
         m = _nilpotent_extension(companion(cyclotomic(n)))
         p, q = unimodular_pair(rng, m.nrows, 3 * m.nrows)
         a = p @ m @ q
-        assert _cyclotomic_lift(a)[4] is not None, n
+        assert _cyclotomic_lift(a)[2] is not None, n
         assert cyclotomic_type(a) is None and _power_type(a) is None, n
 
 
 def test_certificate_stops_a_chain_that_returns_to_its_seed(monkeypatch):
     # a chain back at e_s after L steps repeats with period L, so the
-    # certificate adds the q~_k up modulo L instead of stepping on to deg q.
+    # certificate adds the q_k up modulo L instead of stepping on to deg q.
     # The permutation with cycles (0 5 10), (1 6 11 3), (2 7 12 4 8), (9) is
     # not upper Hessenberg: the Krylov pass closes each chain on its cycle,
     # and the certificate takes no step (deg q = 10).  In the block form
@@ -491,7 +505,7 @@ def test_certificate_stops_a_chain_that_returns_to_its_seed(monkeypatch):
     monkeypatch.setattr(exactlin, "_check_work", spy)
     sigma = {0: 5, 5: 10, 10: 0, 1: 6, 6: 11, 11: 3, 3: 1, 2: 7, 7: 12, 12: 4, 4: 8, 8: 2, 9: 9}
     perm = [[int(sigma[j] == i) for j in range(13)] for i in range(13)]
-    assert [len(chain) for chain, _ in _cyclotomic_lift(Matrix(perm))[4][1]] == [4, 5, 6, 2]
+    assert [len(chain) for chain, _ in _cyclotomic_lift(Matrix(perm))[2][1]] == [4, 5, 6, 2]
     assert cyclotomic_type(Matrix(perm)) == (1, 1, 1, 1, 2, 3, 4, 5) and steps == []
     assert cyclotomic_type(realize(parse_block_spec("I5+C7+C9"))) == (1, 1, 1, 1, 1, 7, 9) and len(steps) == 21
     extended = block_diag([Matrix(perm), Matrix([[1, 1], [0, 1]])])
@@ -502,8 +516,7 @@ def test_chains_past_their_lanes_fall_back_to_python_ints(monkeypatch, unimodula
     # P^k B P^-k with entries of 14-17 digits: rho < 2^61, so the pass
     # starts on exact chains, but the first step's entries pass
     # 2^(62 - bit_length rho) and the pass restarts on residues, without
-    # chains.  A rational conjugate with D = 36 keeps its chains through the
-    # lift, but sum |q~_k| >= D^13 > 2^63.  Both take the sums on Python ints
+    # chains, so the certificate takes the sums on Python ints
     calls = []
     int_sums = exactlin._int_chain_sums
     monkeypatch.setattr(exactlin, "_int_chain_sums", lambda *args: calls.append(1) or int_sums(*args))
@@ -514,16 +527,9 @@ def test_chains_past_their_lanes_fall_back_to_python_ints(monkeypatch, unimodula
         a = matrix_pow(p, k) @ block @ matrix_pow(q, k)
         assert 14 <= max(len(str(abs(x))) for row in a.rows for x in row) <= 17, k
         assert max(sum(map(abs, row)) for row in a.rows) < 2**61, k
-        assert _cyclotomic_lift(a)[4] is None, k
+        assert _cyclotomic_lift(a)[2] is None, k
         calls.clear()
         assert cyclotomic_type(a) == _power_type(a) == (1, 1, 7, 9) and calls == [1], k
-    p, q = unimodular_pair(random.Random(48), d, 3 * d)
-    diag = [Fraction(3, 4), Fraction(1, 3)] + [Fraction(1)] * (d - 2)
-    f = p @ _diag(diag) @ block @ _diag([1 / x for x in diag]) @ q
-    _, _, _, scale, chains = _cyclotomic_lift(f)
-    assert scale == 36 and chains is not None
-    calls.clear()
-    assert cyclotomic_type(f) == _power_type(f) == (1, 1, 7, 9) and calls == [1]
 
 
 def test_python_int_steps_are_charged_for_each_row(monkeypatch):
@@ -669,14 +675,16 @@ def test_seed_krylov_chains_have_rank_d(unimodular_pair):
 
 def test_non_reciprocal_lift_exits_before_the_factor_search(monkeypatch):
     # x^d - x - 1 passes the trace test (tr a = tr a^2 = 0) and every
-    # coefficient bound, but its reversal is -x^d - x^(d-1) + 1
-    def no_division(*args):
+    # coefficient bound, but its reversal is -x^d - x^(d-1) + 1: with no
+    # Phi_1 or Phi_2 to divide out, cyclotomic_factors refuses it before
+    # it forms the trace polynomial G and searches it for Psi_n
+    def no_search(*args):
         raise AssertionError("a non-reciprocal lift must not reach the factor search")
 
     passes = []
     hessenberg = exactlin._hessenberg_charpoly
     monkeypatch.setattr(exactlin, "_hessenberg_charpoly", lambda h: passes.append(list(h)) or hessenberg(h))
-    monkeypatch.setattr(exactlin, "cyclotomic_factors", no_division)
+    monkeypatch.setattr(arith, "trace_form", no_search)
     for d in range(12, 61):
         a = companion((-1, -1) + (0,) * (d - 2) + (1,))
         assert _traces_pass(a), d
@@ -782,31 +790,40 @@ def test_trace_form_inverts_the_reciprocal_substitution():
 
 
 def test_lift_refuses_denominators_divisible_by_its_prime(monkeypatch, unimodular_pair):
-    # the diagonal scaling by 1 / (2^19 - 1) puts the lift's prime into D,
-    # where D^-1 does not exist: every route through the lift refuses it and
-    # names the prime, while another Mersenne prime in D is no obstacle
+    # the finite-order routes take integer matrices only: a rational
+    # conjugate is refused before any pass of the lift, whether its lcm of
+    # denominators holds the lift's prime 2^19 - 1, another Mersenne prime
+    # or neither, while the integer conjugate is answered
     passes = []
     hessenberg = exactlin._hessenberg_charpoly
     monkeypatch.setattr(exactlin, "_hessenberg_charpoly", lambda h: passes.append(list(h)) or hessenberg(h))
     block = realize(parse_block_spec("C9+C7+I2"))
     d = block.nrows
     p, q = unimodular_pair(random.Random(19), d, 3 * d)
-    diag = [Fraction(1, 2**19 - 1)] + [Fraction(i + 2, 3) for i in range(d - 1)]
-    rational = p @ _diag(diag) @ block @ _diag([1 / x for x in diag]) @ q
-    scale = lcm(*(x.denominator for row in rational.rows for x in row if type(x) is not int))
-    assert scale % (2**19 - 1) == 0
-    for call in (cyclotomic_type, rational_block_form, theta.invariant_space):
-        with pytest.raises(ValueError, match=r"2\^19 - 1"):
-            call(rational)
+    calls = (
+        cyclotomic_type,
+        lambda m: order(m, 63),
+        free_outside_origin,
+        rational_block_form,
+        analyze_action,
+        lambda m: invariant_ranks_molien(m, 63),
+    )
+    for den in (2**19 - 1, 2**31 - 1, 1):
+        diag = [Fraction(1, den)] + [Fraction(i + 2, 3) for i in range(d - 1)]
+        rational = p @ _diag(diag) @ block @ _diag([1 / x for x in diag]) @ q
+        scale = lcm(*(x.denominator for row in rational.rows for x in row if type(x) is not int))
+        assert scale > 1 and scale % den == 0, den
+        for call in calls:
+            with pytest.raises(ValueError, match="integer matrix"):
+                call(rational)
     assert passes == []
-    assert cyclotomic_type(block) == (1, 1, 7, 9) and passes == [list(block.rows)]
-    # with 2^31 - 1 in D in its place, the lift works modulo 2^19 - 1
-    diag[0] = Fraction(1, 2**31 - 1)
-    rational = p @ _diag(diag) @ block @ _diag([1 / x for x in diag]) @ q
-    scale = lcm(*(x.denominator for row in rational.rows for x in row if type(x) is not int))
-    assert scale % (2**31 - 1) == 0 and scale % (2**19 - 1)
-    passes.clear()
-    assert cyclotomic_type(rational) == (1, 1, 7, 9) and len(passes) == 1
+    a = p @ block @ q
+    assert cyclotomic_type(a) == (1, 1, 7, 9) and passes == [list(a.rows)]
+    assert order(a, 63) == 63 and not free_outside_origin(a) and rational_block_form(a) is not None
+    assert analyze_action(a).blocks == parse_block_spec("C7+C9+I2")
+    assert invariant_ranks_molien(a, 63) == invariant_ranks(parse_block_spec("C9+C7+I2"))
+    # bool entries are ints: Matrix stores them as plain ints
+    assert cyclotomic_type(Matrix([[False, True], [True, False]])) == (1, 2)
 
 
 def test_one_prime_covers_every_dimension_the_work_limit_admits(monkeypatch):
@@ -848,3 +865,93 @@ def test_lanes_are_wide_enough_to_keep_seeds_apart():
         probe = [4**s for s in range(t + 1)]
         assert [sum(map(mul, row, probe)) - x for row, x in zip(rows, probe)] == [0] * (t + 1)
         assert cyclotomic_type(a) is None and _power_type(a) is None, t
+
+
+def _sweep_spec(rng, d):
+    """A random block spec of dimension d: C<n> and negC<n> (odd n) up to
+    n = 300, and I<m>, m <= 3."""
+    spec = []
+    while d:
+        menu = [Cyclotomic(n) for n in range(2, 301) if totient(n) <= d]
+        menu += [NegCyclotomic(n) for n in range(3, 301, 2) if totient(n) <= d]
+        spec.append(rng.choice(menu + [Identity(m) for m in range(1, min(d, 3) + 1)]))
+        d -= spec_dim(spec[-1:])
+    return tuple(spec)
+
+
+def _spec_type(spec):
+    """The cyclotomic type of realize(spec), read off the spec: one Phi of
+    the block's order for each C<n> and negC<n>, Phi_1 m times for I<m>."""
+    return tuple(sorted(n for b in spec for n in ([1] * b.m if isinstance(b, Identity) else [block_order(b)])))
+
+
+def test_finite_order_soundness_sweep():
+    # every answer of cyclotomic_type against an oracle that shares no code
+    # with it: the spec, for block forms and their conjugates by unimodular,
+    # upper unitriangular and signed permutation P, also P^k B P^-k with
+    # entries of hundreds of digits; the cycle type, for permutations (a
+    # cycle of length l gives each n | l); None, for [[B, E], [0, B]] with
+    # tr E != 0 (B X - X B = E has no solution, so it is not semisimple) and
+    # for inputs of infinite order that pass the trace test; and q(a) = 0 by
+    # a plain Horner pass for d <= 40 and entries below 10^100 (past them it
+    # takes seconds, and the spec is the oracle).  Each call answers, or is
+    # refused with ValueError naming its work limit
+    rng = random.Random(34)
+    cases = []
+    for d in [rng.randint(1, 12) for _ in range(100)] + [rng.randint(13, 150) for _ in range(40)] + [150] * 6:
+        spec = _sweep_spec(rng, d)
+        block = [list(row) for row in realize(spec).rows]
+        cases.append((block, _spec_type(spec)))
+        for kind in ("unimodular", "unitriangular", "signed_permutation"):
+            rows = [row[:] for row in block]
+            conjugate_in_place(rows, random_ops(rng, d, 3 * d, kind))
+            cases.append((rows, _spec_type(spec)))
+    for d, k in ((4, 200), (6, 40), (10, 100), (14, 60), (18, 150), (24, 30), (30, 120), (36, 300)):
+        spec = _sweep_spec(rng, d)
+        rows = [list(row) for row in realize(spec).rows]
+        conjugate_in_place(rows, random_ops(rng, d, 3 * d, "unimodular"), k)
+        cases.append((rows, _spec_type(spec)))
+    for d in [rng.randint(1, 40) for _ in range(60)] + [rng.randint(41, 150) for _ in range(15)]:
+        perm = rng.sample(range(d), d)
+        lengths, seen = [], set()
+        for s in range(d):
+            length = 0
+            while s not in seen:
+                seen.add(s)
+                s, length = perm[s], length + 1
+            lengths += [length] if length else []
+        rows = [[int(perm[j] == i) for j in range(d)] for i in range(d)]
+        cases.append((rows, tuple(sorted(n for length in lengths for n in range(1, length + 1) if not length % n))))
+    for _ in range(60):
+        b = realize(_sweep_spec(rng, rng.randint(1, 20))).rows
+        m = len(b)
+        e = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(m)]
+        e[0][0] += 1 - sum(e[i][i] for i in range(m))
+        rows = [list(row) + e[i] for i, row in enumerate(b)] + [[0] * m + list(row) for row in b]
+        conjugate_in_place(rows, random_ops(rng, 2 * m, 6 * m, "unimodular"))
+        cases.append((rows, None))
+    lehmer = companion((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
+    salem = companion((1, -1, -1, -1, 1))
+    infinite = [lehmer, salem, block_diag([lehmer, salem]), block_diag([Matrix([[2, 1], [1, 1]]), companion(cyclotomic(5))])]
+    infinite += [companion((-1, -1) + (0,) * (d - 2) + (1,)) for d in (12, 40, 90)]
+    for m in infinite[:4]:
+        infinite.append(block_diag([m, realize(_sweep_spec(rng, rng.randint(1, 30)))]))
+    for m in infinite:
+        assert _traces_pass(m), m
+        rows = [list(row) for row in m.rows]
+        conjugate_in_place(rows, random_ops(rng, m.nrows, 3 * m.nrows, "unimodular"))
+        cases += [([list(row) for row in m.rows], None), (rows, None)]
+    answered = horner = 0
+    for rows, expected in cases:
+        a = Matrix(rows)
+        try:
+            ns = cyclotomic_type(a)
+        except ValueError as error:
+            assert "MAX_LIFT_WORK" in str(error) or "MAX_CERTIFICATE_WORK" in str(error), error
+            continue
+        assert ns == expected, (a, expected)
+        answered += 1
+        if ns is not None and a.nrows <= 40 and max(max(map(abs, row)) for row in rows) < 10**100:
+            assert annihilated_by_cyclotomics(a, ns), a
+            horner += 1
+    assert answered > 700 and horner > 400

@@ -171,14 +171,15 @@ def _binary_chain(n):
 
 
 def test_molien_on_rational_conjugates(unimodular_pair):
-    # at the orders 60 and 70 of C5+C4+C3 and C7+C5+C2 the scaled powers
-    # 2^g a^g outgrow 64-bit words along the chain
+    # Molien's formula takes integer matrices only: each rational conjugate
+    # is refused at its order and at twice it
     rng = random.Random(1505)
     for text in ("C3", "C5", "C5+C3", "negC7", "C4+I2", "C8", "C3+C3", "C7+C5+C2", "C5+C4+C3"):
         spec = parse_block_spec(text)
         a = _rational_conjugate(rng, realize(spec), unimodular_pair)
-        assert invariant_ranks_molien(a, spec_order(spec)) == invariant_ranks(spec), text
-        assert invariant_ranks_molien(a, 2 * spec_order(spec)) == invariant_ranks(spec), text
+        for n in (spec_order(spec), 2 * spec_order(spec)):
+            with pytest.raises(ValueError, match="integer matrix"):
+                invariant_ranks_molien(a, n)
 
 
 def test_molien_on_conjugates_wider_than_64_bit_words():
@@ -230,9 +231,6 @@ def test_molien_rejects_a_matrix_of_infinite_order():
     for n in (1, 2, 3, 6, 12, 70):
         with pytest.raises(ValueError, match=f"a\\^{n} = I"):
             invariant_ranks_molien(shear, n)
-    half = Matrix([[frac(1, 2), 0], [0, 2]])
-    with pytest.raises(ValueError, match=r"a\^4 = I"):
-        invariant_ranks_molien(half, 4)
 
 
 def test_int_product_matches_matrix_product():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from nctori import theta
 from nctori.arith import cyclotomic
 from nctori.exactlin import Matrix, _components, block_diag, companion, kernel_basis, rank, rational_block_form
 from nctori.classify import analyze_action
@@ -314,3 +315,26 @@ def test_analyze_action_matches_the_direct_solve_on_conjugates(unimodular_pair):
         basis = _direct_space(a)
         assert report.invariant_space_dim == len(basis), spec
         assert report.theta_exists == nondegenerate_witness(basis, d)[0], spec
+
+
+def test_rational_conjugate_takes_the_direct_solve(monkeypatch, unimodular_pair):
+    # the block-form route takes integer matrices only, so a rational
+    # conjugate with one support component is answered by the direct solve,
+    # also when the lcm of its denominators holds the lift's prime 2^19 - 1
+    spec = parse_block_spec("C9+C7+I2")
+    block = realize(spec)
+    d = block.nrows
+    p, q = unimodular_pair(random.Random(19), d, 3 * d)
+    conjugates = []
+    for den in (2**19 - 1, 2):
+        diag = [Fraction(1, den)] + [Fraction(i + 2, 3) for i in range(d - 1)]
+        t = Matrix([[diag[i] if i == j else 0 for j in range(d)] for i in range(d)])
+        t_inv = Matrix([[1 / diag[i] if i == j else 0 for j in range(d)] for i in range(d)])
+        a = p @ t @ block @ t_inv @ q
+        assert any(type(x) is not int for row in a.rows for x in row) and len(_components(a)) == 1, den
+        conjugates.append(a)
+    answers = [invariant_space(a) for a in conjugates]
+    monkeypatch.setattr(theta, "rational_block_form", lambda m: None)
+    for a, basis in zip(conjugates, answers):
+        assert basis == invariant_space(a) and len(basis) == invariant_ranks(spec)[2], a
+        assert all(s.transpose() == -s and a.transpose() @ s @ a == s for s in basis), a
