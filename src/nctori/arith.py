@@ -1,4 +1,4 @@
-"""Number-theoretic basics: factorization, totients, cyclotomic polynomials and factors.
+"""Number-theoretic basics: factorization, totients and cyclotomic polynomials.
 
 Polynomials are plain tuples of integer coefficients in ascending degree, so
 ``(-1, 0, 1)`` is x^2 - 1.  Everything here is exact integer arithmetic; no
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from math import comb, gcd
+from math import gcd
 
 IntPolynomial = tuple[int, ...]
 
@@ -53,6 +53,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def totient(n: int) -> int:
     """Euler's phi function; totient(1) == 1.
 
@@ -169,59 +170,3 @@ def cyclotomic(n: int) -> IntPolynomial:
     out[::stride] = coeffs
     return tuple(out)
 
-
-def trace_form(g: list[int]) -> list[int]:
-    """G with g(x) = x^s G(x + 1/x) for g palindromic of degree 2s, each top t^j = sum_i C(j, i) x^(j - 2i)
-    of x^-s g taken off the x^(j - 2i) + x^(2i - j) below it.  Psi_n = trace_form(Phi_n), n >= 3, is the
-    minimal polynomial of 2 cos(2 pi / n) (Lehmer, Amer. Math. Monthly 40, 1933); Psi_5 = t^2 + t - 1."""
-    s = len(g) // 2
-    h = g[s:]
-    for j in range(s, 1, -1):
-        for i in range(1, j // 2 + 1):
-            h[j - 2 * i] -= h[j] * comb(j, i)
-    return h
-
-
-_totient = functools.lru_cache(maxsize=None)(totient)  # the factor search and the Molien sums ask for the same n
-
-
-@functools.lru_cache(maxsize=None)
-def _trace_terms(n: int, p: int) -> tuple[tuple[int, int], ...]:
-    """The nonzero terms of Psi_n (``trace_form``) mod p below its leading one, as (j - deg, c)."""
-    psi = trace_form(list(cyclotomic(n)))
-    return tuple((j - len(psi) + 1, c % p) for j, c in enumerate(psi[:-1]) if c % p)
-
-
-def _divide_out(g: list[int], k: int, terms, p: int, n: int, ns: list[int]) -> list[int]:
-    """g divided modulo p by x^k + sum c x^(k + j), (j, c) in ``terms``, while it divides; n joins ns each time."""
-    while len(g) > k:
-        r = g[:]
-        for i in range(len(g) - 1, k - 1, -1):
-            c = r[i] = r[i] % p
-            if c:
-                for j, cj in terms:
-                    r[i + j] -= c * cj
-        if any(c % p for c in r[:k]):
-            break
-        g = r[k:]
-        ns.append(n)
-    return g
-
-
-def cyclotomic_factors(poly: list[int], p: int) -> tuple[int, ...] | None:
-    """The n, ascending with multiplicity, with ``poly`` = prod Phi_n mod the odd prime p (``poly`` monic, residues
-    ascending); else None.  Phi_1 and Phi_2 go by synthetic division at 1 and -1; of G, g = x^s G(x + 1/x) the rest,
-    each Psi_n of degree at most s/2 is divided out mod p while it divides, and what is left, with at most one factor
-    of larger degree, is 1 or one Psi_n (``exactlin.cyclotomic_type`` proves Phi_n | g iff Psi_n | G)."""
-    ns: list[int] = []
-    poly = _divide_out(_divide_out(poly, 1, ((-1, -1),), p, 1, ns), 1, ((-1, 1),), p, 2, ns)
-    if poly[::-1] != poly:
-        return None
-    g = [c % p for c in trace_form(poly)]
-    for n in range(3, totient_bound(len(g) - 1) + 1):
-        if _totient(n) < len(g):  # degree phi(n)/2 at most half of what is left
-            g = _divide_out(g, _totient(n) // 2, _trace_terms(n, p), p, n, ns)
-    for n in range(3, totient_bound(2 * len(g) - 2) + 1):  # then at most one Psi_n is left
-        if _totient(n) == 2 * len(g) - 2:
-            g = _divide_out(g, _totient(n) // 2, _trace_terms(n, p), p, n, ns)
-    return None if len(g) > 1 else tuple(sorted(ns))

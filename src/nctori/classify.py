@@ -18,7 +18,8 @@ import functools
 from math import lcm
 
 from .arith import factorize
-from .exactlin import Matrix, cyclotomic_type
+from .exactlin import Matrix
+from .finite import cyclotomic_type
 from .invariants import (
     Block,
     BlockSpec,

@@ -36,18 +36,9 @@ from math import comb, gcd, lcm, prod
 from operator import mul
 from struct import pack, unpack
 
-from .arith import _totient, cyclotomic, divisors, factorize, totient
-from .exactlin import (
-    Matrix,
-    _components,
-    _integral,
-    _shift_diag,
-    block_diag,
-    companion,
-    compound,
-    cyclotomic_type,
-    rank,
-)
+from .arith import cyclotomic, divisors, factorize, totient
+from .exactlin import Matrix, _components, _shift_diag, block_diag, companion, compound, rank
+from .finite import _integral, cyclotomic_type
 from .record import Frozen, set_field
 
 
@@ -195,14 +186,6 @@ def realize(spec) -> Matrix:
     return block_diag(_realize_block(b) for b in spec)
 
 
-def _binomial_row(n: int) -> list[int]:
-    """[C(n, 0), ..., C(n, n)] in one pass: C(n, j + 1) = C(n, j) (n - j) / (j + 1)."""
-    row = [1]
-    for j in range(n):
-        row.append(row[-1] * (n - j) // (j + 1))
-    return row
-
-
 # Largest estimated work (coefficient steps, see ``invariant_ranks``) that the
 # spectral route takes on: the exponent table on both evaluations, plus the
 # recurrences past ``_KRONECKER_MAX_BITS``; past it ``invariant_ranks``
@@ -231,8 +214,7 @@ def _mul_sparse(a: list[int], f: list[tuple[int, int]]) -> list[int]:
 def _power_product(factors, d: int) -> list[int]:
     """Coefficients of prod F_k^x over (k, x) in ``factors``, of degree d.
 
-    The factors with x = 1 are multiplied in last.  A lone (1 + t)^x or
-    (1 - t)^x is a signed ``_binomial_row``.  Otherwise Q = prod F^x over
+    The factors with x = 1 are multiplied in last.  Q = prod F^x over
     the rest, each with F(0) = 1, has R Q' = S Q for R = prod F and
     S = R sum x F'/F (built factor by factor), and comparing the
     coefficients of t^(j-1) gives
@@ -244,20 +226,15 @@ def _power_product(factors, d: int) -> list[int]:
     """
     plain = [_neg_cyclotomic(k) for k, x in factors if x == 1]
     powered = [(k, x) for k, x in factors if x > 1]
-    if len(powered) == 1 and powered[0][0] <= 2:
-        (k, x), = powered
-        row = _binomial_row(x)
-        q = row if k == 1 else [-c if i % 2 else c for i, c in enumerate(row)]
-    else:
-        r, s = [1], []
-        for k, x in powered:
-            f = _neg_cyclotomic(k)
-            s = [u + v for u, v in zip(_mul_sparse(s, f), _mul_sparse(r, [(i - 1, x * i * c) for i, c in f if i]))]
-            r = _mul_sparse(r, f)
-        terms = [(o, s[o - 1] + o * r[o], r[o]) for o in range(1, len(r)) if s[o - 1] or r[o]]
-        q = [1] + [0] * (d - sum(f[-1][0] for f in plain))
-        for j in range(1, len(q)):
-            q[j] = sum(q[j - o] * (a - b * j) for o, a, b in terms if o <= j) // j
+    r, s = [1], []
+    for k, x in powered:
+        f = _neg_cyclotomic(k)
+        s = [u + v for u, v in zip(_mul_sparse(s, f), _mul_sparse(r, [(i - 1, x * i * c) for i, c in f if i]))]
+        r = _mul_sparse(r, f)
+    terms = [(o, s[o - 1] + o * r[o], r[o]) for o in range(1, len(r)) if s[o - 1] or r[o]]
+    q = [1] + [0] * (d - sum(f[-1][0] for f in plain))
+    for j in range(1, len(q)):
+        q[j] = sum(q[j - o] * (a - b * j) for o, a, b in terms if o <= j) // j
     for f in plain:
         q = _mul_sparse(q, f)
     return q
@@ -322,7 +299,7 @@ def _molien_terms(spec: BlockSpec) -> tuple[int, int, dict[tuple[tuple[int, int]
         exps: dict[int, int] = {}
         for m, dm in dims.items():
             k = m // gcd(m, e)
-            exps[k] = exps.get(k, 0) + dm // _totient(k)
+            exps[k] = exps.get(k, 0) + dm // totient(k)
         key = tuple(sorted(exps.items()))
         weights[key] = weights.get(key, 0) + w
     return n, d, weights, work
@@ -515,7 +492,7 @@ def invariant_ranks_molien(a: Matrix, n: int) -> tuple[int, ...]:
         signed = [trace[gcd(e * k, n)] for k in range(1, d + 1)]
         signed[1::2] = [-p for p in signed[1::2]]
         key = tuple(signed)
-        weights[key] = weights.get(key, 0) + _totient(n // e)
+        weights[key] = weights.get(key, 0) + totient(n // e)
     totals = [0] * (d + 1)
     for signed, weight in weights.items():
         coeffs = [1]

@@ -19,12 +19,12 @@ from .exactlin import (
     Matrix,
     _components,
     _echelon_int,
-    _integral,
     _scaled_int_rows,
     kernel_basis,
     rational_block_form,
     reduced_basis,
 )
+from .finite import _integral
 from .record import Frozen, set_field
 
 

@@ -6,13 +6,13 @@ from nctori.arith import (
     CYCLOTOMIC_MAX_N,
     FACTORIZE_MAX_TRIAL,
     cyclotomic,
-    cyclotomic_factors,
     divisors,
     factorize,
     poly_mul,
     totient,
     totient_bound,
 )
+from nctori.finite import cyclotomic_factors
 from oracles import poly_divmod
 
 
@@ -200,9 +200,9 @@ def test_cyclotomic_factors_refuses_residues_that_are_not_reciprocal():
         residues = [c % p for c in poly_mul(poly, tuple(f))]
         if residues[::-1] in (residues, [-c % p for c in residues]):
             continue
-        assert cyclotomic_factors(residues, p) is None, (poly, f)
+        assert cyclotomic_factors(residues) is None, (poly, f)
         refused += 1
     assert refused == 300
     # x^d - x - 1 and (x - 1)(x + 1)^2 (x^2 + x + 2), over Z
     for poly in ((-1, -1) + (0,) * 10 + (1,), poly_mul(poly_mul((-1, 1), (1, 2, 1)), (2, 1, 1))):
-        assert cyclotomic_factors([c % p for c in poly], p) is None, poly
+        assert cyclotomic_factors([c % p for c in poly]) is None, poly

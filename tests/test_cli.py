@@ -14,7 +14,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nctori import classify, cli, exactlin, invariants, theta
+from nctori import classify, cli, exactlin, finite, invariants, theta
 from nctori.classify import MAX_RANK_DIM
 from nctori.arith import CYCLOTOMIC_MAX_N, FACTORIZE_MAX_TRIAL
 from nctori.cli import TABLE_MAX_DIM, TABLE_MAX_VERDICTS, CliParseError, main, parse_group
@@ -203,8 +203,8 @@ def test_theta_json_on_dense_conjugate_matches_direct_solve(
 def _count_hessenberg_passes(monkeypatch):
     """Record the rows of every pass of the lift modulo 2^19 - 1."""
     calls = []
-    hessenberg = exactlin._hessenberg_charpoly
-    monkeypatch.setattr(exactlin, "_hessenberg_charpoly", lambda h: calls.append([row[:] for row in h]) or hessenberg(h))
+    hessenberg = finite._hessenberg_charpoly
+    monkeypatch.setattr(finite, "_hessenberg_charpoly", lambda h: calls.append([row[:] for row in h]) or hessenberg(h))
     return calls
 
 
@@ -352,7 +352,7 @@ def test_analyze_refuses_a_certificate_past_its_work_limit(tmp_path, capsys, mon
     a = matrix_pow(p, 300) @ block @ matrix_pow(q, 300)
     assert 400 < max(len(str(abs(x))) for row in a.rows for x in row) < 500
     path = _write_rows(tmp_path / "wide36.txt", a.rows)
-    monkeypatch.setattr(exactlin, "MAX_CERTIFICATE_WORK", 10**7)
+    monkeypatch.setattr(finite, "MAX_CERTIFICATE_WORK", 10**7)
     limit = "word products, past the limit MAX_CERTIFICATE_WORK = 10000000"
     start = time.perf_counter()
     code, out, err = run(capsys, "analyze", path)
@@ -401,7 +401,7 @@ def test_analyze_refuses_a_dense_hessenberg_recurrence_past_the_lift_limit(tmp_p
     rng = random.Random(800)
     rows = [[rng.randint(-9, 9) if j > i + 1 else int(j == i - 1) for j in range(d)] for i in range(d)]
     path = _write_rows(tmp_path / "hessenberg800.txt", rows)
-    limit = f"word products, past the limit MAX_LIFT_WORK = {exactlin.MAX_LIFT_WORK}"
+    limit = f"word products, past the limit MAX_LIFT_WORK = {finite.MAX_LIFT_WORK}"
     start = time.perf_counter()
     code, out, err = run(capsys, "analyze", path)
     assert time.perf_counter() - start < 5
@@ -427,7 +427,7 @@ def test_analyze_refuses_a_lift_past_its_work_limit(tmp_path, capsys, monkeypatc
     # the Krylov pass of a d = 14 conjugate is estimated, before it starts,
     # at 14^2 (29 lanes + 1 entry word) = 5,880 word products; the block form
     # is upper Hessenberg, takes the p_m recurrence, and is still answered
-    monkeypatch.setattr(exactlin, "MAX_LIFT_WORK", 5000)
+    monkeypatch.setattr(finite, "MAX_LIFT_WORK", 5000)
     spec, d, path = _write_conjugate(tmp_path, "C9+C7+I2", 14, unimodular_pair)
     limit = "needs about 5880 word products, past the limit MAX_LIFT_WORK = 5000"
     code, out, err = run(capsys, "analyze", path)

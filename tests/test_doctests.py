@@ -4,6 +4,7 @@ import nctori.arith
 import nctori.classify
 import nctori.cli
 import nctori.exactlin
+import nctori.finite
 import nctori.invariants
 import nctori.ktheory
 import nctori.theta
@@ -14,6 +15,7 @@ def test_module_doctests():
     modules = (
         nctori.arith,
         nctori.exactlin,
+        nctori.finite,
         nctori.wfun,
         nctori.invariants,
         nctori.ktheory,

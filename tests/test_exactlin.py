@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import random
+import sys
 import time
 from fractions import Fraction
 from math import comb, lcm
@@ -7,19 +9,15 @@ from operator import mul
 
 import pytest
 
-from nctori import arith, exactlin
-from nctori.arith import _trace_terms, cyclotomic, cyclotomic_factors, poly_mul, totient, totient_bound, trace_form
+from nctori import finite
+from nctori.arith import cyclotomic, poly_mul, totient, totient_bound
 from nctori.exactlin import (
-    MAX_LIFT_WORK,
     _components,
-    _cyclotomic_lift,
-    _hessenberg_charpoly,
     _shift_diag,
     Matrix,
     block_diag,
     companion,
     compound,
-    cyclotomic_type,
     det,
     kernel_basis,
     order,
@@ -28,6 +26,15 @@ from nctori.exactlin import (
     reduced_basis,
 )
 from nctori.classify import analyze_action
+from nctori.finite import (
+    MAX_LIFT_WORK,
+    _cyclotomic_lift,
+    _hessenberg_charpoly,
+    _trace_terms,
+    cyclotomic_factors,
+    cyclotomic_type,
+    trace_form,
+)
 from nctori.invariants import (
     Cyclotomic,
     Identity,
@@ -269,7 +276,7 @@ def test_rational_block_form_runs_no_finite_order_certificate(monkeypatch, unimo
     def no_certificate(*args):
         raise AssertionError("rational_block_form must not run the seed certificate")
 
-    monkeypatch.setattr(exactlin, "_chain_certificate", no_certificate)
+    monkeypatch.setattr(finite, "_chain_certificate", no_certificate)
     block = realize(parse_block_spec("C7+C7+C3"))
     p, q = unimodular_pair(random.Random(7), block.nrows, 3 * block.nrows)
     a = p @ block @ q
@@ -452,7 +459,7 @@ def test_cyclotomic_type_certifies_on_the_lift_chains(monkeypatch, unimodular_pa
     def no_int_sums(*args):
         raise AssertionError("the certificate must run on the lift's own chains")
 
-    monkeypatch.setattr(exactlin, "_int_chain_sums", no_int_sums)
+    monkeypatch.setattr(finite, "_int_chain_sums", no_int_sums)
     rng = random.Random(28)
     for text in ("C9+C7+I2", "C5+C5+C3+I3", "I4+C12", "negC9+C8+C8", "C7+C7+C7", "C12+C12+I1", "C30+C11+I1", "C2+I5"):
         block = realize(parse_block_spec(text))
@@ -495,14 +502,14 @@ def test_certificate_stops_a_chain_that_returns_to_its_seed(monkeypatch):
     # seeds of C7 and C9 after 7 and 9.  Beside a unipotent block, whose
     # seed e_13 closes at once, the permutation is still refuted on e_14
     steps = []
-    check = exactlin._check_work
+    check = finite._check_work
 
     def spy(d, work, what, name, limit):
         if name == "MAX_CERTIFICATE_WORK":
             steps.append(work)
         return check(d, work, what, name, limit)
 
-    monkeypatch.setattr(exactlin, "_check_work", spy)
+    monkeypatch.setattr(finite, "_check_work", spy)
     sigma = {0: 5, 5: 10, 10: 0, 1: 6, 6: 11, 11: 3, 3: 1, 2: 7, 7: 12, 12: 4, 4: 8, 8: 2, 9: 9}
     perm = [[int(sigma[j] == i) for j in range(13)] for i in range(13)]
     assert [len(chain) for chain, _ in _cyclotomic_lift(Matrix(perm))[2][1]] == [4, 5, 6, 2]
@@ -518,8 +525,8 @@ def test_chains_past_their_lanes_fall_back_to_python_ints(monkeypatch, unimodula
     # 2^(62 - bit_length rho) and the pass restarts on residues, without
     # chains, so the certificate takes the sums on Python ints
     calls = []
-    int_sums = exactlin._int_chain_sums
-    monkeypatch.setattr(exactlin, "_int_chain_sums", lambda *args: calls.append(1) or int_sums(*args))
+    int_sums = finite._int_chain_sums
+    monkeypatch.setattr(finite, "_int_chain_sums", lambda *args: calls.append(1) or int_sums(*args))
     block = realize(parse_block_spec("C9+C7+I2"))
     d = block.nrows
     p, q = unimodular_pair(random.Random(14), d, 3 * d)
@@ -539,18 +546,88 @@ def test_python_int_steps_are_charged_for_each_row(monkeypatch):
     # the cyclic permutation (one entry a row) the word products alone come
     # to 16 d a step
     charges = []
-    check = exactlin._check_work
+    check = finite._check_work
 
     def spy(d, work, what, name, limit):
         charges.append(work)
         return check(d, work, what, name, limit)
 
-    monkeypatch.setattr(exactlin, "_check_work", spy)
+    monkeypatch.setattr(finite, "_check_work", spy)
     d = 40
     perm = [[int(j == (i - 1) % d) for j in range(d)] for i in range(d)]
-    assert exactlin._int_chain_sums(perm, [-1] + [0] * (d - 1) + [1], [0, 7], 0)
+    assert finite._int_chain_sums(perm, [-1] + [0] * (d - 1) + [1], [0, 7], 0)
     steps = [b - a for a, b in zip([0] + charges, charges)]
     assert len(steps) == 2 * d and min(steps) >= 100 * d
+
+
+def _spy_python_int_exits(monkeypatch):
+    """(exit, seeds, answer) for each call of ``_int_chain_sums`` from the
+    certificate: exit 0 when the lift kept no chains (or the sum's bound
+    leaves no lane), 1 when a step of a chain overflows its lanes, 2 when
+    the entries of a chain pass the bound of the sum."""
+    lines, first = inspect.getsourcelines(finite._chain_certificate)
+    exits = [first + i for i, line in enumerate(lines) if "return _int_chain_sums(" in line]
+    assert len(exits) == 3
+    calls = []
+    int_sums = finite._int_chain_sums
+
+    def spy(rows, coeffs, seeds, work):
+        answer = int_sums(rows, coeffs, seeds, work)
+        calls.append((exits.index(sys._getframe(1).f_lineno), list(seeds), answer))
+        return answer
+
+    monkeypatch.setattr(finite, "_int_chain_sums", spy)
+    return calls
+
+
+def test_certificate_leaves_for_python_ints_when_a_step_overflows(monkeypatch):
+    # upper triangular, so each index is a seed; rho = 2^40 + 1 leaves 21
+    # bits a lane to a step, and the chain of e_1 steps to (2^40, -1), whose
+    # next step would overflow.  On Python ints a^2 e_1 = e_1 certifies it
+    calls = _spy_python_int_exits(monkeypatch)
+    flip = Matrix([[1, 2**40], [0, -1]])
+    assert cyclotomic_type(flip) == _power_type(flip) == (1, 2) and calls == [(1, [1], True)]
+
+
+def test_certificate_refutes_on_python_ints_after_a_step_overflows(monkeypatch):
+    # the same overflow from e_1, beside a Jordan block at -1: the lift
+    # reads (1, 2, 2), and the sums on Python ints refute it
+    calls = _spy_python_int_exits(monkeypatch)
+    jordan = Matrix([[1, 2**40, 0], [0, -1, 1], [0, 0, -1]])
+    assert _cyclotomic_lift(jordan)[0] == (1, 2, 2)
+    assert cyclotomic_type(jordan) is None and _power_type(jordan) is None and calls == [(1, [1, 2], False)]
+
+
+def test_certificate_takes_python_ints_for_every_seed_when_the_lift_keeps_no_chains(monkeypatch):
+    # a row sum past 2^61 leaves no lane to a step, so the lift keeps no
+    # chains; the unipotent [[1, 2^70], [0, 1]] is refuted on Python ints
+    calls = _spy_python_int_exits(monkeypatch)
+    a = Matrix([[1, 2**70], [0, 1]])
+    assert _cyclotomic_lift(a)[0::2] == ((1, 1), None)
+    assert cyclotomic_type(a) is None and _power_type(a) is None and calls == [(0, [0, 1], False)]
+
+
+def test_certificate_leaves_for_python_ints_when_lanes_pass_the_sum_bound(monkeypatch):
+    # companion(Phi_p), p = 5, 7, ..., 41 (d = 222), each linked to the next
+    # by 2^12 above the diagonal: semisimple, as the Phi_p are distinct.  q
+    # is the product of the eleven Phi_p, sum |q_k| = 5 * 7 * ... * 41 has
+    # 46 bits, so each lane of a chain must stay below 2^17; the chains of
+    # the first two seeds do, and that of the third passes it while every
+    # step stays within its lanes (rho = 2^12 + 2)
+    calls = _spy_python_int_exits(monkeypatch)
+    primes = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    blocks = [companion(cyclotomic(p)) for p in primes]
+    rows = [list(row) for row in block_diag(blocks).rows]
+    end = 0
+    for block in blocks[:-1]:
+        end += block.nrows
+        rows[end - 1][end] = 2**12
+    a = Matrix(rows)
+    seeds = _cyclotomic_lift(a)[1]
+    assert len(seeds) == len(primes)
+    start = time.perf_counter()
+    assert cyclotomic_type(a) == primes and calls == [(2, seeds[2:], True)]
+    assert time.perf_counter() - start < 5
 
 
 def test_cyclotomic_type_probe_sees_defect_off_the_chain():
@@ -606,8 +683,8 @@ def test_lift_congruent_to_cyclotomic_is_refuted_by_the_seeds(monkeypatch):
     # lift's prime p = 2^19 - 1, within every bound and reciprocal: only the
     # seed certificate shows that it has infinite order
     passes = []
-    hessenberg = exactlin._hessenberg_charpoly
-    monkeypatch.setattr(exactlin, "_hessenberg_charpoly", lambda h: passes.append(list(h)) or hessenberg(h))
+    hessenberg = finite._hessenberg_charpoly
+    monkeypatch.setattr(finite, "_hessenberg_charpoly", lambda h: passes.append(list(h)) or hessenberg(h))
     c5 = companion(cyclotomic(5))
     checked = 0
     for n in (5, 7, 9, 12, 16, 20, 21, 33, 44, 61):
@@ -682,9 +759,9 @@ def test_non_reciprocal_lift_exits_before_the_factor_search(monkeypatch):
         raise AssertionError("a non-reciprocal lift must not reach the factor search")
 
     passes = []
-    hessenberg = exactlin._hessenberg_charpoly
-    monkeypatch.setattr(exactlin, "_hessenberg_charpoly", lambda h: passes.append(list(h)) or hessenberg(h))
-    monkeypatch.setattr(arith, "trace_form", no_search)
+    hessenberg = finite._hessenberg_charpoly
+    monkeypatch.setattr(finite, "_hessenberg_charpoly", lambda h: passes.append(list(h)) or hessenberg(h))
+    monkeypatch.setattr(finite, "trace_form", no_search)
     for d in range(12, 61):
         a = companion((-1, -1) + (0,) * (d - 2) + (1,))
         assert _traces_pass(a), d
@@ -702,9 +779,9 @@ def test_reciprocal_lift_of_infinite_order_exits_before_the_certificate(monkeypa
         raise AssertionError("a lift that is not a product of Phi_n must not reach the certificate")
 
     searched = []
-    factors = exactlin.cyclotomic_factors
-    monkeypatch.setattr(exactlin, "cyclotomic_factors", lambda poly, p: searched.append(p) or factors(poly, p))
-    monkeypatch.setattr(exactlin, "_chain_certificate", no_certificate)
+    factors = finite.cyclotomic_factors
+    monkeypatch.setattr(finite, "cyclotomic_factors", lambda poly: searched.append(len(poly) - 1) or factors(poly))
+    monkeypatch.setattr(finite, "_chain_certificate", no_certificate)
     block = block_diag([Matrix([[2, 1], [1, 1]]), companion(cyclotomic(5))])
     rng = random.Random(17)
     for t in range(40):
@@ -713,7 +790,7 @@ def test_reciprocal_lift_of_infinite_order_exits_before_the_certificate(monkeypa
         assert _traces_pass(a), a
         searched.clear()
         assert _cyclotomic_lift(a) is None and cyclotomic_type(a) is None, a
-        assert searched == [(1 << 19) - 1] * 2, a
+        assert searched == [6] * 2, a
 
 
 def _random_reciprocal(rng, half, p):
@@ -731,43 +808,41 @@ def test_cyclotomic_factors_match_trial_division():
     lehmer = (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
     small = [n for n in range(1, 201) if totient(n) <= 24]
     found = refused = 0
-    for e in (19, 31, 61):
-        p = (1 << e) - 1
-        for t in range(150):
-            kind = t % 3
-            ns = []
-            budget = rng.randint(0, 36)
-            while True:
-                pool = [n for n in (small if t % 2 else range(1, 201)) if totient(n) <= budget]
-                if not pool or rng.random() < 0.15:
-                    break
-                n = rng.choice(pool)
-                for _ in range(rng.choice((1, 1, 1, 2, 3))):
-                    if totient(n) <= budget:
-                        ns.append(n)
-                        budget -= totient(n)
-            poly = (1,)
-            for n in ns:
-                poly = poly_mul(poly, cyclotomic(n))
-            if kind == 1:
-                poly = poly_mul(poly, rng.choice(((1, -3, 1), lehmer)))
-            elif kind == 2:
-                poly = poly_mul(poly, tuple(_random_reciprocal(rng, rng.randint(1, 6), p)))
-            residues = [c % p for c in poly]
-            expected = cyclotomic_factors_by_division(residues, p)
-            assert cyclotomic_factors(residues, p) == expected, (e, ns, kind)
-            if kind == 0:
-                assert expected == tuple(sorted(ns)), (e, ns)
-                found += 1
-            else:
-                refused += expected is None
+    p = (1 << 19) - 1
+    for t in range(450):
+        kind = t % 3
+        ns = []
+        budget = rng.randint(0, 36)
+        while True:
+            pool = [n for n in (small if t % 2 else range(1, 201)) if totient(n) <= budget]
+            if not pool or rng.random() < 0.15:
+                break
+            n = rng.choice(pool)
+            for _ in range(rng.choice((1, 1, 1, 2, 3))):
+                if totient(n) <= budget:
+                    ns.append(n)
+                    budget -= totient(n)
+        poly = (1,)
+        for n in ns:
+            poly = poly_mul(poly, cyclotomic(n))
+        if kind == 1:
+            poly = poly_mul(poly, rng.choice(((1, -3, 1), lehmer)))
+        elif kind == 2:
+            poly = poly_mul(poly, tuple(_random_reciprocal(rng, rng.randint(1, 6), p)))
+        residues = [c % p for c in poly]
+        expected = cyclotomic_factors_by_division(residues, p)
+        assert cyclotomic_factors(residues) == expected, (t, ns, kind)
+        if kind == 0:
+            assert expected == tuple(sorted(ns)), (t, ns)
+            found += 1
+        else:
+            refused += expected is None
     assert found == 150 and refused == 300
     # every product of two: the larger factor is often not the larger n
-    p = (1 << 19) - 1
     for a in range(1, 41):
         for b in range(a, 41):
             residues = [c % p for c in poly_mul(cyclotomic(a), cyclotomic(b))]
-            assert cyclotomic_factors(residues, p) == cyclotomic_factors_by_division(residues, p) == (a, b), (a, b)
+            assert cyclotomic_factors(residues) == cyclotomic_factors_by_division(residues, p) == (a, b), (a, b)
 
 
 def test_trace_form_inverts_the_reciprocal_substitution():
@@ -779,7 +854,7 @@ def test_trace_form_inverts_the_reciprocal_substitution():
         psi = trace_form(list(cyclotomic(n)))
         s = len(psi) - 1
         assert 2 * s == totient(n) and psi[-1] == 1, n
-        assert _trace_terms(n, p) == tuple((j - s, c % p) for j, c in enumerate(psi[:-1]) if c % p), n
+        assert _trace_terms(n) == tuple((j - s, c % p) for j, c in enumerate(psi[:-1]) if c % p), n
         back = [0] * (2 * s + 1)
         power = (1,)
         for k, c in enumerate(psi):
@@ -795,8 +870,8 @@ def test_lift_refuses_denominators_divisible_by_its_prime(monkeypatch, unimodula
     # denominators holds the lift's prime 2^19 - 1, another Mersenne prime
     # or neither, while the integer conjugate is answered
     passes = []
-    hessenberg = exactlin._hessenberg_charpoly
-    monkeypatch.setattr(exactlin, "_hessenberg_charpoly", lambda h: passes.append(list(h)) or hessenberg(h))
+    hessenberg = finite._hessenberg_charpoly
+    monkeypatch.setattr(finite, "_hessenberg_charpoly", lambda h: passes.append(list(h)) or hessenberg(h))
     block = realize(parse_block_spec("C9+C7+I2"))
     d = block.nrows
     p, q = unimodular_pair(random.Random(19), d, 3 * d)
@@ -838,8 +913,8 @@ def test_one_prime_covers_every_dimension_the_work_limit_admits(monkeypatch):
     assert 16 * first * first // 2 > MAX_LIFT_WORK
     # both floors hold for the work each route counts
     counted = []
-    check = exactlin._check_work
-    monkeypatch.setattr(exactlin, "_check_work", lambda d, work, *rest: counted.append((d, work)) or check(d, work, *rest))
+    check = finite._check_work
+    monkeypatch.setattr(finite, "_check_work", lambda d, work, *rest: counted.append((d, work)) or check(d, work, *rest))
     rng = random.Random(94_648)
     for t in range(40):
         d = rng.randint(3, 30)
@@ -848,7 +923,7 @@ def test_one_prime_covers_every_dimension_the_work_limit_admits(monkeypatch):
         dense = Matrix([[rng.randint(-3, 3) or 1 if (i, j) == (d - 1, 0) else rng.randint(-3, 3) for j in range(d)] for i in range(d)])
         for m, floor in ((a, 8 * d * d), (dense, d * d * (2 * d + 1))):
             counted.clear()
-            exactlin._hessenberg_charpoly(m.rows)
+            finite._hessenberg_charpoly(m.rows)
             assert counted[0][0] == d and counted[0][1] >= floor, (m, counted)
 
 

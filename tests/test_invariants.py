@@ -9,7 +9,6 @@ from nctori.exactlin import Matrix, det, order, rank
 from nctori.arith import divisors
 from nctori.invariants import (
     _KRONECKER_MAX_BITS,
-    _binomial_row,
     _digit_bits,
     _int_product,
     _kronecker_sum,
@@ -379,11 +378,6 @@ def test_rank_sums_and_unit_term():
         assert even_invariant_sum(spec) + s1(spec) == sum(ranks)
 
 
-def test_binomial_row_matches_comb():
-    for n in (0, 1, 2, 7, 30, 257, 1000):
-        assert _binomial_row(n) == [comb(n, j) for j in range(n + 1)], n
-
-
 def _counting_ranks(spec):
     """Invariant ranks by counting: the number of size-m sub-multisets of the
     rotation spectrum with integer sum, by a dynamic program over (number of
@@ -428,6 +422,13 @@ def test_spectral_molien_matches_counting_on_flips():
     for a, b in ((1, 1), (5, 8), (40, 25)):
         spec = (Cyclotomic(2),) * b + (Identity(a),)
         assert invariant_ranks(spec) == _counting_ranks(spec), (a, b)
+    # a lone (1 + t)^m or (1 - t)^m past the Kronecker bound goes through the
+    # power recurrence: every k-form is fixed by I_m, the even ones by -I_m
+    for m in (100, 257, 1000):
+        identity, flip = (Identity(m),), (Cyclotomic(2),) * m
+        assert not _takes_kronecker(identity) and not _takes_kronecker(flip), m
+        assert invariant_ranks(identity) == tuple(comb(m, k) for k in range(m + 1)), m
+        assert invariant_ranks(flip) == tuple(0 if k % 2 else comb(m, k) for k in range(m + 1)), m
 
 
 def _route_ranks(spec, kronecker):
