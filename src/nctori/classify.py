@@ -54,7 +54,8 @@ def check_rank_dim(d: int, free_rank: int = 0) -> None:
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     if d + free_rank > MAX_RANK_DIM:
-        raise ValueError(f"dimension plus free rank {d + free_rank} exceeds the limit {MAX_RANK_DIM}")
+        what = f"dimension plus free rank {d + free_rank}" if free_rank > 0 else f"dimension {d}"
+        raise ValueError(f"{what} exceeds MAX_RANK_DIM = {MAX_RANK_DIM}")
 
 
 def af_paper(n: int) -> bool:

@@ -30,10 +30,8 @@ from .classify import (
 from .exactlin import Matrix
 from .invariants import (
     block_label,
-    even_invariant_sum,
     invariant_ranks,
     parse_block_spec,
-    s1,
     spec_dim,
     spec_free,
     spec_order,
@@ -326,7 +324,7 @@ def _dispatch(args) -> int:
             raise CliParseError(str(exc)) from exc
         check_rank_dim(spec_dim(spec))
         ranks = invariant_ranks(spec)
-        odd = s1(spec)
+        odd, even = sum(ranks[1::2]), sum(ranks[::2])
         free = spec_free(spec)
         if args.json:
             print(json.dumps({
@@ -336,12 +334,12 @@ def _dispatch(args) -> int:
                 "free_outside_origin": free,
                 "invariant_ranks": list(ranks),
                 "s1": odd,
-                "even_invariant_sum": even_invariant_sum(spec),
+                "even_invariant_sum": even,
             }))
         else:
             for m, r in enumerate(ranks):
                 print(f"degree {m}: {r}")
-            print(f"s1 = {odd}  (even sum = {even_invariant_sum(spec)})")
+            print(f"s1 = {odd}  (even sum = {even})")
             if not free:
                 print("note: action is not free outside the origin; s1 is the raw odd sum")
     elif args.command == "classify":

@@ -415,12 +415,6 @@ def s1(spec) -> int:
     return sum(invariant_ranks(tuple(spec))[1::2])
 
 
-def even_invariant_sum(spec) -> int:
-    """Sum of the even-degree invariant ranks (diagnostic only; this is not
-    asserted to be the K_0 rank, which has no closed form here)."""
-    return sum(invariant_ranks(tuple(spec))[0::2])
-
-
 def invariant_ranks_molien(a: Matrix, n: int) -> tuple[int, ...]:
     """Invariant ranks of every degree 0..d of a square matrix with a^n = I,
     by Molien's formula: sum_m r_m t^m = (1/n) sum_{k<n} det(I + t a^k).

@@ -141,6 +141,8 @@ def test_cyclotomic_degree_is_totient():
 def test_totient_divisor_sum():
     for n in range(1, 1001):
         assert sum(totient(d) for d in divisors(n)) == n
+    with pytest.raises(ValueError, match="divisors expects a positive integer, got 0"):
+        divisors(0)
 
 
 def test_poly_divmod_remainder():
@@ -150,6 +152,7 @@ def test_poly_divmod_remainder():
     for i, c in enumerate(r):
         recombined[i] += c
     assert tuple(recombined) == (1, 2, 3)
+    assert poly_mul((), (1,)) == ()
 
 
 def test_cyclotomic_limit():

@@ -331,6 +331,8 @@ def test_analyze_action_companion_phi9():
 def test_analyze_action_checks_inputs():
     with pytest.raises(ValueError):
         analyze_action(Matrix([[1, 1], [0, 1]]))  # infinite order
+    with pytest.raises(ValueError, match="analyze_action requires a nonempty square matrix"):
+        analyze_action(Matrix([], ncols=0))
 
 
 def test_recognize_blocks():

@@ -92,6 +92,10 @@ def test_s1_command(capsys):
     assert payload["s1"] == 0 and payload["order"] == 54 and payload["dimension"] == 18
     code, out, _ = run(capsys, "s1", "--blocks", "C3+I2", "--json")
     assert json.loads(out)["free_outside_origin"] is False
+    code, out, err = run(capsys, "s1", "--blocks", "C3+Q2")
+    assert code == 1 and out == "" and err == "error: unrecognized block token 'Q2'\n"
+    code, out, err = run(capsys, "s1", "--blocks", "Cx")
+    assert code == 1 and out == "" and err == "error: block token 'Cx' needs a positive integer argument\n"
 
 
 def test_s1_command_reads_freeness_off_the_blocks(capsys, monkeypatch):
@@ -114,10 +118,23 @@ def test_classify_command(capsys):
     code, out, _ = run(capsys, "classify", "3", "3")
     assert code == 0 and "no simple action (gap one)" in out
 
+    code, out, _ = run(capsys, "classify", "1", "5")
+    assert code == 0 and out == "d=1  input=Z5  W=4\nnot realizable: W=4 exceeds d=1\n"
+
     code, out, _ = run(capsys, "classify", "2", "6", "--json")
     payload = json.loads(out)
     assert payload["simple_action"] is True and payload["AF_computed"] is True
     assert payload["k1"] == {"kind": "exact", "value": 0}
+
+
+def test_text_verdicts_are_styled_on_a_terminal(capsys, monkeypatch):
+    monkeypatch.delenv("NO_COLOR", raising=False)
+    monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+    code, out, _ = run(capsys, "classify", "3", "3")
+    assert code == 0 and "\x1b[31mno simple action (gap one)\x1b[0m\n" in out
+    monkeypatch.setenv("NO_COLOR", "1")
+    code, out, _ = run(capsys, "classify", "3", "3")
+    assert code == 0 and "no simple action (gap one)\n" in out and "\x1b[" not in out
 
 
 def test_classify_group_command(capsys):
@@ -278,9 +295,14 @@ def test_rank_dimension_limit(capsys, monkeypatch):
     ]
     for argv in over:
         code, out, err = run(capsys, *argv)
-        assert code == 2 and out == "" and f"limit {limit}" in err, argv
+        assert code == 2 and out == "" and f"MAX_RANK_DIM = {limit}" in err, argv
         code, out, _ = run(capsys, *argv, "--json")
-        assert code == 2 and f"limit {limit}" in json.loads(out)["error"], argv
+        assert code == 2 and f"MAX_RANK_DIM = {limit}" in json.loads(out)["error"], argv
+    # a free rank is named only when there is one
+    _, _, err = run(capsys, "classify", str(limit + 1), "7")
+    assert err == f"error: dimension {limit + 1} exceeds MAX_RANK_DIM = {limit}\n"
+    _, _, err = run(capsys, "classify-group", "3", f"Z3xZ^{limit - 2}")
+    assert err == f"error: dimension plus free rank {limit + 1} exceeds MAX_RANK_DIM = {limit}\n"
     for argv in (("classify", str(limit), "7"), ("classify-group", "3", f"Z3xZ^{limit - 3}")):
         code, out, _ = run(capsys, *argv, "--json")
         assert code == 0 and json.loads(out)["simple_action"], argv
@@ -291,7 +313,7 @@ def test_rank_dimension_limit(capsys, monkeypatch):
     code, out, _ = run(capsys, "s1", "--blocks", "C5+I8", "--json")
     assert code == 0 and json.loads(out)["dimension"] == 12
     code, out, err = run(capsys, "s1", "--blocks", "C5+I9")
-    assert code == 2 and out == "" and "limit 12" in err
+    assert code == 2 and out == "" and "MAX_RANK_DIM = 12" in err
 
 
 def test_analyze_answers_entries_past_the_charpoly_prime(tmp_path, capsys):
@@ -503,6 +525,12 @@ def test_matrix_file_errors(tmp_path, capsys):
     assert code == 1 and "expected" in err
     code, _, err = run(capsys, "analyze", str(tmp_path / "missing.txt"))
     assert code == 1
+    bad.write_text(" \n")
+    code, _, err = run(capsys, "analyze", str(bad))
+    assert code == 1 and err == f"error: {bad}: empty matrix file\n"
+    bad.write_text("2\n1 0\n0 x\n")
+    code, _, err = run(capsys, "analyze", str(bad))
+    assert code == 1 and err.startswith(f"error: {bad}: non-integer token (") and "'x'" in err
     # a dimension line below 1 is named as such
     for d in (0, -2):
         bad.write_text(f"{d}\n")

@@ -87,6 +87,8 @@ def test_order_examples():
     assert order(companion(cyclotomic(9)), 100) == 9
     assert order(Matrix.identity(5), 10) == 1
     assert order(-Matrix.identity(3), 10) == 2
+    with pytest.raises(ValueError, match="bound must be positive"):
+        order(Matrix.identity(2), 0)
 
 
 def test_order_not_finite():
@@ -121,6 +123,8 @@ def test_block_diag_examples():
     assert order(two, 50) == lcm(3, 4)
     empty = block_diag([])
     assert empty.nrows == 0 and empty.ncols == 0
+    with pytest.raises(ValueError, match="block_diag blocks must be square"):
+        block_diag([Matrix.identity(2), Matrix([[1, 2]])])
 
 
 def test_compound_trivial_cases():
@@ -128,6 +132,8 @@ def test_compound_trivial_cases():
     a = Matrix([[1, 2], [3, 4]])
     assert compound(a, 2) == Matrix([[det(a)]])
     assert compound(Matrix([[2, 0], [0, 3]]), 1) == Matrix([[2, 0], [0, 3]])
+    with pytest.raises(ValueError, match="compound requires a square matrix"):
+        compound(Matrix([[1, 2]]), 1)
     assert compound(a, 0) == Matrix([[1]])
     with pytest.raises(ValueError):
         compound(a, 3)
@@ -299,6 +305,8 @@ def test_reduced_basis_is_kernel_basis_of_any_spanning_set():
         spanning = [tuple(sum(c * v[t] for c, v in zip(row, basis)) for t in range(ncols)) for row in mix]
         assert reduced_basis(spanning) == basis
         assert reduced_basis([tuple(Fraction(x, 3) for x in v) for v in spanning]) == basis
+    with pytest.raises(ValueError, match="reduced_basis requires independent vectors"):
+        reduced_basis([(1, 0), (2, 0)])
 
 
 def test_matrix_validation():
@@ -306,6 +314,10 @@ def test_matrix_validation():
         Matrix([[1, 2], [3]])
     with pytest.raises(TypeError):
         Matrix([[1.5]])
+    with pytest.raises(ValueError, match="ncols does not match row width"):
+        Matrix([[1, 2]], ncols=3)
+    with pytest.raises(ValueError, match="shape mismatch: 1x2 @ 1x2"):
+        Matrix([[1, 2]]) @ Matrix([[1, 2]])
 
 
 def _faddeev_leverrier(a):

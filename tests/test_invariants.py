@@ -21,7 +21,6 @@ from nctori.invariants import (
     block_dim,
     block_label,
     block_order,
-    even_invariant_sum,
     free_outside_origin,
     invariant_rank,
     invariant_rank_oracle,
@@ -89,6 +88,8 @@ def test_oracle_rejects_large_dimension():
         invariant_rank_oracle(Matrix.identity(13), 0)
     with pytest.raises(ValueError, match="square"):
         invariant_rank_oracle(Matrix([[1, 0, 0], [0, 1, 0]]), 0)
+    with pytest.raises(ValueError, match="degree 5 out of range for dimension 4"):
+        invariant_rank_oracle(realize((Cyclotomic(5),)), 5)
 
 
 def test_single_degree_oracle_matches_invariant_ranks(unimodular_pair):
@@ -291,6 +292,12 @@ def test_block_helpers():
         parse_block_spec("C9+flip")
     with pytest.raises(ValueError):
         parse_block_spec("")
+    with pytest.raises(ValueError, match="block token 'Cx' needs a positive integer argument"):
+        parse_block_spec("Cx")
+    for kind, what in ((Cyclotomic, "Cyclotomic block index"), (NegCyclotomic, "NegCyclotomic block index"),
+                       (Identity, "Identity block size")):
+        with pytest.raises(ValueError, match=f"{what} must be positive"):
+            kind(0)
 
 
 def test_spec_order_matches_realized_order():
@@ -375,7 +382,7 @@ def test_rank_sums_and_unit_term():
         assert ranks[0] == 1
         if spec and det(realize(spec)) == 1:
             assert sum(ranks) >= 2, spec
-        assert even_invariant_sum(spec) + s1(spec) == sum(ranks)
+        assert s1(spec) == sum(ranks[1::2])
 
 
 def _counting_ranks(spec):

@@ -109,6 +109,8 @@ def test_factor_k_examples():
 def test_factor_k_rejects_identity_blocks():
     with pytest.raises(ValueError):
         factor_k(Identity(2))
+    with pytest.raises(TypeError, match="not a block: 'C5'"):
+        factor_k("C5")
 
 
 def test_factor_k_degenerate_negated_two_block():

@@ -83,6 +83,35 @@ def test_cli_import_and_requests_leave_the_deferred_modules_unloaded(tmp_path):
     assert report["order"] == 5 and report["blocks"] == ["C5"]
 
 
+_PACKAGE_CHILD = """
+import json, sys
+import nctori
+
+loaded = sorted(m for m in sys.modules if m.startswith("nctori."))
+resolved = [getattr(nctori, m) is sys.modules[f"nctori.{m}"] for m in ("finite", "record", "theta")]
+print(json.dumps({"loaded": loaded, "resolved": resolved, "cli": hasattr(nctori, "cli")}))
+"""
+
+
+def test_package_import_loads_no_module_of_the_package():
+    # and a module of the package resolves by name without an import, but for cli
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _PACKAGE_CHILD],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"loaded": [], "resolved": [True, True, True], "cli": False}
+
+
+def test_star_import_and_dir_give_every_export():
+    names = {name for names in EXPORTS.values() for name in names}
+    assert len(names) == 46
+    namespace = {}
+    exec("from nctori import *", namespace)
+    assert names <= namespace.keys()
+    assert names <= set(dir(nctori)) and set(EXPORTS) <= set(dir(nctori))
+
+
 def test_parent_exports_resolve_to_their_home_objects():
     for module, names in EXPORTS.items():
         home = importlib.import_module(f"nctori.{module}")
@@ -101,3 +130,11 @@ def test_theta_names_are_looked_up_on_every_access(monkeypatch):
     assert nctori.invariant_space is replacement
     monkeypatch.undo()
     assert nctori.invariant_space is theta.invariant_space
+    # and so is every other exported name
+    from nctori import classify
+
+    monkeypatch.setattr(classify, "classify_cyclic", replacement)
+    assert nctori.classify_cyclic is replacement
+    monkeypatch.undo()
+    assert nctori.classify_cyclic is classify.classify_cyclic
+    assert "classify_cyclic" not in vars(nctori)

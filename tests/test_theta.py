@@ -55,12 +55,19 @@ def test_is_invariant_examples():
     assert is_invariant(theta_J(), c3)
     assert is_invariant(theta_J(), Matrix.identity(2))
     assert not is_invariant(theta_J(), Matrix([[1, 0], [0, -1]]))
+    # the swap negates the rational part: not invariant, whatever the symbol parts
+    half = SymbolicSkew(2, Matrix([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]]), ())
+    assert not is_invariant(half, Matrix([[0, 1], [1, 0]]))
+    with pytest.raises(ValueError, match="matrix dimension mismatch"):
+        is_invariant(theta_J(), Matrix.identity(3))
 
 
 def test_invariant_space_companion_phi3():
     basis = invariant_space(companion(cyclotomic(3)))
     assert len(basis) == 1
     assert basis[0] == J or basis[0] == -J
+    with pytest.raises(ValueError, match="invariant_space requires a square matrix"):
+        invariant_space(Matrix([[1, 2]]))
 
 
 def test_invariant_space_identity_is_full_skew():
@@ -159,6 +166,12 @@ def test_symbolic_skew_validation():
         SymbolicSkew(2, Matrix.zero(2, 2), (("t", J), ("t", J)))  # duplicate symbol
     with pytest.raises(ValueError):
         SymbolicSkew(3, Matrix.zero(2, 2), ())  # wrong shape
+    with pytest.raises(ValueError, match="coefficient of 't' has wrong shape"):
+        SymbolicSkew(2, Matrix.zero(2, 2), (("t", Matrix.zero(3, 3)),))
+    with pytest.raises(ValueError, match="coefficient of 't' must be skew-symmetric"):
+        SymbolicSkew(2, Matrix.zero(2, 2), (("t", Matrix.identity(2)),))
+    with pytest.raises(ValueError, match="need at least one coefficient matrix"):
+        SymbolicSkew.from_symbol_matrices([])
 
 
 def test_witness_on_classification_blocks():

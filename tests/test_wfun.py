@@ -150,6 +150,8 @@ def test_abelian_group_canonicalization():
         AbelianGroup((6,))  # not a prime power
     with pytest.raises(ValueError):
         AbelianGroup.from_factors([1])
+    with pytest.raises(ValueError, match="free_rank must be nonnegative"):
+        AbelianGroup((), -1)
     assert AbelianGroup().is_trivial
     assert str(AbelianGroup.from_factors([9, 2], free_rank=2)) == "Z2xZ9xZ^2"
 
@@ -162,6 +164,8 @@ def test_max_finite_order_small_dimensions():
     assert max_finite_order(4) == 12
     assert max_finite_order(5) == 12
     assert max_finite_order(6) == 30
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        max_finite_order(0)
 
 
 def test_max_finite_order_is_w_extremal():
