@@ -129,33 +129,27 @@ TABLE_MAX_VERDICTS = 200_000
 TABLE_MAX_DIM = 100
 
 
-def _default_nmax(dmax: int) -> int:
-    """max_finite_order(dmax), the default order range of ``table``; a
-    ValueError once dmax * max_finite_order(dmax) passes TABLE_MAX_VERDICTS.
+def _table_nmax(dmax: int, nmax: int | None) -> int:
+    """The order range of ``table --dmax dmax [--nmax nmax]``, by default
+    max_finite_order(dmax); a ValueError for every grid that is refused.
 
-    The product grows with d, so it is checked from d = 1 upwards and the
-    first d past the limit stops the search; max_finite_order is never asked
-    for a large d, where its own search is slow."""
-    for d in range(1, dmax + 1):
-        nmax = max_finite_order(d)
-        if d * nmax > TABLE_MAX_VERDICTS:
-            raise ValueError(
-                f"table --dmax {dmax} without --nmax would run more than {TABLE_MAX_VERDICTS} "
-                f"verdicts ({d} x max order {nmax} already at d = {d}); pass --nmax to bound the orders"
-            )
-    return nmax
-
-
-def _check_table_size(dmax: int, nmax: int) -> None:
-    """ValueError when the grid passes TABLE_MAX_DIM or TABLE_MAX_VERDICTS."""
+    TABLE_MAX_DIM is checked before the default is formed, so
+    max_finite_order is never asked for a large d, where its search is slow."""
+    if dmax < 1:
+        raise ValueError("--dmax must be at least 1")
+    if nmax is not None and nmax < 2:
+        raise ValueError(f"--nmax must be at least 2, got {nmax}")
     if dmax > TABLE_MAX_DIM:
         raise ValueError(f"table --dmax {dmax} exceeds the limit TABLE_MAX_DIM = {TABLE_MAX_DIM}")
-    verdicts = dmax * max(nmax - 1, 0)
+    if nmax is None:
+        nmax = max_finite_order(dmax)
+    verdicts = dmax * (nmax - 1)
     if verdicts > TABLE_MAX_VERDICTS:
         raise ValueError(
             f"table --dmax {dmax} --nmax {nmax} would run {verdicts} verdicts, "
             f"past the limit TABLE_MAX_VERDICTS = {TABLE_MAX_VERDICTS}"
         )
+    return nmax
 
 
 def _table_rows(dmax: int, nmax: int):
@@ -357,12 +351,7 @@ def _dispatch(args) -> int:
         report = analyze_action(a)
         print(json.dumps(report_json(report))) if args.json else _print_report_text(report)
     elif args.command == "table":
-        if args.dmax < 1:
-            raise ValueError("--dmax must be at least 1")
-        if args.nmax is not None and args.nmax < 2:
-            raise ValueError(f"--nmax must be at least 2, got {args.nmax}")
-        nmax = args.nmax if args.nmax is not None else _default_nmax(args.dmax)
-        _check_table_size(args.dmax, nmax)
+        nmax = _table_nmax(args.dmax, args.nmax)
         if args.json:
             print(json.dumps([verdict_json(v) for v in _table_rows(args.dmax, nmax)]))
         else:

@@ -194,7 +194,7 @@ def test_table_default_order_range_is_bounded(capsys):
     assert code == 2 and "--nmax" in err
     # a huge --dmax is refused without searching for its maximal order
     code, out, _ = run(capsys, "table", "--dmax", "100000", "--json")
-    assert code == 2 and "--nmax" in json.loads(out)["error"]
+    assert code == 2 and "TABLE_MAX_DIM = 100" in json.loads(out)["error"]
     code, out, _ = run(capsys, "table", "--dmax", "26", "--nmax", "3", "--json")
     assert code == 0 and len(json.loads(out)) == 26 * 2
 
@@ -553,6 +553,37 @@ def test_table_refuses_an_order_range_below_two(capsys):
     assert code == 0 and len(json.loads(out)) == 3
 
 
+def test_every_table_refusal_gives_its_exact_message(capsys, monkeypatch):
+    dim = f"exceeds the limit TABLE_MAX_DIM = {TABLE_MAX_DIM}"
+    verdicts = f"past the limit TABLE_MAX_VERDICTS = {TABLE_MAX_VERDICTS}"
+    # (arguments, message, the d that max_finite_order is asked for per request)
+    cases = [
+        (("--dmax", "0"), "--dmax must be at least 1", []),
+        (("--dmax", "3", "--nmax", "1"), "--nmax must be at least 2, got 1", []),
+        (("--dmax", "101"), f"table --dmax 101 {dim}", []),
+        (("--dmax", "101", "--nmax", "3"), f"table --dmax 101 {dim}", []),
+        (("--dmax", "100000"), f"table --dmax 100000 {dim}", []),
+        (("--dmax", "100000", "--nmax", "3"), f"table --dmax 100000 {dim}", []),
+        (("--dmax", "26"), f"table --dmax 26 --nmax 9240 would run 240214 verdicts, {verdicts}", [26]),
+        (
+            ("--dmax", "3", "--nmax", "10000000"),
+            f"table --dmax 3 --nmax 10000000 would run 29999997 verdicts, {verdicts}",
+            [],
+        ),
+    ]
+    asked = []
+    monkeypatch.setattr(cli, "max_finite_order", lambda d: asked.append(d) or max_finite_order(d))
+    for argv, message, calls in cases:
+        asked.clear()
+        start = time.perf_counter()
+        code, out, err = run(capsys, "table", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+        code, out, _ = run(capsys, "table", *argv, "--json")
+        assert code == 2 and json.loads(out) == {"error": message}, argv
+        assert time.perf_counter() - start < 1, argv
+        assert asked == calls * 2, argv
+
+
 def test_exit_codes(capsys):
     code, _, err = run(capsys, "classify", "2", "1")
     assert code == 2  # domain error
@@ -716,9 +747,9 @@ def test_new_limits_exit_2_naming_the_limit(capsys):
     # the largest grids still allowed
     code, out, _ = run(capsys, "table", "--dmax", str(TABLE_MAX_DIM), "--nmax", "2", "--json")
     assert code == 0 and len(json.loads(out)) == TABLE_MAX_DIM
-    cli._check_table_size(2, TABLE_MAX_VERDICTS // 2 + 1)
+    cli._table_nmax(2, TABLE_MAX_VERDICTS // 2 + 1)
     with pytest.raises(ValueError, match="TABLE_MAX_VERDICTS"):
-        cli._check_table_size(2, TABLE_MAX_VERDICTS // 2 + 2)
+        cli._table_nmax(2, TABLE_MAX_VERDICTS // 2 + 2)
 
 
 def test_unfactorable_orders_exit_2_naming_the_limit(capsys):
