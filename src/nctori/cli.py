@@ -79,7 +79,7 @@ def read_matrix_file(path: str) -> Matrix:
     try:
         with open(path, encoding="utf-8") as fh:
             tokens = fh.read().split()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliParseError(f"cannot read {path}: {exc}") from exc
     if not tokens:
         raise CliParseError(f"{path}: empty matrix file")

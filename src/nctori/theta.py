@@ -18,8 +18,6 @@ from fractions import Fraction
 from .exactlin import (
     Matrix,
     _components,
-    _echelon_int,
-    _scaled_int_rows,
     kernel_basis,
     rational_block_form,
     reduced_basis,
@@ -247,20 +245,17 @@ def is_nondegenerate(theta: SymbolicSkew) -> bool:
     Because {1, t_k} are independent over Q, Theta x integral forces
     A_k x = 0 for every k >= 1, and any nonzero rational common-kernel
     vector scales to an integer witness; so the condition is exactly that
-    the stacked symbol coefficient matrices have full column rank.
+    the symbol coefficient matrices have no common kernel vector but 0.
+    With no symbols that common kernel is all of Q^d.
     """
-    mats = theta.coefficient_matrices()
-    if not mats:
-        return theta.dim == 0
-    # echelon the stack one matrix at a time, carrying only the pivot rows
-    # (they span the rows so far), and stop once they reach full rank
-    rows: list = []
-    for m in mats:
-        rows += _scaled_int_rows(m)[0]
-        del rows[len(_echelon_int(rows)) :]
-        if len(rows) == theta.dim:
-            return True
-    return False
+    # the rows of ``common`` span the common kernel of the matrices read so
+    # far; c @ common lies in ker m exactly when c lies in ker(m @ common^t)
+    common = Matrix.identity(theta.dim)
+    for m in theta.coefficient_matrices():
+        if not common.nrows:
+            break
+        common = Matrix(kernel_basis(m @ common.transpose()), common.nrows) @ common
+    return not common.nrows
 
 
 def nondegenerate_witness(basis, d: int) -> tuple[bool, SymbolicSkew | None]:

@@ -531,6 +531,12 @@ def test_matrix_file_errors(tmp_path, capsys):
     bad.write_text("2\n1 0\n0 x\n")
     code, _, err = run(capsys, "analyze", str(bad))
     assert code == 1 and err.startswith(f"error: {bad}: non-integer token (") and "'x'" in err
+    # bytes that are not UTF-8 are a read error naming the file, not an exit 2
+    bad.write_bytes(b"2\n1 0\n0 \xff\n")
+    code, _, err = run(capsys, "analyze", str(bad))
+    assert code == 1 and err.startswith(f"error: cannot read {bad}: ") and "0xff" in err
+    code, out, _ = run(capsys, "theta", str(bad), "--json")
+    assert code == 1 and json.loads(out)["error"].startswith(f"cannot read {bad}: ")
     # a dimension line below 1 is named as such
     for d in (0, -2):
         bad.write_text(f"{d}\n")

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,7 @@ from nctori.theta import (
     nondegenerate_witness,
     pairing,
 )
-from oracles import enumerate_specs
+from oracles import conjugate_in_place, enumerate_specs, random_ops
 
 J = Matrix([[0, 1], [-1, 0]])
 
@@ -298,6 +299,39 @@ def test_early_exit_nondegeneracy_matches_stacked_rank(unimodular_pair):
         theta = SymbolicSkew(d, Matrix.zero(d, d), tuple(parts))
         stacked = Matrix([row for _, m in parts for row in m.rows], ncols=d)
         assert is_nondegenerate(theta) == (rank(stacked) == d)
+    # a zero first matrix, and no symbol parts at all (the common kernel is Q^d)
+    j3 = Matrix([[0, 1, 2], [-1, 0, 3], [-2, -3, 0]])
+    families = [(2, [Matrix.zero(2, 2), J], True), (3, [Matrix.zero(3, 3), j3], False), (0, [], True), (2, [], False)]
+    # e_i ^ e_{i+1} for i < d - 1, dense by congruence: the first k leave
+    # e_{k+1}, ..., e_{d-1} in the common kernel, so only the last reaches {0}
+    for d in range(2, 8):
+        p, _ = unimodular_pair(rng, d, 2 * d)
+        chain = []
+        for i in range(d - 1):
+            e = [[0] * d for _ in range(d)]
+            e[i][i + 1], e[i + 1][i] = 1, -1
+            chain.append(p.transpose() @ Matrix(e) @ p)
+        families += [(d, chain[:k], k == d - 1) for k in range(1, d)]
+    for d, family, expected in families:
+        theta = SymbolicSkew(d, Matrix.zero(d, d), tuple((f"t{k}", m) for k, m in enumerate(family)))
+        full = rank(Matrix([row for m in family for row in m.rows], ncols=d)) == d
+        assert is_nondegenerate(theta) == full == expected, (d, family)
+
+
+def test_nondegeneracy_on_conjugated_probe_blocks_is_fast():
+    # P^3 B P^-3 with P a product of 3d random +-1 elementary matrices, built
+    # as CI builds its theta probe; the second spec is degenerate (I1 + C5)
+    for text in ("C25+C9+C8+I6", "C25+C9+C8+I1+C5"):
+        spec = parse_block_spec(text)
+        rows = [list(row) for row in realize(spec).rows]
+        conjugate_in_place(rows, random_ops(random.Random(36), len(rows), 3 * len(rows), "unimodular"), 3)
+        a = Matrix(rows)
+        assert nondegenerate_invariant_exists(a)[0] == spec_nondegenerate(spec), text
+        theta = SymbolicSkew.from_symbol_matrices(invariant_space(a))
+        start = time.perf_counter()
+        is_nondegenerate(theta)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1, (text, elapsed)
 
 
 def test_spec_reads_the_invariant_forms_off_the_spectrum():
