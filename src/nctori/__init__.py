@@ -14,11 +14,11 @@ _EXPORTS = {
     "finite": (),
     "invariants": ("Cyclotomic", "Identity", "NegCyclotomic", "free_outside_origin", "invariant_rank",
                    "invariant_rank_oracle", "invariant_ranks_molien", "realize", "s1"),
-    "ktheory": ("GradedRank", "RankInfo", "at_least", "exact", "factor_k", "kunneth", "torus_k"),
+    "ktheory": ("GradedRank", "RankInfo", "at_least", "exact", "factor_k", "kunneth", "kunneth_torus", "torus_k"),
     "record": (),
     "theta": ("SymbolicSkew", "invariant_space", "is_invariant", "is_nondegenerate", "nondegenerate_invariant_exists",
               "pairing"),
-    "wfun": ("AbelianGroup", "max_finite_order", "w_cyclic", "w_group", "w_order"),
+    "wfun": ("AbelianGroup", "max_finite_order", "w_cost", "w_cyclic", "w_group", "w_order"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_HOME)

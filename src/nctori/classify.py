@@ -35,13 +35,15 @@ from .invariants import (
     spec_nondegenerate,
     spec_order,
 )
-from .ktheory import GradedRank, RankInfo, at_least, exact, factor_k, kunneth_all, torus_k
+from .ktheory import GradedRank, RankInfo, at_least, exact, factor_k, kunneth_all, kunneth_torus
 from .record import Record
-from .wfun import AbelianGroup, w_group, w_order
+from .wfun import AbelianGroup, w_cost, w_group, w_order
 
 W_TOO_BIG = "w_too_big"
 GAP_ONE = "gap_one"
 EXISTS = "exists"
+
+_EXACT_ZERO = exact(0)  # the K_1 rank of an AF crossed product
 
 # Largest d + free rank r the classifiers (and ``s1 --blocks``) accept: every
 # rank they report is at most 2^(d + r), and 2^14281 has 4,300 digits, the most
@@ -152,8 +154,8 @@ def _classify(d: int, label: str, w: int, parts: tuple[int, ...], free_rank: int
     realization = Realization(blocks + ((Identity(gap),) if gap else ()), lcm(*parts, 1))
     if gap == 1 and not free_rank:
         return Verdict(d, label, w, GAP_ONE, realization)
-    k = kunneth_all([*(factor for _, factor, _ in resolved), torus_k(gap + free_rank)])
-    af_computed = not free_rank and k.k1 == exact(0)
+    k = kunneth_torus(kunneth_all(factor for _, factor, _ in resolved), gap + free_rank)
+    af_computed = not free_rank and k.k1 == _EXACT_ZERO
     paper_flag = not free_rank and gap == 0 and all(af for _, _, af in resolved)
     return Verdict(d, label, w, EXISTS, realization, k, af_computed, paper_flag)
 
@@ -191,8 +193,7 @@ def classify_group(d: int, g: AbelianGroup) -> Verdict:
         raise ValueError("classify_group expects free rank 0; use classify_fg")
     if g.is_trivial:
         raise ValueError("classify_group expects a nontrivial group")
-    w, decomp = w_group(g)
-    return _classify(d, str(g), w, decomp.parts, 0)
+    return _classify_abelian(d, g)
 
 
 def classify_fg(d: int, g: AbelianGroup) -> Verdict:
@@ -200,8 +201,14 @@ def classify_fg(d: int, g: AbelianGroup) -> Verdict:
     torsion along a cost-minimizing cyclic decomposition, the free rank as
     extra torus dimensions."""
     check_rank_dim(d, g.free_rank)
-    w, decomp = w_group(g)
-    return _classify(d, str(g), w, decomp.parts, g.free_rank)
+    return _classify_abelian(d, g)
+
+
+def _classify_abelian(d: int, g: AbelianGroup) -> Verdict:
+    """W first, from its closed form: a group that does not fit is refused
+    before any cyclic decomposition is built."""
+    w = w_cost(g)
+    return _classify(d, str(g), w, w_group(g)[1].parts if w <= d else (), g.free_rank)
 
 
 # -- analysis of arbitrary user matrices ------------------------------------

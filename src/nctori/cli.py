@@ -123,6 +123,10 @@ def _print_verdict_text(v: Verdict):
           f"  AF_paper={_yesno(v.is_af_paper_predicate)}  divergence={_yesno(v.divergence_flag)}")
 
 
+# Most digits of a cyclic part that ``wgroup`` prints: Python's default limit
+# on int-to-str conversion, which both print and json.dumps obey.
+WGROUP_MAX_PART_DIGITS = 4_300
+
 TABLE_MAX_VERDICTS = 200_000
 # Largest --dmax of ``table``: every row pays for ranks at its own d, and a
 # full TABLE_MAX_VERDICTS grid at d <= 100 takes about 10 s.
@@ -300,6 +304,9 @@ def _dispatch(args) -> int:
     elif args.command == "wgroup":
         group = parse_group(args.expr)
         w, decomp = w_group(group)
+        if decomp.parts and decomp.parts[-1] >= 10**WGROUP_MAX_PART_DIGITS:
+            raise ValueError(f"W = {w}, but a minimizing cyclic part has more than "
+                             f"WGROUP_MAX_PART_DIGITS = {WGROUP_MAX_PART_DIGITS} digits")
         if args.json:
             print(json.dumps({"group": str(group), "w": w, "decomposition": list(decomp.parts)}))
         else:
@@ -341,6 +348,8 @@ def _dispatch(args) -> int:
         print(json.dumps(verdict_json(v))) if args.json else _print_verdict_text(v)
     elif args.command == "classify-group":
         group = parse_group(args.expr)
+        if group.is_trivial:
+            raise ValueError(f"group {args.expr!r} is trivial; classify-group needs a nontrivial group")
         v = classify_fg(args.d, group) if group.free_rank else classify_group(args.d, group)
         print(json.dumps(verdict_json(v))) if args.json else _print_verdict_text(v)
     elif args.command == "theta":

@@ -10,6 +10,8 @@ the Tor terms of the general sequence never contribute.
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .invariants import Block, Cyclotomic, Identity, NegCyclotomic, s1
 from .record import Frozen, set_field
 
@@ -82,10 +84,10 @@ def kunneth(a: GradedRank, b: GradedRank) -> GradedRank:
 
 
 def kunneth_all(factors) -> GradedRank:
-    out = KUNNETH_UNIT
-    for f in factors:
-        out = kunneth(out, f)
-    return out
+    """The Künneth product of ``factors``, folded from the first one; the
+    unit only for an empty product."""
+    factors = iter(factors)
+    return reduce(kunneth, factors, next(factors, KUNNETH_UNIT))
 
 
 def torus_k(m: int) -> GradedRank:
@@ -99,6 +101,22 @@ def torus_k(m: int) -> GradedRank:
     if m == 0:
         return KUNNETH_UNIT
     return GradedRank(exact(2 ** (m - 1)), exact(2 ** (m - 1)))
+
+
+def kunneth_torus(a: GradedRank, m: int) -> GradedRank:
+    """``kunneth(a, torus_k(m))`` in closed form: for m >= 1 both torus ranks
+    are t = 2^{m-1}, so k0 and k1 are the same entry a0*t + a1*t.
+
+    >>> print(kunneth_torus(GradedRank(at_least(1), exact(2)), 3))
+    (k0=>=12, k1=>=12)
+    """
+    if m < 0:
+        raise ValueError("torus dimension must be nonnegative")
+    if m == 0:
+        return a
+    t = exact(2 ** (m - 1))
+    k = _entry(a.k0, t, a.k1, t)
+    return GradedRank(k, k)
 
 
 def factor_k(block: Block) -> GradedRank:

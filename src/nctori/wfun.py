@@ -4,7 +4,9 @@
 n.  ``w_cyclic`` adjusts the n = 2 case (a sign block alone cannot carry a
 group factor, so Z_2 costs two dimensions), and ``w_group`` gives the least
 total over the cyclic decompositions of the torsion part, with a canonical
-minimizer built directly instead of searched for.  Pure functions throughout.
+minimizer built directly instead of searched for.  ``w_cost`` gives that
+total alone, from a closed form, without building a decomposition.  Pure
+functions throughout.
 """
 
 from __future__ import annotations
@@ -98,15 +100,33 @@ class CyclicDecomposition(Frozen):
         set_field(self, "parts", tuple(sorted(parts)))
 
 
-def w_group(g: AbelianGroup) -> tuple[int, CyclicDecomposition]:
-    """Minimum of sum(w_cyclic(n_l)) over cyclic decompositions of the torsion
-    part, with one minimizing decomposition.  The free rank plays no role.
+def w_cost(g: AbelianGroup) -> int:
+    """W of the torsion part alone, the least sum(w_cyclic(n_l)) over its
+    cyclic decompositions, with no decomposition built.
 
     Each prime power q costs phi(q), a Z_2 alone in its part one more and a
     Z_2 merged into a part with odd entries one less: with z copies of Z_2
-    and o odd entries the minimum is sum(phi(q)) + z - 2 min(z, o).  W is
-    read off the entries by that formula in the same scan that sorts them,
-    so no merged part is factored again.
+    and o odd entries the minimum is sum(phi(q)) + z - 2 min(z, o).  The
+    free rank plays no role.
+
+    >>> w_cost(AbelianGroup.from_factors([2, 3, 4], free_rank=1))
+    4
+    """
+    z = o = phi_sum = 0
+    for q in g.torsion:
+        if q % 2:
+            o += 1
+            phi_sum += q - q // factorize(q)[0][0]
+        else:
+            z += q == 2
+            phi_sum += q // 2
+    return phi_sum + z - 2 * min(z, o)
+
+
+def w_group(g: AbelianGroup) -> tuple[int, CyclicDecomposition]:
+    """W of the torsion part (``w_cost``) with one minimizing cyclic
+    decomposition.  No merged part is factored: W is read off the entries.
+
     Minimizers are tie-broken toward fewer parts (the largest multiplicity
     of a prime), then the lexicographically smallest sorted part list.  That
     one is built smallest part first: each part is the least product that
@@ -124,14 +144,10 @@ def w_group(g: AbelianGroup) -> tuple[int, CyclicDecomposition]:
     z = g.torsion.count(2)
     higher = [q for q in reversed(g.torsion) if q > 2 and q % 2 == 0]  # largest first
     odd: dict[int, list[int]] = {}  # odd prime -> its entries, largest first
-    phi_sum = 0
     for q in reversed(g.torsion):
-        p = factorize(q)[0][0] if q % 2 else 2
-        phi_sum += q - q // p
-        if p > 2:
-            odd.setdefault(p, []).append(q)
+        if q % 2:
+            odd.setdefault(factorize(q)[0][0], []).append(q)
     o = sum(map(len, odd.values()))
-    w = phi_sum + z - 2 * min(z, o)
     parts = []
     while z or higher or odd:
         size = max([z + len(higher)] + [len(e) for e in odd.values()])
@@ -155,7 +171,7 @@ def w_group(g: AbelianGroup) -> tuple[int, CyclicDecomposition]:
             o -= 1
             if not odd[p]:
                 del odd[p]
-    return w, CyclicDecomposition(tuple(parts))
+    return w_cost(g), CyclicDecomposition(tuple(parts))
 
 
 def max_finite_order(d: int) -> int:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from nctori import classify
 from nctori.arith import cyclotomic, factorize
 from nctori.exactlin import Matrix, block_diag, companion, order
 from nctori.invariants import (
@@ -257,6 +258,22 @@ def test_classify_group_examples():
     assert v.simple_action_exists and v.is_af_computed
     assert [block_label(b) for b in v.realization.blocks] == ["negC3"]
     assert v.realization.order == 6
+
+
+def test_a_group_refusal_builds_no_decomposition(monkeypatch):
+    cases = [([2, 2], 0), ([2, 3, 4], 0), ([30, 10, 28], 2), ([7] * 5, 1)]
+    groups = [AbelianGroup.from_factors(factors, free_rank=r) for factors, r in cases]
+    ws = [w_group(g)[0] for g in groups]
+
+    def no_decomposition(g):
+        raise AssertionError("a refusal built a decomposition")
+
+    monkeypatch.setattr(classify, "w_group", no_decomposition)
+    for g, w in zip(groups, ws):
+        for d in (1, w - 1):
+            verdicts = [classify_fg(d, g)] + ([] if g.free_rank else [classify_group(d, g)])
+            for v in verdicts:
+                assert (v.reason, v.w, v.realization, v.k) == (W_TOO_BIG, w, None, None), (d, str(g))
 
 
 def test_classify_group_gap_one():

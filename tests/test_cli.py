@@ -9,7 +9,7 @@ import random
 import re
 import shlex
 import time
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from nctori import classify, cli, exactlin, finite, invariants, theta
 from nctori.classify import MAX_RANK_DIM
 from nctori.arith import CYCLOTOMIC_MAX_N, FACTORIZE_MAX_TRIAL
-from nctori.cli import TABLE_MAX_DIM, TABLE_MAX_VERDICTS, CliParseError, main, parse_group
+from nctori.cli import TABLE_MAX_DIM, TABLE_MAX_VERDICTS, WGROUP_MAX_PART_DIGITS, CliParseError, main, parse_group
 from nctori.exactlin import Matrix, _components
 from nctori.invariants import invariant_ranks, parse_block_spec, realize
 from nctori.wfun import AbelianGroup, max_finite_order
@@ -735,8 +735,15 @@ def test_s1_blocks_c1009_in_process(capsys):
     assert elapsed < 1
 
 
+def _odd_primes(count: int) -> list[int]:
+    return [p for p in range(3, 13_000, 2) if all(p % q for q in range(3, int(p**0.5) + 1, 2))][:count]
+
+
 def test_new_limits_exit_2_naming_the_limit(capsys):
     cases = [
+        # one minimizing part, the product of the first 1,500 odd primes: 5,400 digits
+        (("wgroup", "x".join(f"Z{p}" for p in _odd_primes(1500))),
+         f"WGROUP_MAX_PART_DIGITS = {WGROUP_MAX_PART_DIGITS}"),
         (("s1", "--blocks", "C30030"), f"MAX_RANK_WORK = {invariants.MAX_RANK_WORK}"),
         (("cyclotomic", "1000000007"), f"CYCLOTOMIC_MAX_N = {CYCLOTOMIC_MAX_N}"),
         (("cyclotomic", str(10**48 + 1)), f"CYCLOTOMIC_MAX_N = {CYCLOTOMIC_MAX_N}"),
@@ -756,6 +763,33 @@ def test_new_limits_exit_2_naming_the_limit(capsys):
     cli._table_nmax(2, TABLE_MAX_VERDICTS // 2 + 1)
     with pytest.raises(ValueError, match="TABLE_MAX_VERDICTS"):
         cli._table_nmax(2, TABLE_MAX_VERDICTS // 2 + 2)
+
+
+def test_wgroup_prints_parts_up_to_the_digit_limit(capsys):
+    # Z_{2^e} and the first 1,228 odd primes form one part: 4,300 digits at
+    # e = 8 are printed, 4,301 at e = 9 are refused before any output
+    primes = _odd_primes(1228)
+    for e, digits in ((8, 4300), (9, 4301)):
+        part = 2**e * prod(primes)
+        assert 10 ** (digits - 1) <= part < 10**digits
+        expr = "x".join([f"Z{2**e}"] + [f"Z{p}" for p in primes])
+        code, out, err = run(capsys, "wgroup", expr, "--json")
+        if digits <= WGROUP_MAX_PART_DIGITS:
+            assert code == 0 and json.loads(out)["decomposition"] == [part]
+            code, out, _ = run(capsys, "wgroup", expr)
+            assert code == 0 and out == f"W = {sum(primes) - len(primes) + 2 ** (e - 1)}  via Z{part}\n"
+        else:
+            message = "W = 5735422, but a minimizing cyclic part has more than WGROUP_MAX_PART_DIGITS = 4300 digits"
+            assert code == 2 and json.loads(out) == {"error": message}
+            assert run(capsys, "wgroup", expr) == (2, "", f"error: {message}\n")
+
+
+def test_classify_group_names_a_trivial_expression(capsys):
+    for expr in ("Z^0", "Z^0 x Z^0"):
+        message = f"group {expr!r} is trivial; classify-group needs a nontrivial group"
+        assert run(capsys, "classify-group", "3", expr) == (2, "", f"error: {message}\n")
+        code, out, err = run(capsys, "classify-group", "3", expr, "--json")
+        assert (code, json.loads(out), err) == (2, {"error": message}, "")
 
 
 def test_unfactorable_orders_exit_2_naming_the_limit(capsys):

@@ -29,7 +29,7 @@ from nctori.classify import (
     verdict_json,
 )
 from nctori.invariants import block_dim, realize
-from nctori.wfun import AbelianGroup
+from nctori.wfun import AbelianGroup, w_cost, w_group
 from oracles import block_menu, enumerate_specs
 
 DIMS = range(1, 13)
@@ -68,6 +68,9 @@ def test_classifiers_agree_where_domains_overlap():
         for d in DIMS:
             grp, fg = classify_group(d, g), classify_fg(d, g)
             assert (verdict_json(grp), grp.w) == (verdict_json(fg), fg.w), (d, str(g))
+        # the verdicts read W alone; w_group gives it with its decomposition
+        w = w_group(g)[0]
+        assert all(w_cost(AbelianGroup(g.torsion, r)) == w for r in (0, 1, 2)), str(g)
 
 
 def _digest(payload) -> str:

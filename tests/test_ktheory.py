@@ -13,6 +13,7 @@ from nctori.ktheory import (
     factor_k,
     kunneth,
     kunneth_all,
+    kunneth_torus,
     torus_k,
 )
 
@@ -56,6 +57,10 @@ def test_unit_is_two_sided():
     for g in samples:
         assert kunneth(KUNNETH_UNIT, g) == g
         assert kunneth(g, KUNNETH_UNIT) == g
+        # so a product folds from its first factor; the unit is the empty product
+        assert kunneth_all([g]) == g
+        assert kunneth_all(iter([g, g])) == kunneth(g, g)
+    assert kunneth_all([]) == KUNNETH_UNIT
 
 
 def test_two_torus_squared_is_four_torus():
@@ -98,6 +103,15 @@ def test_torus_ranks():
         power = kunneth(power, torus_k(1))
     with pytest.raises(ValueError):
         torus_k(-1)
+
+
+def test_closed_torus_factor_equals_the_kunneth_product():
+    infos = [RankInfo(kind, v) for kind in ("exact", "at_least") for v in (0, 1, 3)]
+    for a in (GradedRank(k0, k1) for k0 in infos for k1 in infos):
+        for m in range(13):
+            assert kunneth_torus(a, m) == kunneth(a, torus_k(m)), (a, m)
+    with pytest.raises(ValueError):
+        kunneth_torus(KUNNETH_UNIT, -1)
 
 
 def test_factor_k_examples():

@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 
 from nctori.arith import factorize, totient
-from nctori.wfun import AbelianGroup, CyclicDecomposition, max_finite_order, w_cyclic, w_group, w_order
+from nctori.wfun import AbelianGroup, CyclicDecomposition, max_finite_order, w_cost, w_cyclic, w_group, w_order
 
 
 def _coprime_partitions(torsion):
@@ -118,6 +118,21 @@ def test_w_group_eleven_primes():
     assert w_group(AbelianGroup.from_factors(primes))[0] == 118
     cost, decomp = w_group(AbelianGroup.from_factors(primes + [31], free_rank=1))
     assert cost == 148 and decomp == CyclicDecomposition((200560490130,))
+
+
+def test_w_cost_matches_w_group_on_many_primes():
+    # W alone, with no decomposition built, on groups far past the partition
+    # search: up to 1,500 distinct odd primes, with and without factors of 2
+    # and repeats
+    odd = [p for p in range(3, 13_000, 2) if all(p % q for q in range(3, int(p**0.5) + 1, 2))][:1500]
+    rng = random.Random(1500)
+    cases = [odd, odd[:100] + [2] * 40, odd[:50] * 3 + [2] * 200 + [4, 8], [9, 25, 49, 121] * 30 + [2] * 7]
+    cases += [rng.sample(odd, rng.randint(1, 300)) + [2] * rng.randint(0, 300) for _ in range(20)]
+    for factors in cases:
+        for r in (0, 2):
+            g = AbelianGroup.from_factors(factors, free_rank=r)
+            z, o = g.torsion.count(2), sum(q % 2 for q in g.torsion)
+            assert w_cost(g) == w_group(g)[0] == sum(map(totient, g.torsion)) + z - 2 * min(z, o)
 
 
 def test_w_group_matches_partition_search_exhaustively():
