@@ -1,4 +1,5 @@
-"""Number-theoretic basics: factorization, totients and cyclotomic polynomials.
+"""Number-theoretic basics: factorization, totients and cyclotomic polynomials,
+and the reader of every integer that comes in as text.
 
 Polynomials are plain tuples of integer coefficients in ascending degree, so
 ``(-1, 0, 1)`` is x^2 - 1.  Everything here is exact integer arithmetic; no
@@ -12,6 +13,38 @@ import itertools
 from math import gcd
 
 IntPolynomial = tuple[int, ...]
+
+
+# Most decimal digits of an integer that ``read_int`` reads: Python's default
+# limit on int-str conversion, which int(), print and json.dumps obey.
+MAX_INT_DIGITS = 4_300
+
+
+class DigitLimitError(ValueError):
+    """An integer word with more than ``MAX_INT_DIGITS`` digits."""
+
+
+def read_int(word: str) -> int:
+    """int(word).  A word of more than ``MAX_INT_DIGITS`` decimal digits
+    raises DigitLimitError, whose message names the limit and does not echo
+    the digits; any other bad word raises int()'s ValueError.
+
+    >>> read_int("-12")
+    -12
+    """
+    if len(word) > MAX_INT_DIGITS:
+        digits = sum(map(str.isdecimal, word))
+        if digits > MAX_INT_DIGITS:
+            raise DigitLimitError(f"an integer of {digits} digits is past the limit MAX_INT_DIGITS = {MAX_INT_DIGITS}")
+    return int(word)
+
+
+def read_ints(words: list[str]) -> list[int]:
+    """``read_int`` of each word, by int() alone while no word is longer
+    than ``MAX_INT_DIGITS``."""
+    if max(map(len, words), default=0) > MAX_INT_DIGITS:
+        return list(map(read_int, words))
+    return list(map(int, words))
 
 
 # Largest trial divisor of ``factorize``.  A cofactor left with no divisor up

@@ -15,7 +15,7 @@ import re
 import sys
 from types import SimpleNamespace
 
-from .arith import cyclotomic
+from .arith import MAX_INT_DIGITS, DigitLimitError, cyclotomic, read_int, read_ints
 from .classify import (
     ActionReport,
     Verdict,
@@ -64,12 +64,12 @@ def parse_group(text: str) -> AbelianGroup:
         if not m:
             raise CliParseError(f"bad term {term!r} at position {pos} (expected Z<n> or Z^<r>)")
         if m.group(1) is not None:
-            n = int(m.group(1))
+            n = read_int(m.group(1))
             if n < 2:
                 raise CliParseError(f"Z{n} at position {pos} is not a nontrivial cyclic factor")
             factors.append(n)
         else:
-            free_rank += int(m.group(2))
+            free_rank += read_int(m.group(2))
         pos += len(term) + 1
     return AbelianGroup.from_factors(factors, free_rank)
 
@@ -84,7 +84,9 @@ def read_matrix_file(path: str) -> Matrix:
     if not tokens:
         raise CliParseError(f"{path}: empty matrix file")
     try:
-        values = list(map(int, tokens))
+        values = read_ints(tokens)
+    except DigitLimitError as exc:
+        raise CliParseError(f"{path}: {exc}") from None
     except ValueError as exc:
         raise CliParseError(f"{path}: non-integer token ({exc})") from exc
     d = values[0]
@@ -123,9 +125,9 @@ def _print_verdict_text(v: Verdict):
           f"  AF_paper={_yesno(v.is_af_paper_predicate)}  divergence={_yesno(v.divergence_flag)}")
 
 
-# Most digits of a cyclic part that ``wgroup`` prints: Python's default limit
-# on int-to-str conversion, which both print and json.dumps obey.
-WGROUP_MAX_PART_DIGITS = 4_300
+# Most digits of a cyclic part that ``wgroup`` prints: the limit of the
+# integers read, which print and json.dumps obey as well.
+WGROUP_MAX_PART_DIGITS = MAX_INT_DIGITS
 
 TABLE_MAX_VERDICTS = 200_000
 # Largest --dmax of ``table``: every row pays for ranks at its own d, and a
@@ -240,6 +242,11 @@ def _build_parser():
     import argparse  # here, not at import: only help, errors and options need it
 
     class _ArgumentParser(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            # options of type int are read by _int; argparse still names the type int
+            self.register("type", int, _int)
+
         def error(self, message):
             raise CliParseError(message)
 
@@ -266,12 +273,21 @@ def _build_parser():
     return parser
 
 
+def _int(word: str) -> int:
+    """An integer word of the command line, by ``read_int``.  A word past
+    MAX_INT_DIGITS is a CliParseError, which argparse passes on as it is."""
+    try:
+        return read_int(word)
+    except DigitLimitError as exc:
+        raise CliParseError(str(exc)) from None
+
+
 def _read_plain(words: list[str]) -> SimpleNamespace | None:
     """The fields argparse gives ``words`` when they are a subcommand with
     positionals only, in the one shape read here: its exact count of
     positionals, none starting with '-', then at most one --json.  None for
-    any other words (help, abbreviations, '--', a failed int(), s1, table),
-    which are left to argparse.
+    any other words (help, abbreviations, '--', a malformed integer, s1,
+    table), which are left to argparse.
 
     >>> _read_plain(["classify", "5", "3", "--json"])
     namespace(command='classify', d=5, n=3, json=True)
@@ -288,7 +304,7 @@ def _read_plain(words: list[str]) -> SimpleNamespace | None:
     if len(values) != len(positionals) or any(w.startswith("-") for w in values):
         return None
     try:
-        fields = {dest: kind(w) for (dest, kind), w in zip(positionals, values)}
+        fields = {dest: _int(w) if kind is int else w for (dest, kind), w in zip(positionals, values)}
     except ValueError:
         return None
     return SimpleNamespace(command=words[0], **fields, json=as_json)

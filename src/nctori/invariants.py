@@ -18,9 +18,9 @@ exterior power of a finite-order matrix:
   route and is what ``analyze`` reports as its cross-check;
 * ``invariant_rank_oracle`` is the brute-force check of one degree m:
   build the compound matrix (``exactlin.compound``), subtract the
-  identity, and take the exact rank over the rationals (``exactlin.rank``)
-  one support component at a time.  Its cost grows with C(d, m)^2, so it
-  serves the test suite up to dimension 12.
+  identity, and take the exact rank over the rationals (``exactlin.rank``).
+  Its cost grows with C(d, m)^2, so it serves the test suite up to
+  dimension 12.
 
 ``s1`` sums the odd-degree invariant ranks; under a free-outside-the-origin
 cyclic action this is the rank of K_1 of the crossed product.  ``s1`` itself
@@ -36,8 +36,8 @@ from math import comb, gcd, lcm, prod
 from operator import mul
 from struct import pack, unpack
 
-from .arith import cyclotomic, divisors, factorize, totient
-from .exactlin import Matrix, _components, _shift_diag, block_diag, companion, compound, rank
+from .arith import cyclotomic, divisors, factorize, read_int, totient
+from .exactlin import Matrix, _shift_diag, block_diag, companion, compound, rank
 from .finite import _integral, cyclotomic_type
 from .record import Frozen, set_field
 
@@ -126,7 +126,7 @@ def parse_block_spec(text: str) -> BlockSpec:
             raise ValueError(f"unrecognized block token {token!r}")
         if not arg.isdigit():
             raise ValueError(f"block token {token!r} needs a positive integer argument")
-        blocks.append(kind(int(arg)))
+        blocks.append(kind(read_int(arg)))
     return tuple(blocks)
 
 
@@ -290,18 +290,14 @@ def _molien_terms(spec: BlockSpec) -> tuple[int, int, dict[tuple[tuple[int, int]
     for _, a in fac:
         work *= a + 1
     _check_rank_work(work, spec)
-    # (e, phi(N/e)) over the divisors e of N
-    pairs = [(1, 1)]
-    for p, a in fac:
-        pairs = [(e * p**i, w * (p ** (a - i - 1) * (p - 1) if i < a else 1)) for e, w in pairs for i in range(a + 1)]
     weights: dict[tuple[tuple[int, int], ...], int] = {}
-    for e, w in pairs:
+    for e in divisors(n):
         exps: dict[int, int] = {}
         for m, dm in dims.items():
             k = m // gcd(m, e)
             exps[k] = exps.get(k, 0) + dm // totient(k)
         key = tuple(sorted(exps.items()))
-        weights[key] = weights.get(key, 0) + w
+        weights[key] = weights.get(key, 0) + totient(n // e)
     return n, d, weights, work
 
 
@@ -395,10 +391,9 @@ def _check_rank_work(work: int, spec: BlockSpec) -> None:
 
 
 def invariant_rank(spec, m: int) -> int:
-    """Number of size-m sub-multisets of the rotation spectrum with integer sum.
-
-    Equals the rank of the fixed lattice of the m-th exterior power of the
-    realized matrix (cross-checked against ``invariant_rank_oracle``).
+    """Rank of the fixed lattice of the m-th exterior power of the realized
+    matrix: ``invariant_ranks(spec)[m]``, the degree-m coefficient of the
+    spectral Molien sum (cross-checked against ``invariant_rank_oracle``).
     """
     spec = tuple(spec)
     if not 0 <= m <= spec_dim(spec):
@@ -553,7 +548,8 @@ def invariant_rank_oracle(a: Matrix, m: int) -> int:
         raise ValueError(f"oracle limited to dimension {ORACLE_MAX_DIM}, got {d}")
     if not 0 <= m <= d:
         raise ValueError(f"degree {m} out of range for dimension {d}")
-    return _fixed_rank(compound(a, m))
+    c = compound(a, m)
+    return c.nrows - rank(_shift_diag(c, -1))
 
 
 def free_outside_origin(a: Matrix) -> bool:
@@ -564,24 +560,3 @@ def free_outside_origin(a: Matrix) -> bool:
     if ns is None:
         raise ValueError("matrix does not have finite order")
     return len(set(ns)) <= 1
-
-
-# -- exact rank machinery for the oracle ------------------------------------
-#
-# compound(a, m) - I for a block realization is permutation-similar to a block
-# diagonal matrix, so splitting the support graph into connected components
-# before eliminating keeps the elimination blocks small.
-
-
-def _fixed_rank(c: Matrix) -> int:
-    """Dimension of the fixed space of the compound ``c``: its size minus the
-    rank of c - I."""
-    return c.nrows - _rank_by_components(_shift_diag(c, -1))
-
-
-def _rank_by_components(m: Matrix) -> int:
-    rows = m.rows
-    return sum(
-        rank(Matrix(((rows[i][j] for j in idx) for i in idx), len(idx)))
-        for idx in _components(m)
-    )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .arith import factorize
+from .arith import factorize, totient
 from .record import Frozen, set_field
 
 
@@ -112,15 +112,9 @@ def w_cost(g: AbelianGroup) -> int:
     >>> w_cost(AbelianGroup.from_factors([2, 3, 4], free_rank=1))
     4
     """
-    z = o = phi_sum = 0
-    for q in g.torsion:
-        if q % 2:
-            o += 1
-            phi_sum += q - q // factorize(q)[0][0]
-        else:
-            z += q == 2
-            phi_sum += q // 2
-    return phi_sum + z - 2 * min(z, o)
+    z = g.torsion.count(2)
+    o = sum(q % 2 for q in g.torsion)
+    return sum(map(totient, g.torsion)) + z - 2 * min(z, o)
 
 
 def w_group(g: AbelianGroup) -> tuple[int, CyclicDecomposition]:

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from nctori import classify, cli, exactlin, finite, invariants, theta
 from nctori.classify import MAX_RANK_DIM
-from nctori.arith import CYCLOTOMIC_MAX_N, FACTORIZE_MAX_TRIAL
+from nctori.arith import CYCLOTOMIC_MAX_N, FACTORIZE_MAX_TRIAL, MAX_INT_DIGITS
 from nctori.cli import TABLE_MAX_DIM, TABLE_MAX_VERDICTS, WGROUP_MAX_PART_DIGITS, CliParseError, main, parse_group
 from nctori.exactlin import Matrix, _components
 from nctori.invariants import invariant_ranks, parse_block_spec, realize
@@ -802,6 +802,35 @@ def test_unfactorable_orders_exit_2_naming_the_limit(capsys):
         code, out, _ = run(capsys, *argv, "--json")
         assert code == 2 and limit in json.loads(out)["error"], argv
         assert time.perf_counter() - start < 1, argv
+
+
+def test_integers_past_the_digit_limit_are_refused_naming_it(capsys, tmp_path):
+    # one more digit than int() reads by default: each path keeps its exit
+    # code, and the message names the limit instead of echoing 4,301 digits
+    n = "9" * (MAX_INT_DIGITS + 1)
+    message = f"an integer of {MAX_INT_DIGITS + 1} digits is past the limit MAX_INT_DIGITS = {MAX_INT_DIGITS}"
+    matrix = tmp_path / "wide.txt"
+    matrix.write_text(f"2\n1 0\n0 {n}\n")
+    cases = [
+        (("classify", "3", n), 1, message),
+        (("wfun", n), 1, message),
+        (("cyclotomic", n), 1, message),
+        (("table", "--dmax", "3", "--nmax", n), 1, message),
+        (("s1", "--blocks", f"C{n}"), 1, message),
+        (("analyze", str(matrix)), 1, f"{matrix}: {message}"),
+        (("theta", str(matrix)), 1, f"{matrix}: {message}"),
+        (("wgroup", f"Z{n}"), 2, message),
+        (("classify-group", "3", f"Z{n}"), 2, message),
+        (("classify-group", "3", f"Z2xZ^{n}"), 2, message),
+    ]
+    for argv, code, text in cases:
+        assert run(capsys, *argv) == (code, "", f"error: {text}\n"), argv[:2]
+        assert run(capsys, *argv, "--json") == (code, json.dumps({"error": text}) + "\n", ""), argv[:2]
+    # --json ahead of the positionals sends the words through argparse
+    assert run(capsys, "classify", "--json", "3", n) == (1, json.dumps({"error": message}) + "\n", "")
+    # as many digits as the limit are read
+    assert cli._read_plain(["wfun", n[1:]]).n == int(n[1:])
+    assert parse_group(f"Z^{n[1:]}").free_rank == int(n[1:])
 
 
 def _reference_main(argv):

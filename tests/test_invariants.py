@@ -5,7 +5,7 @@ from math import comb, gcd, isqrt, lcm
 
 import pytest
 
-from nctori.exactlin import Matrix, det, order, rank
+from nctori.exactlin import Matrix, det, order
 from nctori.arith import divisors
 from nctori.invariants import (
     _KRONECKER_MAX_BITS,
@@ -356,22 +356,6 @@ def test_nonfree_even_order_spec_can_have_positive_s1():
     assert spec_order(spec) == 10
     assert not free_outside_origin(realize(spec))
     assert s1(spec) > 0
-
-
-def test_rank_by_components_matches_exact_echelon():
-    from nctori.invariants import _rank_by_components
-
-    rng = random.Random(64128)
-    for trial in range(12):
-        n = rng.randint(8, 40)
-        rows = [
-            [rng.choice([0, 0, 0, 0, 1, -1, 2]) for _ in range(n)] for _ in range(n - 3)
-        ]
-        # engineered rank deficiency: dependent and zero rows
-        rows.append([a + b for a, b in zip(rows[0], rows[1])])
-        rows.append([-3 * a for a in rows[2]])
-        rows.append([0] * n)
-        assert _rank_by_components(Matrix(rows)) == rank(Matrix(rows)), trial
 
 
 def test_rank_sums_and_unit_term():

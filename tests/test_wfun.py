@@ -5,8 +5,10 @@ from math import gcd
 
 import pytest
 
+from nctori import wfun
 from nctori.arith import factorize, totient
 from nctori.wfun import AbelianGroup, CyclicDecomposition, max_finite_order, w_cost, w_cyclic, w_group, w_order
+from test_golden import abelian_groups
 
 
 def _coprime_partitions(torsion):
@@ -133,6 +135,18 @@ def test_w_cost_matches_w_group_on_many_primes():
             g = AbelianGroup.from_factors(factors, free_rank=r)
             z, o = g.torsion.count(2), sum(q % 2 for q in g.torsion)
             assert w_cost(g) == w_group(g)[0] == sum(map(totient, g.torsion)) + z - 2 * min(z, o)
+
+
+def test_w_cost_factors_nothing(monkeypatch):
+    # every phi(q) comes from the cached arith.totient; wfun itself factors none
+    groups = [AbelianGroup(g.torsion, r) for g in abelian_groups(64) for r in range(3)]
+    expected = [w_group(g)[0] for g in groups]
+
+    def refuse(n):
+        raise AssertionError(f"w_cost factored {n}")
+
+    monkeypatch.setattr(wfun, "factorize", refuse)
+    assert [w_cost(g) for g in groups] == expected
 
 
 def test_w_group_matches_partition_search_exhaustively():
