@@ -44,6 +44,9 @@ GAP_ONE = "gap_one"
 EXISTS = "exists"
 
 _EXACT_ZERO = exact(0)  # the K_1 rank of an AF crossed product
+# The K-ranks of the flip -I on a torus of any dimension: K_1 = s1 = 0, since
+# Lambda^m(-I) = (-1)^m I fixes no vector of odd degree m.
+_FLIP_K = GradedRank(at_least(1), _EXACT_ZERO)
 
 # Largest d + free rank r the classifiers (and ``s1 --blocks``) accept: every
 # rank they report is at most 2^(d + r), and 2^14281 has 4,300 digits, the most
@@ -114,12 +117,15 @@ def _best_blocks(n: int) -> tuple[Block, ...]:
     For n = 2m with odd m > 1 the factor 2 costs no dimension: it is absorbed
     by negating one odd block.  The choice minimizes the summed standalone
     odd-degree invariant ranks; the choices share every other block, so that
-    is the q of least s1(negC q) - s1(C q), ties going to the largest q."""
+    is the q of least s1(negC q) - s1(C q), ties going to the largest q.
+    s1(negC q) = 0 for odd q: every eigenvalue of an odd exterior power of
+    -C_q is -1 times a q-th root of unity, which is never 1.  So the choice
+    is the q of largest s1(C q)."""
     fac = factorize(n)
     if n % 4 != 2:
         return tuple(Cyclotomic(p**e) for p, e in fac)
     odd = [p**e for p, e in fac if p != 2]
-    neg = min(odd, key=lambda q: (s1((NegCyclotomic(q),)) - s1((Cyclotomic(q),)), -q))
+    neg = max(odd, key=lambda q: (s1((Cyclotomic(q),)), q))
     return tuple(NegCyclotomic(q) if q == neg else Cyclotomic(q) for q in odd)
 
 
@@ -132,7 +138,7 @@ def _part(n_l: int) -> tuple[tuple[Block, ...], GradedRank, bool]:
     carry it; both sign blocks carry the same Z_2, so the part is one
     factor, the flip on a 2-torus, not the product of two."""
     if n_l == 2:
-        return (Cyclotomic(2), Cyclotomic(2)), GradedRank(at_least(1), exact(0)), af_paper(2)
+        return (Cyclotomic(2), Cyclotomic(2)), _FLIP_K, af_paper(2)
     blocks = _best_blocks(n_l)
     return blocks, kunneth_all(map(factor_k, blocks)), af_paper(n_l)
 
@@ -180,8 +186,7 @@ def classify_cyclic(d: int, n: int) -> Verdict:
         flip = Realization((Cyclotomic(2),) * d, 2)
         if d == 1:
             return Verdict(d, label, w, GAP_ONE, flip)
-        # K_1 = s1 = 0 in every d: Lambda^m(-I) = (-1)^m I fixes no vector of odd degree m.
-        return Verdict(d, label, w, EXISTS, flip, GradedRank(at_least(1), exact(0)), True)
+        return Verdict(d, label, w, EXISTS, flip, _FLIP_K, True)
     return _classify(d, label, w, (n,), 0)
 
 
@@ -193,7 +198,7 @@ def classify_group(d: int, g: AbelianGroup) -> Verdict:
         raise ValueError("classify_group expects free rank 0; use classify_fg")
     if g.is_trivial:
         raise ValueError("classify_group expects a nontrivial group")
-    return _classify_abelian(d, g)
+    return classify_fg(d, g)
 
 
 def classify_fg(d: int, g: AbelianGroup) -> Verdict:
@@ -201,12 +206,8 @@ def classify_fg(d: int, g: AbelianGroup) -> Verdict:
     torsion along a cost-minimizing cyclic decomposition, the free rank as
     extra torus dimensions."""
     check_rank_dim(d, g.free_rank)
-    return _classify_abelian(d, g)
-
-
-def _classify_abelian(d: int, g: AbelianGroup) -> Verdict:
-    """W first, from its closed form: a group that does not fit is refused
-    before any cyclic decomposition is built."""
+    # W first, from its closed form: a group that does not fit is refused
+    # before any cyclic decomposition is built.
     w = w_cost(g)
     return _classify(d, str(g), w, w_group(g)[1].parts if w <= d else (), g.free_rank)
 
@@ -254,9 +255,9 @@ def analyze_action(a: Matrix) -> ActionReport:
     nondegenerate Theta exists.  Up to dimension 12 ``oracle_ranks`` reports
     the same ranks by Molien's formula on the matrix itself
     (``invariant_ranks_molien``, from the traces of its powers), an
-    independent check that shares no code with the spectrum route.  The K_1
-    rank, the odd sum of the ranks, is given when the freeness hypothesis
-    holds.
+    independent check that shares no code with the spectrum route: an
+    ArithmeticError names both when they differ.  The K_1 rank, the odd sum
+    of the ranks, is given when the freeness hypothesis holds.
     """
     if not a.is_square or a.nrows == 0:
         raise ValueError("analyze_action requires a nonempty square matrix")
@@ -265,7 +266,10 @@ def analyze_action(a: Matrix) -> ActionReport:
     if blocks is None:
         raise ValueError(f"matrix has no finite order at dimension {d}")
     order = spec_order(blocks)
-    return ActionReport(d, order, blocks, invariant_ranks_molien(a, order) if d <= ORACLE_MAX_DIM else None)
+    report = ActionReport(d, order, blocks, invariant_ranks_molien(a, order) if d <= ORACLE_MAX_DIM else None)
+    if report.oracle_ranks not in (None, report.spectrum_ranks):
+        raise ArithmeticError(f"Molien ranks {report.oracle_ranks} differ from spectrum ranks {report.spectrum_ranks}")
+    return report
 
 
 # -- JSON rendering -----------------------------------------------------------

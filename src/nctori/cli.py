@@ -22,7 +22,6 @@ from .classify import (
     analyze_action,
     check_rank_dim,
     classify_cyclic,
-    classify_group,
     classify_fg,
     report_json,
     verdict_json,
@@ -366,7 +365,7 @@ def _dispatch(args) -> int:
         group = parse_group(args.expr)
         if group.is_trivial:
             raise ValueError(f"group {args.expr!r} is trivial; classify-group needs a nontrivial group")
-        v = classify_fg(args.d, group) if group.free_rank else classify_group(args.d, group)
+        v = classify_fg(args.d, group)
         print(json.dumps(verdict_json(v))) if args.json else _print_verdict_text(v)
     elif args.command == "theta":
         payload = _theta_json(read_matrix_file(args.matrix_file))

@@ -124,7 +124,7 @@ def parse_block_spec(text: str) -> BlockSpec:
             kind, arg = Identity, token[1:]
         else:
             raise ValueError(f"unrecognized block token {token!r}")
-        if not arg.isdigit():
+        if not arg.isdecimal():
             raise ValueError(f"block token {token!r} needs a positive integer argument")
         blocks.append(kind(read_int(arg)))
     return tuple(blocks)

@@ -96,11 +96,7 @@ def torus_k(m: int) -> GradedRank:
     >>> print(torus_k(3), torus_k(0))
     (k0=4, k1=4) (k0=1, k1=0)
     """
-    if m < 0:
-        raise ValueError("torus dimension must be nonnegative")
-    if m == 0:
-        return KUNNETH_UNIT
-    return GradedRank(exact(2 ** (m - 1)), exact(2 ** (m - 1)))
+    return kunneth_torus(KUNNETH_UNIT, m)
 
 
 def kunneth_torus(a: GradedRank, m: int) -> GradedRank:

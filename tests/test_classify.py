@@ -352,6 +352,21 @@ def test_analyze_action_checks_inputs():
         analyze_action(Matrix([], ncols=0))
 
 
+def test_analyze_action_refuses_ranks_that_disagree(monkeypatch):
+    # the Molien ranks check the spectrum ranks: a perturbed degree is an error
+    a = companion(cyclotomic(9))
+    molien = classify.invariant_ranks_molien
+
+    def perturbed(matrix, n):
+        ranks = molien(matrix, n)
+        return ranks[:1] + (ranks[1] + 1,) + ranks[2:]
+
+    monkeypatch.setattr(classify, "invariant_ranks_molien", perturbed)
+    with pytest.raises(ArithmeticError, match=r"Molien ranks \(1, 1, 3, 0, 3, 0, 1\) differ from spectrum "
+                                              r"ranks \(1, 0, 3, 0, 3, 0, 1\)"):
+        analyze_action(a)
+
+
 def test_recognize_blocks():
     assert recognize_blocks(-Matrix.identity(3)) == (Cyclotomic(2),) * 3
     assert recognize_blocks(companion(cyclotomic(9))) == (Cyclotomic(9),)

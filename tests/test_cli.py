@@ -96,6 +96,15 @@ def test_s1_command(capsys):
     assert code == 1 and out == "" and err == "error: unrecognized block token 'Q2'\n"
     code, out, err = run(capsys, "s1", "--blocks", "Cx")
     assert code == 1 and out == "" and err == "error: block token 'Cx' needs a positive integer argument\n"
+    # '²' is a digit but not a decimal digit: int() cannot read it, so the
+    # spec refuses it with its own message; the Arabic-Indic '٣' reads as 3
+    code, out, err = run(capsys, "s1", "--blocks", "C²")
+    assert code == 1 and out == "" and err == "error: block token 'C²' needs a positive integer argument\n"
+    code, out, err = run(capsys, "s1", "--blocks", "C²", "--json")
+    assert code == 1 and err == ""
+    assert json.loads(out) == {"error": "block token 'C²' needs a positive integer argument"}
+    for form in ((), ("--json",)):
+        assert run(capsys, "s1", "--blocks", "C٣", *form) == run(capsys, "s1", "--blocks", "C3", *form)
 
 
 def test_s1_command_reads_freeness_off_the_blocks(capsys, monkeypatch):

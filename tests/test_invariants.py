@@ -256,6 +256,10 @@ def test_s1_examples():
     assert s1((Cyclotomic(9),)) == 0
     assert s1((Cyclotomic(7),)) == (2**6 - 36) // 14
     assert s1((NegCyclotomic(27),)) == 0
+    # every eigenvalue of an odd exterior power of -C_q is -1 times a q-th
+    # root of unity, never 1 for odd q
+    for q in range(3, 200, 2):
+        assert s1((NegCyclotomic(q),)) == 0, q
 
 
 def test_s1_prime_closed_form():
