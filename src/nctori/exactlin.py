@@ -1,8 +1,8 @@
 """Exact dense linear algebra over the integers and rationals.
 
 Matrices are immutable with ``int`` or ``fractions.Fraction`` entries; all
-computations are exact.  Determinants use fraction-free Bareiss elimination,
-rank and kernels use fraction-free integer echelon reduction with gcd
+computations are exact.  Determinants use fraction-free Bareiss elimination;
+rank, kernels and reduced bases use one fraction-free integer echelon with gcd
 normalization (rational input is first scaled to integers by the lcm of its
 denominators, ``_scaled_int_rows``), and a compound matrix comes from a
 Laplace sweep over only the rows its degree reaches.  Finite order is
@@ -344,30 +344,26 @@ def reduced_basis(vectors) -> list[tuple[int, ...]]:
     coordinate positive.  Its last nonzero coordinate is fc, so the free
     columns are the pivots of an echelon form taken from the last column
     backwards, and reducing each pivot column to zero in the other rows
-    leaves exactly those vectors, up to scale.
+    leaves exactly those vectors, up to scale.  The echelon is
+    ``_echelon_int`` on the reversed rows, and one back pass clears each
+    pivot column from the rows above it, last pivot first.
     """
-    rows = list(_scaled_int_rows(Matrix(vectors))[0])
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[tuple[int, int]] = []
-    unpivoted = list(range(len(rows)))
-    for c in range(ncols - 1, -1, -1):
-        r = next((i for i in unpivoted if rows[i][c]), None)
-        if r is None:
-            continue
-        unpivoted.remove(r)
-        pv = rows[r][c]
-        rr = rows[r]
-        for i, ri in enumerate(rows):
-            f = ri[c]
-            if f and i != r:
-                rows[i] = _content_free([x * pv - f * y for x, y in zip(ri, rr)])
-        pivots.append((c, r))
-    if unpivoted:
+    rows = [row[::-1] for row in _scaled_int_rows(Matrix(vectors))[0]]
+    pivots = _echelon_int(rows)
+    if len(pivots) < len(rows):
         raise ValueError("reduced_basis requires independent vectors")
+    for r, c in reversed(pivots):
+        rr = rows[r]
+        pv = rr[c]
+        for i in range(r):
+            ri = rows[i]
+            f = ri[c]
+            if f:
+                rows[i] = _content_free([x * pv - f * y for x, y in zip(ri, rr)])
     basis = []
-    for c, r in sorted(pivots):
-        row = _content_free(rows[r])
-        basis.append(tuple(row) if row[c] > 0 else tuple(-x for x in row))
+    for r, c in reversed(pivots):
+        row = _content_free(rows[r][::-1])
+        basis.append(tuple(row) if rows[r][c] > 0 else tuple(-x for x in row))
     return basis
 
 

@@ -178,7 +178,7 @@ def max_finite_order(d: int) -> int:
     # taken so far, whose costs sum to at most b (a knapsack, prime by prime)
     best = [1] * (d + 1)
     for p in range(2, d + 2):
-        if any(p % q == 0 for q in range(2, p)):
+        if factorize(p)[0][0] != p:
             continue
         new = best[:]
         q, cost = p, 0 if p == 2 else p - 1  # a lone factor of 2 costs nothing

@@ -9,7 +9,7 @@ from operator import mul
 
 import pytest
 
-from nctori import finite
+from nctori import exactlin, finite
 from nctori.arith import cyclotomic, poly_mul, totient, totient_bound
 from nctori.exactlin import (
     _components,
@@ -305,8 +305,36 @@ def test_reduced_basis_is_kernel_basis_of_any_spanning_set():
         spanning = [tuple(sum(c * v[t] for c, v in zip(row, basis)) for t in range(ncols)) for row in mix]
         assert reduced_basis(spanning) == basis
         assert reduced_basis([tuple(Fraction(x, 3) for x in v) for v in spanning]) == basis
-    with pytest.raises(ValueError, match="reduced_basis requires independent vectors"):
-        reduced_basis([(1, 0), (2, 0)])
+    # wider spaces with 30-digit entries, a third of them zero: the kernel of
+    # the spanning set's own kernel is their span
+    for _ in range(20):
+        ncols = rng.randint(10, 40)
+        k = rng.randint(1, min(12, ncols - 1))
+        spanning = [tuple(rng.choice((0, 1, 1)) * rng.randint(-(10**30), 10**30) for _ in range(ncols)) for _ in range(k)]
+        if rank(Matrix(spanning)) < k:
+            continue
+        basis = kernel_basis(Matrix(kernel_basis(Matrix(spanning)), ncols=ncols))
+        assert reduced_basis(spanning) == basis
+        assert reduced_basis([tuple(Fraction(x, 3) for x in v) for v in spanning]) == basis
+    assert reduced_basis([]) == []
+    for dependent in ([(1, 0), (2, 0)], [(0, 0, 0)], [(1, 0, 2), (0, 0, 0)], [(3, -1, 4), (3, -1, 4)]):
+        with pytest.raises(ValueError, match="reduced_basis requires independent vectors"):
+            reduced_basis(dependent)
+
+
+def test_reduced_basis_runs_one_echelon(monkeypatch):
+    calls = []
+    echelon = exactlin._echelon_int
+
+    def counting(rows):
+        calls.append(len(rows))
+        return echelon(rows)
+
+    monkeypatch.setattr(exactlin, "_echelon_int", counting)
+    inputs = ([], [(0, 1, 2)], [(1, 0, 2, 3), (0, 1, -1, 5)], [(Fraction(1, 2), 3, 0, 1), (4, 0, 0, 1), (0, 0, 1, 1)])
+    for n, vectors in enumerate(inputs, 1):
+        reduced_basis(vectors)
+        assert len(calls) == n, vectors
 
 
 def test_matrix_validation():

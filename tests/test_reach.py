@@ -37,7 +37,7 @@ API_ONLY = {
     "classify.classify_group": "library API: finite groups only; the command line sends every group to classify_fg",
     "exactlin.Matrix.__repr__": "library API: the printed form of a matrix",
     "exactlin._norm_entry": "Fraction and int-subclass entries, which matrix files never hold",
-    "exactlin.order": "library API: the order of a matrix by its powers",
+    "exactlin.order": "library API: the order of a matrix, the lcm over finite.cyclotomic_type",
     "exactlin.det": "library API: the determinant",
     "exactlin._det_int": "det on integer rows",
     "exactlin.compound": "library API: the m-th compound matrix, which invariant_rank_oracle is built on",
