@@ -37,7 +37,7 @@ from .invariants import (
 )
 from .ktheory import GradedRank, RankInfo, at_least, exact, factor_k, kunneth_all, kunneth_torus
 from .record import Record
-from .wfun import AbelianGroup, w_cost, w_group, w_order
+from .wfun import AbelianGroup, w_cost, w_decomposition, w_order
 
 W_TOO_BIG = "w_too_big"
 GAP_ONE = "gap_one"
@@ -209,7 +209,7 @@ def classify_fg(d: int, g: AbelianGroup) -> Verdict:
     # W first, from its closed form: a group that does not fit is refused
     # before any cyclic decomposition is built.
     w = w_cost(g)
-    return _classify(d, str(g), w, w_group(g)[1].parts if w <= d else (), g.free_rank)
+    return _classify(d, str(g), w, w_decomposition(g).parts if w <= d else (), g.free_rank)
 
 
 # -- analysis of arbitrary user matrices ------------------------------------

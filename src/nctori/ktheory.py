@@ -124,11 +124,17 @@ def factor_k(block: Block) -> GradedRank:
     and no closed form for the K_0 rank is in scope here.  One block has one
     cyclotomic factor, so it is free outside the origin by construction.
 
-    >>> print(factor_k(Cyclotomic(7)))
-    (k0=>=1, k1=2)
+    A negated block of odd order q has k1 = 0 with no ranks computed: every
+    eigenvalue of an odd exterior power of -C_q is -1 times a q-th root of
+    unity, which is never 1 for odd q, so no odd degree has an invariant.
+
+    >>> print(factor_k(Cyclotomic(7)), factor_k(NegCyclotomic(7)))
+    (k0=>=1, k1=2) (k0=>=1, k1=0)
     """
     if isinstance(block, Identity):
         raise ValueError("factor_k applies to cyclotomic blocks, not identity blocks")
+    if isinstance(block, NegCyclotomic) and block.n % 2:
+        return GradedRank(at_least(1), exact(0))
     if not isinstance(block, (Cyclotomic, NegCyclotomic)):
         raise TypeError(f"not a block: {block!r}")
     return GradedRank(at_least(1), exact(s1((block,))))

@@ -5,8 +5,8 @@ n.  ``w_cyclic`` adjusts the n = 2 case (a sign block alone cannot carry a
 group factor, so Z_2 costs two dimensions), and ``w_group`` gives the least
 total over the cyclic decompositions of the torsion part, with a canonical
 minimizer built directly instead of searched for.  ``w_cost`` gives that
-total alone, from a closed form, without building a decomposition.  Pure
-functions throughout.
+total alone, from a closed form, and ``w_decomposition`` the minimizer
+alone.  Pure functions throughout.
 """
 
 from __future__ import annotations
@@ -55,25 +55,34 @@ class AbelianGroup(Frozen):
     __slots__ = ("torsion", "free_rank")
 
     def __init__(self, torsion: tuple[int, ...] = (), free_rank: int = 0):
+        for q in torsion:
+            if len(factorize(q)) != 1:
+                raise ValueError(f"torsion entry {q} is not a prime power")
+        self._set(torsion, free_rank)
+
+    def _set(self, torsion, free_rank: int) -> None:
         if free_rank < 0:
             raise ValueError("free_rank must be nonnegative")
-        for q in torsion:
-            fac = factorize(q)
-            if len(fac) != 1:
-                raise ValueError(f"torsion entry {q} is not a prime power")
         set_field(self, "torsion", tuple(sorted(torsion)))
         set_field(self, "free_rank", free_rank)
 
     @classmethod
     def from_factors(cls, factors, free_rank: int = 0) -> "AbelianGroup":
         """Build from arbitrary cyclic factor orders, splitting composites
-        into prime powers (Z_6 becomes Z_2 x Z_3)."""
+        into prime powers (Z_6 becomes Z_2 x Z_3).
+
+        Each factor is factored once.  The prime powers it splits into are
+        prime powers by construction, so ``__init__``'s check, which factors
+        every entry again, is skipped.
+        """
         torsion = []
         for n in factors:
             if n < 2:
                 raise ValueError(f"cyclic factor orders must be >= 2, got {n}")
             torsion.extend(p**e for p, e in factorize(n))
-        return cls(tuple(torsion), free_rank)
+        group = cls.__new__(cls)
+        group._set(torsion, free_rank)
+        return group
 
     @property
     def is_trivial(self) -> bool:
@@ -119,26 +128,46 @@ def w_cost(g: AbelianGroup) -> int:
 
 def w_group(g: AbelianGroup) -> tuple[int, CyclicDecomposition]:
     """W of the torsion part (``w_cost``) with one minimizing cyclic
-    decomposition.  No merged part is factored: W is read off the entries.
-
-    Minimizers are tie-broken toward fewer parts (the largest multiplicity
-    of a prime), then the lexicographically smallest sorted part list.  That
-    one is built smallest part first: each part is the least product that
-    takes one entry of every prime of the largest remaining multiplicity, at
-    most one of any other prime, and keeps min(z, o) merges attainable.  It
-    takes no power of 2, the smallest Z_2 or the smallest higher power of 2,
-    and the smallest entry of each odd prime it must take, plus at most the
-    smallest entry of one other odd prime.
+    decomposition (``w_decomposition``).
 
     >>> w_group(AbelianGroup.from_factors([2, 3]))
     (2, CyclicDecomposition(parts=(6,)))
     >>> w_group(AbelianGroup.from_factors([2, 3, 4]))
     (4, CyclicDecomposition(parts=(4, 6)))
     """
-    z = g.torsion.count(2)
-    higher = [q for q in reversed(g.torsion) if q > 2 and q % 2 == 0]  # largest first
+    return w_cost(g), w_decomposition(g)
+
+
+def w_decomposition(g: AbelianGroup) -> CyclicDecomposition:
+    """The canonical cyclic decomposition of the torsion part that attains
+    W, with W itself left to ``w_cost``.  No merged part is factored.
+
+    Minimizers are tie-broken toward fewer parts (the largest multiplicity
+    of a prime), then the lexicographically smallest sorted part list.  When
+    no prime repeats (the lcm of the entries is their product) the group is
+    cyclic, and its one part, the product, is the minimizer: one part costs
+    sum(phi(q)) plus one for a lone Z_2 and minus one for a Z_2 beside an
+    odd entry, which is ``w_cost``.  Otherwise the minimizer is built
+    smallest part first: each part is the least product that takes one
+    entry of every prime of the largest remaining multiplicity, at most one
+    of any other prime, and keeps min(z, o) merges attainable.  It takes no
+    power of 2, the smallest Z_2 or the smallest higher power of 2, and the
+    smallest entry of each odd prime it must take, plus at most the smallest
+    entry of one other odd prime.
+
+    >>> w_decomposition(AbelianGroup.from_factors([8, 9, 5]))
+    CyclicDecomposition(parts=(360,))
+    >>> w_decomposition(AbelianGroup.from_factors([2, 2, 3]))
+    CyclicDecomposition(parts=(2, 6))
+    """
+    t = g.torsion
+    whole = math.prod(t)
+    if t and math.lcm(*t) == whole:
+        return CyclicDecomposition((whole,))
+    z = t.count(2)
+    higher = [q for q in reversed(t) if q > 2 and q % 2 == 0]  # largest first
     odd: dict[int, list[int]] = {}  # odd prime -> its entries, largest first
-    for q in reversed(g.torsion):
+    for q in reversed(t):
         if q % 2:
             odd.setdefault(factorize(q)[0][0], []).append(q)
     o = sum(map(len, odd.values()))
@@ -165,7 +194,7 @@ def w_group(g: AbelianGroup) -> tuple[int, CyclicDecomposition]:
             o -= 1
             if not odd[p]:
                 del odd[p]
-    return w_cost(g), CyclicDecomposition(tuple(parts))
+    return CyclicDecomposition(tuple(parts))
 
 
 def max_finite_order(d: int) -> int:

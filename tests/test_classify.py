@@ -268,7 +268,7 @@ def test_a_group_refusal_builds_no_decomposition(monkeypatch):
     def no_decomposition(g):
         raise AssertionError("a refusal built a decomposition")
 
-    monkeypatch.setattr(classify, "w_group", no_decomposition)
+    monkeypatch.setattr(classify, "w_decomposition", no_decomposition)
     for g, w in zip(groups, ws):
         for d in (1, w - 1):
             verdicts = [classify_fg(d, g)] + ([] if g.free_rank else [classify_group(d, g)])

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from nctori import invariants
 from nctori.invariants import Cyclotomic, Identity, NegCyclotomic
 from nctori.ktheory import (
     KUNNETH_UNIT,
@@ -131,6 +132,23 @@ def test_factor_k_degenerate_negated_two_block():
     # the negated 2-block realizes the 1x1 identity: a trivial (vacuously
     # free) action on Z, whose crossed product is just functions on the circle
     assert factor_k(NegCyclotomic(2)) == GradedRank(at_least(1), exact(1))
+
+
+def test_factor_k_of_an_odd_negated_block_computes_no_ranks(monkeypatch):
+    # no odd exterior power of -C_q fixes a vector for odd q; even q keeps
+    # the general route through invariant_ranks
+    calls, ranks = [], invariants.invariant_ranks
+
+    def spy(spec):
+        calls.append(spec)
+        return ranks(spec)
+
+    monkeypatch.setattr(invariants, "invariant_ranks", spy)
+    for q in range(3, 200, 2):
+        assert factor_k(NegCyclotomic(q)) == GradedRank(at_least(1), exact(0)), q
+    assert calls == []
+    assert factor_k(NegCyclotomic(2)).k1 == exact(1)
+    assert calls == [(NegCyclotomic(2),)]
 
 
 def test_rank_info_validation():

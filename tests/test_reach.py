@@ -57,6 +57,7 @@ API_ONLY = {
     "theta._bilinear": "one rational term of pairing",
     "theta.is_invariant": "library API: whether a form is invariant under a matrix",
     "theta.nondegenerate_invariant_exists": "library API: invariant_space and nondegenerate_witness in one call",
+    "wfun.AbelianGroup.__init__": "library API: checks a torsion passed directly; from_factors builds its prime powers itself",
     "wfun.w_cyclic": "library API: the cost of Z_n as a group, 2 for Z_2",
 }
 

@@ -149,6 +149,32 @@ def test_w_cost_factors_nothing(monkeypatch):
     assert [w_cost(g) for g in groups] == expected
 
 
+def _count_factorize(monkeypatch) -> list:
+    calls = []
+
+    def spy(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(wfun, "factorize", spy)
+    return calls
+
+
+def test_from_factors_factors_each_factor_once(monkeypatch):
+    # the prime powers a factor splits into are not factored again
+    calls = _count_factorize(monkeypatch)
+    g = AbelianGroup.from_factors([12, 18, 35])
+    assert calls == [12, 18, 35]
+    assert g == AbelianGroup((2, 3, 4, 5, 7, 9))
+
+
+def test_a_cyclic_torsion_is_one_part_with_no_factoring(monkeypatch):
+    g = AbelianGroup.from_factors([8, 9, 5, 7, 11])
+    calls = _count_factorize(monkeypatch)
+    assert w_group(g) == (30, CyclicDecomposition((27720,)))
+    assert calls == []
+
+
 def test_w_group_matches_partition_search_exhaustively():
     # every torsion of 1 to 6 entries from these prime powers: 5,004 groups
     count = 0
