@@ -15,6 +15,7 @@ than hiding the discrepancy.
 from __future__ import annotations
 
 import functools
+from itertools import chain
 from math import lcm
 
 from .arith import factorize
@@ -73,7 +74,12 @@ def af_paper(n: int) -> bool:
     """
     if n < 2:
         raise ValueError(f"af_paper expects n >= 2, got {n}")
-    fac = dict(factorize(n))
+    return _af_paper(factorize(n))
+
+
+def _af_paper(factors: list[tuple[int, int]]) -> bool:
+    """``af_paper`` on the (prime, exponent) pairs of the order."""
+    fac = dict(factors)
     k, j, i = fac.get(2, 0), fac.get(3, 0), fac.get(5, 0)
     big = {p: e for p, e in fac.items() if p not in (2, 3, 5)}
     if not big and k != 1 and j <= 2 and i <= 1:
@@ -110,9 +116,9 @@ class Verdict(Record):
         self.divergence_flag = is_af_computed != is_af_paper_predicate
 
 
-def _best_blocks(n: int) -> tuple[Block, ...]:
-    """Cyclotomic blocks realizing Z_n in dimension w_order(n), n >= 3: one
-    Cyclotomic(q) per prime power q of n.
+def _best_blocks(factors: list[tuple[int, int]]) -> tuple[Block, ...]:
+    """Cyclotomic blocks realizing Z_n in dimension w_order(n), n >= 3, from
+    the (prime, exponent) pairs of n: one Cyclotomic(q) per prime power q.
 
     For n = 2m with odd m > 1 the factor 2 costs no dimension: it is absorbed
     by negating one odd block.  The choice minimizes the summed standalone
@@ -121,10 +127,9 @@ def _best_blocks(n: int) -> tuple[Block, ...]:
     s1(negC q) = 0 for odd q: every eigenvalue of an odd exterior power of
     -C_q is -1 times a q-th root of unity, which is never 1.  So the choice
     is the q of largest s1(C q)."""
-    fac = factorize(n)
-    if n % 4 != 2:
-        return tuple(Cyclotomic(p**e) for p, e in fac)
-    odd = [p**e for p, e in fac if p != 2]
+    if factors[0] != (2, 1):  # the primes ascend: n is not 2 mod 4
+        return tuple(Cyclotomic(p**e) for p, e in factors)
+    odd = [p**e for p, e in factors[1:]]
     neg = max(odd, key=lambda q: (s1((Cyclotomic(q),)), q))
     return tuple(NegCyclotomic(q) if q == neg else Cyclotomic(q) for q in odd)
 
@@ -134,13 +139,15 @@ def _part(n_l: int) -> tuple[tuple[Block, ...], GradedRank, bool]:
     """The blocks of one cyclic part of order n_l, the Kunneth product of
     their factors' K-ranks and ``af_paper(n_l)``.  None of them depends on
     d, so each part is resolved once; a run of verdicts meets about 400
-    distinct parts.  Z_2 spends a full -I_2, since a lone sign block cannot
-    carry it; both sign blocks carry the same Z_2, so the part is one
-    factor, the flip on a 2-torus, not the product of two."""
+    distinct parts.  n_l is factored once, for both the blocks and the AF
+    flag.  Z_2 spends a full -I_2, since a lone sign block cannot carry it;
+    both sign blocks carry the same Z_2, so the part is one factor, the flip
+    on a 2-torus, not the product of two."""
+    factors = factorize(n_l)
     if n_l == 2:
-        return (Cyclotomic(2), Cyclotomic(2)), _FLIP_K, af_paper(2)
-    blocks = _best_blocks(n_l)
-    return blocks, kunneth_all(map(factor_k, blocks)), af_paper(n_l)
+        return (Cyclotomic(2), Cyclotomic(2)), _FLIP_K, _af_paper(factors)
+    blocks = _best_blocks(factors)
+    return blocks, kunneth_all(map(factor_k, blocks)), _af_paper(factors)
 
 
 def _classify(d: int, label: str, w: int, parts: tuple[int, ...], free_rank: int) -> Verdict:
@@ -155,14 +162,15 @@ def _classify(d: int, label: str, w: int, parts: tuple[int, ...], free_rank: int
     if w > d:
         return Verdict(d, label, w, W_TOO_BIG)
     gap = d - w
-    resolved = [_part(n_l) for n_l in parts]
-    blocks = tuple(b for part_blocks, _, _ in resolved for b in part_blocks)
+    # the blocks, Kunneth factor and AF flag of each part (none for a torsion-free group)
+    part_blocks, factors, papers = zip(*map(_part, parts)) if parts else ((), (), ())
+    blocks = tuple(chain.from_iterable(part_blocks))
     realization = Realization(blocks + ((Identity(gap),) if gap else ()), lcm(*parts, 1))
     if gap == 1 and not free_rank:
         return Verdict(d, label, w, GAP_ONE, realization)
-    k = kunneth_torus(kunneth_all(factor for _, factor, _ in resolved), gap + free_rank)
+    k = kunneth_torus(kunneth_all(factors), gap + free_rank)
     af_computed = not free_rank and k.k1 == _EXACT_ZERO
-    paper_flag = not free_rank and gap == 0 and all(af for _, _, af in resolved)
+    paper_flag = not free_rank and gap == 0 and all(papers)
     return Verdict(d, label, w, EXISTS, realization, k, af_computed, paper_flag)
 
 

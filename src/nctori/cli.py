@@ -38,6 +38,11 @@ from .invariants import (
 from .wfun import AbelianGroup, max_finite_order, w_group, w_order
 
 
+# The encoder of every JSON document printed.  Each payload is a fresh tree of
+# dicts, lists and scalars, so the check for reference cycles is skipped.
+_to_json = json.JSONEncoder(check_circular=False).encode
+
+
 class CliParseError(Exception):
     """Malformed command-line input (exit code 1)."""
 
@@ -125,7 +130,7 @@ def _print_verdict_text(v: Verdict):
 
 
 # Most digits of a cyclic part that ``wgroup`` prints: the limit of the
-# integers read, which print and json.dumps obey as well.
+# integers read, which print and the JSON encoder obey as well.
 WGROUP_MAX_PART_DIGITS = MAX_INT_DIGITS
 
 TABLE_MAX_VERDICTS = 200_000
@@ -313,7 +318,7 @@ def _dispatch(args) -> int:
     if args.command == "wfun":
         w = w_order(args.n)
         if args.json:
-            print(json.dumps({"n": args.n, "w": w}))
+            print(_to_json({"n": args.n, "w": w}))
         else:
             print(w)
     elif args.command == "wgroup":
@@ -323,14 +328,14 @@ def _dispatch(args) -> int:
             raise ValueError(f"W = {w}, but a minimizing cyclic part has more than "
                              f"WGROUP_MAX_PART_DIGITS = {WGROUP_MAX_PART_DIGITS} digits")
         if args.json:
-            print(json.dumps({"group": str(group), "w": w, "decomposition": list(decomp.parts)}))
+            print(_to_json({"group": str(group), "w": w, "decomposition": list(decomp.parts)}))
         else:
             parts = " x ".join(f"Z{n}" for n in decomp.parts) if decomp.parts else "trivial"
             print(f"W = {w}  via {parts}")
     elif args.command == "cyclotomic":
         coeffs = cyclotomic(args.n)
         if args.json:
-            print(json.dumps({"n": args.n, "coefficients": list(coeffs)}))
+            print(_to_json({"n": args.n, "coefficients": list(coeffs)}))
         else:
             print(" ".join(str(c) for c in coeffs))
     elif args.command == "s1":
@@ -343,7 +348,7 @@ def _dispatch(args) -> int:
         odd, even = sum(ranks[1::2]), sum(ranks[::2])
         free = spec_free(spec)
         if args.json:
-            print(json.dumps({
+            print(_to_json({
                 "blocks": [block_label(b) for b in spec],
                 "dimension": spec_dim(spec),
                 "order": spec_order(spec),
@@ -360,24 +365,24 @@ def _dispatch(args) -> int:
                 print("note: action is not free outside the origin; s1 is the raw odd sum")
     elif args.command == "classify":
         v = classify_cyclic(args.d, args.n)
-        print(json.dumps(verdict_json(v))) if args.json else _print_verdict_text(v)
+        print(_to_json(verdict_json(v))) if args.json else _print_verdict_text(v)
     elif args.command == "classify-group":
         group = parse_group(args.expr)
         if group.is_trivial:
             raise ValueError(f"group {args.expr!r} is trivial; classify-group needs a nontrivial group")
         v = classify_fg(args.d, group)
-        print(json.dumps(verdict_json(v))) if args.json else _print_verdict_text(v)
+        print(_to_json(verdict_json(v))) if args.json else _print_verdict_text(v)
     elif args.command == "theta":
         payload = _theta_json(read_matrix_file(args.matrix_file))
-        print(json.dumps(payload)) if args.json else _print_theta_text(payload)
+        print(_to_json(payload)) if args.json else _print_theta_text(payload)
     elif args.command == "analyze":
         a = read_matrix_file(args.matrix_file)
         report = analyze_action(a)
-        print(json.dumps(report_json(report))) if args.json else _print_report_text(report)
+        print(_to_json(report_json(report))) if args.json else _print_report_text(report)
     elif args.command == "table":
         nmax = _table_nmax(args.dmax, args.nmax)
         if args.json:
-            print(json.dumps([verdict_json(v) for v in _table_rows(args.dmax, nmax)]))
+            print(_to_json([verdict_json(v) for v in _table_rows(args.dmax, nmax)]))
         else:
             _print_table_text(args.dmax, nmax)
     return 0
@@ -428,7 +433,7 @@ def _emit_error(args, words, message: str):
     """JSON when the request asked for it: ``args.json`` once the words are
     parsed, else the literal word --json."""
     if args.json if args is not None else "--json" in words:
-        print(json.dumps({"error": message}))
+        print(_to_json({"error": message}))
     else:
         print(f"error: {message}", file=sys.stderr)
 

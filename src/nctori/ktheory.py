@@ -101,7 +101,10 @@ def torus_k(m: int) -> GradedRank:
 
 def kunneth_torus(a: GradedRank, m: int) -> GradedRank:
     """``kunneth(a, torus_k(m))`` in closed form: for m >= 1 both torus ranks
-    are t = 2^{m-1}, so k0 and k1 are the same entry a0*t + a1*t.
+    are the exact t = 2^{m-1}, so k0 and k1 are the same entry a0*t + a1*t,
+    built as one ``RankInfo``.  An exact-zero a0 or a1 drops out of it, and
+    dropping it changes neither the sum nor the kind, so the entry is t times
+    a0 + a1, exact when both are.
 
     >>> print(kunneth_torus(GradedRank(at_least(1), exact(2)), 3))
     (k0=>=12, k1=>=12)
@@ -110,9 +113,14 @@ def kunneth_torus(a: GradedRank, m: int) -> GradedRank:
         raise ValueError("torus dimension must be nonnegative")
     if m == 0:
         return a
-    t = exact(2 ** (m - 1))
-    k = _entry(a.k0, t, a.k1, t)
+    x, y = a.k0, a.k1
+    k = RankInfo(EXACT if x.kind == y.kind == EXACT else AT_LEAST, (x.value + y.value) << (m - 1))
     return GradedRank(k, k)
+
+
+# The K_0 rank of every factor: positive, as the algebra is unital.  RankInfo
+# is frozen, so every factor shares this one record.
+_UNITAL_K0 = at_least(1)
 
 
 def factor_k(block: Block) -> GradedRank:
@@ -134,7 +142,7 @@ def factor_k(block: Block) -> GradedRank:
     if isinstance(block, Identity):
         raise ValueError("factor_k applies to cyclotomic blocks, not identity blocks")
     if isinstance(block, NegCyclotomic) and block.n % 2:
-        return GradedRank(at_least(1), exact(0))
+        return GradedRank(_UNITAL_K0, exact(0))
     if not isinstance(block, (Cyclotomic, NegCyclotomic)):
         raise TypeError(f"not a block: {block!r}")
-    return GradedRank(at_least(1), exact(s1((block,))))
+    return GradedRank(_UNITAL_K0, exact(s1((block,))))

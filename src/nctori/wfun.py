@@ -11,15 +11,21 @@ alone.  Pure functions throughout.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .arith import factorize, totient
 from .record import Frozen, set_field
 
 
+@functools.lru_cache(maxsize=1024)
 def w_order(n: int) -> int:
     """Dimension cost of an order-n element: sum of phi(p^e) over the prime
     powers of n, reduced by one when the factor 2 appears with exponent one.
+
+    It depends on n alone, so it is cached, bounded like ``classify._part``:
+    a run of cyclic verdicts asks for the same orders again and again, and
+    each miss factors n once.
 
     >>> w_order(6)
     2

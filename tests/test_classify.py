@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from nctori import classify
+from nctori import classify, wfun
 from nctori.arith import cyclotomic, factorize
 from nctori.exactlin import Matrix, block_diag, companion, order
 from nctori.invariants import (
@@ -131,7 +131,7 @@ def test_block_choice_matches_the_candidate_search():
     # the direct argmin over the odd prime powers picks what a search over
     # every candidate block list picks, ties included
     for n in range(3, 4000):
-        assert _best_blocks(n) == _reference_best_blocks(n), n
+        assert _best_blocks(factorize(n)) == _reference_best_blocks(n), n
 
 
 def test_flip_and_gap_one_for_order_two():
@@ -195,7 +195,7 @@ def _per_block_fold(d: int, w: int, parts: tuple[int, ...], free_rank: int):
     for a Z_2 part, factor_k of each block otherwise, then the torus."""
     factors = []
     for n_l in parts:
-        factors += [GradedRank(at_least(1), exact(0))] if n_l == 2 else map(factor_k, _best_blocks(n_l))
+        factors += [GradedRank(at_least(1), exact(0))] if n_l == 2 else map(factor_k, _best_blocks(factorize(n_l)))
     gap = d - w
     k = kunneth_all(factors + [torus_k(gap + free_rank)])
     paper = not free_rank and gap == 0 and all(af_paper(n_l) for n_l in parts)
@@ -241,6 +241,40 @@ def test_part_cache_is_bounded_and_hit_by_a_repeated_order():
     hits = _part.cache_info().hits
     classify_cyclic(31, 45)
     assert _part.cache_info().hits == hits + 1 and _part.cache_info().currsize == 1
+
+
+def _factorize_spy(monkeypatch, module) -> list:
+    """The orders that ``module`` hands to ``factorize`` from now on."""
+    calls, original = [], module.factorize
+
+    def spy(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(module, "factorize", spy)
+    return calls
+
+
+def test_w_order_is_computed_once_per_order(monkeypatch):
+    # W depends on the order alone: a cached order is not factored again for
+    # a verdict at another dimension
+    calls = _factorize_spy(monkeypatch, wfun)
+    w_order.cache_clear()
+    first = classify_cyclic(40, 63)
+    assert calls == [63]
+    second = classify_cyclic(41, 63)
+    assert calls == [63]
+    assert first.w == second.w == 12
+    assert isinstance(w_order.cache_info().maxsize, int)
+
+
+def test_a_new_part_factors_its_order_once(monkeypatch):
+    # the blocks and the AF flag of a part are read off one factorization
+    calls = _factorize_spy(monkeypatch, classify)
+    _part.cache_clear()
+    blocks, _, paper = _part(90)
+    assert calls == [90]
+    assert [block_label(b) for b in blocks] == ["negC9", "C5"] and paper
 
 
 def test_classify_group_examples():

@@ -34,6 +34,7 @@ SAMPLE = {"verdicts": 300, "analyze_small": 34, "analyze_large": 42}
 API_ONLY = {
     "__init__.__getattr__": "library API: resolves nctori.<name> lazily; the command line imports its modules",
     "__init__.__dir__": "library API: lists the lazy exports for dir(nctori)",
+    "classify.af_paper": "library API: the AF condition on an order; a verdict's part reads it off the factorization it already has",
     "classify.classify_group": "library API: finite groups only; the command line sends every group to classify_fg",
     "exactlin.Matrix.__repr__": "library API: the printed form of a matrix",
     "exactlin._norm_entry": "Fraction and int-subclass entries, which matrix files never hold",
@@ -47,6 +48,7 @@ API_ONLY = {
     "invariants.free_outside_origin": "library API: freeness on a matrix; reports read it off the blocks",
     "invariants.invariant_rank": "library API: the invariant rank of one degree",
     "invariants.invariant_rank_oracle": "library API: one rank from the compound matrix, a check for the tests",
+    "ktheory.at_least": "library API: a lower bound on a rank; the one that factor_k shares is built at import",
     "ktheory.GradedRank.__str__": "library API: the printed form of a K-rank pair",
     "ktheory.torus_k": "library API: the K-ranks of a torus; verdicts pad with kunneth_torus",
     "record.Record.__repr__": "library API: the printed form of a record",
