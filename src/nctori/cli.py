@@ -135,7 +135,7 @@ WGROUP_MAX_PART_DIGITS = MAX_INT_DIGITS
 
 TABLE_MAX_VERDICTS = 200_000
 # Largest --dmax of ``table``: every row pays for ranks at its own d, and a
-# full TABLE_MAX_VERDICTS grid at d <= 100 takes about 10 s.
+# full TABLE_MAX_VERDICTS grid at d <= 100 takes about 2.5-3.5 s on a 2-core VM.
 TABLE_MAX_DIM = 100
 
 

@@ -4,11 +4,12 @@ kept.  A function that only the tests or the library API call is then a
 choice that a diff shows, not code left behind.
 
 The sample is the seed-1 requests of the three benchmark workloads, built by
-``bench/gen.py`` (as CI's "Caches" step builds them), and the other
-subcommands, in text and JSON form, with their error paths.  It runs through
-``cli.main`` in this process under ``sys.setprofile``, with every
-``functools.lru_cache`` cleared and the command line's parser dropped
-first, so that a function that fills a cache is entered at least once.
+``bench/gen.py`` (as ``report_caches`` in ``tests/probes.py`` builds them),
+and the other subcommands, in text and JSON form, with their error paths.
+It runs through ``cli.main`` in this process under ``sys.setprofile``, with
+every ``functools.lru_cache`` that ``probes.caches`` finds cleared and the
+command line's parser dropped first, so that a function that fills a cache
+is entered at least once.
 Functions are the named code objects of each module's source; lambdas and
 comprehensions are parts of the function around them.
 """
@@ -23,6 +24,7 @@ from pathlib import Path
 
 import nctori
 from nctori import cli
+from probes import caches
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -119,10 +121,8 @@ def _requests(tmp: Path) -> list[list[str]]:
 def _called(requests) -> tuple[set, set]:
     """(file, first line, name) of every function entered by ``requests``,
     and the exit codes they gave."""
-    for module in _modules():
-        for fn in vars(module).values():
-            if hasattr(fn, "cache_clear"):
-                fn.cache_clear()
+    for fn in caches().values():
+        fn.cache_clear()
     seen, codes = set(), set()
 
     def profile(frame, event, arg):
