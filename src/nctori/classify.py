@@ -185,7 +185,12 @@ def classify_cyclic(d: int, n: int) -> Verdict:
     check_rank_dim(d)
     if n < 2:
         raise ValueError(f"classify_cyclic expects an order n >= 2, got {n}")
-    label, w = f"Z{n}", w_order(n)
+    return _cyclic(d, n, w_order(n))
+
+
+def _cyclic(d: int, n: int, w: int) -> Verdict:
+    """``classify_cyclic(d, n)`` past its checks, given w = w_order(n)."""
+    label = f"Z{n}"
     if n == 2:
         # The full flip -I_d: every coordinate is negated, no residual torus
         # factor acts trivially, and the whole action is free of even order.

@@ -19,6 +19,7 @@ from .arith import MAX_INT_DIGITS, DigitLimitError, cyclotomic, read_int, read_i
 from .classify import (
     ActionReport,
     Verdict,
+    _cyclic,
     analyze_action,
     check_rank_dim,
     classify_cyclic,
@@ -135,7 +136,8 @@ WGROUP_MAX_PART_DIGITS = MAX_INT_DIGITS
 
 TABLE_MAX_VERDICTS = 200_000
 # Largest --dmax of ``table``: every row pays for ranks at its own d, and a
-# full TABLE_MAX_VERDICTS grid at d <= 100 takes about 2.5-3.5 s on a 2-core VM.
+# full TABLE_MAX_VERDICTS grid at d <= 100 takes about 1.1-1.6 s in text and
+# 2.1-2.6 s in JSON on a 2-core VM.
 TABLE_MAX_DIM = 100
 
 
@@ -162,23 +164,24 @@ def _table_nmax(dmax: int, nmax: int | None) -> int:
     return nmax
 
 
-def _table_rows(dmax: int, nmax: int):
+def _print_table(dmax: int, nmax: int, as_json: bool):
+    """Print the verdict grid a row of d at a time, with W read once per order.
+    JSON rows are joined by ", " inside one "[" and "]", as the encoder joins a
+    list's items, so the bytes are those of encoding the whole list."""
+    orders = [(n, w_order(n)) for n in range(2, nmax + 1)]
+    if not as_json:
+        header = f"{'d':>3} {'n':>4} {'W':>4} {'exists':>7} {'AT':>4} {'AF_c':>5} {'AF_p':>5} {'k1':>6}"
+        print(header, "-" * len(header), sep="\n")
     for d in range(1, dmax + 1):
-        for n in range(2, nmax + 1):
-            yield classify_cyclic(d, n)
-
-
-def _print_table_text(dmax: int, nmax: int):
-    header = f"{'d':>3} {'n':>4} {'W':>4} {'exists':>7} {'AT':>4} {'AF_c':>5} {'AF_p':>5} {'k1':>6}"
-    print(header)
-    print("-" * len(header))
-    for v in _table_rows(dmax, nmax):
-        k1 = str(v.k.k1) if v.k else "-"
-        print(
-            f"{v.d:>3} {int(v.input_label[1:]):>4} {v.w:>4} "
-            f"{_yesno(v.simple_action_exists):>7} {_yesno(v.is_at):>4} "
-            f"{_yesno(v.is_af_computed):>5} {_yesno(v.is_af_paper_predicate):>5} {k1:>6}"
-        )
+        row = ((n, _cyclic(d, n, w)) for n, w in orders)
+        if as_json:
+            print(", " if d > 1 else "[", ", ".join(_to_json(verdict_json(v)) for _, v in row), sep="", end="")
+        else:
+            print("\n".join(f"{d:>3} {n:>4} {v.w:>4} {_yesno(v.simple_action_exists):>7} {_yesno(v.is_at):>4} "
+                            f"{_yesno(v.is_af_computed):>5} {_yesno(v.is_af_paper_predicate):>5} "
+                            f"{str(v.k.k1) if v.k else '-':>6}" for n, v in row))
+    if as_json:
+        print("]")
 
 
 def _print_report_text(r: ActionReport):
@@ -380,11 +383,7 @@ def _dispatch(args) -> int:
         report = analyze_action(a)
         print(_to_json(report_json(report))) if args.json else _print_report_text(report)
     elif args.command == "table":
-        nmax = _table_nmax(args.dmax, args.nmax)
-        if args.json:
-            print(_to_json([verdict_json(v) for v in _table_rows(args.dmax, nmax)]))
-        else:
-            _print_table_text(args.dmax, nmax)
+        _print_table(args.dmax, _table_nmax(args.dmax, args.nmax), args.json)
     return 0
 
 

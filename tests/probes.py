@@ -22,9 +22,10 @@ reach d = 800:
 - ``theta --json`` on k = 10, about 2.1-2.5 s, about 1.4 s of it in
   invariant_space's reduced_basis and about 0.7 s in is_nondegenerate; its
   stdout is 6,140,977 bytes;
-- ``table --dmax 100 --nmax 2001 --json``, the TABLE_MAX_VERDICTS grid of
-  200,000 verdicts (about 2.3 s), whose stdout is 50,041,411 bytes and
-  whose peak RSS is bounded;
+- ``table --dmax 100 --nmax 2001``, the TABLE_MAX_VERDICTS grid of 200,000
+  verdicts, in text (about 1.1-1.6 s, 9,841,202 bytes of stdout) and with
+  ``--json`` (about 2.1-2.6 s, 50,041,411 bytes); each is printed a row at a
+  time, so both read about the script's own peak RSS, under a 64 MB bound;
 - the JSON verdict of the group path on Z12xZ18xZ35xZ^2, and the cyclic
   path's JSON verdict ``classify 40 63 --json`` and large-d text verdict
   ``classify 1000 7``.
@@ -115,8 +116,10 @@ PROBES = (
     Probe("P^1000 B P^-1000", ("analyze", INPUT, "--json"), lambda: wide_conjugate(1000), 2),
     Probe("P^10 B P^-10", ("theta", INPUT, "--json"), lambda: wide_conjugate(10), 0,
           "f2d6efe09b103ab4fc5a9d811b7ccfca48c1248ee6a5a7797aae0793a5f17135"),
+    Probe("--dmax 100 --nmax 2001", ("table", "--dmax", "100", "--nmax", "2001"), None, 0,
+          "0b353ccbc48236902a997efc2bf51656a8c634db4abffa8d81a1c7aa165cf3cc", max_rss_mb=64),
     Probe("--dmax 100 --nmax 2001 --json", ("table", "--dmax", "100", "--nmax", "2001", "--json"), None, 0,
-          "0c1ec52f8b01d0abd45b506a85b6e52b905846a44c2cdd95fbe89226da37e6f7", max_rss_mb=400),
+          "0c1ec52f8b01d0abd45b506a85b6e52b905846a44c2cdd95fbe89226da37e6f7", max_rss_mb=64),
     Probe("40 Z12xZ18xZ35xZ^2 --json", ("classify-group", "40", "Z12xZ18xZ35xZ^2", "--json"), None, 0,
           "6621337168ce3d7c548ec679df25e18acf63a6b1e92cb844ffb605755625f764"),
     Probe("40 63 --json", ("classify", "40", "63", "--json"), None, 0,

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -9,12 +10,13 @@ import random
 import re
 import shlex
 import time
+import tracemalloc
 from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nctori import classify, cli, exactlin, finite, invariants, theta
+from nctori import classify, cli, exactlin, finite, invariants, theta, wfun
 from nctori.classify import MAX_RANK_DIM
 from nctori.arith import CYCLOTOMIC_MAX_N, FACTORIZE_MAX_TRIAL, MAX_INT_DIGITS
 from nctori.cli import TABLE_MAX_DIM, TABLE_MAX_VERDICTS, WGROUP_MAX_PART_DIGITS, CliParseError, main, parse_group
@@ -22,6 +24,7 @@ from nctori.exactlin import Matrix, _components
 from nctori.invariants import invariant_ranks, parse_block_spec, realize
 from nctori.wfun import AbelianGroup, max_finite_order
 from oracles import matrix_pow
+from probes import caches
 
 
 def run(capsys, *argv):
@@ -206,6 +209,61 @@ def test_table_default_order_range_is_bounded(capsys):
     assert code == 2 and "TABLE_MAX_DIM = 100" in json.loads(out)["error"]
     code, out, _ = run(capsys, "table", "--dmax", "26", "--nmax", "3", "--json")
     assert code == 0 and len(json.loads(out)) == 26 * 2
+
+
+def test_table_wider_than_the_order_caches_reads_each_order_once(capsys, monkeypatch):
+    # 1,499 orders a row, more than the 1,024 entries of w_order's cache: the
+    # grid still factors each order once, not once per verdict
+    factored = []
+    monkeypatch.setattr(wfun, "factorize", lambda n, real=wfun.factorize: factored.append(n) or real(n))
+    wfun.w_order.cache_clear()
+    code, out, _ = run(capsys, "table", "--dmax", "4", "--nmax", "1500", "--json")
+    assert code == 0 and sorted(factored) == list(range(2, 1501))
+    grid = [(d, n) for d in range(1, 5) for n in range(2, 1501)]
+    rows = json.loads(out)
+    assert rows == [classify.verdict_json(classify.classify_cyclic(d, n)) for d, n in grid]
+    code, out, _ = run(capsys, "table", "--dmax", "4", "--nmax", "1500")
+    lines = out.splitlines()[2:]
+    assert code == 0 and len(lines) == len(rows)
+    yes = {True: "yes", False: "no"}
+    for (d, n), line, row in zip(grid, lines, rows):
+        k1 = row["k1"]
+        k1 = "-" if k1 is None else ("" if k1["kind"] == "exact" else ">=") + str(k1["value"])
+        assert row["input"] == f"Z{n}" and line.split() == [
+            str(d), str(n), str(wfun.w_order(n)), yes[row["simple_action"]], yes[row["AT"]],
+            yes[row["AF_computed"]], yes[row["AF_paper"]], k1,
+        ], (d, n)
+
+
+class _Discard:
+    """A stdout that keeps only the count of characters written to it."""
+
+    size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_table_json_holds_no_more_than_a_row():
+    # the JSON grid is printed a row at a time: its peak allocation stays under
+    # half its output (about 0.2 of it); a printer that held the whole grid
+    # would peak at several times the output
+    for fn in caches().values():
+        fn.cache_clear()
+    sink = _Discard()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(["table", "--dmax", "20", "--nmax", "400", "--json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.size > 1_500_000
+    assert peak < sink.size / 2, (peak, sink.size)
 
 
 def test_theta_json_on_dense_conjugate_matches_direct_solve(
@@ -1032,9 +1090,10 @@ def test_module_run_as_a_script_exits_with_the_code_of_main(capsys):
 
 def test_closed_output_pipe_exits_1_without_a_traceback():
     # the read end is closed before the child starts: the table (about 115 KB)
-    # fails while printing, the few bytes of a verdict at the final flush
+    # and its JSON form, printed a row at a time, fail while printing, the few
+    # bytes of a verdict at the final flush
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parent.parent / "src"))
-    for argv in (["table", "--dmax", "12"], ["classify", "6", "9"]):
+    for argv in (["table", "--dmax", "12"], ["table", "--dmax", "12", "--json"], ["classify", "6", "9"]):
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
