@@ -10,8 +10,8 @@ _EXPORTS = {
     "arith": ("cyclotomic", "factorize", "totient"),
     "classify": ("ActionReport", "Realization", "Verdict", "af_paper", "analyze_action", "classify_cyclic",
                  "classify_fg", "classify_group"),
-    "exactlin": ("Matrix", "block_diag", "companion", "compound", "det", "kernel_basis", "order", "rank"),
-    "finite": (),
+    "exactlin": ("block_diag", "companion", "compound", "det", "kernel_basis", "order", "rank"),
+    "finite": ("Matrix",),
     "invariants": ("Cyclotomic", "Identity", "NegCyclotomic", "free_outside_origin", "invariant_rank",
                    "invariant_rank_oracle", "invariant_ranks_molien", "realize", "s1"),
     "ktheory": ("GradedRank", "RankInfo", "at_least", "exact", "factor_k", "kunneth", "kunneth_torus", "torus_k"),

@@ -19,8 +19,6 @@ from itertools import chain
 from math import lcm
 
 from .arith import factorize
-from .exactlin import Matrix
-from .finite import cyclotomic_type
 from .invariants import (
     Block,
     BlockSpec,
@@ -234,6 +232,8 @@ def recognize_blocks(a: Matrix) -> BlockSpec | None:
     factors; None when ``a`` has infinite order.  This is a rational
     invariant, not an integral normal form: the swap [[0, 1], [1, 0]] gives
     C2+I1 though it is not GL_2(Z)-conjugate to diag(-1, 1)."""
+    from .finite import cyclotomic_type  # here, not at import: no verdict reads a matrix
+
     ns = cyclotomic_type(a)
     if ns is None:
         return None

@@ -27,7 +27,6 @@ from .classify import (
     report_json,
     verdict_json,
 )
-from .exactlin import Matrix
 from .invariants import (
     block_label,
     invariant_ranks,
@@ -81,6 +80,7 @@ def parse_group(text: str) -> AbelianGroup:
 
 def read_matrix_file(path: str) -> Matrix:
     """Matrix text format: first line d, then d lines of d integers."""
+    from .finite import Matrix  # only the matrix subcommands load a matrix module
     try:
         with open(path, encoding="utf-8") as fh:
             tokens = fh.read().split()

@@ -1,11 +1,12 @@
 """Exact dense linear algebra over the integers and rationals.
 
-Matrices are immutable with ``int`` or ``fractions.Fraction`` entries; all
-computations are exact.  Determinants use fraction-free Bareiss elimination;
-rank, kernels and reduced bases use one fraction-free integer echelon with gcd
-normalization (rational input is first scaled to integers by the lcm of its
-denominators, ``_scaled_int_rows``), and a compound matrix comes from a
-Laplace sweep over only the rows its degree reaches.  Finite order is
+Matrices (``finite.Matrix``, imported here) are immutable with ``int`` or
+``fractions.Fraction`` entries; all computations are exact.  Determinants
+use fraction-free Bareiss elimination; rank, kernels and reduced bases use
+one fraction-free integer echelon with gcd normalization (rational input is
+first scaled to integers by the lcm of its denominators,
+``_scaled_int_rows``), and a compound matrix comes from a Laplace sweep over
+only the rows its degree reaches.  Finite order is
 decided in ``finite``; ``order`` and ``rational_block_form`` read it.  All
 pure, thread-safe.
 """
@@ -18,71 +19,7 @@ import sys
 from math import gcd, lcm
 
 from .arith import IntPolynomial, cyclotomic
-from .finite import _cyclotomic_lift, _integral, cyclotomic_type
-from .record import Frozen, set_field
-
-
-def _norm_entry(x):
-    if type(x) is int:  # the common case; skips the lookup and the ABC check in isinstance(x, Fraction)
-        return x
-    fractions = sys.modules.get("fractions")  # loaded whenever x is a Fraction, so never imported here
-    if fractions is not None and isinstance(x, fractions.Fraction):
-        return x.numerator if x.denominator == 1 else x
-    if isinstance(x, int):  # bool and other int subclasses become plain ints
-        return int(x)
-    raise TypeError(f"matrix entries must be int or Fraction, got {type(x).__name__}")
-
-
-class Matrix(Frozen):
-    """Immutable dense matrix. Entries are exact (int, or Fraction in lowest terms)."""
-
-    __slots__ = ("rows", "nrows", "ncols")
-
-    def __init__(self, rows, ncols: int | None = None):
-        rows = tuple(map(tuple, rows))
-        if not _integral(rows):
-            rows = tuple(tuple(map(_norm_entry, row)) for row in rows)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
-            if ncols is not None and ncols != width:
-                raise ValueError("ncols does not match row width")
-            ncols = width
-        else:
-            ncols = 0 if ncols is None else ncols
-        set_field(self, "rows", rows)
-        set_field(self, "nrows", len(rows))
-        set_field(self, "ncols", ncols)
-
-    @classmethod
-    def identity(cls, d: int) -> "Matrix":
-        return cls(((1 if i == j else 0 for j in range(d)) for i in range(d)), d)
-
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls(((0,) * ncols for _ in range(nrows)), ncols)
-
-    @property
-    def is_square(self) -> bool:
-        return self.nrows == self.ncols
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.nrows:
-            raise ValueError(f"shape mismatch: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
-        bt = list(zip(*other.rows)) if other.rows else [()] * other.ncols
-        mul = operator.mul
-        return Matrix(((sum(map(mul, row, col)) for col in bt) for row in self.rows), other.ncols)
-
-    def __neg__(self) -> "Matrix":
-        return Matrix((map(operator.neg, r) for r in self.rows), self.ncols)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols, self.nrows)
-
-    def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
-        return f"Matrix({self.nrows}x{self.ncols}: {body})"
+from .finite import Matrix, _cyclotomic_lift, _integral, cyclotomic_type
 
 
 def _scaled_int_rows(m: Matrix) -> tuple[tuple[tuple[int, ...], ...], int]:

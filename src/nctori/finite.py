@@ -1,13 +1,15 @@
-"""Finite order of integer matrices: the lift, the factor reader and the certificate.
+"""Exact matrices and their finite order: the lift, the factor reader and the certificate.
 
-``cyclotomic_type`` decides whether an integer matrix has finite order, and
-its cyclotomic type, from the characteristic polynomial modulo the one
-Mersenne prime P = 2^19 - 1 (``_P``), taken by Krylov chains on packed
-64-bit lanes (by the recurrence of an upper Hessenberg matrix when the
-input is one), factored on its half-degree trace polynomial
+``Matrix``, the package's immutable exact matrix, lives here, in the lowest
+matrix layer, and ``exactlin`` imports it back: a request that reads a
+matrix and its cyclotomic type (``analyze``) loads no other matrix module.  ``cyclotomic_type`` decides whether an integer matrix has
+finite order, and its cyclotomic type, from the characteristic polynomial
+modulo the one Mersenne prime P = 2^19 - 1 (``_P``), taken by Krylov chains
+on packed 64-bit lanes (by the recurrence of an upper Hessenberg matrix
+when the input is one), factored on its half-degree trace polynomial
 (``cyclotomic_factors``), and certified over Z on the exact chains of its
-seeds, on packed 64-bit lanes or on Python ints.  Stdlib and ``arith``
-only; all pure, thread-safe.
+seeds, on packed 64-bit lanes or on Python ints.  Stdlib, ``arith`` and
+``record`` only; all pure, thread-safe.
 """
 
 from __future__ import annotations
@@ -15,15 +17,80 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import sys
 from math import comb
 from struct import pack, unpack
 
 from .arith import IntPolynomial, cyclotomic, poly_mul, totient, totient_bound
+from .record import Frozen, set_field
 
 
 def _integral(rows) -> bool:
     """Whether every entry of ``rows`` is an int (a Matrix keeps a Fraction only off Z)."""
     return set(map(type, itertools.chain.from_iterable(rows))) <= {int}
+
+
+def _norm_entry(x):
+    if type(x) is int:  # the common case; skips the lookup and the ABC check in isinstance(x, Fraction)
+        return x
+    fractions = sys.modules.get("fractions")  # loaded whenever x is a Fraction, so never imported here
+    if fractions is not None and isinstance(x, fractions.Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):  # bool and other int subclasses become plain ints
+        return int(x)
+    raise TypeError(f"matrix entries must be int or Fraction, got {type(x).__name__}")
+
+
+class Matrix(Frozen):
+    """Immutable dense matrix. Entries are exact (int, or Fraction in lowest terms)."""
+
+    __slots__ = ("rows", "nrows", "ncols")
+
+    def __init__(self, rows, ncols: int | None = None):
+        rows = tuple(map(tuple, rows))
+        if not _integral(rows):
+            rows = tuple(tuple(map(_norm_entry, row)) for row in rows)
+        if rows:
+            width = len(rows[0])
+            if any(len(r) != width for r in rows):
+                raise ValueError("ragged rows")
+            if ncols is not None and ncols != width:
+                raise ValueError("ncols does not match row width")
+            ncols = width
+        else:
+            ncols = 0 if ncols is None else ncols
+        set_field(self, "rows", rows)
+        set_field(self, "nrows", len(rows))
+        set_field(self, "ncols", ncols)
+
+    @classmethod
+    def identity(cls, d: int) -> "Matrix":
+        return cls(((1 if i == j else 0 for j in range(d)) for i in range(d)), d)
+
+    @classmethod
+    def zero(cls, nrows: int, ncols: int) -> "Matrix":
+        return cls(((0,) * ncols for _ in range(nrows)), ncols)
+
+    @property
+    def is_square(self) -> bool:
+        return self.nrows == self.ncols
+
+    def __matmul__(self, other: "Matrix") -> "Matrix":
+        if self.ncols != other.nrows:
+            raise ValueError(f"shape mismatch: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
+        bt = list(zip(*other.rows)) if other.rows else [()] * other.ncols
+        mul = operator.mul
+        return Matrix(((sum(map(mul, row, col)) for col in bt) for row in self.rows), other.ncols)
+
+    def __neg__(self) -> "Matrix":
+        return Matrix((map(operator.neg, r) for r in self.rows), self.ncols)
+
+    def transpose(self) -> "Matrix":
+        return Matrix(tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols, self.nrows)
+
+    def __repr__(self):
+        body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
+        return f"Matrix({self.nrows}x{self.ncols}: {body})"
 
 
 # The lift works modulo the Mersenne prime _P = 2^E - 1, above totient_bound(d),

@@ -37,9 +37,10 @@ from operator import mul
 from struct import pack, unpack
 
 from .arith import cyclotomic, divisors, factorize, read_int, totient
-from .exactlin import Matrix, _shift_diag, block_diag, companion, compound, rank
-from .finite import _integral, cyclotomic_type
 from .record import Frozen, set_field
+
+# the matrix modules, exactlin and finite, are imported only inside the functions that take or build a
+# Matrix, so that a verdict, which reads block specs alone, loads neither
 
 
 class Cyclotomic(Frozen):
@@ -175,6 +176,8 @@ def spec_nondegenerate(spec) -> bool:
 
 
 def _realize_block(block: Block) -> Matrix:
+    from .exactlin import Matrix, companion
+
     if isinstance(block, Identity):
         return Matrix.identity(block.m)
     c = companion(cyclotomic(block.n))
@@ -183,6 +186,8 @@ def _realize_block(block: Block) -> Matrix:
 
 def realize(spec) -> Matrix:
     """Integer matrix realization: the direct sum of the blocks in order."""
+    from .exactlin import block_diag
+
     return block_diag(_realize_block(b) for b in spec)
 
 
@@ -436,6 +441,8 @@ def invariant_ranks_molien(a: Matrix, n: int) -> tuple[int, ...]:
     >>> invariant_ranks_molien(realize((Cyclotomic(5),)), 5)
     (1, 0, 2, 0, 1)
     """
+    from .finite import _integral
+
     if not a.is_square:
         raise ValueError("Molien's formula requires a square matrix")
     if not _integral(a.rows):
@@ -548,6 +555,8 @@ def invariant_rank_oracle(a: Matrix, m: int) -> int:
         raise ValueError(f"oracle limited to dimension {ORACLE_MAX_DIM}, got {d}")
     if not 0 <= m <= d:
         raise ValueError(f"degree {m} out of range for dimension {d}")
+    from .exactlin import _shift_diag, compound, rank
+
     c = compound(a, m)
     return c.nrows - rank(_shift_diag(c, -1))
 
@@ -556,6 +565,8 @@ def free_outside_origin(a: Matrix) -> bool:
     """True when every nontrivial power of ``a`` fixes only the origin, i.e.
     every eigenvalue is a primitive root of unity of the full order: all n
     of the cyclotomic type are equal.  Raises ValueError on infinite order."""
+    from .finite import cyclotomic_type
+
     ns = cyclotomic_type(a)
     if ns is None:
         raise ValueError("matrix does not have finite order")

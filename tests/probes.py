@@ -25,15 +25,19 @@ reach d = 800:
 - ``table --dmax 100 --nmax 2001``, the TABLE_MAX_VERDICTS grid of 200,000
   verdicts, in text (about 1.1-1.6 s, 9,841,202 bytes of stdout) and with
   ``--json`` (about 2.1-2.6 s, 50,041,411 bytes); each is printed a row at a
-  time, so both read about the script's own peak RSS, under a 64 MB bound;
+  time, so both peak at 16-18 MB, under a 64 MB bound;
 - the JSON verdict of the group path on Z12xZ18xZ35xZ^2, and the cyclic
   path's JSON verdict ``classify 40 63 --json`` and large-d text verdict
-  ``classify 1000 7``.
+  ``classify 1000 7``, which load no matrix module and peak at 13-15 MB,
+  under a 32 MB bound.
 
 Each row's exit code is compared with the one documented in its row (2 for
 the Hessenberg file and k = 1000, 0 for every other probe), the sha256 of
 its stdout with the pinned one where the row has one, and the child's peak
-RSS (``ru_maxrss`` from ``os.wait4``) with the row's bound where it has one.
+RSS with the row's bound where it has one.  Each child is started by
+``LAUNCHER``, a ``python -S`` process that reads its ``ru_maxrss`` from
+``os.wait4``, so the reading starts at the launcher's few MB, not at what
+this script holds.
 Every mismatch is printed, and the script exits 1 after the last row if
 there was one.  ``tests/test_probes.py`` pins the sha256 of every input
 file, so a change to a builder fails in tier-1 without running a probe.
@@ -42,15 +46,22 @@ file, so a change to a builder fails in tier-1 without running a probe.
 built by ``bench/gen.py`` at the size of a 30 s run, through
 ``nctori.cli.main`` in this process; every cache that ``caches()`` finds is
 cleared before each workload and its ``cache_info()`` printed after it.
+
+``report_startup()`` prints the nctori modules that a ``classify``, an
+``analyze`` and a ``theta`` request load, and the median wall time of fresh
+``import nctori.cli`` starts that compile the sources.
 """
 
 import contextlib
 import hashlib
 import importlib
 import io
+import json
 import os
 import pkgutil
 import random
+import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -121,11 +132,11 @@ PROBES = (
     Probe("--dmax 100 --nmax 2001 --json", ("table", "--dmax", "100", "--nmax", "2001", "--json"), None, 0,
           "0c1ec52f8b01d0abd45b506a85b6e52b905846a44c2cdd95fbe89226da37e6f7", max_rss_mb=64),
     Probe("40 Z12xZ18xZ35xZ^2 --json", ("classify-group", "40", "Z12xZ18xZ35xZ^2", "--json"), None, 0,
-          "6621337168ce3d7c548ec679df25e18acf63a6b1e92cb844ffb605755625f764"),
+          "6621337168ce3d7c548ec679df25e18acf63a6b1e92cb844ffb605755625f764", max_rss_mb=32),
     Probe("40 63 --json", ("classify", "40", "63", "--json"), None, 0,
-          "c9672308d90794d85281f2461356c7412274d4c8bcd05ef80a0821cfa501e49b"),
+          "c9672308d90794d85281f2461356c7412274d4c8bcd05ef80a0821cfa501e49b", max_rss_mb=32),
     Probe("1000 7", ("classify", "1000", "7"), None, 0,
-          "bdb8572891c99b8597238bf6c0310a4c1c19d29a943afa41de25b33f45a7c998"),
+          "bdb8572891c99b8597238bf6c0310a4c1c19d29a943afa41de25b33f45a7c998", max_rss_mb=32),
 )
 
 
@@ -134,17 +145,35 @@ def input_text(rows) -> str:
     return f"{len(rows)}\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows)
 
 
+# Starts one probe and reports it: spawns argv[1:] with stderr to os.devnull and the launcher's stdout,
+# waits for it, and writes its exit code and ru_maxrss (KiB) to the launcher's stderr.  A child's
+# ru_maxrss starts at the peak of the process that spawned it, and this one, run by python -S, holds
+# a few MB, not the tens that this script holds after importing nctori and building d = 800 inputs.
+LAUNCHER = """
+import os, sys
+pid = os.posix_spawnp(sys.argv[1], sys.argv[1:], os.environ,
+                      file_actions=[(os.POSIX_SPAWN_OPEN, 2, os.devnull, os.O_WRONLY, 0)])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=sys.stderr)
+"""
+
+
 def run(words) -> tuple[int, float, float, str]:
     """Exit code, wall time (s), peak RSS (MB) and stdout sha256 of
-    ``nctori words``; stdout is hashed as it arrives, not held."""
+    ``nctori words``, started by ``LAUNCHER``; stdout is hashed as it
+    arrives, not held."""
     start = time.perf_counter()
     digest = hashlib.sha256()
-    with subprocess.Popen(["nctori", *words], stdout=subprocess.PIPE, stderr=subprocess.DEVNULL) as child:
-        for chunk in iter(lambda: child.stdout.read(1 << 16), b""):
+    with subprocess.Popen([sys.executable, "-S", "-c", LAUNCHER, "nctori", *words],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as launcher:
+        for chunk in iter(lambda: launcher.stdout.read(1 << 16), b""):
             digest.update(chunk)
-        _, status, usage = os.wait4(child.pid, 0)
-        child.returncode = os.waitstatus_to_exitcode(status)  # reaped here, so Popen does not wait again
-    return child.returncode, time.perf_counter() - start, usage.ru_maxrss / 1024, digest.hexdigest()
+        report = launcher.stderr.read().decode()
+    try:
+        code, rss_kb = map(int, report.split())
+    except ValueError:
+        raise RuntimeError(f"the launcher of nctori {' '.join(words)} failed:\n{report}") from None
+    return code, time.perf_counter() - start, rss_kb / 1024, digest.hexdigest()
 
 
 def main() -> int:
@@ -154,9 +183,7 @@ def main() -> int:
         for probe in PROBES:
             size = ""
             if probe.build:
-                # built just before its run and dropped: a child's ru_maxrss
-                # counts what its parent held when it was spawned
-                rows = probe.build()
+                rows = probe.build()  # built just before its run and dropped
                 size = f"d = {len(rows)}"
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(input_text(rows))
@@ -205,6 +232,46 @@ def report_caches() -> None:
             ratio = f"{info.hits / calls:.3f}" if calls else "-"
             print(f"  {name:28} {info.hits:6} hits of {calls:6} = {ratio:5}  maxsize {info.maxsize}  currsize {info.currsize}")
 
+
+# the modules of nctori loaded after one request, the argv given as JSON
+_LOADED = """
+import contextlib, io, json, sys
+import nctori.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    nctori.cli.main(json.loads(sys.argv[1]))
+print(" ".join(sorted(m[len("nctori."):] for m in sys.modules if m.startswith("nctori."))))
+"""
+
+# a start as bench/run.py setup_samples times it: until import nctori.cli returns, from the path given
+_START = "import sys, time; sys.path.insert(0, sys.argv[1]); import nctori.cli; print(time.monotonic())"
+
+
+def report_startup() -> None:
+    """Print the nctori modules that a ``classify``, an ``analyze`` and a
+    ``theta`` request load, each in a fresh ``python -S``, then the median of
+    9 fresh ``import nctori.cli`` starts from a copy of ``src/`` without
+    bytecode, so that each start compiles the sources, as the benchmark's
+    ``setup_s`` does."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c5.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(input_text(block_form("C5")))
+        env = dict(os.environ, PYTHONPATH=str(src))
+        for words in (["classify", "7", "5", "--json"], ["analyze", path, "--json"], ["theta", path, "--json"]):
+            done = subprocess.run([sys.executable, "-S", "-c", _LOADED, json.dumps(words)],
+                                  capture_output=True, text=True, env=env, check=True)
+            names = done.stdout.split()
+            print(f"{words[0]:9} loads {len(names)} nctori modules: {' '.join(names)}")
+        copy = os.path.join(tmp, "src")
+        shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+        samples = []
+        for _ in range(9):
+            t0 = time.monotonic()  # CLOCK_MONOTONIC is shared by processes
+            done = subprocess.run([sys.executable, "-c", _START, copy], capture_output=True, text=True, env=env, check=True)
+            samples.append(float(done.stdout) - t0)
+        print(f"import nctori.cli, compiled at each start: median of 9 starts {statistics.median(samples):.4f} s")
 
 if __name__ == "__main__":
     sys.exit(main())

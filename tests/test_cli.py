@@ -114,7 +114,7 @@ def test_s1_command_reads_freeness_off_the_blocks(capsys, monkeypatch):
     def no_matrix(a):
         raise AssertionError("s1 must not factor a realized matrix")
 
-    monkeypatch.setattr(invariants, "cyclotomic_type", no_matrix)
+    monkeypatch.setattr(finite, "cyclotomic_type", no_matrix)
     code, out, _ = run(capsys, "s1", "--blocks", "C101", "--json")
     payload = json.loads(out)
     assert code == 0 and payload["free_outside_origin"] is True
@@ -767,7 +767,7 @@ def test_analyze_does_not_run_the_compound_oracle(tmp_path, capsys, monkeypatch,
     def no_compound(a, m):
         raise AssertionError("analyze must not build compound matrices")
 
-    monkeypatch.setattr(invariants, "compound", no_compound)
+    monkeypatch.setattr(exactlin, "compound", no_compound)
     spec, d, path = _write_conjugate(tmp_path, "C5+C3+I2", 8, unimodular_pair)
     assert d == 8
     code, out, _ = run(capsys, "analyze", path, "--json")

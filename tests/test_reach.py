@@ -38,13 +38,13 @@ API_ONLY = {
     "__init__.__dir__": "library API: lists the lazy exports for dir(nctori)",
     "classify.af_paper": "library API: the AF condition on an order; a verdict's part reads it off the factorization it already has",
     "classify.classify_group": "library API: finite groups only; the command line sends every group to classify_fg",
-    "exactlin.Matrix.__repr__": "library API: the printed form of a matrix",
-    "exactlin._norm_entry": "Fraction and int-subclass entries, which matrix files never hold",
     "exactlin.order": "library API: the order of a matrix, the lcm over finite.cyclotomic_type",
     "exactlin.det": "library API: the determinant",
     "exactlin._det_int": "det on integer rows",
     "exactlin.compound": "library API: the m-th compound matrix, which invariant_rank_oracle is built on",
+    "finite.Matrix.__repr__": "library API: the printed form of a matrix",
     "finite._int_chain_sums": "only a certificate whose entries pass 64-bit words: CI's P^300 B P^-300 probe",
+    "finite._norm_entry": "Fraction and int-subclass entries, which matrix files never hold",
     "invariants.realize": "library API: the integer matrix of a block spec; verdicts and reports never need it",
     "invariants._realize_block": "one block of realize",
     "invariants.free_outside_origin": "library API: freeness on a matrix; reports read it off the blocks",

@@ -1,5 +1,20 @@
 """Start-up: ``import nctori.cli`` loads only the modules that a well-formed
-``classify``, ``classify-group`` or ``analyze`` request runs."""
+verdict request runs, and no matrix module.
+
+The child of ``test_cli_import_and_requests_leave_the_deferred_modules_unloaded``
+runs phases of requests and reads ``sys.modules`` after each:
+
+- ``import nctori.cli`` loads neither ``DEFERRED`` nor ``MATRIX``;
+- the verdict-side subcommands that take positionals only (``classify``,
+  ``classify-group``, ``wfun``, ``wgroup``, ``cyclotomic``) load none of them;
+- ``analyze`` loads ``nctori.finite`` alone: the matrix, its cyclotomic type
+  and the Molien check, with no ``exactlin`` and no ``theta``;
+- a non-int matrix entry is refused by ``nctori.finite.Matrix`` without
+  loading ``fractions``.
+
+A second child runs the verdict-side subcommands that take options (``table``,
+``s1 --blocks``): they load ``argparse`` and no matrix module.
+"""
 
 import importlib
 import json
@@ -37,50 +52,77 @@ EXPORTS = {
     "wfun": ("AbelianGroup", "max_finite_order", "w_cyclic", "w_group", "w_order"),
 }
 
+# the matrix modules: finite (Matrix and the finite-order routes), loaded by analyze and theta, and
+# exactlin (exact linear algebra over it), loaded by theta alone
+MATRIX = ("nctori.exactlin", "nctori.finite")
+
 _CHILD = """
 import contextlib, io, json, sys
 import nctori.cli
 
-def loaded():
-    return sorted(m for m in json.loads(sys.argv[1]) if m in sys.modules)
+watched, phases = json.loads(sys.argv[1]), json.loads(sys.argv[2])
 
-after_import = loaded()
-replies = []
-for argv in json.loads(sys.argv[2]):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = nctori.cli.main(argv)
-    replies.append([code, json.loads(out.getvalue())])
-try:  # a non-int entry while fractions is not loaded: not a Fraction, so refused
-    nctori.cli.Matrix([[0.5]])
-    refused = False
-except TypeError:
-    refused = True
-print(json.dumps({"after_import": after_import, "after_requests": loaded(), "replies": replies, "refused": refused}))
+def loaded():
+    return sorted(m for m in watched if m in sys.modules)
+
+result = {"import": loaded(), "replies": []}
+for phase, argvs in phases:
+    for argv in argvs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = nctori.cli.main(argv)
+        result["replies"].append([code, json.loads(out.getvalue())])
+    result[phase] = loaded()
+if "nctori.finite" in sys.modules:
+    try:  # a non-int entry while fractions is not loaded: not a Fraction, so refused
+        nctori.finite.Matrix([[0.5]])
+        result["refused"] = False
+    except TypeError:
+        result["refused"] = True
+    result["refusal"] = loaded()
+print(json.dumps(result))
 """
+
+
+def _child(phases) -> dict:
+    """What the child prints after ``phases``, a list of (name, argv lists)."""
+    # -S: no site module, so the modules loaded are the interpreter's and nctori's
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _CHILD, json.dumps(DEFERRED + MATRIX), json.dumps(phases)],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
 
 
 def test_cli_import_and_requests_leave_the_deferred_modules_unloaded(tmp_path):
     matrix = tmp_path / "c5.txt"  # the companion matrix of Phi_5
     matrix.write_text("4\n0 0 0 -1\n1 0 0 -1\n0 1 0 -1\n0 0 1 -1\n")
-    argvs = [
+    verdicts = [
         ["classify", "7", "5", "--json"],
         ["classify-group", "4", "Z6xZ^1", "--json"],
-        ["analyze", str(matrix), "--json"],
+        ["wfun", "9", "--json"],
+        ["wgroup", "Z6xZ4", "--json"],
+        ["cyclotomic", "9", "--json"],
     ]
-    # -S: no site module, so the modules loaded are the interpreter's and nctori's
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", _CHILD, json.dumps(DEFERRED), json.dumps(argvs)],
-        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(SRC)),
-    )
-    assert done.returncode == 0, done.stderr
-    result = json.loads(done.stdout)
-    assert result["after_import"] == [] and result["after_requests"] == [] and result["refused"]
+    result = _child([["verdicts", verdicts], ["analyze", [["analyze", str(matrix), "--json"]]]])
+    assert result["import"] == [] and result["verdicts"] == []
+    assert result["analyze"] == ["nctori.finite"]
+    assert result["refused"] and result["refusal"] == ["nctori.finite"]
     codes = [code for code, _ in result["replies"]]
-    verdict, group_verdict, report = (reply for _, reply in result["replies"])
-    assert codes == [0, 0, 0]
+    verdict, group_verdict, w, w_group, coefficients, report = (reply for _, reply in result["replies"])
+    assert codes == [0] * 6
     assert verdict["simple_action"] and group_verdict["simple_action"]
+    assert w["w"] == 6 and w_group["w"] == 4 and coefficients["coefficients"] == [1, 0, 0, 1, 0, 0, 1]
     assert report["order"] == 5 and report["blocks"] == ["C5"]
+
+    options = [["table", "--dmax", "3", "--json"], ["s1", "--blocks", "C9", "--json"]]
+    result = _child([["options", options]])
+    assert result["import"] == [] and result["options"] == ["argparse"] and "refused" not in result
+    (table_code, table), (s1_code, s1) = result["replies"]
+    assert table_code == s1_code == 0
+    assert len(table) == 15 and [row["d"] for row in table[::5]] == [1, 2, 3]
+    assert s1["invariant_ranks"] == [1, 0, 3, 0, 3, 0, 1]
 
 
 _PACKAGE_CHILD = """
